@@ -105,8 +105,10 @@ BENCHMARK(BM_DecodeNested)->Range(64, 64 << 10);
 void BM_EnvelopeWrapUnwrap(benchmark::State& state) {
   const Bytes payload = MakeFlat(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    Bytes framed = serde::WrapEnvelope(View(payload));
-    auto unwrapped = serde::UnwrapEnvelope(View(framed));
+    serde::Writer w;
+    w.WriteRaw(View(payload));
+    Bytes framed = serde::WrapEnvelope(std::move(w));
+    auto unwrapped = serde::UnwrapEnvelopeView(View(framed));
     benchmark::DoNotOptimize(unwrapped);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -139,7 +141,7 @@ void BM_EncodeRequestFrame(benchmark::State& state) {
   const rpc::RequestFrame frame =
       MakeFrame(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    Bytes encoded = rpc::EncodeRequest(frame);
+    Bytes encoded = rpc::EncodeRequest(rpc::RequestFrame(frame));
     benchmark::DoNotOptimize(encoded);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -151,7 +153,7 @@ void BM_DecodeRequestFrame(benchmark::State& state) {
   const Bytes encoded =
       rpc::EncodeRequest(MakeFrame(static_cast<std::size_t>(state.range(0))));
   for (auto _ : state) {
-    auto decoded = rpc::DecodeRequest(View(encoded));
+    auto decoded = rpc::DecodeRequestView(View(encoded));
     benchmark::DoNotOptimize(decoded);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

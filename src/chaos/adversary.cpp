@@ -21,7 +21,7 @@ void ReplySpoofer::Burst(std::uint32_t client_index) {
     // The adversary forges wire frames on purpose — its whole job is to
     // violate the encapsulation boundary the proxies defend.
     // NOLINTNEXTLINE(proxy-lint:L3)
-    (void)endpoint_->Send(target.client, rpc::EncodeReply(reply));
+    (void)endpoint_->Send(target.client, rpc::EncodeReply(std::move(reply)));
     ++forged_;
   }
 }

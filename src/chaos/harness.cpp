@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "core/export.h"
 #include "core/runtime.h"
-#include "net/reliable.h"
 #include "services/counter.h"
 #include "services/kv.h"
 #include "services/lock.h"
@@ -27,26 +26,9 @@ namespace proxy::chaos {
 
 namespace {
 
-constexpr SimDuration kArqSendGap = Milliseconds(2);
 constexpr SimDuration kSettle = Milliseconds(300);
 constexpr SimDuration kRecloseGap = Milliseconds(250);
 constexpr int kRecloseAttempts = 40;
-
-Bytes EncodeSeq(std::uint64_t seq) {
-  Bytes out(8);
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
-  return out;
-}
-
-std::uint64_t DecodeSeq(const Bytes& payload) {
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 8; ++i) {
-    seq |= static_cast<std::uint64_t>(payload[i]) << (8 * i);
-  }
-  return seq;
-}
 
 void Append(std::vector<Violation>& into, std::vector<Violation> more) {
   for (Violation& v : more) into.push_back(std::move(v));
@@ -60,7 +42,7 @@ std::string ChaosReport::Summary() const {
       << " events=" << trace_events << " faults=" << faults_applied << "/"
       << schedule.size() << " ops=" << history_ops
       << " ctr=" << final_counter << " forged=" << forged_replies
-      << " rejected=" << spoofed_rejected << " arq=" << arq_delivered
+      << " rejected=" << spoofed_rejected
       << " promotions=" << kv_promotions << " epoch=" << kv_max_epoch
       << " fenced=" << kv_fenced;
   if (sharded) {
@@ -120,8 +102,6 @@ ChaosReport RunChaos(const ChaosOptions& options) {
     client_nodes.push_back(rt.AddNode("client-" + std::to_string(i)));
   }
   const NodeId rogue_node = rt.AddNode("rogue");
-  const NodeId arq_src_node = rt.AddNode("arq-src");
-  const NodeId arq_dst_node = rt.AddNode("arq-dst");
   // Overload world: a dedicated throttled server plus one client node
   // per priority class. Disjoint from the main topology — the lanes
   // stress admission control without perturbing the other invariants'
@@ -314,31 +294,6 @@ ChaosReport RunChaos(const ChaosOptions& options) {
     }
   }
 
-  // --- ARQ probe stream (covers the ordered-transport invariant) ---
-  net::Endpoint* arq_src = rt.stack(arq_src_node).OpenEphemeral();
-  net::Endpoint* arq_dst = rt.stack(arq_dst_node).OpenEphemeral();
-  net::ArqParams arq_params;
-  arq_params.probe_interval = Milliseconds(20);
-  net::ReliableChannel arq_tx(*arq_src, arq_params);
-  net::ReliableChannel arq_rx(*arq_dst, arq_params);
-  std::vector<std::uint64_t> arq_received;
-  arq_rx.SetHandler([&arq_received](const net::Address&, Bytes payload) {
-    if (payload.size() == 8) arq_received.push_back(DecodeSeq(payload));
-  });
-  const net::Address arq_dst_addr = arq_dst->address();
-  const SimDuration horizon = options.adversary.horizon;
-  auto arq_pump = [&]() -> sim::Co<void> {
-    std::uint64_t next = 1;
-    while (sched.now() < horizon) {
-      // A refused send (peer declared failed, queue full) skips the
-      // sequence number: the receiver sees a gap, never a regression.
-      (void)arq_tx.Send(arq_dst_addr, EncodeSeq(next));
-      ++next;
-      co_await sim::SleepFor(sched, kArqSendGap);
-    }
-  };
-  sim::Future<bool> arq_done = sim::Spawn(sched, arq_pump());
-
   // --- adversary ---
   net::Endpoint* rogue = rt.stack(rogue_node).OpenEphemeral();
   ReplySpoofer spoofer(*rogue);
@@ -435,8 +390,8 @@ ChaosReport RunChaos(const ChaosOptions& options) {
   });
   // Let the rest of the fault window elapse (a fast workload can finish
   // before the last scheduled onsets; their restores must still fire).
+  const SimDuration horizon = options.adversary.horizon;
   if (sched.now() < horizon) sched.RunFor(horizon - sched.now());
-  sched.RunUntil([&arq_done] { return arq_done.ready(); });
 
   adversary.HealAll();
   trace.Note(sched.now(), "heal-complete; settling");
@@ -624,7 +579,6 @@ ChaosReport RunChaos(const ChaosOptions& options) {
   Append(report.violations, CheckCounter(history, final_counter));
   Append(report.violations, CheckKv(history));
   Append(report.violations, CheckLocks(history));
-  Append(report.violations, CheckArqStream(arq_received));
   Append(report.violations, CheckKvDurability(history));
   Append(report.violations, CheckKvEpochs(history));
   Append(report.violations, CheckKvLostKey(history));
@@ -658,7 +612,6 @@ ChaosReport RunChaos(const ChaosOptions& options) {
     report.spoofed_rejected +=
         client->context().client().stats().spoofed_replies;
   }
-  report.arq_delivered = arq_received.size();
   {
     std::vector<services::KvReplica*> replicas;
     if (options.sharded) {

@@ -1,14 +1,14 @@
 // The chaos harness: one seed in, one verdict out.
 //
 // RunChaos(options) builds a fresh simulated world (name service, a
-// counter+lock server, a KV server, N workload clients, a rogue spoofer
-// node, and an ARQ probe stream on two more nodes), arms the adversary
-// with the seed's fault schedule, drives the workload through the fault
-// window, heals everything, and then checks every global invariant
-// against the recorded history. The entire run — topology, workload,
-// faults, message timing — is a pure function of ChaosOptions, so a
-// violating seed replays byte-identically (same trace fingerprint) and
-// its schedule can be minimized by re-running subsets.
+// counter+lock server, a replicated KV, N workload clients and a rogue
+// spoofer node), arms the adversary with the seed's fault schedule,
+// drives the workload through the fault window, heals everything, and
+// then checks every global invariant against the recorded history. The
+// entire run — topology, workload, faults, message timing — is a pure
+// function of ChaosOptions, so a violating seed replays byte-identically
+// (same trace fingerprint) and its schedule can be minimized by
+// re-running subsets.
 #pragma once
 
 #include <cstdint>
@@ -95,7 +95,6 @@ struct ChaosReport {
   std::int64_t final_counter = -1;
   std::uint64_t forged_replies = 0;    // sent by the spoofer
   std::uint64_t spoofed_rejected = 0;  // bounced off reply authentication
-  std::uint64_t arq_delivered = 0;     // probe stream messages received
   std::uint64_t kv_promotions = 0;     // primary takeovers across replicas
   std::uint64_t kv_max_epoch = 0;      // highest epoch any replica reached
   std::uint64_t kv_fenced = 0;         // stale-epoch requests rejected

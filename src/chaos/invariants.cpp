@@ -387,20 +387,6 @@ std::vector<Violation> CheckKvSplitShard(const History& history) {
   return out;
 }
 
-std::vector<Violation> CheckArqStream(
-    const std::vector<std::uint64_t>& received) {
-  std::vector<Violation> out;
-  for (std::size_t i = 1; i < received.size(); ++i) {
-    if (received[i] <= received[i - 1]) {
-      out.push_back({"arq-order",
-                     "sequence regressed: #" + std::to_string(received[i]) +
-                         " delivered after #" +
-                         std::to_string(received[i - 1])});
-    }
-  }
-  return out;
-}
-
 std::vector<Violation> CheckAdmission(
     const std::vector<rpc::AdmissionEvent>& log, std::size_t queue_capacity,
     std::size_t queue_peak) {

@@ -17,9 +17,6 @@
 //                          Put started after the Get completed
 //   lock-mutex             definite-hold intervals of different owners
 //                          never overlap
-//   arq-order              a ReliableChannel stream arrives strictly
-//                          ascending (ordered, duplicate-free; gaps only
-//                          from declared-failure drops)
 #pragma once
 
 #include <cstdint>
@@ -103,8 +100,6 @@ std::vector<Violation> CheckCounter(const History& history,
                                     std::int64_t final_value);
 std::vector<Violation> CheckKv(const History& history);
 std::vector<Violation> CheckLocks(const History& history);
-std::vector<Violation> CheckArqStream(
-    const std::vector<std::uint64_t>& received);
 
 /// Replication invariants over the epoch-stamped kv history. Both only
 /// consider operations that carry an epoch (epoch != 0), and both scope

@@ -16,8 +16,8 @@
 // address.
 //
 // Everything beyond that — caching, batching, write-back, migrate-on-use
-// — is a subclass's private protocol with its service (see
-// services/*_proxy.* for the concrete proxies).
+// — is a subclass's private protocol with its service (the concrete
+// proxies live beside their services in src/services, e.g. kv.h).
 #pragma once
 
 #include <algorithm>

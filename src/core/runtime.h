@@ -201,15 +201,15 @@ class Runtime {
     return contexts_;
   }
 
-  /// The per-node network stack. Lets harness code (chaos probes, raw
-  /// transport streams) open endpoints on a node outside any context.
+  /// The per-node network stack. Lets harness code (the chaos reply
+  /// spoofer) open endpoints on a node outside any context.
   [[nodiscard]] net::NodeStack& stack(NodeId node) {
     assert(node.value() < stacks_.size() && "unknown node");
     return *stacks_[node.value()];
   }
 
-  /// Locates an object in any context on `node` (the direct-invocation
-  /// probe used by Bind). Returns (context, entry) or nullopt.
+  /// Locates an object in any context on `node`. Returns (context,
+  /// entry) or nullopt.
   struct LocalHit {
     Context* context;
     const Context::LocalEntry* entry;

@@ -4,8 +4,8 @@
 // hook on the simulated Network and demultiplexes incoming datagrams to
 // Endpoints by port. An Endpoint is an unreliable, unordered datagram
 // socket: messages may be lost, duplicated (by retransmitting layers
-// above) or reordered (by link jitter). Reliability is layered above —
-// either by ReliableChannel or by the RPC runtime's retry/dedup logic.
+// above) or reordered (by link jitter). Reliability is layered above, by
+// the RPC runtime's retry/dedup logic.
 //
 // Each datagram is wrapped in the serde envelope (magic/version/CRC) plus
 // a source-port header, so receivers can reply and corrupted traffic is

@@ -4,7 +4,7 @@
 // belongs to (trace_id), which unit of work it is (span_id), and which
 // unit caused it (parent_span_id). The *client proxy* mints the root
 // context — the proxy is the interception point — and the ids travel in
-// the request frame's v4 field, so every hop (forwarding chains, nested
+// the request frame, so every hop (forwarding chains, nested
 // re-resolution, replication fan-out, failover retries) hangs off the
 // span that caused it.
 //

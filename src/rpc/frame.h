@@ -18,23 +18,6 @@ enum class FrameType : std::uint8_t {
   kReply = 2,
 };
 
-/// Version of the request frame's VersionedBody envelope. v1 carried
-/// (call, object, method, args); v2 appended `deadline`; v4 appended the
-/// causal trace triple (trace_id, span_id, parent_span_id); v5 appended
-/// `priority`. v3 is reserved — the wire-evolution tests used it as the
-/// "hypothetical newer sender" whose trailing fields a v2 decoder must
-/// skip, so its encodings must stay meaningless. Decoders accept any
-/// version: older fields are read, unknown trailing fields skipped,
-/// absent new fields default (deadline 0 = none, all-zero trace =
-/// untraced, priority = kNormal).
-inline constexpr std::uint32_t kRequestWireVersion = 5;
-
-/// First version whose envelope carries the trace triple.
-inline constexpr std::uint32_t kTraceWireVersion = 4;
-
-/// First version whose envelope carries the priority level.
-inline constexpr std::uint32_t kPriorityWireVersion = 5;
-
 /// Request priority lattice, smallest value most important. The server's
 /// admission queue dequeues kHigh before kNormal before kLow and, when
 /// the queue overflows, evicts the lowest-priority waiter first — so
@@ -73,21 +56,15 @@ struct RequestFrame {
   std::uint32_t method = 0;
   Bytes args;
   /// Absolute virtual time after which the caller no longer wants the
-  /// result; 0 means no deadline. Carried on the wire (since v2) so the
-  /// server can skip dispatching work whose reply nobody will read.
+  /// result; 0 means no deadline. Carried on the wire so the server can
+  /// skip dispatching work whose reply nobody will read.
   SimTime deadline = 0;
-  /// Causal trace of the call (since v4); all-zero = untraced. The
-  /// server hands it to the handler, which threads it through its own
-  /// downstream calls — that is what stitches forwarding chains,
-  /// re-resolution, and replication fan-out into one tree.
+  /// Causal trace of the call; all-zero = untraced. The server hands it
+  /// to the handler, which threads it through its own downstream calls —
+  /// that is what stitches forwarding chains, re-resolution, and
+  /// replication fan-out into one tree.
   obs::TraceContext trace;
-  /// Admission priority (since v5); pre-v5 senders decode as kNormal.
   Priority priority = Priority::kNormal;
-
-  // v1 fields only — `deadline` (v2), `trace` (v4) and `priority` (v5)
-  // are appended manually under the versioned envelope (see
-  // EncodeRequest/DecodeRequest).
-  PROXY_SERDE_FIELDS(call, object, method, args)
 };
 
 /// Borrowed decode of a request: identical fields to RequestFrame except
@@ -134,17 +111,18 @@ struct RpcResult {
   [[nodiscard]] bool ok() const noexcept { return status.ok(); }
 };
 
-/// Encodes a frame with its type tag. The rvalue overload adopts
-/// `frame.args` into the encoder's buffer chain instead of copying it —
-/// use it when the frame is built just to be encoded (the client stub).
-Bytes EncodeRequest(const RequestFrame& frame);
+/// Encodes a frame with its type tag, consuming it: `args` / `result`
+/// are adopted into the encoder's buffer chain instead of copied.
+///
+/// Every peer is built from this tree, so the request frame has one
+/// fixed layout and no version field:
+///   tag, call, object, method, args, deadline,
+///   trace_id, span_id, parent_span_id, priority
 Bytes EncodeRequest(RequestFrame&& frame);
-Bytes EncodeReply(const ReplyFrame& frame);
 Bytes EncodeReply(ReplyFrame&& frame);
 
 /// Decodes the type tag, then the matching frame.
 Result<FrameType> PeekFrameType(BytesView data);
-Result<RequestFrame> DecodeRequest(BytesView data);
 Result<ReplyFrame> DecodeReply(BytesView data);
 
 /// Borrowed decode: `args` in the result is a window of `data`. The

@@ -116,7 +116,7 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
     reply.call = request->call;
     reply.code = StatusCode::kTimeout;
     reply.error_message = "deadline expired before dispatch";
-    (void)endpoint_->Send(from, EncodeReply(reply));
+    (void)endpoint_->Send(from, EncodeReply(std::move(reply)));
     return;
   }
 
@@ -126,7 +126,7 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
     reply.call = request->call;
     reply.code = StatusCode::kPermissionDenied;
     reply.error_message = "capability revoked";
-    (void)endpoint_->Send(from, EncodeReply(reply));
+    (void)endpoint_->Send(from, EncodeReply(std::move(reply)));
     return;
   }
 
@@ -138,7 +138,7 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
     reply.code = StatusCode::kObjectMoved;
     reply.error_message = "object migrated";
     reply.result = fwd->second;
-    (void)endpoint_->Send(from, EncodeReply(reply));
+    (void)endpoint_->Send(from, EncodeReply(std::move(reply)));
     return;
   }
 

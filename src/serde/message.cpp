@@ -6,15 +6,6 @@
 
 namespace proxy::serde {
 
-Bytes WrapEnvelope(BytesView payload) {
-  Writer w(payload.size() + 16);
-  w.WriteU16(kEnvelopeMagic);
-  w.WriteU8(kEnvelopeVersion);
-  w.WriteU32(Crc32c(payload));
-  w.WriteBytes(payload);
-  return w.Take();
-}
-
 Bytes WrapEnvelope(Writer&& payload) {
   const std::size_t n = payload.size();
   // Checksum the chain in place, then gather it once, straight into the
@@ -54,14 +45,6 @@ Result<BytesView> UnwrapEnvelopeView(BytesView framed) {
     return CorruptError("envelope checksum mismatch");
   }
   return payload;
-}
-
-Result<Bytes> UnwrapEnvelope(BytesView framed) {
-  Result<BytesView> payload = UnwrapEnvelopeView(framed);
-  if (!payload.ok()) return payload.status();
-  if (payload->empty()) return Bytes{};
-  CountWireCopy(payload->size());
-  return Bytes(payload->begin(), payload->end());
 }
 
 std::size_t EnvelopeOverhead(std::size_t payload_size) {

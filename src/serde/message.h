@@ -20,20 +20,14 @@ inline constexpr std::uint8_t kEnvelopeVersion = 1;
 class Writer;
 
 /// Wraps `payload` in an envelope: magic(2) version(1) crc(4) len payload.
-Bytes WrapEnvelope(BytesView payload);
-
-/// Chain-aware wrap: checksums `payload`'s buffer chain incrementally
-/// and gathers it straight into the framed output — the send path's
-/// single flatten, done once at the network boundary. `payload` is
-/// consumed. Wire bytes are identical to the BytesView overload.
+/// Checksums the buffer chain incrementally and gathers it straight into
+/// the framed output — the send path's single flatten, done once at the
+/// network boundary. `payload` is consumed.
 Bytes WrapEnvelope(Writer&& payload);
 
-/// Validates and strips the envelope, returning the payload.
-Result<Bytes> UnwrapEnvelope(BytesView framed);
-
-/// Borrowing variant: the returned payload is a window of `framed`,
-/// valid only while the caller's buffer lives. No copy — the receive
-/// path narrows its arrival buffer instead of duplicating it.
+/// Validates and strips the envelope. The returned payload is a window
+/// of `framed`, valid only while the caller's buffer lives. No copy —
+/// the receive path narrows its arrival buffer instead of duplicating it.
 Result<BytesView> UnwrapEnvelopeView(BytesView framed);
 
 /// Size overhead added by WrapEnvelope for a payload of `n` bytes.

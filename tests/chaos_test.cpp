@@ -48,11 +48,9 @@ TEST(ChaosSmoke, ThirtyTwoSeedsHoldEveryInvariant) {
     options.seed = seed;
     ChaosReport report = RunChaos(options);
     EXPECT_TRUE(report.ok()) << report.Summary() << "\n" << report.trace_tail;
-    // The run did real work: faults fired, ops completed, the ARQ stream
-    // flowed, and (most seeds) forged replies bounced off authentication.
+    // The run did real work: faults fired and ops completed.
     EXPECT_GT(report.faults_applied, 0u) << "seed " << seed;
     EXPECT_GT(report.history_ops, 0u) << "seed " << seed;
-    EXPECT_GT(report.arq_delivered, 0u) << "seed " << seed;
     EXPECT_GE(report.final_counter, 0) << "seed " << seed;
   }
 }
@@ -584,12 +582,6 @@ TEST(ChaosInvariants, SplitShardClaimsAreViolations) {
   clean.Append(ShardedOp(1, OpKind::kKvPut, 20, 30, "b", "g0", 2, 3));
   clean.Append(ShardedOp(0, OpKind::kKvPut, 40, 50, "a", "g1", 2, 4));
   EXPECT_TRUE(CheckKvSplitShard(clean).empty());
-}
-
-TEST(ChaosInvariants, ArqRegressionOrDuplicateIsAViolation) {
-  EXPECT_TRUE(CheckArqStream({1, 2, 5, 9}).empty());  // gaps are fine
-  EXPECT_FALSE(CheckArqStream({1, 2, 2}).empty());    // duplicate
-  EXPECT_FALSE(CheckArqStream({1, 3, 2}).empty());    // reorder
 }
 
 // --- trace recorder on the shared raw-RPC fixture ---

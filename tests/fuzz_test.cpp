@@ -29,9 +29,9 @@ TEST_P(FuzzSeed, RandomBytesThroughEveryDecoder) {
   for (int trial = 0; trial < 400; ++trial) {
     const Bytes junk = RandomBuffer(rng, 256);
     // None of these may crash; results are unconstrained otherwise.
-    (void)serde::UnwrapEnvelope(View(junk));
+    (void)serde::UnwrapEnvelopeView(View(junk));
     (void)rpc::PeekFrameType(View(junk));
-    (void)rpc::DecodeRequest(View(junk));
+    (void)rpc::DecodeRequestView(View(junk));
     (void)rpc::DecodeReply(View(junk));
     (void)serde::DecodeFromBytes<naming::NameRecord>(View(junk));
     (void)serde::DecodeFromBytes<naming::ListResponse>(View(junk));
@@ -74,12 +74,12 @@ TEST_P(FuzzSeed, TruncatedValidFramesRejectedCleanly) {
   frame.object = ObjectId{rng.NextU64(), rng.NextU64()};
   frame.method = static_cast<std::uint32_t>(rng.NextU64());
   frame.args = RandomBuffer(rng, 64);
-  const Bytes good = rpc::EncodeRequest(frame);
+  const Bytes good = rpc::EncodeRequest(std::move(frame));
   for (std::size_t cut = 0; cut < good.size(); ++cut) {
-    EXPECT_FALSE(rpc::DecodeRequest(BytesView(good.data(), cut)).ok());
+    EXPECT_FALSE(rpc::DecodeRequestView(BytesView(good.data(), cut)).ok());
   }
   // And the unmutated frame still decodes (the encoder is sane).
-  EXPECT_TRUE(rpc::DecodeRequest(View(good)).ok());
+  EXPECT_TRUE(rpc::DecodeRequestView(View(good)).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed,

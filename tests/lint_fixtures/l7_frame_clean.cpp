@@ -1,14 +1,11 @@
 // Rule L7 (negative): a faithful encoder/decoder pair in the shape of
-// the v5 request frame — same op kinds, same order, same field names,
-// version gates that only tighten down the frame, and the v5 gate
-// spelled through a named constant the symbol index resolves. Must
-// produce zero findings. Not compiled — exercised by proxy_lint_test.
+// the request frame's fixed layout — same op kinds, same order, same
+// field names. Must produce zero findings. Not compiled — exercised by
+// proxy_lint_test.
 #include "serde/reader.h"
 #include "serde/writer.h"
 
 namespace rpc {
-
-inline constexpr std::uint32_t kProbeWireVersion = 5;
 
 struct ProbeFrame {
   std::uint8_t kind;
@@ -19,31 +16,22 @@ struct ProbeFrame {
   std::uint64_t priority;
 };
 
-void EncodeProbe(serde::Writer& w, const ProbeFrame& f,
-                 std::uint32_t version) {
+void EncodeProbe(serde::Writer& w, const ProbeFrame& f) {
   w.WriteU8(f.kind);
   Serialize(w, f.method);
   w.WriteBytes(f.args);
   w.WriteVarint(f.deadline);
-  if (version >= 4) {
-    w.WriteVarint(f.attempt);
-  }
-  if (version >= kProbeWireVersion) {
-    w.WriteVarint(f.priority);
-  }
+  w.WriteVarint(f.attempt);
+  w.WriteVarint(f.priority);
 }
 
-Status DecodeProbe(serde::Reader& r, ProbeFrame& f, std::uint32_t version) {
+Status DecodeProbe(serde::Reader& r, ProbeFrame& f) {
   PROXY_RETURN_IF_ERROR(r.ReadU8(f.kind));
   PROXY_RETURN_IF_ERROR(Deserialize(r, f.method));
   PROXY_RETURN_IF_ERROR(r.ReadBytesView(f.args));
   PROXY_RETURN_IF_ERROR(r.ReadVarint(f.deadline));
-  if (version >= 4) {
-    PROXY_RETURN_IF_ERROR(r.ReadVarint(f.attempt));
-  }
-  if (version >= kProbeWireVersion) {
-    PROXY_RETURN_IF_ERROR(r.ReadVarint(f.priority));
-  }
+  PROXY_RETURN_IF_ERROR(r.ReadVarint(f.attempt));
+  PROXY_RETURN_IF_ERROR(r.ReadVarint(f.priority));
   return OkStatus();
 }
 

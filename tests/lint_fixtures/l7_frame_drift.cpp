@@ -1,20 +1,13 @@
-// Rule L7 (positive): two broken encoder/decoder pairs.
-//
-//   Probe — the decoder reads the args bytes before the method field,
-//   a one-field order drift in an otherwise faithful copy of the v5
-//   request frame. Reported at the first diverging decoder op.
-//
-//   Gauge — the decoder's version gates regress partway down the frame
-//   (a v4-gated field after a v5-gated one): old peers would consume
-//   the v5 tail as the v4 field. Reported at the regressing op.
+// Rule L7 (positive): a broken encoder/decoder pair. The decoder reads
+// the args bytes before the method field, a one-field order drift in an
+// otherwise faithful copy of the request frame's fixed layout. Reported
+// at the first diverging decoder op.
 //
 // Not compiled — exercised by proxy_lint_test.
 #include "serde/reader.h"
 #include "serde/writer.h"
 
 namespace rpc {
-
-inline constexpr std::uint32_t kDriftWireVersion = 5;
 
 struct ProbeFrame {
   std::uint8_t kind;
@@ -25,59 +18,22 @@ struct ProbeFrame {
   std::uint64_t priority;
 };
 
-void EncodeProbe(serde::Writer& w, const ProbeFrame& f,
-                 std::uint32_t version) {
+void EncodeProbe(serde::Writer& w, const ProbeFrame& f) {
   w.WriteU8(f.kind);
   Serialize(w, f.method);
   w.WriteBytes(f.args);
   w.WriteVarint(f.deadline);
-  if (version >= 4) {
-    w.WriteVarint(f.attempt);
-  }
-  if (version >= kDriftWireVersion) {
-    w.WriteVarint(f.priority);
-  }
+  w.WriteVarint(f.attempt);
+  w.WriteVarint(f.priority);
 }
 
-Status DecodeProbe(serde::Reader& r, ProbeFrame& f, std::uint32_t version) {
+Status DecodeProbe(serde::Reader& r, ProbeFrame& f) {
   PROXY_RETURN_IF_ERROR(r.ReadU8(f.kind));
   PROXY_RETURN_IF_ERROR(r.ReadBytesView(f.args));  // MARK:l7-drift
   PROXY_RETURN_IF_ERROR(Deserialize(r, f.method));
   PROXY_RETURN_IF_ERROR(r.ReadVarint(f.deadline));
-  if (version >= 4) {
-    PROXY_RETURN_IF_ERROR(r.ReadVarint(f.attempt));
-  }
-  if (version >= kDriftWireVersion) {
-    PROXY_RETURN_IF_ERROR(r.ReadVarint(f.priority));
-  }
-  return OkStatus();
-}
-
-struct GaugeFrame {
-  std::uint64_t seq;
-  std::uint64_t cost;
-  std::uint64_t flags;
-};
-
-void EncodeGauge(serde::Writer& w, const GaugeFrame& f,
-                 std::uint32_t version) {
-  w.WriteVarint(f.seq);
-  if (version >= kDriftWireVersion) {
-    w.WriteVarint(f.cost);
-  }
-  if (version >= 4) {
-    w.WriteVarint(f.flags);
-  }
-}
-
-Status DecodeGauge(serde::Reader& r, GaugeFrame& f, std::uint32_t version) {
-  PROXY_RETURN_IF_ERROR(r.ReadVarint(f.seq));
-  if (version >= kDriftWireVersion) {
-    PROXY_RETURN_IF_ERROR(r.ReadVarint(f.cost));
-  }
-  if (version >= 4) {
-    PROXY_RETURN_IF_ERROR(r.ReadVarint(f.flags));  // MARK:l7-gate
-  }
+  PROXY_RETURN_IF_ERROR(r.ReadVarint(f.attempt));
+  PROXY_RETURN_IF_ERROR(r.ReadVarint(f.priority));
   return OkStatus();
 }
 

@@ -1,11 +1,10 @@
-// Unit tests for the transport layer: endpoints, demultiplexing, envelope
-// validation at the trust boundary, and the reliable (ARQ) channel.
+// Unit tests for the transport layer: endpoints, demultiplexing, and
+// envelope validation at the trust boundary.
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <memory>
 
 #include "net/endpoint.h"
-#include "net/reliable.h"
 #include "sim/network.h"
 
 namespace proxy::net {
@@ -112,243 +111,6 @@ TEST_F(NetFixture, MessageToUnboundPortIsDropped) {
   ASSERT_TRUE(a->Send(Address{node_b, PortId(777)}, ToBytes("void")).ok());
   sched.Run();  // must not crash; silently dropped
   EXPECT_EQ(net.stats().messages_delivered, 1u);  // delivered to stack, no ep
-}
-
-// --- reliable channel ---
-
-struct ArqFixture : public NetFixture {
-  ArqFixture() {
-    ep_a = stack_a->OpenEndpoint(PortId(1));
-    ep_b = stack_b->OpenEndpoint(PortId(2));
-    ArqParams params;
-    params.retransmit_timeout = Milliseconds(5);
-    params.max_retries = 20;
-    chan_a = std::make_unique<ReliableChannel>(*ep_a, params);
-    chan_b = std::make_unique<ReliableChannel>(*ep_b, params);
-    chan_b->SetHandler([this](const Address&, Bytes payload) {
-      received.push_back(ToString(View(payload)));
-    });
-  }
-
-  Endpoint* ep_a;
-  Endpoint* ep_b;
-  std::unique_ptr<ReliableChannel> chan_a, chan_b;
-  std::vector<std::string> received;
-};
-
-TEST_F(ArqFixture, InOrderDeliveryOnCleanLink) {
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(chan_a->Send(ep_b->address(),
-                             ToBytes("msg" + std::to_string(i))).ok());
-  }
-  sched.Run();
-  ASSERT_EQ(received.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(received[i], "msg" + std::to_string(i));
-  EXPECT_EQ(chan_a->stats().retransmits, 0u);
-}
-
-TEST_F(ArqFixture, LossyLinkStillDeliversAllInOrder) {
-  sim::LinkParams lossy;
-  lossy.loss = 0.3;
-  net.SetLink(node_a, node_b, lossy);
-  for (int i = 0; i < 30; ++i) {
-    // Window is 32, all fit.
-    ASSERT_TRUE(chan_a->Send(ep_b->address(),
-                             ToBytes("m" + std::to_string(i))).ok());
-  }
-  sched.Run();
-  ASSERT_EQ(received.size(), 30u);
-  for (int i = 0; i < 30; ++i) EXPECT_EQ(received[i], "m" + std::to_string(i));
-  EXPECT_GT(chan_a->stats().retransmits, 0u);
-}
-
-TEST_F(ArqFixture, ReorderingLinkDeliversInOrder) {
-  sim::LinkParams jittery;
-  jittery.latency = Microseconds(100);
-  jittery.jitter = Microseconds(500);  // heavy reordering
-  net.SetLink(node_a, node_b, jittery);
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(chan_a->Send(ep_b->address(),
-                             ToBytes("r" + std::to_string(i))).ok());
-  }
-  sched.Run();
-  ASSERT_EQ(received.size(), 20u);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(received[i], "r" + std::to_string(i));
-}
-
-TEST_F(ArqFixture, DuplicatesSuppressed) {
-  sim::LinkParams lossy;
-  lossy.loss = 0.4;  // many retransmits => many duplicate arrivals
-  net.SetLink(node_a, node_b, lossy);
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(chan_a->Send(ep_b->address(),
-                             ToBytes("d" + std::to_string(i))).ok());
-  }
-  sched.Run();
-  EXPECT_EQ(received.size(), 20u);  // exactly once each
-  EXPECT_EQ(chan_b->stats().delivered, 20u);
-}
-
-TEST_F(ArqFixture, WindowFullRejects) {
-  net.SetPartitioned(node_a, node_b, true);  // nothing ever acks
-  Status last;
-  std::size_t accepted = 0;
-  for (int i = 0; i < 40; ++i) {
-    last = chan_a->Send(ep_b->address(), ToBytes("x"));
-    if (last.ok()) ++accepted;
-  }
-  EXPECT_EQ(accepted, 32u);  // default window
-  EXPECT_EQ(last.code(), StatusCode::kResourceExhausted);
-}
-
-TEST_F(ArqFixture, PeerDeclaredDeadAfterRetryBudget) {
-  net.SetPartitioned(node_a, node_b, true);
-  bool failed = false;
-  chan_a->SetFailureHandler([&](const Address&) { failed = true; });
-  ASSERT_TRUE(chan_a->Send(ep_b->address(), ToBytes("doomed")).ok());
-  sched.Run();
-  EXPECT_TRUE(failed);
-  EXPECT_EQ(chan_a->stats().peers_failed, 1u);
-  // Further sends are refused immediately.
-  EXPECT_EQ(chan_a->Send(ep_b->address(), ToBytes("more")).code(),
-            StatusCode::kUnavailable);
-}
-
-TEST_F(ArqFixture, ProgressResetsRetryBudget) {
-  sim::LinkParams lossy;
-  lossy.loss = 0.5;
-  net.SetLink(node_a, node_b, lossy);
-  // Far more messages than the retry budget could survive without the
-  // reset-on-progress rule.
-  int sent = 0;
-  for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 8; ++i) {
-      if (chan_a->Send(ep_b->address(), ToBytes("p")).ok()) ++sent;
-    }
-    sched.RunFor(Milliseconds(50));
-  }
-  sched.Run();
-  EXPECT_EQ(chan_a->stats().peers_failed, 0u);
-  EXPECT_EQ(received.size(), static_cast<std::size_t>(sent));
-}
-
-TEST_F(ArqFixture, TwoDirectionsAreIndependent) {
-  std::vector<std::string> received_at_a;
-  chan_a->SetHandler([&](const Address&, Bytes payload) {
-    received_at_a.push_back(ToString(View(payload)));
-  });
-  ASSERT_TRUE(chan_a->Send(ep_b->address(), ToBytes("a->b")).ok());
-  ASSERT_TRUE(chan_b->Send(ep_a->address(), ToBytes("b->a")).ok());
-  sched.Run();
-  ASSERT_EQ(received.size(), 1u);
-  ASSERT_EQ(received_at_a.size(), 1u);
-  EXPECT_EQ(received[0], "a->b");
-  EXPECT_EQ(received_at_a[0], "b->a");
-}
-
-TEST_F(ArqFixture, OutstandingDrainsToZero) {
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(chan_a->Send(ep_b->address(), ToBytes("o")).ok());
-  }
-  EXPECT_EQ(chan_a->OutstandingTo(ep_b->address()), 5u);
-  sched.Run();
-  EXPECT_EQ(chan_a->OutstandingTo(ep_b->address()), 0u);
-}
-
-TEST_F(ArqFixture, LocalSendFailureLeavesNoTrace) {
-  // A payload the endpoint refuses must not consume a sequence number or
-  // sit in the retransmission queue (where it would fail forever and
-  // eventually poison the peer).
-  const Status st = chan_a->Send(ep_b->address(),
-                                 Bytes(Endpoint::kMaxPayload + 1, 0));
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(chan_a->OutstandingTo(ep_b->address()), 0u);
-
-  // The lane is untouched: subsequent traffic sequences from zero and
-  // flows normally.
-  ASSERT_TRUE(chan_a->Send(ep_b->address(), ToBytes("after0")).ok());
-  ASSERT_TRUE(chan_a->Send(ep_b->address(), ToBytes("after1")).ok());
-  sched.Run();
-  ASSERT_EQ(received.size(), 2u);
-  EXPECT_EQ(received[0], "after0");
-  EXPECT_EQ(received[1], "after1");
-  EXPECT_EQ(chan_a->stats().peers_failed, 0u);
-}
-
-TEST_F(ArqFixture, ResetPeerResynchronizesSequences) {
-  net.SetPartitioned(node_a, node_b, true);
-  ASSERT_TRUE(chan_a->Send(ep_b->address(), ToBytes("lost0")).ok());
-  ASSERT_TRUE(chan_a->Send(ep_b->address(), ToBytes("lost1")).ok());
-  sched.Run();  // retry budget exhausts, peer declared failed
-  ASSERT_TRUE(chan_a->IsFailed(ep_b->address()));
-  EXPECT_EQ(chan_a->Probe(ep_b->address()).ok(), true);  // allowed: failed
-
-  net.SetPartitioned(node_a, node_b, false);
-  chan_a->ResetPeer(ep_b->address());
-  EXPECT_FALSE(chan_a->IsFailed(ep_b->address()));
-  // The dropped messages consumed seqs 0-1; new traffic starts at 2. The
-  // resync probe moves the receiver's `expected` forward so delivery
-  // resumes exactly with the new messages — no hole, no duplicates.
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(chan_a->Send(ep_b->address(),
-                             ToBytes("new" + std::to_string(i))).ok());
-  }
-  sched.Run();
-  ASSERT_EQ(received.size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(received[i], "new" + std::to_string(i));
-  }
-  EXPECT_EQ(chan_a->OutstandingTo(ep_b->address()), 0u);
-}
-
-TEST_F(ArqFixture, ProbeRequiresFailedState) {
-  EXPECT_EQ(chan_a->Probe(ep_b->address()).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST_F(ArqFixture, AutomaticProbesRecoverHealedPeer) {
-  ArqParams probing;
-  probing.retransmit_timeout = Milliseconds(5);
-  probing.max_retries = 5;
-  probing.probe_interval = Milliseconds(20);
-  Endpoint* ep_a2 = stack_a->OpenEndpoint(PortId(3));
-  ReliableChannel prober(*ep_a2, probing);
-  Address recovered{};
-  prober.SetRecoveryHandler([&](const Address& peer) { recovered = peer; });
-
-  net.SetPartitioned(node_a, node_b, true);
-  ASSERT_TRUE(prober.Send(ep_b->address(), ToBytes("into the void")).ok());
-  sched.RunFor(Milliseconds(200));  // budget exhausts; probing begins
-  ASSERT_TRUE(prober.IsFailed(ep_b->address()));
-  EXPECT_GT(prober.stats().probes_sent, 0u);
-
-  net.SetPartitioned(node_a, node_b, false);
-  sched.RunFor(Milliseconds(50));  // next probe gets through and is acked
-  EXPECT_FALSE(prober.IsFailed(ep_b->address()));
-  EXPECT_EQ(recovered, ep_b->address());
-  EXPECT_EQ(prober.stats().peers_recovered, 1u);
-
-  // Recovery stopped the probe timer; the scheduler drains, and the lane
-  // carries traffic again.
-  ASSERT_TRUE(prober.Send(ep_b->address(), ToBytes("back")).ok());
-  sched.Run();
-  ASSERT_FALSE(received.empty());
-  EXPECT_EQ(received.back(), "back");
-}
-
-TEST_F(ArqFixture, ProbeBudgetBoundsFailedPeerTraffic) {
-  ArqParams probing;
-  probing.retransmit_timeout = Milliseconds(5);
-  probing.max_retries = 5;
-  probing.probe_interval = Milliseconds(20);
-  probing.max_probes = 3;
-  Endpoint* ep_a2 = stack_a->OpenEndpoint(PortId(4));
-  ReliableChannel prober(*ep_a2, probing);
-  net.SetPartitioned(node_a, node_b, true);
-  ASSERT_TRUE(prober.Send(ep_b->address(), ToBytes("doomed")).ok());
-  sched.Run();  // terminates: probing gives up after max_probes
-  EXPECT_TRUE(prober.IsFailed(ep_b->address()));
-  EXPECT_EQ(prober.stats().probes_sent, 3u);
 }
 
 }  // namespace

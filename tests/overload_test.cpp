@@ -216,7 +216,7 @@ TEST(Overload, RejectionsAreReplyCachedSoShedMeansNeverExecuted) {
   frame.method = 1;
   frame.args = serde::EncodeToBytes(PingRequest{7});
   frame.deadline = w.sched.now() + Milliseconds(100);
-  const Bytes wire = rpc::EncodeRequest(frame);
+  const Bytes wire = rpc::EncodeRequest(std::move(frame));
 
   EXPECT_TRUE(raw->Send(w.server_ep->address(), wire).ok());
   w.sched.RunFor(Milliseconds(2));

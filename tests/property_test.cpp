@@ -3,9 +3,7 @@
 // 1. KV linearizability-against-model: a random single-client operation
 //    stream produces exactly the same observable results through every
 //    proxy protocol as an in-memory map model.
-// 2. ARQ delivery property: everything sent is delivered exactly once,
-//    in order, across a loss/jitter sweep.
-// 3. RPC at-most-once property: executed calls == acknowledged calls
+// 2. RPC at-most-once property: executed calls == acknowledged calls
 //    across loss rates.
 #include <gtest/gtest.h>
 
@@ -13,11 +11,9 @@
 #include <optional>
 #include <string>
 #include <tuple>
-#include <vector>
 
 #include "common/rng.h"
 #include "core/factory.h"
-#include "net/reliable.h"
 #include "services/counter.h"
 #include "services/kv.h"
 #include "test_util.h"
@@ -105,63 +101,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// --- property 2: ARQ exactly-once in-order across loss/jitter ---------
-
-class ArqProperty
-    : public ::testing::TestWithParam<std::tuple<double, std::uint64_t>> {};
-
-TEST_P(ArqProperty, AllMessagesDeliveredExactlyOnceInOrder) {
-  const auto [loss, jitter_us] = GetParam();
-  sim::Scheduler sched;
-  sim::Network net(sched, 17);
-  const NodeId a = net.AddNode("a");
-  const NodeId b = net.AddNode("b");
-  sim::LinkParams link;
-  link.loss = loss;
-  link.jitter = Microseconds(jitter_us);
-  net.SetLink(a, b, link);
-
-  net::NodeStack stack_a(net, a), stack_b(net, b);
-  net::Endpoint* ep_a = stack_a.OpenEndpoint(PortId(1));
-  net::Endpoint* ep_b = stack_b.OpenEndpoint(PortId(2));
-  net::ArqParams params;
-  params.retransmit_timeout = Milliseconds(5);
-  params.max_retries = 100;
-  net::ReliableChannel chan_a(*ep_a, params);
-  net::ReliableChannel chan_b(*ep_b, params);
-
-  std::vector<std::uint64_t> received;
-  chan_b.SetHandler([&](const net::Address&, Bytes payload) {
-    received.push_back(serde::DecodeFromBytes<std::uint64_t>(View(payload))
-                           .value_or(UINT64_MAX));
-  });
-
-  std::uint64_t sent = 0;
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 16; ++i) {
-      if (chan_a.Send(ep_b->address(), serde::EncodeToBytes(sent)).ok()) {
-        ++sent;
-      }
-    }
-    sched.RunFor(Milliseconds(100));
-  }
-  sched.Run();
-
-  ASSERT_EQ(received.size(), sent);
-  for (std::uint64_t i = 0; i < sent; ++i) EXPECT_EQ(received[i], i);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    LossJitterGrid, ArqProperty,
-    ::testing::Combine(::testing::Values(0.0, 0.1, 0.3, 0.5),
-                       ::testing::Values(0u, 200u, 2000u)),
-    [](const auto& info) {
-      return "loss" +
-             std::to_string(static_cast<int>(std::get<0>(info.param) * 100)) +
-             "_jitter" + std::to_string(std::get<1>(info.param));
-    });
-
-// --- property 3: RPC at-most-once across loss rates --------------------
+// --- property 2: RPC at-most-once across loss rates --------------------
 
 class AtMostOnceProperty : public ::testing::TestWithParam<double> {};
 

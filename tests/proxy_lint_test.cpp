@@ -127,6 +127,7 @@ TEST(ProxyLintL3, LeaksReportedInSrcExemptInTests) {
   EXPECT_TRUE(HasFindingAt(in_src, "L3", LineOf(text, "MARK:l3-client")));
   EXPECT_TRUE(HasFindingAt(in_src, "L3", LineOf(text, "MARK:l3-frame")));
   EXPECT_TRUE(HasFindingAt(in_src, "L3", LineOf(text, "MARK:l3-send")));
+  EXPECT_TRUE(HasFindingAt(in_src, "L3", LineOf(text, "MARK:l3-decode")));
 
   // The transport layers and white-box tests own the wire format.
   EXPECT_TRUE(Lint("l3_encapsulation_leak.cpp", "tests/x_test.cpp").empty());
@@ -163,17 +164,15 @@ TEST(ProxyLintL7, FaithfulPairProducesNoFindings) {
   EXPECT_TRUE(Lint("l7_frame_clean.cpp", "src/rpc/probe.cpp").empty());
 }
 
-TEST(ProxyLintL7, FieldOrderDriftAndGateRegressionCaught) {
+TEST(ProxyLintL7, FieldOrderDriftCaught) {
   const std::string text = ReadFixture("l7_frame_drift.cpp");
   const std::vector<Finding> f =
       Lint("l7_frame_drift.cpp", "src/rpc/probe.cpp");
   EXPECT_EQ(Rules(f), std::set<std::string>{"L7"});
-  // The injected one-field drift in the v5-frame copy is reported at
-  // the first diverging decoder op, the gate regression at the op whose
-  // guard loosened.
+  // The injected one-field drift in the request-frame copy is reported
+  // at the first diverging decoder op.
   EXPECT_TRUE(HasFindingAt(f, "L7", LineOf(text, "MARK:l7-drift")));
-  EXPECT_TRUE(HasFindingAt(f, "L7", LineOf(text, "MARK:l7-gate")));
-  EXPECT_EQ(f.size(), 2u);
+  EXPECT_EQ(f.size(), 1u);
 }
 
 TEST(ProxyLintL7, OnlyAppliesToWirePaths) {

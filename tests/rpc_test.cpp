@@ -11,7 +11,6 @@
 #include "rpc/server.h"
 #include "rpc/stub.h"
 #include "serde/traits.h"
-#include "serde/versioned.h"
 #include "serde/writer.h"
 #include "sim/network.h"
 #include "sim/task.h"
@@ -301,7 +300,8 @@ TEST_F(RpcFixture, SpoofedReplyFromWrongAddressRejected) {
   forged.code = StatusCode::kOk;
   forged.result = serde::EncodeToBytes(EchoResponse{"forged"});
   net::Endpoint* rogue = stack_b->OpenEphemeral();
-  ASSERT_TRUE(rogue->Send(client->address(), EncodeReply(forged)).ok());
+  ASSERT_TRUE(
+      rogue->Send(client->address(), EncodeReply(std::move(forged))).ok());
 
   sched.RunUntil([&] { return future.ready(); });
   const RpcResult r = future.take();
@@ -354,7 +354,7 @@ TEST_F(RpcFixture, StrayReplyIgnored) {
   reply.code = StatusCode::kOk;
   net::Endpoint* rogue = stack_b->OpenEphemeral();
   ASSERT_TRUE(
-      rogue->Send(client->address(), EncodeReply(reply)).ok());
+      rogue->Send(client->address(), EncodeReply(std::move(reply))).ok());
   sched.Run();
   EXPECT_EQ(client->stats().stray_replies, 1u);
 }
@@ -365,74 +365,28 @@ TEST(FrameCodec, RequestReplyRoundTrip) {
   req.object = ObjectId{1, 2};
   req.method = 9;
   req.args = ToBytes("args");
-  const Bytes encoded = EncodeRequest(req);
+  const Bytes encoded = EncodeRequest(std::move(req));
   ASSERT_TRUE(PeekFrameType(View(encoded)).ok());
   EXPECT_EQ(*PeekFrameType(View(encoded)), FrameType::kRequest);
-  const auto decoded = DecodeRequest(View(encoded));
+  const auto decoded = DecodeRequestView(View(encoded));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->call.client_nonce, 0xABu);
   EXPECT_EQ(decoded->method, 9u);
-  EXPECT_EQ(ToString(View(decoded->args)), "args");
+  EXPECT_EQ(ToString(decoded->args), "args");
 
   ReplyFrame reply;
-  reply.call = req.call;
+  reply.call = decoded->call;
   reply.code = StatusCode::kNotFound;
   reply.error_message = "gone";
-  const Bytes encoded_reply = EncodeReply(reply);
+  const Bytes encoded_reply = EncodeReply(std::move(reply));
   const auto decoded_reply = DecodeReply(View(encoded_reply));
   ASSERT_TRUE(decoded_reply.ok());
   EXPECT_EQ(decoded_reply->code, StatusCode::kNotFound);
   EXPECT_EQ(decoded_reply->error_message, "gone");
   // Cross-decoding fails cleanly.
-  EXPECT_FALSE(DecodeRequest(View(encoded_reply)).ok());
+  EXPECT_FALSE(DecodeRequestView(View(encoded_reply)).ok());
   EXPECT_FALSE(DecodeReply(View(encoded)).ok());
   EXPECT_FALSE(PeekFrameType(BytesView{}).ok());
-}
-
-TEST(FrameCodec, RequestWireVersionCompatibility) {
-  RequestFrame frame;
-  frame.call = CallId{0xAB, 7};
-  frame.object = ObjectId{1, 2};
-  frame.method = 9;
-  frame.args = ToBytes("args");
-
-  // A v1 peer omits the deadline entirely; current code must decode the
-  // frame and leave the deadline at "none".
-  serde::Writer v1;
-  v1.WriteU8(static_cast<std::uint8_t>(FrameType::kRequest));
-  {
-    serde::VersionedWriter vw(v1, 1);
-    serde::Serialize(vw.body(), frame);
-    vw.Finish();
-  }
-  const Bytes v1_bytes = v1.Take();
-  const auto from_v1 = DecodeRequest(View(v1_bytes));
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-  EXPECT_EQ(from_v1->method, 9u);
-  EXPECT_EQ(from_v1->deadline, SimTime{0});
-
-  // A hypothetical v3 peer appends fields we do not know; they must be
-  // skipped, with the v2 deadline still understood.
-  serde::Writer v3;
-  v3.WriteU8(static_cast<std::uint8_t>(FrameType::kRequest));
-  {
-    serde::VersionedWriter vw(v3, 3);
-    serde::Serialize(vw.body(), frame);
-    vw.body().WriteVarint(Milliseconds(25));  // v2: deadline
-    vw.body().WriteString("field-from-the-future");
-    vw.Finish();
-  }
-  const Bytes v3_bytes = v3.Take();
-  const auto from_v3 = DecodeRequest(View(v3_bytes));
-  ASSERT_TRUE(from_v3.ok()) << from_v3.status().ToString();
-  EXPECT_EQ(from_v3->deadline, Milliseconds(25));
-  EXPECT_EQ(ToString(View(from_v3->args)), "args");
-
-  // Today's encoder round-trips the deadline.
-  frame.deadline = Milliseconds(40);
-  const auto round = DecodeRequest(View(EncodeRequest(frame)));
-  ASSERT_TRUE(round.ok());
-  EXPECT_EQ(round->deadline, Milliseconds(40));
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "serde/message.h"
 #include "serde/reader.h"
 #include "serde/traits.h"
-#include "serde/versioned.h"
 #include "serde/wire.h"
 #include "serde/writer.h"
 
@@ -232,34 +231,39 @@ TEST(Traits, RandomBitFlipsNeverCrash) {
   EXPECT_GT(decode_failures, 0);
 }
 
+Bytes Wrap(const Bytes& payload) {
+  Writer w;
+  w.WriteRaw(View(payload));
+  return WrapEnvelope(std::move(w));
+}
+
 TEST(Envelope, RoundTrip) {
   const Bytes payload = ToBytes("payload bytes");
-  const Bytes framed = WrapEnvelope(View(payload));
+  const Bytes framed = Wrap(payload);
   EXPECT_EQ(framed.size(), payload.size() + EnvelopeOverhead(payload.size()));
-  const auto unwrapped = UnwrapEnvelope(View(framed));
+  const auto unwrapped = UnwrapEnvelopeView(View(framed));
   ASSERT_TRUE(unwrapped.ok());
-  EXPECT_EQ(*unwrapped, payload);
+  EXPECT_EQ(Bytes(unwrapped->begin(), unwrapped->end()), payload);
 }
 
 TEST(Envelope, DetectsCorruption) {
   const Bytes payload = ToBytes("payload bytes");
-  Bytes framed = WrapEnvelope(View(payload));
+  Bytes framed = Wrap(payload);
   // Flip a payload bit: CRC must catch it.
   framed[framed.size() - 1] ^= 0x01;
-  EXPECT_EQ(UnwrapEnvelope(View(framed)).status().code(),
+  EXPECT_EQ(UnwrapEnvelopeView(View(framed)).status().code(),
             StatusCode::kCorrupt);
 }
 
 TEST(Envelope, RejectsBadMagicAndVersion) {
-  const Bytes payload = ToBytes("x");
-  Bytes framed = WrapEnvelope(View(payload));
+  Bytes framed = Wrap(ToBytes("x"));
   Bytes bad_magic = framed;
   bad_magic[0] ^= 0xff;
-  EXPECT_FALSE(UnwrapEnvelope(View(bad_magic)).ok());
+  EXPECT_FALSE(UnwrapEnvelopeView(View(bad_magic)).ok());
   Bytes bad_version = framed;
   bad_version[2] = 99;
-  EXPECT_FALSE(UnwrapEnvelope(View(bad_version)).ok());
-  EXPECT_FALSE(UnwrapEnvelope(BytesView{}).ok());
+  EXPECT_FALSE(UnwrapEnvelopeView(View(bad_version)).ok());
+  EXPECT_FALSE(UnwrapEnvelopeView(BytesView{}).ok());
 }
 
 // Property sweep: random nested values round-trip across seeds.
@@ -449,50 +453,6 @@ TEST(Reader, ReadBytesViewBorrowsWithoutCopy) {
             encoded.data() + encoded.size())
       << "the view must alias the encoded buffer, not a copy";
   EXPECT_EQ(Bytes(borrowed.begin(), borrowed.end()), payload);
-}
-
-// --- versioned envelope tail policy ------------------------------------
-
-Bytes EncodeVersionedWithTail(std::uint32_t version, int tail_fields) {
-  Writer w;
-  VersionedWriter vw(w, version);
-  vw.body().WriteVarint(7);  // the one "known" field
-  for (int i = 0; i < tail_fields; ++i) vw.body().WriteVarint(0xBEEF + i);
-  vw.Finish();
-  return w.Take();
-}
-
-TEST(Versioned, CloseSkipsUnknownTailByDefault) {
-  const Bytes buf = EncodeVersionedWithTail(9, /*tail_fields=*/3);
-  Reader r(View(buf));
-  VersionedReader vr;
-  ASSERT_TRUE(vr.Open(r).ok());
-  std::uint64_t known = 0;
-  ASSERT_TRUE(vr.body().ReadVarint(known).ok());
-  EXPECT_EQ(known, 7u);
-  EXPECT_TRUE(vr.Close().ok()) << "unknown newer-schema tail is skipped";
-  EXPECT_TRUE(r.ExpectEnd().ok());
-}
-
-TEST(Versioned, CloseRejectsUnreadTailWhenFullyKnown) {
-  const Bytes buf = EncodeVersionedWithTail(1, /*tail_fields=*/1);
-  Reader r(View(buf));
-  VersionedReader vr;
-  ASSERT_TRUE(vr.Open(r).ok());
-  std::uint64_t known = 0;
-  ASSERT_TRUE(vr.body().ReadVarint(known).ok());
-  EXPECT_EQ(vr.Close(TailPolicy::kRejectUnread).code(), StatusCode::kCorrupt)
-      << "leftover bytes in a fully-understood version are corruption";
-}
-
-TEST(Versioned, CloseAcceptsFullyReadBodyUnderRejectPolicy) {
-  const Bytes buf = EncodeVersionedWithTail(1, /*tail_fields=*/0);
-  Reader r(View(buf));
-  VersionedReader vr;
-  ASSERT_TRUE(vr.OpenBorrowed(r).ok());
-  std::uint64_t known = 0;
-  ASSERT_TRUE(vr.body().ReadVarint(known).ok());
-  EXPECT_TRUE(vr.Close(TailPolicy::kRejectUnread).ok());
 }
 
 }  // namespace

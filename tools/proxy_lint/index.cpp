@@ -1,7 +1,6 @@
 #include "proxy_lint/index.h"
 
 #include <cctype>
-#include <cstdlib>
 #include <optional>
 
 namespace proxy_lint {
@@ -227,18 +226,6 @@ FileScan ScanFile(const Tokens& t) {
       continue;
     }
 
-    // Integer constants: `constexpr ... kName = N;`.
-    if (s == "constexpr") {
-      const std::size_t end = StatementEnd(t, i);
-      if (end < t.size() && end >= 3 && t[end - 1].kind == Tok::kNumber &&
-          Is(t, end - 2, "=") && IsIdent(t, end - 3)) {
-        const long value =
-            std::strtol(t[end - 1].text.c_str(), nullptr, 0);
-        out.constants.emplace_back(t[end - 3].text, value);
-      }
-      // Fall through: the statement may also be a member/function decl.
-    }
-
     if (!CanAnchorType(t, i)) continue;
 
     // Function declaration / definition.
@@ -333,9 +320,6 @@ void SymbolIndex::Collect(const std::string& file,
   for (const std::string& cls : scan.classes) {
     class_file_.emplace(cls, file);
   }
-  for (const auto& [name, value] : scan.constants) {
-    constants_[name] = value;
-  }
 }
 
 const std::set<std::string>* SymbolIndex::Lookup(
@@ -370,13 +354,6 @@ bool SymbolIndex::HasClass(const std::string& cls) const {
 std::string SymbolIndex::FileOfClass(const std::string& cls) const {
   const auto it = class_file_.find(cls);
   return it == class_file_.end() ? "" : it->second;
-}
-
-bool SymbolIndex::ConstantValue(const std::string& name, long* out) const {
-  const auto it = constants_.find(name);
-  if (it == constants_.end()) return false;
-  *out = it->second;
-  return true;
 }
 
 void SymbolIndex::Finalize() const {

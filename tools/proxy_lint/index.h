@@ -5,7 +5,6 @@
 //     (keyed "Class::Name" and, as a fallback, by bare name),
 //   - member fields with their declared types ("Class::field_"),
 //   - which file defines each class,
-//   - integer `constexpr` constants (the wire-version knobs),
 // so pass 2 can resolve a call site to an actual return type instead of
 // guessing from the callee's name. The index also computes, as a
 // fixpoint over the member table, the set of classes that transitively
@@ -16,7 +15,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "proxy_lint/lexer.h"
@@ -52,7 +50,6 @@ struct FileScan {
   std::vector<FunctionDecl> declared;  // every declaration, body or not
   std::vector<MemberDecl> members;
   std::vector<std::string> classes;
-  std::vector<std::pair<std::string, long>> constants;
 };
 
 FileScan ScanFile(const Tokens& t);
@@ -95,8 +92,6 @@ class SymbolIndex {
   bool HasClass(const std::string& cls) const;
   std::string FileOfClass(const std::string& cls) const;
 
-  bool ConstantValue(const std::string& name, long* out) const;
-
   /// True when `type`'s words name a borrowed view (BytesView,
   /// std::string_view) or a class that transitively holds one.
   bool TypeHoldsView(const std::string& type) const;
@@ -112,7 +107,6 @@ class SymbolIndex {
   // cls -> its members' types (feeds the view-holding fixpoint).
   std::map<std::string, std::vector<std::string>> class_member_types_;
   std::map<std::string, std::string> class_file_;
-  std::map<std::string, long> constants_;
 
   // Computed lazily after collection (Analyze is const on the Linter).
   mutable std::set<std::string> view_holding_;

@@ -7,7 +7,7 @@
 // the core::Acquire<I> acquisition path, the OwnedBytes/BytesView
 // zero-copy arena discipline. It runs in two passes: pass 1 builds a
 // repo-wide symbol index (function return types, member field types,
-// class→file map, wire-version constants — see index.h), pass 2
+// class→file map — see index.h), pass 2
 // evaluates the rules against it (see rules.h). Eight rules:
 //
 //   L1 suspension-hazard    a reference / iterator / pointer /
@@ -47,11 +47,10 @@
 //                           sanctioned patterns and exempt
 //   L7 wire-asymmetry       an Encode*/Wrap* body whose Decode*/Unwrap*
 //                           partner reads a different op sequence —
-//                           kind, order, count, field names, or a
-//                           version gate that regresses partway down the
-//                           frame (src/rpc and src/serde only; bodies
-//                           that delegate whole-struct Serialize are
-//                           covered transitively)
+//                           kind, order, count or field names (src/rpc
+//                           and src/serde only; bodies that delegate
+//                           whole-struct Serialize are covered
+//                           transitively)
 //   L8 unchecked-status     a statement-level call discarding a
 //                           core::Status / Result, including the form
 //                           the compiler cannot see: `co_await Fn();`
@@ -119,8 +118,8 @@ std::vector<Finding> SubtractFindings(const std::vector<Finding>& current,
 class Linter {
  public:
   /// Pass 1: folds one file into the cross-TU symbol index. Call for
-  /// every file before Analyze — L2/L5/L6/L8 resolve callees, member
-  /// types, and wire constants against it.
+  /// every file before Analyze — L2/L5/L6/L8 resolve callees and member
+  /// types against it.
   void CollectDeclarations(const std::string& file,
                            const std::string& content);
 

@@ -882,7 +882,6 @@ struct WireOp {
   std::string kind;
   std::string field;  // dotted member tail ("deadline"), "" if unnamed
   int line;
-  long gate;  // minimum version guard in scope (0 = ungated)
 };
 
 const std::map<std::string, std::string>& OpKinds() {
@@ -943,54 +942,9 @@ std::vector<WireOp> ExtractWireOps(const Analysis& a, const FuncSpan& f,
   const Tokens& t = a.t;
   std::vector<WireOp> ops;
   *delegating = false;
-  struct Gate {
-    long version;
-    std::size_t block_end;
-  };
-  std::vector<Gate> gates;
   for (std::size_t p = f.body_begin; p < f.body_end && p < t.size(); ++p) {
-    while (!gates.empty() && gates.back().block_end <= p) gates.pop_back();
-
-    if (Is(t, p, "if") && Is(t, p + 1, "(")) {
-      const std::size_t close = SkipBalanced(t, p + 1) - 1;
-      if (close >= t.size()) continue;
-      // A version gate: `... version ... >= N` in the condition, where
-      // N is a literal or an indexed constexpr constant.
-      long version = -1;
-      bool saw_version = false;
-      for (std::size_t q = p + 2; q < close; ++q) {
-        if (t[q].kind == Tok::kIdent && t[q].text == "version") {
-          saw_version = true;
-        }
-        if (saw_version && Is(t, q, ">=") && q + 1 < close) {
-          if (t[q + 1].kind == Tok::kNumber) {
-            version = std::strtol(t[q + 1].text.c_str(), nullptr, 0);
-          } else if (IsIdent(t, q + 1)) {
-            long value = 0;
-            if (a.index.ConstantValue(t[q + 1].text, &value)) {
-              version = value;
-            }
-          }
-          break;
-        }
-      }
-      if (version >= 0) {
-        std::size_t block_end;
-        if (Is(t, close + 1, "{")) {
-          block_end = SkipBalanced(t, close + 1);
-        } else {
-          block_end = StatementEnd(t, close + 1) + 1;
-        }
-        gates.push_back({version, block_end});
-        p = close;  // descend into the block
-        continue;
-      }
-    }
-
     if (t[p].kind != Tok::kIdent || !Is(t, p + 1, "(")) continue;
     const std::string& name = t[p].text;
-    long gate = 0;
-    for (const Gate& g : gates) gate = std::max(gate, g.version);
 
     if (name == "Serialize" || name == "Deserialize") {
       const auto args = SplitArgs(t, p + 1);
@@ -1000,7 +954,7 @@ std::vector<WireOp> ExtractWireOps(const Analysis& a, const FuncSpan& f,
         *delegating = true;  // whole-struct delegation
         continue;
       }
-      ops.push_back({"field", DottedField(t, from, to), t[p].line, gate});
+      ops.push_back({"field", DottedField(t, from, to), t[p].line});
       continue;
     }
     const auto kind = OpKinds().find(name);
@@ -1012,7 +966,7 @@ std::vector<WireOp> ExtractWireOps(const Analysis& a, const FuncSpan& f,
     if (!args.empty()) {
       field = DottedField(t, args.back().first, args.back().second);
     }
-    ops.push_back({kind->second, field, t[p].line, gate});
+    ops.push_back({kind->second, field, t[p].line});
   }
   return ops;
 }
@@ -1023,10 +977,9 @@ struct WireFn {
 };
 
 // L7: every Encode*/Wrap* body must read back symmetrically in its
-// Decode*/Unwrap* partner — same op kinds, same order, same count, same
-// field names where both sides name one, and version gates that only
-// ever tighten as the decoder walks down the frame. Catches protocol
-// drift statically instead of via hand-written round-trip tests.
+// Decode*/Unwrap* partner — same op kinds, same order, same count, and
+// same field names where both sides name one. Catches protocol drift
+// statically instead of via hand-written round-trip tests.
 void CheckWireSymmetry(const Analysis& a) {
   std::map<std::string, std::vector<WireFn>> encoders, decoders;
   for (const FuncSpan& f : a.scan.functions) {
@@ -1048,14 +1001,10 @@ void CheckWireSymmetry(const Analysis& a) {
     } else {
       continue;
     }
-    // DecodeRequestView / EncodeRequestWith pair with EncodeRequest.
-    for (const char* suffix : {"View", "With"}) {
-      const std::size_t len = std::char_traits<char>::length(suffix);
-      if (base.size() > len &&
-          base.compare(base.size() - len, len, suffix) == 0) {
-        base.resize(base.size() - len);
-        break;
-      }
+    // DecodeRequestView pairs with EncodeRequest.
+    constexpr std::string_view kViewSuffix = "View";
+    if (base.size() > kViewSuffix.size() && base.ends_with(kViewSuffix)) {
+      base.resize(base.size() - kViewSuffix.size());
     }
     if (base.empty()) continue;
     bool delegating = false;
@@ -1106,22 +1055,6 @@ void CheckWireSymmetry(const Analysis& a) {
                "wire symmetry broken for '" + base + "': '" + e.fn->name +
                    "' writes " + std::to_string(eo.size()) + " ops but '" +
                    d.fn->name + "' reads " + std::to_string(dops.size()));
-      reported = true;
-    }
-    if (!reported) {
-      long prev = 0;
-      for (const WireOp& op : dops) {
-        if (op.gate < prev) {
-          a.Report(op.line, "L7",
-                   "version gate regresses in '" + d.fn->name +
-                       "': an op gated at v" + std::to_string(op.gate) +
-                       " follows one gated at v" + std::to_string(prev) +
-                       " — later fields must gate at equal-or-higher "
-                       "versions or old peers misparse the tail");
-          break;
-        }
-        prev = std::max(prev, op.gate);
-      }
     }
   }
 }
@@ -1133,7 +1066,7 @@ void CheckWireSymmetry(const Analysis& a) {
 void CheckEncapsulation(const Analysis& a) {
   const Tokens& t = a.t;
   static const std::set<std::string> frame_fns = {
-      "EncodeRequest", "DecodeRequest", "EncodeReply", "DecodeReply"};
+      "EncodeRequest", "DecodeRequestView", "EncodeReply", "DecodeReply"};
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (t[i].kind != Tok::kIdent) continue;
     const std::string& s = t[i].text;
@@ -1504,7 +1437,7 @@ std::string RenderSarif(const std::vector<Finding>& findings) {
       {"L6", "borrowed-view-escape",
        "borrowed view outlives its arrival OwnedBytes arena"},
       {"L7", "wire-asymmetry",
-       "encoder/decoder field sequences or version gates drifted"},
+       "encoder/decoder field sequences drifted"},
       {"L8", "unchecked-status",
        "Status/Result discarded at statement level (incl. co_await)"},
   };
