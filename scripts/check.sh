@@ -16,7 +16,9 @@
 #   LINT_ONLY=1 scripts/check.sh  # fast pre-commit path: lint, no tests
 #   BENCH=1 scripts/check.sh      # also run the perf-trajectory gate:
 #                                 # deterministic bench metrics vs the
-#                                 # committed bench/BENCH_wire.json
+#                                 # committed bench/BENCH_wire.json, and
+#                                 # a 1 s correctness smoke of every
+#                                 # hostbench workload
 #   NIGHTLY=1 scripts/check.sh    # widen the 10x-client chaos lane to
 #                                 # the full seed battery
 set -euo pipefail
@@ -183,6 +185,22 @@ if [ "$BENCH" = "1" ]; then
     > /dev/null
   python3 scripts/perf_gate.py --baseline bench/BENCH_wire.json \
     --current "$wire_jsonl"
+
+  echo "== hostbench correctness smoke =="
+  # hostbench builds its own copy of src/ (into .bench_build/), so only
+  # running it shows that a src/ change still builds there and that every
+  # workload's output checks pass. One second per workload; the timings
+  # are not gated.
+  for workload in rpc_small kv_bulk kv_sharded_open kv_cached_zipf; do
+    result="$(python3 hostbench/run.py --workload "$workload" --seed 1 \
+      --seconds 1 | tail -n 1)"
+    if ! python3 -c \
+        'import json, sys; sys.exit(json.loads(sys.argv[1])["correct"] is not True)' \
+        "$result"; then
+      echo "FAIL: hostbench $workload did not report correct=true"
+      exit 1
+    fi
+  done
 fi
 
 echo "== OK =="

@@ -1,6 +1,11 @@
 #include "serde/wire.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace proxy::serde {
 
@@ -84,6 +89,79 @@ std::array<std::uint32_t, 256> MakeCrcTable() {
   return table;
 }
 
+#if defined(__x86_64__)
+
+// The SSE4.2 `crc32` instruction has a latency of three cycles but
+// issues one per cycle, so three independent streams keep it busy. Each
+// pass checksums three adjacent blocks of kBlockBytes separately, then
+// folds them: the update is linear, so
+//   crc(s, A B C) = shift(shift(crc(s, A)) ^ crc(0, B)) ^ crc(0, C)
+// where shift(c) advances c over kBlockBytes zero bytes.
+constexpr std::size_t kBlockBytes = detail::kCrc32cStripeBytes / 3;
+static_assert(kBlockBytes * 3 == detail::kCrc32cStripeBytes &&
+              kBlockBytes % 8 == 0);
+
+// Envelope windows and chain chunks start at any offset.
+std::uint64_t Load64(const std::uint8_t* p) noexcept {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// shift() is linear in the 32-bit state, so it is the XOR of the images
+// of the state's set bits: table[i][b] is the image of byte value b at
+// byte position i.
+using ShiftTable = std::array<std::array<std::uint32_t, 256>, 4>;
+
+__attribute__((target("sse4.2"))) ShiftTable MakeShiftTable() {
+  std::array<std::uint32_t, 32> basis{};
+  for (int bit = 0; bit < 32; ++bit) {
+    std::uint64_t crc = std::uint64_t{1} << bit;
+    for (std::size_t i = 0; i < kBlockBytes; i += 8) {
+      crc = _mm_crc32_u64(crc, 0);
+    }
+    basis[bit] = static_cast<std::uint32_t>(crc);
+  }
+  ShiftTable table{};
+  for (int i = 0; i < 4; ++i) {
+    for (unsigned b = 1; b < 256; ++b) {
+      // b without its lowest set bit, plus that bit's image.
+      table[i][b] = table[i][b & (b - 1)] ^ basis[8 * i + __builtin_ctz(b)];
+    }
+  }
+  return table;
+}
+
+std::uint32_t Shift(const ShiftTable& t, std::uint64_t crc) noexcept {
+  return t[0][crc & 0xff] ^ t[1][(crc >> 8) & 0xff] ^
+         t[2][(crc >> 16) & 0xff] ^ t[3][(crc >> 24) & 0xff];
+}
+
+__attribute__((target("sse4.2"))) std::uint32_t Crc32cExtendSse42(
+    std::uint32_t state, BytesView data) noexcept {
+  static const ShiftTable kShift = MakeShiftTable();
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::uint64_t crc0 = state;
+  for (; n >= detail::kCrc32cStripeBytes;
+       n -= detail::kCrc32cStripeBytes, p += detail::kCrc32cStripeBytes) {
+    std::uint64_t crc1 = 0;
+    std::uint64_t crc2 = 0;
+    for (std::size_t i = 0; i < kBlockBytes; i += 8) {
+      crc0 = _mm_crc32_u64(crc0, Load64(p + i));
+      crc1 = _mm_crc32_u64(crc1, Load64(p + kBlockBytes + i));
+      crc2 = _mm_crc32_u64(crc2, Load64(p + 2 * kBlockBytes + i));
+    }
+    crc0 = Shift(kShift, Shift(kShift, crc0) ^ crc1) ^ crc2;
+  }
+  for (; n >= 8; n -= 8, p += 8) crc0 = _mm_crc32_u64(crc0, Load64(p));
+  auto crc = static_cast<std::uint32_t>(crc0);
+  for (; n > 0; --n, ++p) crc = _mm_crc32_u8(crc, *p);
+  return crc;
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
 std::uint32_t Crc32c(BytesView data) noexcept {
@@ -91,6 +169,18 @@ std::uint32_t Crc32c(BytesView data) noexcept {
 }
 
 std::uint32_t Crc32cExtend(std::uint32_t state, BytesView data) noexcept {
+#if defined(__x86_64__)
+  static const bool kHardware = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  if (kHardware) return Crc32cExtendSse42(state, data);
+#endif
+  return detail::Crc32cExtendTable(state, data);
+}
+
+std::uint32_t detail::Crc32cExtendTable(std::uint32_t state,
+                                        BytesView data) noexcept {
   static const auto kTable = MakeCrcTable();
   for (const std::uint8_t b : data) {
     state = (state >> 8) ^ kTable[(state ^ b) & 0xff];

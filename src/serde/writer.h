@@ -2,9 +2,8 @@
 //
 // The encoder appends into a chain of slab chunks instead of one flat
 // vector: field encodes land in the current tail slab, large payloads
-// are *adopted* as their own chunk (ownership moves, no copy), and a
-// nested writer's chain is *spliced* onto its parent's. The bytes are
-// gathered into one contiguous buffer exactly once, at the network
+// are *adopted* as their own chunk (ownership moves, no copy). The bytes
+// are gathered into one contiguous buffer exactly once, at the network
 // boundary (Take() or the envelope layer's chunk walk) — the
 // rethinkdb-style gather-on-send shape. Only that gather and explicit
 // view copies tick serde::WireCopyCounter.
@@ -73,23 +72,6 @@ class Writer {
   /// Raw append without a length prefix (for already-framed payloads).
   void WriteRaw(BytesView v) { AppendCopy(v); }
   void WriteRaw(Bytes&& v) { AppendOwned(std::move(v)); }
-
-  /// Splices another writer's whole chain onto this one — ownership of
-  /// the chunks moves, no bytes are copied. `other` is empty afterwards.
-  void SpliceFrom(Writer&& other) {
-    SealTail();
-    for (Bytes& chunk : other.chunks_) {
-      sealed_size_ += chunk.size();
-      chunks_.push_back(std::move(chunk));
-    }
-    other.chunks_.clear();
-    if (!other.tail_.empty()) {
-      sealed_size_ += other.tail_.size();
-      chunks_.push_back(std::move(other.tail_));
-    }
-    other.tail_.clear();
-    other.sealed_size_ = 0;
-  }
 
   [[nodiscard]] std::size_t size() const noexcept {
     return sealed_size_ + tail_.size();

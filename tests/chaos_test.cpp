@@ -405,8 +405,9 @@ TEST(ChaosInvariants, CounterValueNeverRunsBackwards) {
   b.number = 3;  // reads 3 after 5 was acknowledged and completed
   h.Append(a);
   h.Append(b);
-  EXPECT_TRUE(HasInvariant({.violations = CheckCounter(h, 5)},
-                           "counter-linearizable"));
+  ChaosReport report;
+  report.violations = CheckCounter(h, 5);
+  EXPECT_TRUE(HasInvariant(report, "counter-linearizable"));
 }
 
 TEST(ChaosInvariants, CounterFinalValueBounds) {

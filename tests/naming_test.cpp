@@ -151,13 +151,9 @@ TEST(NamingFederation, ResolveAcrossDirectoryReferrals) {
   // Build it manually: a server on the conventional port of n1.
   // (StartNameService only creates the root; federation peers are wired
   // by the application.)
-  auto& net = rt.network();
-  static net::NodeStack* leaked_stack = nullptr;  // test-scope lifetime
-  leaked_stack = nullptr;
   core::Context& peer_ctx = rt.CreateContext(n1, "peer");
   rpc::RpcServer& peer_server = peer_ctx.server();
   NameServer leaf_ns(peer_server);
-  (void)net;
 
   core::Context& client_ctx = rt.CreateContext(n0, "client");
 
