@@ -1,9 +1,10 @@
-// Batcher — the building block of batching proxies.
+// Batcher — the building block of batching and write-behind proxies.
 //
 // Items are accumulated and flushed as one unit when either the batch
 // reaches `max_items` or `window` elapses since the first queued item.
 // Each Add returns a future resolved with the flush outcome of its batch,
 // so callers keep per-item completion even though the wire sees batches.
+// Drain() is the write-behind barrier every such proxy exposes.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +80,16 @@ class Batcher {
     batch_future.Then([done](Status&& st) { done.Set(std::move(st)); });
     FlushNow();
     return done.future();
+  }
+
+  /// Flushes until nothing is pending: items added while a batch is in
+  /// flight ride the next round. Stops at the first failed batch.
+  sim::Co<Status> Drain() {
+    while (!pending_.empty()) {
+      const Status st = co_await Flush();
+      if (!st.ok()) co_return st;
+    }
+    co_return Status::Ok();
   }
 
   [[nodiscard]] std::size_t pending() const noexcept {

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/binding.h"
@@ -103,5 +104,32 @@ class ServiceExport {
   ServiceBinding binding_;
   std::shared_ptr<I> impl_;
 };
+
+/// Registers interface I's server-object factory for migration: an S
+/// (built from the receiving Context when it takes one) restores the
+/// migrated state and is re-exported, with `make_dispatch` as its
+/// skeleton, under its stable id. ALREADY_EXISTS when I has one.
+template <typename I, typename S>
+Status RegisterServerObject(
+    std::shared_ptr<rpc::Dispatch> (*make_dispatch)(std::shared_ptr<S>)) {
+  return ServerObjectFactoryRegistry::Instance().Register(
+      InterfaceIdOf(I::kInterfaceName),
+      [make_dispatch](Context& context, ObjectId id, std::uint32_t protocol,
+                      Bytes state) -> Result<ServiceBinding> {
+        std::shared_ptr<S> impl;
+        if constexpr (std::is_constructible_v<S, Context&>) {
+          impl = std::make_shared<S>(context);
+        } else {
+          impl = std::make_shared<S>();
+        }
+        PROXY_RETURN_IF_ERROR(impl->RestoreState(View(state)));
+        PROXY_ASSIGN_OR_RETURN(
+            auto exported,
+            ServiceExport<I>::CreateWithId(context, id, impl,
+                                           make_dispatch(impl), protocol,
+                                           impl));
+        return exported.binding();
+      });
+}
 
 }  // namespace proxy::core

@@ -13,7 +13,10 @@
 //
 // A parallel registry of server-object factories serves migration: a
 // context receiving an object rebuilds the implementation from its
-// serialized state.
+// serialized state. Services never write a factory by hand: each
+// registers its proxy classes with RegisterProxy<I, P>(protocol) and its
+// migratable objects with RegisterServerObject<I> (export.h), all in one
+// table (services::RegisterAllServices).
 #pragma once
 
 #include <functional>
@@ -51,9 +54,6 @@ class ProxyFactoryRegistry {
 
   [[nodiscard]] bool Has(InterfaceId iface, std::uint32_t protocol) const;
 
-  /// Drops all registrations (tests only).
-  void Reset() { factories_.clear(); }
-
  private:
   using Key = std::pair<std::uint64_t, std::uint32_t>;  // (iface, protocol)
   std::map<Key, ProxyFactory> factories_;
@@ -78,11 +78,23 @@ class ServerObjectFactoryRegistry {
     return factories_.contains(iface);
   }
 
-  void Reset() { factories_.clear(); }
-
  private:
   std::unordered_map<InterfaceId, ServerObjectFactory> factories_;
 };
+
+/// Installs proxy class P as interface I's protocol-`protocol` proxy. P is
+/// built from (Context&, const ServiceBinding&). ALREADY_EXISTS when the
+/// slot is taken.
+template <typename I, typename P>
+Status RegisterProxy(std::uint32_t protocol) {
+  return ProxyFactoryRegistry::Instance().Register(
+      InterfaceIdOf(I::kInterfaceName), protocol,
+      [](Context& context,
+         const ServiceBinding& binding) -> std::shared_ptr<void> {
+        return std::static_pointer_cast<I>(
+            std::make_shared<P>(context, binding));
+      });
+}
 
 /// Acquisition knobs. `allow_direct` lets Acquire return the
 /// implementation itself when the object lives in the caller's own

@@ -17,7 +17,10 @@
 //
 // Everything beyond that — caching, batching, write-back, migrate-on-use
 // — is a subclass's private protocol with its service (the concrete
-// proxies live beside their services in src/services, e.g. kv.h).
+// proxies live beside their services in src/services, e.g. kv.h). The
+// mechanisms those protocols share are written once, here in core:
+// the LRU cache (cache.h), invalidation coherence (coherence.h) and the
+// self-draining write-behind batcher (batcher.h).
 #pragma once
 
 #include <algorithm>
@@ -39,9 +42,9 @@
 
 namespace proxy::core {
 
-/// Per-proxy tallies (obs::Counter cells, so the pre-existing accessor
-/// idiom `proxy_stats().calls == 3u` keeps working). The system-wide
-/// aggregates live in the Runtime registry under core.proxy.*.
+/// Per-proxy tallies. Each proxy attaches its cells to the Runtime
+/// registry under core.proxy.* and detaches (folding them in) when it
+/// dies, so the registry reports the system-wide totals.
 struct ProxyStats {
   obs::Counter calls;
   obs::Counter rebinds;       // OBJECT_MOVED recoveries
@@ -66,15 +69,27 @@ class ProxyBase {
       : context_(&context),
         binding_(std::move(binding)),
         pushback_rng_(context.client().nonce() ^ 0x5bd1e995u),
-        agg_calls_(context.metrics().counter("core.proxy.calls")),
-        agg_rebinds_(context.metrics().counter("core.proxy.rebinds")),
-        agg_failed_(context.metrics().counter("core.proxy.failed_calls")),
-        agg_recoveries_(context.metrics().counter("core.proxy.recoveries")),
-        agg_pushbacks_(
-            context.metrics().counter("core.proxy.pushback_backoffs")),
-        call_latency_(context.metrics().histogram("core.proxy.call_ns")) {}
+        call_latency_(context.metrics().histogram("core.proxy.call_ns")) {
+    obs::MetricsRegistry& metrics = context.metrics();
+    metrics.Attach("core.proxy.calls", &stats_.calls);
+    metrics.Attach("core.proxy.rebinds", &stats_.rebinds);
+    metrics.Attach("core.proxy.failed_calls", &stats_.failed_calls);
+    metrics.Attach("core.proxy.recoveries", &stats_.recoveries);
+    metrics.Attach("core.proxy.pushback_backoffs", &stats_.pushback_backoffs);
+  }
 
-  virtual ~ProxyBase() = default;
+  /// Detaches the stats cells, so a proxy must not outlive its Runtime.
+  virtual ~ProxyBase() {
+    obs::MetricsRegistry& metrics = context_->metrics();
+    metrics.Detach("core.proxy.calls", &stats_.calls);
+    metrics.Detach("core.proxy.rebinds", &stats_.rebinds);
+    metrics.Detach("core.proxy.failed_calls", &stats_.failed_calls);
+    metrics.Detach("core.proxy.recoveries", &stats_.recoveries);
+    metrics.Detach("core.proxy.pushback_backoffs", &stats_.pushback_backoffs);
+  }
+
+  ProxyBase(const ProxyBase&) = delete;
+  ProxyBase& operator=(const ProxyBase&) = delete;
 
   [[nodiscard]] const ServiceBinding& binding() const noexcept {
     return binding_;
@@ -97,25 +112,15 @@ class ProxyBase {
   }
 
  protected:
+  /// A caching proxy's sink subscribes through its owner's Call.
+  friend class InvalidationSink;
+
   /// Typed remote call with transparent rebinding on OBJECT_MOVED, using
   /// the proxy's ambient options.
   template <typename Resp, typename Req>
   sim::Co<Result<Resp>> Call(std::uint32_t method, Req req) {
     Bytes args = serde::EncodeToBytes(req);
     Result<Bytes> raw = co_await CallRaw(method, std::move(args), options_);
-    if (!raw.ok()) co_return raw.status();
-    co_return serde::DecodeFromBytes<Resp>(View(*raw));
-  }
-
-  /// Typed remote call with explicit per-call options — the same
-  /// rpc::CallOptions RpcClient::Call takes, so deadline / retry budget /
-  /// breaker opt-out / trace tune uniformly at every layer.
-  template <typename Resp, typename Req>
-  sim::Co<Result<Resp>> Call(std::uint32_t method, Req req,
-                             rpc::CallOptions options) {
-    Bytes args = serde::EncodeToBytes(req);
-    Result<Bytes> raw =
-        co_await CallRaw(method, std::move(args), std::move(options));
     if (!raw.ok()) co_return raw.status();
     co_return serde::DecodeFromBytes<Resp>(View(*raw));
   }
@@ -131,7 +136,6 @@ class ProxyBase {
   sim::Co<Result<Bytes>> CallRaw(std::uint32_t method, Bytes args,
                                  rpc::CallOptions options) {
     stats_.calls++;
-    agg_calls_++;
     const SimTime started = context_->scheduler().now();
     obs::SpanRecorder& spans = context_->spans();
     // Root of a fresh trace when the caller carried none; child span
@@ -172,7 +176,6 @@ class ProxyBase {
           break;
         }
         stats_.rebinds++;
-        agg_rebinds_++;
         binding_.server = fwd->server;
         binding_.object = fwd->object;
         spans.Annotate(span, context_->scheduler().now(),
@@ -189,7 +192,6 @@ class ProxyBase {
           raw.retry_after > 0 && pushback_waits < kMaxPushbackRetries) {
         pushback_waits++;
         stats_.pushback_backoffs++;
-        agg_pushbacks_++;
         const SimDuration lo = raw.retry_after;
         const SimDuration hi =
             std::max(2 * raw.retry_after, 3 * prev_pushback_wait);
@@ -218,8 +220,6 @@ class ProxyBase {
               fresh->object == binding_.object)) {
           stats_.rebinds++;
           stats_.recoveries++;
-          agg_rebinds_++;
-          agg_recoveries_++;
           binding_.server = fresh->server;
           binding_.object = fresh->object;
           spans.Annotate(span, context_->scheduler().now(),
@@ -233,7 +233,6 @@ class ProxyBase {
     }
     if (!outcome.ok()) {
       stats_.failed_calls++;
-      agg_failed_++;
     }
     const SimTime ended = context_->scheduler().now();
     call_latency_.Record(ended - started);
@@ -251,13 +250,6 @@ class ProxyBase {
   /// Pushback jitter; seeded from the context's client nonce so replays
   /// stay byte-identical.
   Rng pushback_rng_;
-  // Runtime-registry aggregate cells (valid for the Runtime's lifetime,
-  // which outlives every proxy it hosts).
-  obs::Counter& agg_calls_;
-  obs::Counter& agg_rebinds_;
-  obs::Counter& agg_failed_;
-  obs::Counter& agg_recoveries_;
-  obs::Counter& agg_pushbacks_;
   obs::Histogram& call_latency_;
 };
 

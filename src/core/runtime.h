@@ -148,7 +148,6 @@ class Runtime {
   struct Params {
     std::uint64_t seed = 42;
     sim::LinkParams default_link;     // inter-node link characteristics
-    SimDuration name_cache_ttl = Seconds(10);
   };
 
   Runtime() : Runtime(Params{}) {}

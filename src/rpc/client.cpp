@@ -184,12 +184,8 @@ SimDuration RpcClient::NextBackoff(PendingCall& call) {
   const SimDuration cap = call.options.max_backoff != 0
                               ? call.options.max_backoff
                               : 16 * base;
-  SimDuration next;
-  if (!call.options.backoff_jitter) {
-    next = call.prev_backoff == 0 ? base : call.prev_backoff * 2;
-  } else if (call.prev_backoff == 0) {
-    next = base;
-  } else {
+  SimDuration next = base;
+  if (call.prev_backoff != 0) {
     // Decorrelated jitter: uniform in [base, 3 × previous]. Spreads a
     // fleet of synchronized retriers apart within a few attempts.
     const SimDuration hi = std::max(base, call.prev_backoff * 3);

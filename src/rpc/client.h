@@ -64,14 +64,14 @@ class AttemptBudget {
 
 /// Per-call knobs — THE call-policy surface of the system. One
 /// CallOptions value is accepted identically by RpcClient::Call, by
-/// core::ProxyBase (ambient via set_call_options, or per call), and by
+/// core::ProxyBase (ambient, via set_call_options), and by
 /// the failover proxies; there is no other way to tune a call.
 ///
 /// `retry_interval` is the *initial* retransmission backoff; each
-/// unanswered attempt grows the backoff exponentially (with decorrelated
-/// jitter unless `backoff_jitter` is off) up to `max_backoff`. The call
-/// fails with TIMEOUT after `max_retries` retransmissions go unanswered,
-/// or when `deadline` elapses, whichever comes first.
+/// unanswered attempt grows the backoff exponentially, with decorrelated
+/// jitter, up to `max_backoff`. The call fails with TIMEOUT after
+/// `max_retries` retransmissions go unanswered, or when `deadline`
+/// elapses, whichever comes first.
 ///
 /// The With* builders cover the common policy axes:
 ///     auto opts = rpc::CallOptions{}
@@ -83,10 +83,6 @@ struct CallOptions {
   int max_retries = 5;
   /// Cap on a single backoff step; 0 means 16 × retry_interval.
   SimDuration max_backoff = 0;
-  /// Decorrelated jitter (uniform in [base, 3 × previous]); when off the
-  /// backoff is a plain doubling — only tests that assert exact retry
-  /// timing should turn this off.
-  bool backoff_jitter = true;
   /// Total budget for the call, measured from Call(); 0 = none. Encoded
   /// on the wire as an absolute expiry so the server sheds expired work.
   SimDuration deadline = 0;
@@ -115,24 +111,12 @@ struct CallOptions {
     retry_interval = d;
     return *this;
   }
-  CallOptions& WithMaxBackoff(SimDuration d) noexcept {
-    max_backoff = d;
-    return *this;
-  }
   CallOptions& WithoutBreaker() noexcept {
     bypass_breaker = true;
     return *this;
   }
   CallOptions& WithTrace(const obs::TraceContext& t) noexcept {
     trace = t;
-    return *this;
-  }
-  CallOptions& WithPriority(Priority p) noexcept {
-    priority = p;
-    return *this;
-  }
-  CallOptions& WithAttemptBudget(std::shared_ptr<AttemptBudget> b) noexcept {
-    attempt_budget = std::move(b);
     return *this;
   }
 };
@@ -209,11 +193,6 @@ class RpcClient {
   sim::Future<RpcResult> Call(const net::Address& to, ObjectId object,
                               std::uint32_t method, Bytes args,
                               const CallOptions& options = {});
-
-  /// Replaces the breaker tuning (existing per-destination state is kept).
-  void set_breaker_params(const BreakerParams& params) noexcept {
-    breaker_params_ = params;
-  }
 
   /// Replaces the retry-budget tuning (existing buckets are re-clamped
   /// lazily; new destinations start at the new initial level).

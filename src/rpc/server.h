@@ -59,10 +59,6 @@ class Dispatch {
     return it == methods_.end() ? nullptr : &it->second;
   }
 
-  [[nodiscard]] std::size_t method_count() const noexcept {
-    return methods_.size();
-  }
-
  private:
   std::unordered_map<std::uint32_t, Method> methods_;
 };
@@ -154,10 +150,6 @@ class RpcServer {
     return revoked_.contains(id);
   }
 
-  [[nodiscard]] bool HasObject(ObjectId id) const {
-    return objects_.contains(id);
-  }
-
   /// Crash-stop support: drops the at-most-once reply cache and abandons
   /// every in-flight execution — a handler started before the crash never
   /// replies or touches the cache, exactly as if the process died mid-call.
@@ -202,7 +194,6 @@ class RpcServer {
   [[nodiscard]] std::size_t admission_queue_peak() const noexcept {
     return queue_peak_;
   }
-  [[nodiscard]] const Params& params() const noexcept { return params_; }
 
   [[nodiscard]] const ServerStats& stats() const noexcept { return stats_; }
   [[nodiscard]] net::Address address() const noexcept {

@@ -62,18 +62,6 @@ class StubBase {
     co_return serde::DecodeFromBytes<Resp>(View(raw.payload));
   }
 
-  /// Same, with explicit per-call options (deadline, retries, trace) —
-  /// the uniform knob set accepted at every call layer.
-  template <typename Resp, typename Req>
-  sim::Co<Result<Resp>> TypedCall(std::uint32_t method, Req req,
-                                  CallOptions options) {
-    Bytes args = serde::EncodeToBytes(req);
-    RpcResult raw = co_await client_->Call(server_, object_, method,
-                                           std::move(args), options);
-    if (!raw.ok()) co_return raw.status;
-    co_return serde::DecodeFromBytes<Resp>(View(raw.payload));
-  }
-
  private:
   RpcClient* client_;
   net::Address server_;

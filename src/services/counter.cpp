@@ -1,6 +1,5 @@
 #include "services/counter.h"
 
-#include "core/factory.h"
 #include "serde/reader.h"
 #include "serde/writer.h"
 
@@ -120,44 +119,6 @@ sim::Co<Result<std::int64_t>> CounterDsmProxy::Read() {
   Result<std::shared_ptr<ICounter>> local = co_await EnsureLocal();
   if (!local.ok()) co_return local.status();
   co_return co_await (*local)->Read();
-}
-
-void RegisterCounterFactories() {
-  const InterfaceId iface = InterfaceIdOf(ICounter::kInterfaceName);
-  auto& proxies = core::ProxyFactoryRegistry::Instance();
-  if (!proxies.Has(iface, 1)) {
-    (void)proxies.Register(
-        iface, 1, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<ICounter>(
-                  std::make_shared<CounterStub>(ctx, b)));
-        });
-  }
-  if (!proxies.Has(iface, 2)) {
-    (void)proxies.Register(
-        iface, 2, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<ICounter>(
-                  std::make_shared<CounterDsmProxy>(ctx, b)));
-        });
-  }
-  auto& servers = core::ServerObjectFactoryRegistry::Instance();
-  if (!servers.Has(iface)) {
-    (void)servers.Register(
-        iface,
-        [](core::Context& ctx, ObjectId id, std::uint32_t protocol,
-           Bytes state) -> Result<core::ServiceBinding> {
-          auto impl = std::make_shared<CounterService>();
-          PROXY_RETURN_IF_ERROR(impl->RestoreState(View(state)));
-          auto dispatch = MakeCounterDispatch(impl);
-          PROXY_ASSIGN_OR_RETURN(
-              auto exported,
-              core::ServiceExport<ICounter>::CreateWithId(ctx, id, impl,
-                                                          dispatch, protocol,
-                                                          impl));
-          return exported.binding();
-        });
-  }
 }
 
 }  // namespace proxy::services

@@ -113,6 +113,4 @@ class CounterDsmProxy : public ICounter, public core::ProxyBase {
   std::uint64_t pulls_ = 0;
 };
 
-void RegisterCounterFactories();
-
 }  // namespace proxy::services

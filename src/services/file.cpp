@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/factory.h"
 #include "serde/reader.h"
 #include "serde/traits.h"
 #include "serde/writer.h"
@@ -13,7 +12,6 @@ using filewire::InvalidateRangeMessage;
 using filewire::ReadRequest;
 using filewire::ReadResponse;
 using filewire::SizeResponse;
-using filewire::SubscribeRequest;
 using filewire::TruncateRequest;
 using filewire::WriteRequest;
 using filewire::WriteVecRequest;
@@ -93,31 +91,11 @@ sim::Co<Result<rpc::Void>> FileService::WriteVec(
   co_return rpc::Void{};
 }
 
-Status FileService::Subscribe(const net::Address& sink_server,
-                              ObjectId sink_object) {
-  for (const auto& sub : subscribers_) {
-    if (sub.sink_object == sink_object) {
-      return AlreadyExistsError("sink already subscribed");
-    }
-  }
-  subscribers_.push_back(Subscriber{sink_server, sink_object});
-  return Status::Ok();
-}
-
 void FileService::NotifyInvalidate(std::uint64_t offset,
                                    std::uint64_t length, ObjectId exclude) {
-  if (subscribers_.empty()) return;
-  const Bytes msg =
-      serde::EncodeToBytes(InvalidateRangeMessage{offset, length});
-  for (const auto& sub : subscribers_) {
-    if (!exclude.IsNil() && sub.sink_object == exclude) continue;
-    // Fire-and-forget with a bounded budget: a sink that stays
-    // unreachable costs staleness, not an ever-growing retry queue.
-    (void)context_->client().Call(sub.sink_server, sub.sink_object,
-                                  filewire::SinkMethod::kInvalidateRange, msg,
-                                  rpc::CallOptions{}.WithDeadline(
-                                      Milliseconds(500)));
-  }
+  (void)subscribers_.Notify(context_->client(),
+                            filewire::SinkMethod::kInvalidateRange,
+                            InvalidateRangeMessage{offset, length}, exclude);
 }
 
 Bytes FileService::SnapshotState() const {
@@ -173,14 +151,7 @@ std::shared_ptr<rpc::Dispatch> MakeFileDispatch(
       [impl](TruncateRequest req, const rpc::CallContext&) {
         return impl->TruncateExcluding(req.size, req.exclude_sink);
       });
-  rpc::RegisterTyped<SubscribeRequest, rpc::Void>(
-      *dispatch, filewire::kSubscribe,
-      [impl](SubscribeRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<rpc::Void>> {
-        const Status st = impl->Subscribe(req.sink_server, req.sink_object);
-        if (!st.ok()) co_return st;
-        co_return rpc::Void{};
-      });
+  core::RegisterSubscribe(*dispatch, filewire::kSubscribe, impl);
   rpc::RegisterTyped<WriteVecRequest, rpc::Void>(
       *dispatch, filewire::kWriteVec,
       [impl](WriteVecRequest req, const rpc::CallContext&) {
@@ -236,19 +207,12 @@ FileCachingProxy::FileCachingProxy(core::Context& context,
     : core::ProxyBase(context, std::move(binding)),
       params_(params),
       blocks_(params.capacity_blocks),
-      sink_id_(context.MintObjectId()),
-      sink_dispatch_(std::make_shared<rpc::Dispatch>()) {
-  sink_dispatch_->Register(
+      sink_(*this, filewire::kSubscribe) {
+  sink_.Handle<InvalidateRangeMessage>(
       filewire::SinkMethod::kInvalidateRange,
-      [this](BytesView args,
-             const rpc::CallContext&) -> sim::Co<Result<Bytes>> {
-        Result<InvalidateRangeMessage> msg =
-            serde::DecodeFromBytes<InvalidateRangeMessage>(args);
-        if (!msg.ok()) co_return msg.status();
-        OnInvalidateRange(msg->offset, msg->length);
-        co_return serde::EncodeToBytes(rpc::Void{});
+      [this](const InvalidateRangeMessage& msg) {
+        OnInvalidateRange(msg.offset, msg.length);
       });
-  (void)this->context().server().ExportObject(sink_id_, sink_dispatch_);
   blocks_.BindMetrics(context.metrics(), "svc.file.cache");
   context.metrics().Attach("svc.file.prefetches", &prefetches_);
 }
@@ -256,24 +220,6 @@ FileCachingProxy::FileCachingProxy(core::Context& context,
 FileCachingProxy::~FileCachingProxy() {
   blocks_.DetachMetrics(context().metrics(), "svc.file.cache");
   context().metrics().Detach("svc.file.prefetches", &prefetches_);
-  (void)context().server().RemoveObject(sink_id_);
-}
-
-sim::Co<Status> FileCachingProxy::EnsureSubscribed() {
-  if (!params_.subscribe_invalidations || subscribed_ ||
-      subscribe_in_flight_) {
-    co_return Status::Ok();
-  }
-  subscribe_in_flight_ = true;
-  SubscribeRequest req{context().server_address(), sink_id_};
-  Result<rpc::Void> resp =
-      co_await Call<rpc::Void>(filewire::kSubscribe, std::move(req));
-  subscribe_in_flight_ = false;
-  if (resp.ok() || resp.status().code() == StatusCode::kAlreadyExists) {
-    subscribed_ = true;
-    co_return Status::Ok();
-  }
-  co_return resp.status();
 }
 
 void FileCachingProxy::OnInvalidateRange(std::uint64_t offset,
@@ -323,7 +269,7 @@ sim::Co<void> FileCachingProxy::PrefetchTask(std::uint64_t block) {
 
 sim::Co<Result<Bytes>> FileCachingProxy::Read(std::uint64_t offset,
                                               std::uint32_t length) {
-  const Status sub = co_await EnsureSubscribed();
+  const Status sub = co_await sink_.EnsureSubscribed();
   if (!sub.ok()) co_return sub;
 
   const std::uint64_t bs = params_.block_size;
@@ -369,13 +315,13 @@ sim::Co<Result<Bytes>> FileCachingProxy::Read(std::uint64_t offset,
 
 sim::Co<Result<rpc::Void>> FileCachingProxy::Write(std::uint64_t offset,
                                                    Bytes data) {
-  const Status sub = co_await EnsureSubscribed();
+  const Status sub = co_await sink_.EnsureSubscribed();
   if (!sub.ok()) co_return sub;
   // Write-through with in-place patching: our own data is authoritative,
   // so cached blocks are updated rather than dropped, and the server
   // skips our sink in its invalidation fan-out.
   PatchBlocks(offset, data);
-  WriteRequest req{offset, std::move(data), sink_id_};
+  WriteRequest req{offset, std::move(data), sink_.id()};
   co_return co_await Call<rpc::Void>(filewire::kWrite, std::move(req));
 }
 
@@ -412,7 +358,7 @@ sim::Co<Result<rpc::Void>> FileCachingProxy::Truncate(std::uint64_t size) {
   // Truncation is rare: dropping the tail locally is simpler than
   // trimming blocks, and self-exclusion keeps the fan-out quiet.
   OnInvalidateRange(size, 0);
-  TruncateRequest req{size, sink_id_};
+  TruncateRequest req{size, sink_.id()};
   co_return co_await Call<rpc::Void>(filewire::kTruncate, std::move(req));
 }
 
@@ -422,7 +368,6 @@ FileBatchProxy::FileBatchProxy(core::Context& context,
                                core::ServiceBinding binding,
                                FileBatchParams params)
     : FileCachingProxy(context, std::move(binding), params.cache),
-      fb_params_(params),
       batcher_(
           context.scheduler(),
           [this](std::vector<WriteRequest> batch) {
@@ -454,7 +399,7 @@ sim::Co<Result<Bytes>> FileBatchProxy::Read(std::uint64_t offset,
 sim::Co<Result<rpc::Void>> FileBatchProxy::Write(std::uint64_t offset,
                                                  Bytes data) {
   PatchBlocks(offset, data);
-  (void)batcher_.Add(WriteRequest{offset, std::move(data), sink_id_});
+  (void)batcher_.Add(WriteRequest{offset, std::move(data), sink_.id()});
   co_return rpc::Void{};
 }
 
@@ -468,61 +413,6 @@ sim::Co<Result<rpc::Void>> FileBatchProxy::Truncate(std::uint64_t size) {
   const Status flushed = co_await FlushWrites();
   if (!flushed.ok()) co_return flushed;
   co_return co_await FileCachingProxy::Truncate(size);
-}
-
-sim::Co<Status> FileBatchProxy::FlushWrites() {
-  while (batcher_.pending() > 0) {
-    const Status st = co_await batcher_.Flush();
-    if (!st.ok()) co_return st;
-  }
-  co_return Status::Ok();
-}
-
-// --- factories ---
-
-void RegisterFileFactories() {
-  const InterfaceId iface = InterfaceIdOf(IFile::kInterfaceName);
-  auto& proxies = core::ProxyFactoryRegistry::Instance();
-  if (!proxies.Has(iface, 1)) {
-    (void)proxies.Register(
-        iface, 1, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<IFile>(
-                  std::make_shared<FileStub>(ctx, b)));
-        });
-  }
-  if (!proxies.Has(iface, 2)) {
-    (void)proxies.Register(
-        iface, 2, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<IFile>(
-                  std::make_shared<FileCachingProxy>(ctx, b)));
-        });
-  }
-  if (!proxies.Has(iface, 3)) {
-    (void)proxies.Register(
-        iface, 3, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<IFile>(
-                  std::make_shared<FileBatchProxy>(ctx, b)));
-        });
-  }
-  auto& servers = core::ServerObjectFactoryRegistry::Instance();
-  if (!servers.Has(iface)) {
-    (void)servers.Register(
-        iface,
-        [](core::Context& ctx, ObjectId id, std::uint32_t protocol,
-           Bytes state) -> Result<core::ServiceBinding> {
-          auto impl = std::make_shared<FileService>(ctx);
-          PROXY_RETURN_IF_ERROR(impl->RestoreState(View(state)));
-          auto dispatch = MakeFileDispatch(impl);
-          PROXY_ASSIGN_OR_RETURN(
-              auto exported,
-              core::ServiceExport<IFile>::CreateWithId(ctx, id, impl, dispatch,
-                                                       protocol, impl));
-          return exported.binding();
-        });
-  }
 }
 
 }  // namespace proxy::services

@@ -23,6 +23,7 @@
 
 #include "core/batcher.h"
 #include "core/cache.h"
+#include "core/coherence.h"
 #include "core/export.h"
 #include "core/proxy.h"
 #include "core/runtime.h"
@@ -53,7 +54,7 @@ enum Method : std::uint32_t {
   kWrite = 2,
   kSize = 3,
   kTruncate = 4,
-  kSubscribe = 5,
+  kSubscribe = 5,  // core::SubscribeRequest
   kWriteVec = 6,
 };
 
@@ -84,11 +85,6 @@ struct TruncateRequest {
   std::uint64_t size = 0;
   ObjectId exclude_sink;
   PROXY_SERDE_FIELDS(size, exclude_sink)
-};
-struct SubscribeRequest {
-  net::Address sink_server;
-  ObjectId sink_object;
-  PROXY_SERDE_FIELDS(sink_server, sink_object)
 };
 struct WriteVecRequest {
   std::vector<WriteRequest> writes;
@@ -121,7 +117,9 @@ class FileService : public IFile, public core::IMigratable {
   sim::Co<Result<rpc::Void>> TruncateExcluding(std::uint64_t size,
                                                ObjectId exclude);
 
-  Status Subscribe(const net::Address& sink_server, ObjectId sink_object);
+  [[nodiscard]] core::SubscriberList& subscribers() noexcept {
+    return subscribers_;
+  }
 
   [[nodiscard]] Bytes SnapshotState() const override;
   Status RestoreState(BytesView state);
@@ -132,19 +130,13 @@ class FileService : public IFile, public core::IMigratable {
   static constexpr std::uint64_t kMaxFileSize = 64ULL << 20;  // 64 MiB
 
  private:
-  struct Subscriber {
-    net::Address sink_server;
-    ObjectId sink_object;
-    PROXY_SERDE_FIELDS(sink_server, sink_object)
-  };
-
   void NotifyInvalidate(std::uint64_t offset, std::uint64_t length,
                         ObjectId exclude);
   Status ApplyWrite(std::uint64_t offset, const Bytes& data);
 
   core::Context* context_;
   Bytes content_;
-  std::vector<Subscriber> subscribers_;
+  core::SubscriberList subscribers_;
 };
 
 std::shared_ptr<rpc::Dispatch> MakeFileDispatch(
@@ -174,7 +166,6 @@ struct FileCacheParams {
   std::size_t block_size = 4096;
   std::size_t capacity_blocks = 256;
   bool prefetch_next = true;
-  bool subscribe_invalidations = true;
 };
 
 /// Protocol 2: block cache + prefetch + range invalidation.
@@ -195,7 +186,6 @@ class FileCachingProxy : public IFile, public core::ProxyBase {
   }
 
  protected:
-  sim::Co<Status> EnsureSubscribed();
   void OnInvalidateRange(std::uint64_t offset, std::uint64_t length);
 
   /// Fetches one block (block_size bytes at block*block_size) remotely.
@@ -215,10 +205,7 @@ class FileCachingProxy : public IFile, public core::ProxyBase {
   // fetch instead of issuing a duplicate. (One waiter suffices: demand
   // reads are serialized per proxy.)
   std::unordered_map<std::uint64_t, sim::Future<bool>> inflight_;
-  ObjectId sink_id_;
-  std::shared_ptr<rpc::Dispatch> sink_dispatch_;
-  bool subscribed_ = false;
-  bool subscribe_in_flight_ = false;
+  core::InvalidationSink sink_;
   obs::Counter prefetches_;
 };
 
@@ -241,7 +228,7 @@ class FileBatchProxy : public FileCachingProxy {
   sim::Co<Result<std::uint64_t>> Size() override;
   sim::Co<Result<rpc::Void>> Truncate(std::uint64_t size) override;
 
-  sim::Co<Status> FlushWrites();
+  sim::Co<Status> FlushWrites() { return batcher_.Drain(); }
 
   [[nodiscard]] const core::BatcherStats& batch_stats() const noexcept {
     return batcher_.stats();
@@ -250,10 +237,7 @@ class FileBatchProxy : public FileCachingProxy {
  private:
   sim::Co<Status> FlushBatch(std::vector<filewire::WriteRequest> batch);
 
-  FileBatchParams fb_params_;
   core::Batcher<filewire::WriteRequest> batcher_;
 };
-
-void RegisterFileFactories();
 
 }  // namespace proxy::services

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/log.h"
-#include "core/factory.h"
 #include "serde/reader.h"
 #include "serde/traits.h"
 #include "serde/writer.h"
@@ -20,7 +19,6 @@ using kvwire::ListRequest;
 using kvwire::ListResponse;
 using kvwire::PutRequest;
 using kvwire::SizeResponse;
-using kvwire::SubscribeRequest;
 
 // --- server ---
 
@@ -81,42 +79,12 @@ sim::Co<Result<rpc::Void>> KvService::BatchPut(
   co_return rpc::Void{};
 }
 
-Status KvService::Subscribe(const net::Address& sink_server,
-                            ObjectId sink_object) {
-  for (const auto& sub : subscribers_) {
-    if (sub.sink_object == sink_object) {
-      return AlreadyExistsError("sink already subscribed");
-    }
-  }
-  subscribers_.push_back(Subscriber{sink_server, sink_object});
-  return Status::Ok();
-}
-
-Status KvService::Unsubscribe(ObjectId sink_object) {
-  for (auto it = subscribers_.begin(); it != subscribers_.end(); ++it) {
-    if (it->sink_object == sink_object) {
-      subscribers_.erase(it);
-      return Status::Ok();
-    }
-  }
-  return NotFoundError("sink not subscribed");
-}
-
 void KvService::NotifyInvalidate(std::vector<std::string> keys,
                                  ObjectId exclude) {
-  if (subscribers_.empty() || keys.empty()) return;
-  const Bytes msg = serde::EncodeToBytes(InvalidateMessage{std::move(keys)});
-  for (const auto& sub : subscribers_) {
-    if (!exclude.IsNil() && sub.sink_object == exclude) continue;
-    invalidations_sent_++;
-    // Fire-and-forget: the future is dropped; a lost invalidation only
-    // costs a subscriber staleness until its next miss — so cap the
-    // retry budget instead of letting it grind against a dead sink.
-    (void)context_->client().Call(sub.sink_server, sub.sink_object,
-                                  kvwire::SinkMethod::kInvalidate, msg,
-                                  rpc::CallOptions{}.WithDeadline(
-                                      Milliseconds(500)));
-  }
+  if (keys.empty()) return;
+  invalidations_sent_ += subscribers_.Notify(
+      context_->client(), kvwire::SinkMethod::kInvalidate,
+      InvalidateMessage{std::move(keys)}, exclude);
 }
 
 Bytes KvService::SnapshotState() const {
@@ -168,22 +136,7 @@ std::shared_ptr<rpc::Dispatch> MakeKvDispatch(
         if (!size.ok()) co_return size.status();
         co_return SizeResponse{*size};
       });
-  rpc::RegisterTyped<SubscribeRequest, rpc::Void>(
-      *dispatch, kvwire::kSubscribe,
-      [impl](SubscribeRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<rpc::Void>> {
-        const Status st = impl->Subscribe(req.sink_server, req.sink_object);
-        if (!st.ok()) co_return st;
-        co_return rpc::Void{};
-      });
-  rpc::RegisterTyped<SubscribeRequest, rpc::Void>(
-      *dispatch, kvwire::kUnsubscribe,
-      [impl](SubscribeRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<rpc::Void>> {
-        const Status st = impl->Unsubscribe(req.sink_object);
-        if (!st.ok()) co_return st;
-        co_return rpc::Void{};
-      });
+  core::RegisterSubscribe(*dispatch, kvwire::kSubscribe, impl);
   rpc::RegisterTyped<BatchPutRequest, rpc::Void>(
       *dispatch, kvwire::kBatchPut,
       [impl](BatchPutRequest req, const rpc::CallContext&) {
@@ -256,24 +209,13 @@ KvCachingProxy::KvCachingProxy(core::Context& context,
                                core::ServiceBinding binding,
                                KvCacheParams params)
     : core::ProxyBase(context, std::move(binding)),
-      params_(params),
       cache_(params.capacity),
-      stale_(params.stale_on_shed ? params.stale_capacity : 0),
-      sink_id_(context.MintObjectId()),
-      sink_dispatch_(std::make_shared<rpc::Dispatch>()) {
-  // The invalidation sink: a server-side object living in the *client's*
-  // context. The KV server calls it when keys change.
-  sink_dispatch_->Register(
-      kvwire::SinkMethod::kInvalidate,
-      [this](BytesView args,
-             const rpc::CallContext&) -> sim::Co<Result<Bytes>> {
-        Result<InvalidateMessage> msg =
-            serde::DecodeFromBytes<InvalidateMessage>(args);
-        if (!msg.ok()) co_return msg.status();
-        OnInvalidate(msg->keys);
-        co_return serde::EncodeToBytes(rpc::Void{});
+      stale_(kStaleCapacity),
+      sink_(*this, kvwire::kSubscribe) {
+  sink_.Handle<InvalidateMessage>(
+      kvwire::SinkMethod::kInvalidate, [this](const InvalidateMessage& msg) {
+        for (const auto& key : msg.keys) cache_.Invalidate(key);
       });
-  (void)this->context().server().ExportObject(sink_id_, sink_dispatch_);
   cache_.BindMetrics(context.metrics(), "svc.kv.cache");
   context.metrics().Attach("svc.kv.cache.stale_served", &stale_served_);
 }
@@ -281,33 +223,11 @@ KvCachingProxy::KvCachingProxy(core::Context& context,
 KvCachingProxy::~KvCachingProxy() {
   context().metrics().Detach("svc.kv.cache.stale_served", &stale_served_);
   cache_.DetachMetrics(context().metrics(), "svc.kv.cache");
-  (void)context().server().RemoveObject(sink_id_);
-}
-
-sim::Co<Status> KvCachingProxy::EnsureSubscribed() {
-  if (!params_.subscribe_invalidations || subscribed_ ||
-      subscribe_in_flight_) {
-    co_return Status::Ok();
-  }
-  subscribe_in_flight_ = true;
-  SubscribeRequest req{context().server_address(), sink_id_};
-  Result<rpc::Void> resp =
-      co_await Call<rpc::Void>(kvwire::kSubscribe, std::move(req));
-  subscribe_in_flight_ = false;
-  if (resp.ok() || resp.status().code() == StatusCode::kAlreadyExists) {
-    subscribed_ = true;
-    co_return Status::Ok();
-  }
-  co_return resp.status();
-}
-
-void KvCachingProxy::OnInvalidate(const std::vector<std::string>& keys) {
-  for (const auto& key : keys) cache_.Invalidate(key);
 }
 
 sim::Co<Result<std::optional<std::string>>> KvCachingProxy::Get(
     std::string key) {
-  const Status sub = co_await EnsureSubscribed();
+  const Status sub = co_await sink_.EnsureSubscribed();
   if (!sub.ok()) co_return sub;
   if (auto cached = cache_.Get(key)) co_return std::move(*cached);
 
@@ -319,8 +239,7 @@ sim::Co<Result<std::optional<std::string>>> KvCachingProxy::Get(
     // bounded pushback retries did not get through). Serve the last value
     // we ever observed rather than fail — stale beats unavailable, and
     // only the overload path pays the staleness.
-    if (resp.status().code() == StatusCode::kResourceExhausted &&
-        params_.stale_on_shed) {
+    if (resp.status().code() == StatusCode::kResourceExhausted) {
       if (auto stale = stale_.Get(key)) {
         stale_served_++;
         co_return std::move(*stale);
@@ -329,30 +248,30 @@ sim::Co<Result<std::optional<std::string>>> KvCachingProxy::Get(
     co_return resp.status();
   }
   cache_.Put(key, resp->value);  // negative results are cached too
-  RememberStale(key, resp->value);
+  stale_.Put(key, resp->value);
   co_return std::move(resp->value);
 }
 
 sim::Co<Result<rpc::Void>> KvCachingProxy::Put(std::string key,
                                                std::string value) {
-  const Status sub = co_await EnsureSubscribed();
+  const Status sub = co_await sink_.EnsureSubscribed();
   if (!sub.ok()) co_return sub;
-  PutRequest req{key, value, sink_id_};
+  PutRequest req{key, value, sink_.id()};
   Result<rpc::Void> resp =
       co_await Call<rpc::Void>(kvwire::kPut, std::move(req));
   if (!resp.ok()) co_return resp.status();
   // Write-through: the cache reflects the acknowledged write immediately.
-  RememberStale(key, std::optional<std::string>(value));
+  stale_.Put(key, std::optional<std::string>(value));
   cache_.Put(std::move(key), std::optional<std::string>(std::move(value)));
   co_return rpc::Void{};
 }
 
 sim::Co<Result<bool>> KvCachingProxy::Del(std::string key) {
-  DelRequest req{key, sink_id_};
+  DelRequest req{key, sink_.id()};
   Result<DelResponse> resp =
       co_await Call<DelResponse>(kvwire::kDel, std::move(req));
   if (!resp.ok()) co_return resp.status();
-  RememberStale(key, std::optional<std::string>{});
+  stale_.Put(key, std::optional<std::string>{});
   cache_.Put(std::move(key), std::optional<std::string>{});
   co_return resp->existed;
 }
@@ -381,7 +300,6 @@ KvWriteBackProxy::KvWriteBackProxy(core::Context& context,
                                    core::ServiceBinding binding,
                                    KvWriteBackParams params)
     : KvCachingProxy(context, std::move(binding), params.cache),
-      wb_params_(params),
       batcher_(
           context.scheduler(),
           [this](std::vector<std::pair<std::string, std::string>> batch) {
@@ -403,7 +321,7 @@ sim::Co<Status> KvWriteBackProxy::FlushBatch(
     const auto it = dirty_.find(key);
     if (it != dirty_.end()) value = it->second;
   }
-  BatchPutRequest req{batch, sink_id_};
+  BatchPutRequest req{batch, sink_.id()};
   Result<rpc::Void> resp =
       co_await Call<rpc::Void>(kvwire::kBatchPut, std::move(req));
   if (!resp.ok()) co_return resp.status();
@@ -431,7 +349,7 @@ sim::Co<Result<rpc::Void>> KvWriteBackProxy::Put(std::string key,
   // Keep the read cache coherent ourselves: the server will skip our
   // sink when this write's invalidation fans out.
   cache_.Put(key, std::optional<std::string>(value));
-  RememberStale(key, std::optional<std::string>(value));
+  stale_.Put(key, std::optional<std::string>(value));
   // Write-behind: acknowledge immediately; the per-item future is
   // dropped — callers needing durability use FlushWrites().
   (void)batcher_.Add(std::make_pair(std::move(key), std::move(value)));
@@ -451,62 +369,6 @@ sim::Co<Result<std::vector<std::string>>> KvWriteBackProxy::List(
   const Status flushed = co_await FlushWrites();
   if (!flushed.ok()) co_return flushed;
   co_return co_await KvCachingProxy::List(std::move(prefix));
-}
-
-sim::Co<Status> KvWriteBackProxy::FlushWrites() {
-  // Puts may race the flush; drain until nothing is pending.
-  while (batcher_.pending() > 0) {
-    const Status st = co_await batcher_.Flush();
-    if (!st.ok()) co_return st;
-  }
-  co_return Status::Ok();
-}
-
-// --- factories ---
-
-void RegisterKvFactories() {
-  const InterfaceId iface = InterfaceIdOf(IKeyValue::kInterfaceName);
-  auto& proxies = core::ProxyFactoryRegistry::Instance();
-  if (!proxies.Has(iface, 1)) {
-    (void)proxies.Register(
-        iface, 1, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<IKeyValue>(
-                  std::make_shared<KvStub>(ctx, b)));
-        });
-  }
-  if (!proxies.Has(iface, 2)) {
-    (void)proxies.Register(
-        iface, 2, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<IKeyValue>(
-                  std::make_shared<KvCachingProxy>(ctx, b)));
-        });
-  }
-  if (!proxies.Has(iface, 3)) {
-    (void)proxies.Register(
-        iface, 3, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<IKeyValue>(
-                  std::make_shared<KvWriteBackProxy>(ctx, b)));
-        });
-  }
-  auto& servers = core::ServerObjectFactoryRegistry::Instance();
-  if (!servers.Has(iface)) {
-    (void)servers.Register(
-        iface,
-        [](core::Context& ctx, ObjectId id, std::uint32_t protocol,
-           Bytes state) -> Result<core::ServiceBinding> {
-          auto impl = std::make_shared<KvService>(ctx);
-          PROXY_RETURN_IF_ERROR(impl->RestoreState(View(state)));
-          auto dispatch = MakeKvDispatch(impl);
-          PROXY_ASSIGN_OR_RETURN(
-              auto exported,
-              core::ServiceExport<IKeyValue>::CreateWithId(
-                  ctx, id, impl, dispatch, protocol, impl));
-          return exported.binding();
-        });
-  }
 }
 
 }  // namespace proxy::services

@@ -10,10 +10,9 @@
 //   protocol 3 — KvWriteBackProxy caching + buffered writes flushed in
 //                                 batches (write-behind)
 //
-// The server supports invalidation subscriptions: a caching proxy exports
-// a small "sink" object in its own context and registers it; the server
-// notifies every sink when a key changes. That a *client* context can
-// host server-side objects at all is itself the proxy principle at work.
+// Protocols 2 and 3 stay coherent through core's invalidation callbacks
+// (core/coherence.h): the server notifies every subscribed sink when a
+// key changes.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +25,7 @@
 
 #include "core/batcher.h"
 #include "core/cache.h"
+#include "core/coherence.h"
 #include "core/export.h"
 #include "core/proxy.h"
 #include "core/runtime.h"
@@ -63,8 +63,7 @@ enum Method : std::uint32_t {
   kPut = 2,
   kDel = 3,
   kSize = 4,
-  kSubscribe = 5,
-  kUnsubscribe = 6,
+  kSubscribe = 5,  // core::SubscribeRequest
   kBatchPut = 7,
   kList = 8,
 };
@@ -100,11 +99,6 @@ struct DelResponse {
 struct SizeResponse {
   std::uint64_t size = 0;
   PROXY_SERDE_FIELDS(size)
-};
-struct SubscribeRequest {
-  net::Address sink_server;
-  ObjectId sink_object;
-  PROXY_SERDE_FIELDS(sink_server, sink_object)
 };
 struct BatchPutRequest {
   std::vector<std::pair<std::string, std::string>> entries;
@@ -152,16 +146,14 @@ class KvService : public IKeyValue, public core::IMigratable {
       std::vector<std::pair<std::string, std::string>> entries,
       ObjectId exclude = ObjectId{});
 
-  Status Subscribe(const net::Address& sink_server, ObjectId sink_object);
-  Status Unsubscribe(ObjectId sink_object);
+  [[nodiscard]] core::SubscriberList& subscribers() noexcept {
+    return subscribers_;
+  }
 
   // IMigratable: data plus subscriber list travel together.
   [[nodiscard]] Bytes SnapshotState() const override;
   Status RestoreState(BytesView state);
 
-  [[nodiscard]] std::size_t subscriber_count() const noexcept {
-    return subscribers_.size();
-  }
   [[nodiscard]] std::uint64_t invalidations_sent() const noexcept {
     return invalidations_sent_;
   }
@@ -170,19 +162,12 @@ class KvService : public IKeyValue, public core::IMigratable {
   void AttachContext(core::Context& context) { context_ = &context; }
 
  private:
-  struct Subscriber {
-    net::Address sink_server;
-    ObjectId sink_object;
-    PROXY_SERDE_FIELDS(sink_server, sink_object)
-  };
-
-  /// Fire-and-forget invalidation fan-out for changed keys, skipping the
-  /// writer's own sink.
+  /// Invalidates `keys` at every subscriber but the writer's sink.
   void NotifyInvalidate(std::vector<std::string> keys, ObjectId exclude);
 
   core::Context* context_;
   std::map<std::string, std::string> data_;
-  std::vector<Subscriber> subscribers_;
+  core::SubscriberList subscribers_;
   std::uint64_t invalidations_sent_ = 0;
 };
 
@@ -216,19 +201,19 @@ class KvStub : public IKeyValue, public core::ProxyBase {
 /// Tuning for the caching proxies.
 struct KvCacheParams {
   std::size_t capacity = 1024;
-  bool subscribe_invalidations = true;
-  /// Graceful degradation: when the server sheds a Get (RESOURCE_EXHAUSTED
-  /// after the proxy's bounded pushback retries), answer from the
-  /// last-observed-value cache instead of failing. Stale by construction —
-  /// entries deliberately survive invalidation — so this trades freshness
-  /// for availability, exactly and only under overload.
-  bool stale_on_shed = true;
-  std::size_t stale_capacity = 1024;
 };
 
 /// Protocol 2: read cache + write-through + server invalidation.
+///
+/// Graceful degradation: when the server sheds a Get (RESOURCE_EXHAUSTED
+/// after the proxy's bounded pushback retries), the proxy answers from a
+/// last-observed-value cache instead of failing. Stale by construction —
+/// its entries deliberately survive invalidation — so it trades freshness
+/// for availability, exactly and only under overload.
 class KvCachingProxy : public IKeyValue, public core::ProxyBase {
  public:
+  static constexpr std::size_t kStaleCapacity = 1024;
+
   KvCachingProxy(core::Context& context, core::ServiceBinding binding,
                  KvCacheParams params = {});
   ~KvCachingProxy() override;
@@ -249,29 +234,13 @@ class KvCachingProxy : public IKeyValue, public core::ProxyBase {
   }
 
  protected:
-  /// Registers the invalidation sink with the server (first call only).
-  sim::Co<Status> EnsureSubscribed();
-
-  void OnInvalidate(const std::vector<std::string>& keys);
-
-  /// Records `value` as the last value observed for `key` (the stale
-  /// fallback pool). Called alongside every coherent-cache update.
-  void RememberStale(const std::string& key,
-                     const std::optional<std::string>& value) {
-    if (params_.stale_on_shed) stale_.Put(key, value);
-  }
-
-  KvCacheParams params_;
   // Cached values: present-with-value or known-absent (negative entry).
   core::LruCache<std::string, std::optional<std::string>> cache_;
   // Last value ever observed per key. NOT kept coherent: invalidations
   // skip it on purpose, so it can answer when the server sheds load.
   core::LruCache<std::string, std::optional<std::string>> stale_;
   obs::Counter stale_served_;
-  ObjectId sink_id_;
-  std::shared_ptr<rpc::Dispatch> sink_dispatch_;
-  bool subscribed_ = false;
-  bool subscribe_in_flight_ = false;
+  core::InvalidationSink sink_;
 };
 
 /// Tuning for the write-back proxy.
@@ -294,8 +263,8 @@ class KvWriteBackProxy : public KvCachingProxy {
   sim::Co<Result<bool>> Del(std::string key) override;
   sim::Co<Result<std::vector<std::string>>> List(std::string prefix) override;
 
-  /// Forces buffered writes out (also called before Del and Size).
-  sim::Co<Status> FlushWrites();
+  /// Forces buffered writes out (also called before Del and List).
+  sim::Co<Status> FlushWrites() { return batcher_.Drain(); }
 
   [[nodiscard]] const core::BatcherStats& batch_stats() const noexcept {
     return batcher_.stats();
@@ -305,13 +274,8 @@ class KvWriteBackProxy : public KvCachingProxy {
   sim::Co<Status> FlushBatch(
       std::vector<std::pair<std::string, std::string>> batch);
 
-  KvWriteBackParams wb_params_;
   std::map<std::string, std::string> dirty_;  // newest value per key
   core::Batcher<std::pair<std::string, std::string>> batcher_;
 };
-
-/// Registers KV proxy factories (protocols 1-3) and the server-object
-/// factory (for migration). Idempotent.
-void RegisterKvFactories();
 
 }  // namespace proxy::services

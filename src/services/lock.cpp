@@ -1,7 +1,5 @@
 #include "services/lock.h"
 
-#include "core/factory.h"
-
 namespace proxy::services {
 
 using lockwire::HolderRequest;
@@ -134,19 +132,6 @@ sim::Co<Result<std::optional<std::uint64_t>>> LockStub::Holder(
       co_await Call<HolderResponse>(lockwire::kHolder, std::move(req));
   if (!resp.ok()) co_return resp.status();
   co_return resp->holder;
-}
-
-void RegisterLockFactories() {
-  const InterfaceId iface = InterfaceIdOf(ILockService::kInterfaceName);
-  auto& proxies = core::ProxyFactoryRegistry::Instance();
-  if (!proxies.Has(iface, 1)) {
-    (void)proxies.Register(
-        iface, 1, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<ILockService>(
-                  std::make_shared<LockStub>(ctx, b)));
-        });
-  }
 }
 
 }  // namespace proxy::services

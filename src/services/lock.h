@@ -128,6 +128,4 @@ class LockStub : public ILockService, public core::ProxyBase {
       std::string name) override;
 };
 
-void RegisterLockFactories();
-
 }  // namespace proxy::services

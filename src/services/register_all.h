@@ -3,7 +3,8 @@
 
 namespace proxy::services {
 
-/// Idempotent; call once at program start (examples, tests, benches).
+/// Installs every service's proxies and server-object factories. Call at
+/// program start (examples, tests, benches); later calls do nothing.
 void RegisterAllServices();
 
 }  // namespace proxy::services

@@ -4,17 +4,14 @@
 #include <utility>
 
 #include "common/log.h"
-#include "core/factory.h"
 
 namespace proxy::services {
 
 using kvwire::DelRequest;
-using kvwire::DelResponse;
 using kvwire::EpochDelResponse;
 using kvwire::EpochGetResponse;
 using kvwire::EpochPutResponse;
 using kvwire::GetRequest;
-using kvwire::GetResponse;
 using kvwire::JoinRequest;
 using kvwire::JoinResponse;
 using kvwire::ListRequest;
@@ -30,7 +27,6 @@ using kvwire::ShardReleaseRequest;
 using kvwire::ShardUnfreezeRequest;
 using kvwire::SizeResponse;
 using kvwire::StatusResponse;
-using kvwire::SubscribeRequest;
 
 namespace {
 
@@ -849,7 +845,7 @@ sim::Co<void> KvReplica::TryRejoin() {
       co_await context_->names().Lookup(params_.name);
   if (!rec.ok()) {
     if (rec.status().code() == StatusCode::kNotFound &&
-        ++rejoin_misses_ >= params_.rescue_after_misses) {
+        ++rejoin_misses_ >= kRescueAfterMisses) {
       // No primary to join, repeatedly: the whole group may be deposed
       // (every replica syncing). See whether we are the one to revive it.
       co_await TryRescue();
@@ -954,29 +950,6 @@ sim::Co<void> KvReplica::TryRescue() {
 std::shared_ptr<rpc::Dispatch> MakeReplicatedKvDispatch(
     std::shared_ptr<KvReplica> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<GetRequest, GetResponse>(
-      *dispatch, kvwire::kGet,
-      [impl](GetRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<GetResponse>> {
-        Result<std::optional<std::string>> value =
-            co_await impl->Get(std::move(req.key));
-        if (!value.ok()) co_return value.status();
-        co_return GetResponse{std::move(*value)};
-      });
-  rpc::RegisterTyped<PutRequest, rpc::Void>(
-      *dispatch, kvwire::kPut,
-      [impl](PutRequest req, const rpc::CallContext& ctx) {
-        return impl->Put(std::move(req.key), std::move(req.value), ctx.trace);
-      });
-  rpc::RegisterTyped<DelRequest, DelResponse>(
-      *dispatch, kvwire::kDel,
-      [impl](DelRequest req,
-             const rpc::CallContext& ctx) -> sim::Co<Result<DelResponse>> {
-        Result<bool> existed = co_await impl->Del(std::move(req.key),
-                                                  ctx.trace);
-        if (!existed.ok()) co_return existed.status();
-        co_return DelResponse{*existed};
-      });
   rpc::RegisterTyped<rpc::Void, SizeResponse>(
       *dispatch, kvwire::kSize,
       [impl](rpc::Void, const rpc::CallContext&)
@@ -993,15 +966,6 @@ std::shared_ptr<rpc::Dispatch> MakeReplicatedKvDispatch(
             co_await impl->List(std::move(req.prefix));
         if (!keys.ok()) co_return keys.status();
         co_return ListResponse{std::move(*keys)};
-      });
-  rpc::RegisterTyped<SubscribeRequest, rpc::Void>(
-      *dispatch, kvwire::kSubscribe,
-      [impl](SubscribeRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<rpc::Void>> {
-        const Status st =
-            impl->local()->Subscribe(req.sink_server, req.sink_object);
-        if (!st.ok()) co_return st;
-        co_return rpc::Void{};
       });
   rpc::RegisterTyped<rpc::Void, ReplicaListResponse>(
       *dispatch, kvwire::kGetReplicas,
@@ -1338,19 +1302,6 @@ sim::Co<Result<bool>> KvFailoverProxy::Del(std::string key) {
   last_op_epoch_ = resp->epoch;
   last_op_shard_epoch_ = resp->shard_epoch;
   co_return resp->existed;
-}
-
-void RegisterReplicatedKvFactories() {
-  const InterfaceId iface = InterfaceIdOf(IKeyValue::kInterfaceName);
-  auto& proxies = core::ProxyFactoryRegistry::Instance();
-  if (!proxies.Has(iface, 4)) {
-    (void)proxies.Register(
-        iface, 4, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<IKeyValue>(
-                  std::make_shared<KvFailoverProxy>(ctx, b)));
-        });
-  }
 }
 
 }  // namespace proxy::services

@@ -186,11 +186,6 @@ struct ReplicatedKvParams {
   SimDuration promote_stagger = Milliseconds(40);
   /// Retry period of a syncing replica looking for a primary to join.
   SimDuration rejoin_interval = Milliseconds(60);
-  /// Consecutive NOT_FOUND rejoin lookups before a syncing replica with
-  /// an intact store (epoch > 0) attempts the rescue claim (TryRescue).
-  /// Guards the liveness backstop for a fully-deposed group — every
-  /// replica syncing, so nobody can promote and nobody can rejoin.
-  std::uint32_t rescue_after_misses = 4;
   /// Mirror/announce call budget (per peer).
   rpc::CallOptions mirror{.retry_interval = Milliseconds(8),
                           .max_retries = 2,
@@ -214,6 +209,12 @@ enum class ReplicaRole : std::uint8_t { kPrimary, kBackup };
 class KvReplica : public IKeyValue,
                   public std::enable_shared_from_this<KvReplica> {
  public:
+  /// Consecutive NOT_FOUND rejoin lookups before a syncing replica with
+  /// an intact store (epoch > 0) attempts the rescue claim (TryRescue).
+  /// Guards the liveness backstop for a fully-deposed group — every
+  /// replica syncing, so nobody can promote and nobody can rejoin.
+  static constexpr std::uint32_t kRescueAfterMisses = 4;
+
   KvReplica(core::Context& context, ReplicatedKvParams params)
       : context_(&context), params_(std::move(params)),
         store_(std::make_shared<KvService>(context)) {
@@ -386,8 +387,8 @@ class KvReplica : public IKeyValue,
   bool syncing_ = false;
   bool joining_ = false;   // primary: a snapshot join is in progress
   /// Consecutive rejoin lookups that found no name record; at
-  /// params_.rescue_after_misses the replica considers the group
-  /// deposed and attempts TryRescue.
+  /// kRescueAfterMisses the replica considers the group deposed and
+  /// attempts TryRescue.
   std::uint32_t rejoin_misses_ = 0;
   int inflight_writes_ = 0;
   bool stopped_ = false;
@@ -405,8 +406,9 @@ class KvReplica : public IKeyValue,
   obs::Counter wrong_shard_rejections_;
 };
 
-/// Builds a replica's skeleton: the full KV dispatch plus the
-/// replication methods.
+/// Builds a replica's skeleton: the methods KvFailoverProxy calls (the
+/// epoch-stamped data operations, Size, List, GetReplicas) plus the
+/// replication and shard-migration methods.
 std::shared_ptr<rpc::Dispatch> MakeReplicatedKvDispatch(
     std::shared_ptr<KvReplica> impl);
 
@@ -519,7 +521,5 @@ class KvFailoverProxy : public IKeyValue, public core::ProxyBase {
   std::uint64_t last_op_shard_epoch_ = 0;
   ObjectId last_write_acker_{};
 };
-
-void RegisterReplicatedKvFactories();
 
 }  // namespace proxy::services

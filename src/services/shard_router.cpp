@@ -129,8 +129,9 @@ void KvShardRouterProxy::RecordOp(std::uint32_t shard,
   if (write) last_write_acker_ = group.last_write_acker();
 }
 
-sim::Co<Result<std::optional<std::string>>> KvShardRouterProxy::Get(
-    std::string key) {
+template <typename T, typename Op>
+sim::Co<Result<T>> KvShardRouterProxy::Route(std::string key, bool write,
+                                             Op op) {
   Status last = UnavailableError("no shard map");
   for (int pass = 0; pass < kRoutePasses; ++pass) {
     if (pass > 0) {
@@ -149,9 +150,9 @@ sim::Co<Result<std::optional<std::string>>> KvShardRouterProxy::Get(
     Result<std::shared_ptr<KvFailoverProxy>> group =
         co_await GroupProxy(group_name);
     if (!group.ok()) co_return group.status();
-    Result<std::optional<std::string>> r = co_await (*group)->Get(key);
+    Result<T> r = co_await op(**group, key);
     if (r.ok()) {
-      RecordOp(shard, group_name, **group, /*write=*/false);
+      RecordOp(shard, group_name, **group, write);
       co_return r;
     }
     NoteGroupOutcome(group_name, r.status().code());
@@ -162,70 +163,8 @@ sim::Co<Result<std::optional<std::string>>> KvShardRouterProxy::Get(
   co_return last;
 }
 
-sim::Co<Result<rpc::Void>> KvShardRouterProxy::Put(std::string key,
-                                                   std::string value) {
-  Status last = UnavailableError("no shard map");
-  for (int pass = 0; pass < kRoutePasses; ++pass) {
-    if (pass > 0) {
-      co_await sim::SleepFor(context().scheduler(), Milliseconds(10));
-    }
-    const Status ready = co_await EnsureMap(pass > 0);
-    if (!ready.ok()) co_return ready;
-    const std::uint32_t shard = ShardOf(key, map_.num_shards);
-    const std::string group_name = map_.groups[map_.owner[shard]];
-    // Shed-before-send: a group that just shed load gets no more work
-    // from this router until its backoff window passes.
-    if (const SimDuration left = GroupBackoffRemaining(group_name); left > 0) {
-      co_return ShedFast(group_name, left);
-    }
-    Result<std::shared_ptr<KvFailoverProxy>> group =
-        co_await GroupProxy(group_name);
-    if (!group.ok()) co_return group.status();
-    Result<rpc::Void> r = co_await (*group)->Put(key, value);
-    if (r.ok()) {
-      RecordOp(shard, group_name, **group, /*write=*/true);
-      co_return r;
-    }
-    NoteGroupOutcome(group_name, r.status().code());
-    if (r.status().code() != StatusCode::kWrongShard) co_return r.status();
-    wrong_shard_retries_++;
-    last = r.status();
-  }
-  co_return last;
-}
-
-sim::Co<Result<bool>> KvShardRouterProxy::Del(std::string key) {
-  Status last = UnavailableError("no shard map");
-  for (int pass = 0; pass < kRoutePasses; ++pass) {
-    if (pass > 0) {
-      co_await sim::SleepFor(context().scheduler(), Milliseconds(10));
-    }
-    const Status ready = co_await EnsureMap(pass > 0);
-    if (!ready.ok()) co_return ready;
-    const std::uint32_t shard = ShardOf(key, map_.num_shards);
-    const std::string group_name = map_.groups[map_.owner[shard]];
-    // Shed-before-send: a group that just shed load gets no more work
-    // from this router until its backoff window passes.
-    if (const SimDuration left = GroupBackoffRemaining(group_name); left > 0) {
-      co_return ShedFast(group_name, left);
-    }
-    Result<std::shared_ptr<KvFailoverProxy>> group =
-        co_await GroupProxy(group_name);
-    if (!group.ok()) co_return group.status();
-    Result<bool> r = co_await (*group)->Del(key);
-    if (r.ok()) {
-      RecordOp(shard, group_name, **group, /*write=*/true);
-      co_return r;
-    }
-    NoteGroupOutcome(group_name, r.status().code());
-    if (r.status().code() != StatusCode::kWrongShard) co_return r.status();
-    wrong_shard_retries_++;
-    last = r.status();
-  }
-  co_return last;
-}
-
-sim::Co<Result<std::uint64_t>> KvShardRouterProxy::Size() {
+template <typename T, typename Op, typename Fold>
+sim::Co<Result<T>> KvShardRouterProxy::FanOut(Op op, Fold fold) {
   const Status ready = co_await EnsureMap(false);
   if (!ready.ok()) co_return ready;
   // Snapshot: map_ can be refreshed by a concurrent op while a group
@@ -239,48 +178,63 @@ sim::Co<Result<std::uint64_t>> KvShardRouterProxy::Size() {
     }
   }
   fanouts_++;
-  std::uint64_t total = 0;
+  T acc{};
   for (const auto& name : group_names) {
     Result<std::shared_ptr<KvFailoverProxy>> group = co_await GroupProxy(name);
     if (!group.ok()) co_return group.status();
-    Result<std::uint64_t> part = co_await (*group)->Size();
+    Result<T> part = co_await op(**group);
     if (!part.ok()) {
       // Abort on the first shed: the remaining groups get nothing.
       NoteGroupOutcome(name, part.status().code());
       co_return part.status();
     }
-    total += *part;
+    fold(acc, std::move(*part));
   }
-  co_return total;
+  co_return acc;
+}
+
+sim::Co<Result<std::optional<std::string>>> KvShardRouterProxy::Get(
+    std::string key) {
+  return Route<std::optional<std::string>>(
+      std::move(key), /*write=*/false,
+      [](KvFailoverProxy& group, const std::string& k) { return group.Get(k); });
+}
+
+sim::Co<Result<rpc::Void>> KvShardRouterProxy::Put(std::string key,
+                                                   std::string value) {
+  return Route<rpc::Void>(
+      std::move(key), /*write=*/true,
+      [value = std::move(value)](KvFailoverProxy& group, const std::string& k) {
+        return group.Put(k, value);
+      });
+}
+
+sim::Co<Result<bool>> KvShardRouterProxy::Del(std::string key) {
+  return Route<bool>(
+      std::move(key), /*write=*/true,
+      [](KvFailoverProxy& group, const std::string& k) { return group.Del(k); });
+}
+
+sim::Co<Result<std::uint64_t>> KvShardRouterProxy::Size() {
+  return FanOut<std::uint64_t>(
+      [](KvFailoverProxy& group) { return group.Size(); },
+      [](std::uint64_t& total, std::uint64_t part) { total += part; });
 }
 
 sim::Co<Result<std::vector<std::string>>> KvShardRouterProxy::List(
     std::string prefix) {
-  const Status ready = co_await EnsureMap(false);
-  if (!ready.ok()) co_return ready;
-  const std::vector<std::string> group_names = map_.groups;  // snapshot
-  for (const auto& name : group_names) {
-    if (const SimDuration left = GroupBackoffRemaining(name); left > 0) {
-      co_return ShedFast(name, left);
-    }
-  }
-  fanouts_++;
-  std::vector<std::string> merged;
-  for (const auto& name : group_names) {
-    Result<std::shared_ptr<KvFailoverProxy>> group = co_await GroupProxy(name);
-    if (!group.ok()) co_return group.status();
-    Result<std::vector<std::string>> part = co_await (*group)->List(prefix);
-    if (!part.ok()) {
-      NoteGroupOutcome(name, part.status().code());
-      co_return part.status();
-    }
-    merged.insert(merged.end(), std::make_move_iterator(part->begin()),
-                  std::make_move_iterator(part->end()));
-  }
-  // Dedup: mid-migration a shard is momentarily listable at both ends.
-  std::sort(merged.begin(), merged.end());
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  co_return merged;
+  return FanOut<std::vector<std::string>>(
+      [prefix = std::move(prefix)](KvFailoverProxy& group) {
+        return group.List(prefix);
+      },
+      [](std::vector<std::string>& merged, std::vector<std::string> part) {
+        merged.insert(merged.end(), std::make_move_iterator(part.begin()),
+                      std::make_move_iterator(part.end()));
+        // Dedup: mid-migration a shard is momentarily listable at both
+        // ends.
+        std::sort(merged.begin(), merged.end());
+        merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+      });
 }
 
 // --- rebalancer --------------------------------------------------------
@@ -519,20 +473,6 @@ sim::Co<Result<ShardedKvExport>> ExportShardedKv(
   out.binding = binding;
   out.map_service = std::move(map_service);
   co_return out;
-}
-
-void RegisterShardedKvFactories() {
-  RegisterReplicatedKvFactories();  // groups bind through protocol 4
-  const InterfaceId iface = InterfaceIdOf(IKeyValue::kInterfaceName);
-  auto& proxies = core::ProxyFactoryRegistry::Instance();
-  if (!proxies.Has(iface, 5)) {
-    (void)proxies.Register(
-        iface, 5, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<IKeyValue>(
-                  std::make_shared<KvShardRouterProxy>(ctx, b)));
-        });
-  }
 }
 
 }  // namespace proxy::services

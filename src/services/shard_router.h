@@ -114,6 +114,19 @@ class KvShardRouterProxy : public IKeyValue, public core::ProxyBase {
   sim::Co<Result<std::shared_ptr<KvFailoverProxy>>> GroupProxy(
       const std::string& name);
 
+  /// The route-retry loop of every single-key op: routes `key` to its
+  /// owning group and runs `op(group, key)` there, re-fetching the map and
+  /// retrying (bounded by kRoutePasses) while the group answers
+  /// WRONG_SHARD. `write` selects which routing observables are recorded.
+  template <typename T, typename Op>
+  sim::Co<Result<T>> Route(std::string key, bool write, Op op);
+
+  /// The fan-out of Size/List: runs `op(group)` at every group in map
+  /// order and folds each part into the result with `fold(acc, part)`;
+  /// the first failing group fails the whole fan-out.
+  template <typename T, typename Op, typename Fold>
+  sim::Co<Result<T>> FanOut(Op op, Fold fold);
+
   /// Records the routing observables after a routed op against `group`.
   void RecordOp(std::uint32_t shard, const std::string& group_name,
                 const KvFailoverProxy& group, bool write);
@@ -220,9 +233,5 @@ struct ShardedKvExport {
 sim::Co<Result<ShardedKvExport>> ExportShardedKv(
     core::Context& map_ctx, std::vector<std::vector<core::Context*>> group_ctxs,
     ShardedKvParams params);
-
-/// Registers the routing proxy factory (protocol 5) and, transitively,
-/// the group failover factory (protocol 4). Idempotent.
-void RegisterShardedKvFactories();
 
 }  // namespace proxy::services

@@ -1,7 +1,5 @@
 #include "services/spooler.h"
 
-#include "core/factory.h"
-
 namespace proxy::services {
 
 using spoolwire::CountResponse;
@@ -149,35 +147,6 @@ sim::Co<Result<std::uint64_t>> SpoolerBatchProxy::CompletedCount() {
       co_await Call<CountResponse>(spoolwire::kCompleted, rpc::Void{});
   if (!resp.ok()) co_return resp.status();
   co_return resp->count;
-}
-
-sim::Co<Status> SpoolerBatchProxy::Flush() {
-  while (batcher_.pending() > 0) {
-    const Status st = co_await batcher_.Flush();
-    if (!st.ok()) co_return st;
-  }
-  co_return Status::Ok();
-}
-
-void RegisterSpoolerFactories() {
-  const InterfaceId iface = InterfaceIdOf(ISpooler::kInterfaceName);
-  auto& proxies = core::ProxyFactoryRegistry::Instance();
-  if (!proxies.Has(iface, 1)) {
-    (void)proxies.Register(
-        iface, 1, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<ISpooler>(
-                  std::make_shared<SpoolerStub>(ctx, b)));
-        });
-  }
-  if (!proxies.Has(iface, 2)) {
-    (void)proxies.Register(
-        iface, 2, [](core::Context& ctx, const core::ServiceBinding& b) {
-          return std::static_pointer_cast<void>(
-              std::static_pointer_cast<ISpooler>(
-                  std::make_shared<SpoolerBatchProxy>(ctx, b)));
-        });
-  }
 }
 
 }  // namespace proxy::services

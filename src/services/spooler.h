@@ -134,7 +134,7 @@ class SpoolerBatchProxy : public ISpooler, public core::ProxyBase {
       std::vector<SpoolJob> jobs) override;
   sim::Co<Result<std::uint64_t>> CompletedCount() override;
 
-  sim::Co<Status> Flush();
+  sim::Co<Status> Flush() { return batcher_.Drain(); }
 
   [[nodiscard]] const core::BatcherStats& batch_stats() const noexcept {
     return batcher_.stats();
@@ -147,7 +147,5 @@ class SpoolerBatchProxy : public ISpooler, public core::ProxyBase {
   std::uint64_t local_seq_ = 0;
   core::Batcher<SpoolJob> batcher_;
 };
-
-void RegisterSpoolerFactories();
 
 }  // namespace proxy::services

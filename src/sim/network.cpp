@@ -124,7 +124,7 @@ Status Network::Send(NodeId from, NodeId to, PortId to_port, Bytes payload) {
     // Loopback: fixed context-switch cost plus a copy cost per KiB.
     stats_.loopback_messages++;
     const SimDuration delay =
-        loopback_.fixed + loopback_.per_kib * (payload.size() / 1024);
+        kLoopbackFixed + kLoopbackPerKib * (payload.size() / 1024);
     ScheduleDelivery(from, to, to_port, sched_->now() + delay,
                      dest_incarnation, /*via_link=*/false,
                      std::move(payload));

@@ -35,12 +35,6 @@ struct LinkParams {
   double loss = 0.0;                        // drop probability per message
 };
 
-/// Cost of the in-node loopback path (context switch + copy).
-struct LoopbackParams {
-  SimDuration fixed = Microseconds(5);
-  SimDuration per_kib = Microseconds(1);
-};
-
 struct NetStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
@@ -70,6 +64,11 @@ enum class NetTraceKind : std::uint8_t {
 
 class Network {
  public:
+  /// Cost of the in-node loopback path: a fixed context switch plus a
+  /// copy cost per KiB.
+  static constexpr SimDuration kLoopbackFixed = Microseconds(5);
+  static constexpr SimDuration kLoopbackPerKib = Microseconds(1);
+
   /// Called on message arrival at a node: (source node, destination port,
   /// payload). The net layer demultiplexes ports to endpoints.
   using DeliveryFn =
@@ -93,8 +92,6 @@ class Network {
 
   /// Default used by node pairs without an explicit SetLink.
   void SetDefaultLink(const LinkParams& params) { default_link_ = params; }
-
-  void SetLoopback(const LoopbackParams& params) { loopback_ = params; }
 
   /// Cuts or heals connectivity between two nodes. While partitioned,
   /// messages are silently dropped (as on a real network).
@@ -196,7 +193,6 @@ class Network {
   Scheduler* sched_;
   Rng rng_;
   LinkParams default_link_;
-  LoopbackParams loopback_;
   std::vector<std::string> nodes_;
   std::vector<DeliveryFn> receivers_;
   std::unordered_map<std::uint64_t, DirectedLink> links_;

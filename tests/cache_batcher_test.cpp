@@ -188,6 +188,29 @@ TEST_F(BatcherFixture, ItemsDuringFlightFormNextBatch) {
   EXPECT_EQ(flushed[1], (std::vector<int>{4, 5}));
 }
 
+TEST_F(BatcherFixture, DrainWaitsOutItemsAddedDuringAFlush) {
+  (void)batcher.Add(1);
+  sim::Future<Status> drained = sim::Spawn(sched, batcher.Drain());
+  // Lands while batch {1} is on the wire, so it rides a second round.
+  sched.PostAfter(Microseconds(50), [this] { (void)batcher.Add(2); })
+      .Detach();
+  sched.Run();
+  ASSERT_TRUE(drained.ready());
+  EXPECT_TRUE(drained.take().ok());
+  EXPECT_EQ(flushed, (std::vector<std::vector<int>>{{1}, {2}}));
+  EXPECT_EQ(batcher.pending(), 0u);
+}
+
+TEST_F(BatcherFixture, DrainStopsAtTheFirstFailedBatch) {
+  (void)batcher.Add(1);
+  fail_next = true;
+  sim::Future<Status> drained = sim::Spawn(sched, batcher.Drain());
+  sched.Run();
+  ASSERT_TRUE(drained.ready());
+  EXPECT_EQ(drained.take().code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(flushed.empty());
+}
+
 TEST_F(BatcherFixture, StatsCountItemsAndBatches) {
   for (int i = 0; i < 7; ++i) (void)batcher.Add(i);
   sched.Run();

@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <typeinfo>
 
 #include "core/export.h"
 #include "core/factory.h"
 #include "core/runtime.h"
 #include "services/counter.h"
+#include "services/file.h"
 #include "services/kv.h"
+#include "services/lock.h"
+#include "services/replicated_kv.h"
+#include "services/shard_router.h"
+#include "services/spooler.h"
 #include "test_util.h"
 
 namespace proxy::core {
@@ -109,6 +115,51 @@ TEST(FactoryRegistry, RegisterAndCreate) {
       kv, 1, [](Context&, const ServiceBinding&) { return nullptr; });
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
   EXPECT_FALSE(registry.Register(kv, 98, nullptr).ok());
+}
+
+/// Creates the (I, protocol) proxy through the registry and checks that
+/// it is exactly a P.
+template <typename I, typename P>
+void ExpectInstalls(Context& ctx, std::uint32_t protocol) {
+  ServiceBinding b;
+  b.server = ctx.server_address();
+  b.object = ObjectId{0x51, protocol};
+  b.interface = InterfaceIdOf(I::kInterfaceName);
+  b.protocol = protocol;
+  Result<std::shared_ptr<void>> created =
+      ProxyFactoryRegistry::Instance().Create(ctx, b);
+  ASSERT_TRUE(created.ok()) << I::kInterfaceName << " protocol " << protocol
+                            << ": " << created.status().ToString();
+  const std::shared_ptr<I> proxy = std::static_pointer_cast<I>(*created);
+  EXPECT_TRUE(typeid(*proxy) == typeid(P))
+      << I::kInterfaceName << " protocol " << protocol << " installed "
+      << typeid(*proxy).name();
+}
+
+TEST(FactoryRegistry, EveryAdvertisedProtocolInstalls) {
+  // Registration happens once per process; calling again changes nothing.
+  services::RegisterAllServices();
+  services::RegisterAllServices();
+  Runtime rt;
+  Context& ctx = rt.CreateContext(rt.AddNode("n"), "c");
+  ExpectInstalls<IKeyValue, services::KvStub>(ctx, 1);
+  ExpectInstalls<IKeyValue, services::KvCachingProxy>(ctx, 2);
+  ExpectInstalls<IKeyValue, services::KvWriteBackProxy>(ctx, 3);
+  ExpectInstalls<IKeyValue, services::KvFailoverProxy>(ctx, 4);
+  ExpectInstalls<IKeyValue, services::KvShardRouterProxy>(ctx, 5);
+  ExpectInstalls<services::IFile, services::FileStub>(ctx, 1);
+  ExpectInstalls<services::IFile, services::FileCachingProxy>(ctx, 2);
+  ExpectInstalls<services::IFile, services::FileBatchProxy>(ctx, 3);
+  ExpectInstalls<ICounter, services::CounterStub>(ctx, 1);
+  ExpectInstalls<ICounter, services::CounterDsmProxy>(ctx, 2);
+  ExpectInstalls<services::ISpooler, services::SpoolerStub>(ctx, 1);
+  ExpectInstalls<services::ISpooler, services::SpoolerBatchProxy>(ctx, 2);
+  ExpectInstalls<services::ILockService, services::LockStub>(ctx, 1);
+
+  const auto& servers = ServerObjectFactoryRegistry::Instance();
+  EXPECT_TRUE(servers.Has(InterfaceIdOf(IKeyValue::kInterfaceName)));
+  EXPECT_TRUE(servers.Has(InterfaceIdOf(services::IFile::kInterfaceName)));
+  EXPECT_TRUE(servers.Has(InterfaceIdOf(ICounter::kInterfaceName)));
 }
 
 TEST(FactoryRegistry, CreateUnknownProtocolFails) {
@@ -275,6 +326,112 @@ TEST(ServiceExport, PublishThenAcquireByName) {
     EXPECT_EQ(*v, 3);
   };
   w.Run(body);
+}
+
+// --- invalidation-callback coherence: the wire bytes are pinned ---
+
+std::string Hex(BytesView bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+/// A dispatch that records the argument bytes of every call to `method`
+/// and answers with rpc::Void.
+std::shared_ptr<rpc::Dispatch> Recorder(std::uint32_t method,
+                                        std::vector<Bytes>* log) {
+  auto dispatch = std::make_shared<rpc::Dispatch>();
+  dispatch->Register(
+      method,
+      [log](BytesView args, const rpc::CallContext&) -> sim::Co<Result<Bytes>> {
+        log->emplace_back(args.begin(), args.end());
+        co_return serde::EncodeToBytes(rpc::Void{});
+      });
+  return dispatch;
+}
+
+constexpr std::uint32_t kSubscribeMethod = 5;   // KV and File alike
+constexpr std::uint32_t kInvalidateMethod = 1;  // on the sink
+
+TEST(Coherence, SubscribeRequestBytesArePinned) {
+  TestWorld w;
+  // A stand-in server that answers only the subscribe call: the caching
+  // proxies' first read subscribes, then fails at the stand-in.
+  std::vector<Bytes> subscribes;
+  const ObjectId fake{0x0102030405060708ULL, 0x1112131415161718ULL};
+  ASSERT_OK(w.server_ctx->server().ExportObject(
+      fake, Recorder(kSubscribeMethod, &subscribes)));
+  ServiceBinding kv_binding;
+  kv_binding.server = w.server_ctx->server_address();
+  kv_binding.object = fake;
+  kv_binding.interface = InterfaceIdOf(IKeyValue::kInterfaceName);
+  kv_binding.protocol = 2;
+  ServiceBinding file_binding = kv_binding;
+  file_binding.interface = InterfaceIdOf(services::IFile::kInterfaceName);
+  {
+    services::KvCachingProxy kv(*w.client_ctx, kv_binding);
+    services::FileCachingProxy file(*w.client_ctx, file_binding);
+    auto body = [&]() -> sim::Co<void> {
+      std::string key = "k";
+      (void)co_await kv.Get(std::move(key));
+      (void)co_await file.Read(0, 16);
+    };
+    w.Run(body);
+  }
+  ASSERT_EQ(subscribes.size(), 2u);
+  // (sink_server, sink_object): the client context's server address and
+  // the sink id each proxy minted at construction.
+  EXPECT_EQ(Hex(View(subscribes[0])),
+            "018080021fd209f8a1408532d458b175e63e274e");
+  EXPECT_EQ(Hex(View(subscribes[1])),
+            "0180800214f6c666488c88006909df258309b20b");
+}
+
+TEST(Coherence, InvalidationAndSnapshotBytesArePinned) {
+  TestWorld w;
+  auto kv = services::ExportKvService(*w.server_ctx, 2);
+  ASSERT_OK(kv);
+  auto file = services::ExportFileService(*w.server_ctx, 2);
+  ASSERT_OK(file);
+  // One recording sink per service, at fixed ids, subscribed over the
+  // wire exactly as a caching proxy's sink would be.
+  std::vector<Bytes> kv_msgs;
+  std::vector<Bytes> file_msgs;
+  const ObjectId kv_sink{0xa1, 0xa2};
+  const ObjectId file_sink{0xb1, 0xb2};
+  ASSERT_OK(w.client_ctx->server().ExportObject(
+      kv_sink, Recorder(kInvalidateMethod, &kv_msgs)));
+  ASSERT_OK(w.client_ctx->server().ExportObject(
+      file_sink, Recorder(kInvalidateMethod, &file_msgs)));
+  auto subscribe = [&](const ServiceBinding& target, ObjectId sink) {
+    serde::Writer req;
+    serde::Serialize(req, w.client_ctx->server_address());
+    serde::Serialize(req, sink);
+    rpc::RpcResult r = w.rt->Await(w.client_ctx->client().Call(
+        target.server, target.object, kSubscribeMethod, req.Take()));
+    EXPECT_TRUE(r.ok()) << r.status.ToString();
+  };
+  subscribe(kv->binding, kv_sink);
+  subscribe(file->binding, file_sink);
+
+  ASSERT_OK(w.rt->Run(kv->impl->Put("k", "v")));
+  ASSERT_OK(w.rt->Run(file->impl->Write(3, Bytes{1, 2, 3})));
+  w.rt->scheduler().RunFor(Milliseconds(10));  // deliver the notifications
+
+  ASSERT_EQ(kv_msgs.size(), 1u);
+  EXPECT_EQ(Hex(View(kv_msgs[0])), "01016b");  // keys ["k"]
+  ASSERT_EQ(file_msgs.size(), 1u);
+  EXPECT_EQ(Hex(View(file_msgs[0])), "0303");  // offset 3, length 3
+  // data {"k": "v"}, then the subscriber list [(client server, kv_sink)].
+  EXPECT_EQ(Hex(View(kv->impl->SnapshotState())),
+            "01016b01760101808002a100000000000000a200000000000000");
+  // content 00 00 00 01 02 03, then [(client server, file_sink)].
+  EXPECT_EQ(Hex(View(file->impl->SnapshotState())),
+            "060000000102030101808002b100000000000000b200000000000000");
 }
 
 TEST(Binding, ToStringAndEquality) {
