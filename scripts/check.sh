@@ -2,8 +2,9 @@
 # One-command verification: configure + build the default preset, run the
 # full test suite (which includes the 32-seed chaos smoke), then run a
 # 128-seed chaos sweep with the chaos_explore driver — plus a 64-seed
-# overload sweep and a retry-storm bug demonstrator. Any violation fails
-# the script and prints the reproducing seed. After the sweep, three
+# overload sweep and the retry-storm and stale-primary bug
+# demonstrators. Any violation fails the script and prints the
+# reproducing seed. After the sweep, three
 # observability gates: the obs unit suite runs under every preset (the
 # asan-chaos ctest filter would otherwise skip it), a seeded
 # chaos_explore --metrics --trace --replay must render byte-identical
@@ -137,6 +138,16 @@ echo "== chaos bug demonstrator: retry-storm =="
 if "./$BUILD_DIR/tools/chaos_explore" --seeds=32 --bug=retry-storm \
     > /dev/null 2>&1; then
   echo "FAIL: retry-storm bug not caught by the 32-seed overload sweep"
+  exit 1
+fi
+
+echo "== chaos bug demonstrator: stale-primary =="
+# Same for epoch fencing: with it disabled (--bug=stale-primary) a
+# deposed group primary keeps acknowledging writes, and the sharded
+# sweep must report the resulting replication violation.
+if "./$BUILD_DIR/tools/chaos_explore" --seeds=64 --sharded \
+    --bug=stale-primary > /dev/null 2>&1; then
+  echo "FAIL: stale-primary bug not caught by the 64-seed sharded sweep"
   exit 1
 fi
 

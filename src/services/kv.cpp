@@ -22,10 +22,47 @@ using kvwire::SizeResponse;
 
 // --- server ---
 
-sim::Co<Result<std::optional<std::string>>> KvService::Get(std::string key) {
+std::optional<std::string> KvService::Lookup(const std::string& key) const {
   const auto it = data_.find(key);
-  if (it == data_.end()) co_return std::optional<std::string>{};
-  co_return std::optional<std::string>{it->second};
+  if (it == data_.end()) return std::nullopt;
+  return it->second;
+}
+
+void KvService::Store(std::string key, std::string value, ObjectId exclude) {
+  data_[key] = std::move(value);
+  NotifyInvalidate({std::move(key)}, exclude);
+}
+
+bool KvService::Erase(std::string key, ObjectId exclude) {
+  const bool existed = data_.erase(key) > 0;
+  if (existed) NotifyInvalidate({std::move(key)}, exclude);
+  return existed;
+}
+
+void KvService::StoreAll(
+    std::vector<std::pair<std::string, std::string>> entries,
+    ObjectId exclude) {
+  std::vector<std::string> changed;
+  changed.reserve(entries.size());
+  for (auto& [key, value] : entries) {
+    data_[key] = std::move(value);
+    changed.push_back(key);
+  }
+  NotifyInvalidate(std::move(changed), exclude);
+}
+
+std::vector<std::string> KvService::Keys(const std::string& prefix) const {
+  std::vector<std::string> keys;
+  // data_ is an ordered map, so the range scan yields sorted keys.
+  for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
+    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
+    keys.push_back(it->first);
+  }
+  return keys;
+}
+
+sim::Co<Result<std::optional<std::string>>> KvService::Get(std::string key) {
+  co_return Lookup(key);
 }
 
 sim::Co<Result<rpc::Void>> KvService::Put(std::string key, std::string value) {
@@ -36,8 +73,7 @@ sim::Co<Result<rpc::Void>> KvService::Put(std::string key, std::string value) {
 sim::Co<Result<rpc::Void>> KvService::PutExcluding(std::string key,
                                                    std::string value,
                                                    ObjectId exclude) {
-  data_[key] = std::move(value);
-  NotifyInvalidate({std::move(key)}, exclude);
+  Store(std::move(key), std::move(value), exclude);
   co_return rpc::Void{};
 }
 
@@ -47,35 +83,19 @@ sim::Co<Result<bool>> KvService::Del(std::string key) {
 
 sim::Co<Result<bool>> KvService::DelExcluding(std::string key,
                                               ObjectId exclude) {
-  const bool existed = data_.erase(key) > 0;
-  if (existed) NotifyInvalidate({std::move(key)}, exclude);
-  co_return existed;
+  co_return Erase(std::move(key), exclude);
 }
 
-sim::Co<Result<std::uint64_t>> KvService::Size() {
-  co_return static_cast<std::uint64_t>(data_.size());
-}
+sim::Co<Result<std::uint64_t>> KvService::Size() { co_return key_count(); }
 
 sim::Co<Result<std::vector<std::string>>> KvService::List(std::string prefix) {
-  std::vector<std::string> keys;
-  // data_ is an ordered map, so the range scan yields sorted keys.
-  for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    keys.push_back(it->first);
-  }
-  co_return keys;
+  co_return Keys(prefix);
 }
 
 sim::Co<Result<rpc::Void>> KvService::BatchPut(
     std::vector<std::pair<std::string, std::string>> entries,
     ObjectId exclude) {
-  std::vector<std::string> changed;
-  changed.reserve(entries.size());
-  for (auto& [key, value] : entries) {
-    data_[key] = std::move(value);
-    changed.push_back(key);
-  }
-  NotifyInvalidate(std::move(changed), exclude);
+  StoreAll(std::move(entries), exclude);
   co_return rpc::Void{};
 }
 

@@ -146,6 +146,21 @@ class KvService : public IKeyValue, public core::IMigratable {
       std::vector<std::pair<std::string, std::string>> entries,
       ObjectId exclude = ObjectId{});
 
+  // The synchronous core. An in-memory map neither suspends nor fails, so
+  // the coroutine methods above only wrap these, and KvReplica, which
+  // owns its store, calls them directly.
+  [[nodiscard]] std::optional<std::string> Lookup(const std::string& key) const;
+  void Store(std::string key, std::string value, ObjectId exclude = ObjectId{});
+  /// Returns true if the key existed.
+  bool Erase(std::string key, ObjectId exclude = ObjectId{});
+  void StoreAll(std::vector<std::pair<std::string, std::string>> entries,
+                ObjectId exclude = ObjectId{});
+  /// Keys starting with `prefix`, sorted ascending.
+  [[nodiscard]] std::vector<std::string> Keys(const std::string& prefix) const;
+  [[nodiscard]] std::uint64_t key_count() const noexcept {
+    return data_.size();
+  }
+
   [[nodiscard]] core::SubscriberList& subscribers() noexcept {
     return subscribers_;
   }

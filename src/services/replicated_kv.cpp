@@ -34,6 +34,23 @@ bool SameObject(const core::ServiceBinding& a, const core::ServiceBinding& b) {
   return a.object == b.object;
 }
 
+bool Contains(const std::vector<core::ServiceBinding>& list,
+              const core::ServiceBinding& replica) {
+  return std::any_of(list.begin(), list.end(), [&](const auto& r) {
+    return SameObject(r, replica);
+  });
+}
+
+/// Counts one write in flight for as long as it lives, so every frame
+/// releases exactly the count it took — also a frame that finishes after
+/// a crash reset everything else.
+struct InflightWrite {
+  explicit InflightWrite(int& n) : count(n) { ++count; }
+  ~InflightWrite() { --count; }
+  InflightWrite(const InflightWrite&) = delete;
+  int& count;
+};
+
 }  // namespace
 
 // --- replica: configuration and lifecycle ------------------------------
@@ -58,12 +75,13 @@ void KvReplica::StartFailover() {
     // Crash-stop: every bit of volatile state dies with the process. The
     // static replica list is configuration and survives (a restarted
     // process re-reads its config); data, role, epoch and view do not.
+    // The in-flight write count is left alone: the crashed incarnation's
+    // parked writes still finish, and each releases what it took.
     self->store_ = std::make_shared<KvService>(*self->context_);
     self->role_ = ReplicaRole::kBackup;
     self->syncing_ = true;
     self->joining_ = false;
     self->rejoin_misses_ = 0;
-    self->inflight_writes_ = 0;
     self->epoch_ = 0;
     self->active_.clear();
     // Shard ownership is volatile like the data: a restarted replica
@@ -87,22 +105,12 @@ void KvReplica::StepDown(bool resync) {
   PROXY_LOG(kInfo, context_->scheduler().now(), "rkv",
             "replica " << self_.object.ToString() << " stepped down"
                        << (resync ? " (resync)" : ""));
+  SpanEvent(std::string("step-down") + (resync ? " (resync)" : ""));
+}
+
+void KvReplica::SpanEvent(const std::string& what) const {
   context_->spans().Event(context_->scheduler().now(),
-                          "rkv " + self_.object.ToString() + " step-down" +
-                              (resync ? " (resync)" : ""));
-}
-
-bool KvReplica::InReplicaList(
-    const std::vector<core::ServiceBinding>& list) const {
-  return std::any_of(list.begin(), list.end(), [this](const auto& r) {
-    return SameObject(r, self_);
-  });
-}
-
-bool KvReplica::InActiveSet(const core::ServiceBinding& peer) const {
-  return std::any_of(active_.begin(), active_.end(), [&](const auto& r) {
-    return SameObject(r, peer);
-  });
+                          "rkv " + self_.object.ToString() + " " + what);
 }
 
 // --- replica: data path ------------------------------------------------
@@ -130,101 +138,119 @@ std::uint64_t KvReplica::ShardEpochOf(const std::string& key) const {
   return shard_.EpochOf(ShardOf(key, shard_.num_shards));
 }
 
+Status KvReplica::WriteGate() const {
+  if (syncing_) return UnavailableError("replica syncing");
+  if (role_ != ReplicaRole::kPrimary) {
+    return UnavailableError("not the primary");
+  }
+  if (joining_) return UnavailableError("snapshot join in progress");
+  return Status::Ok();
+}
+
 sim::Co<Result<std::optional<std::string>>> KvReplica::Get(std::string key) {
   if (syncing_) co_return UnavailableError("replica syncing");
   const Status owned = CheckShard(key);
   if (!owned.ok()) co_return owned;
-  co_return co_await store_->Get(std::move(key));
+  co_return store_->Lookup(key);
 }
 
 sim::Co<Result<std::uint64_t>> KvReplica::Size() {
   if (syncing_) co_return UnavailableError("replica syncing");
-  co_return co_await store_->Size();
+  co_return store_->key_count();
 }
 
 sim::Co<Result<std::vector<std::string>>> KvReplica::List(std::string prefix) {
   if (syncing_) co_return UnavailableError("replica syncing");
-  co_return co_await store_->List(std::move(prefix));
+  co_return store_->Keys(prefix);
 }
 
-sim::Co<Status> KvReplica::SendBatch(const core::ServiceBinding& peer,
-                                     const ReplicateBatchRequest& req,
-                                     obs::TraceContext trace) {
+sim::Co<KvReplica::Fanout> KvReplica::Replicate(
+    std::vector<core::ServiceBinding> peers, const ReplicateBatchRequest& req,
+    obs::TraceContext trace) {
+  const bool strict = params_.name.empty();  // static mode: write-all
   rpc::CallOptions mirror = params_.mirror;
   mirror.trace = trace;
-  rpc::RpcResult r = co_await context_->client().Call(
-      peer.server, peer.object, kvwire::kReplicateBatch,
-      serde::EncodeToBytes(req), mirror);
-  co_return r.status;
+  Fanout out;
+  out.acked.push_back(self_);
+  for (const auto& peer : peers) {
+    if (SameObject(peer, self_)) continue;
+    rpc::RpcResult r = co_await context_->client().Call(
+        peer.server, peer.object, kvwire::kReplicateBatch,
+        serde::EncodeToBytes(req), mirror);
+    if (r.ok()) {
+      out.acked.push_back(peer);
+    } else if (r.status.code() == StatusCode::kFenced) {
+      out.fenced = true;
+      break;
+    } else {
+      out.lost++;
+      out.failure = std::move(r.status);
+      if (strict) break;
+    }
+  }
+  co_return out;
+}
+
+Status KvReplica::OnFenced(std::uint64_t sent_epoch, const char* frame) {
+  if (sent_epoch < epoch_ || role_ != ReplicaRole::kPrimary) {
+    return UnavailableError(std::string("superseded ") + frame +
+                            " frame fenced at epoch " +
+                            std::to_string(sent_epoch));
+  }
+  StepDown(/*resync=*/true);
+  return FencedError("deposed: a peer fenced epoch " +
+                     std::to_string(sent_epoch));
+}
+
+ReplicateBatchRequest KvReplica::ViewBatch() const {
+  ReplicateBatchRequest batch;
+  batch.epoch = epoch_;
+  batch.replicas = active_;
+  batch.shard = shard_;
+  return batch;
+}
+
+void KvReplica::Evict(std::vector<core::ServiceBinding> survivors,
+                      const char* why) {
+  epoch_++;
+  SpanEvent("epoch bump -> " + std::to_string(epoch_) + " (" + why + ")");
+  active_ = std::move(survivors);
 }
 
 sim::Co<Status> KvReplica::Mirror(
     std::vector<std::pair<std::string, std::string>> entries,
     std::vector<std::string> deletes, obs::TraceContext trace,
     std::uint64_t* ack_epoch) {
-  // The caller's role check ran before its first suspension; a
-  // successor's announce may have deposed us while the frame was
-  // parked in the local apply. A deposed replica must not push batches
-  // under the successor's adopted epoch — the write stays applied
-  // locally but unacknowledged (the ambiguity clients already absorb).
+  // A freeze's drain suspends between its write gate and this point, so
+  // a successor's announce may have deposed us meanwhile. A deposed
+  // replica must not push batches under the successor's adopted epoch.
   if (role_ != ReplicaRole::kPrimary || syncing_) {
     co_return UnavailableError("deposed before mirroring");
   }
   const bool named = !params_.name.empty();
-  ReplicateBatchRequest req;
-  req.epoch = epoch_;
-  req.replicas = active_;
+  ReplicateBatchRequest req = ViewBatch();
   req.entries = std::move(entries);
   req.deletes = std::move(deletes);
-  req.shard = shard_;
 
   // Write-all over the active set: every active peer must acknowledge
   // before the client does (so any active replica can later promote
   // without losing an acknowledged write).
-  //
-  // Iterate a snapshot: SendBatch suspends, and a concurrent write (or a
-  // fencing response) can reassign active_ while this frame is parked —
-  // a range-for over the member would read freed vector storage.
-  std::vector<core::ServiceBinding> survivors{self_};
-  bool lost_any = false;
-  const std::vector<core::ServiceBinding> mirror_view = active_;
-  for (const auto& peer : mirror_view) {
-    if (SameObject(peer, self_)) continue;
-    const Status st = co_await SendBatch(peer, req, trace);
-    if (st.ok()) {
-      survivors.push_back(peer);
-      continue;
-    }
-    if (st.code() == StatusCode::kFenced) {
-      if (req.epoch < epoch_ || role_ != ReplicaRole::kPrimary) {
-        // This frame was superseded while it was parked (a concurrent
-        // mirror bumped the epoch, or another frame already stepped us
-        // down). The peer fenced the *stale frame*, not our current
-        // claim — fail the write without abdicating.
-        co_return UnavailableError("superseded mirror frame fenced at epoch " +
-                                   std::to_string(req.epoch));
-      }
-      // A peer under a newer epoch refused us: we have been deposed.
-      StepDown(/*resync=*/true);
-      co_return FencedError("deposed: peer reports a newer epoch than " +
-                            std::to_string(epoch_));
-    }
-    replication_failures_++;
+  Fanout sent = co_await Replicate(active_, req, trace);
+  replication_failures_ += sent.lost;
+  if (sent.fenced) co_return OnFenced(req.epoch, "mirror");
+  if (sent.lost > 0) {
     if (!named) {
-      // Static mode keeps the strict PR-2 semantics: any unreachable
-      // backup fails the write outright.
-      co_return UnavailableError("backup unreachable: " + st.ToString());
+      // Static mode keeps strict write-all: any unreachable backup fails
+      // the write outright.
+      co_return UnavailableError("backup unreachable: " +
+                                 sent.failure.ToString());
     }
-    lost_any = true;
-  }
-
-  if (lost_any) {
     if (role_ != ReplicaRole::kPrimary) {
-      // Deposed while parked in the mirror fan-out: only a standing
-      // primary may evict peers and mint a new epoch.
+      // Deposed while parked in the fan-out: only a standing primary may
+      // evict peers and mint a new epoch.
       co_return UnavailableError("deposed during mirror fan-out");
     }
-    if (survivors.size() < 2) {
+    if (sent.acked.size() < 2) {
       // Never acknowledge a write this primary alone holds: a single
       // crash could then lose acknowledged data. The local apply stands
       // (the client sees a failure, which may or may not have executed —
@@ -237,48 +263,22 @@ sim::Co<Status> KvReplica::Mirror(
     // The evicted replica is fenced out: it can neither promote (it will
     // see a newer epoch when it polls) nor rejoin the active set without
     // a snapshot resync.
-    epoch_++;
-    context_->spans().Event(context_->scheduler().now(),
-                            "rkv " + self_.object.ToString() +
-                                " epoch bump -> " + std::to_string(epoch_) +
-                                " (evicting unreachable backups)");
-    active_ = std::move(survivors);
+    Evict(std::move(sent.acked), "evicting unreachable backups");
     req.epoch = epoch_;
     req.replicas = active_;
-    std::vector<core::ServiceBinding> confirmed{self_};
-    const std::vector<core::ServiceBinding> reannounce_view = active_;
-    for (const auto& peer : reannounce_view) {
-      if (SameObject(peer, self_)) continue;
-      const Status st = co_await SendBatch(peer, req, trace);
-      if (st.ok()) {
-        confirmed.push_back(peer);
-      } else if (st.code() == StatusCode::kFenced) {
-        if (req.epoch < epoch_ || role_ != ReplicaRole::kPrimary) {
-          co_return UnavailableError(
-              "superseded re-announce frame fenced at epoch " +
-              std::to_string(req.epoch));
-        }
-        StepDown(/*resync=*/true);
-        co_return FencedError("deposed during eviction re-announce");
-      } else {
-        // Died between the two passes: evict it too. The remaining
-        // peers learn the final view with the next mirrored batch.
-        replication_failures_++;
-      }
-    }
-    if (confirmed.size() < 2) {
+    Fanout confirmed = co_await Replicate(active_, req, trace);
+    replication_failures_ += confirmed.lost;
+    if (confirmed.fenced) co_return OnFenced(req.epoch, "re-announce");
+    if (confirmed.acked.size() < 2) {
       co_return UnavailableError("no reachable backup to mirror to");
     }
     if (role_ != ReplicaRole::kPrimary) {
       co_return UnavailableError("deposed during eviction re-announce");
     }
-    if (confirmed.size() != reannounce_view.size()) {
-      epoch_++;
-      context_->spans().Event(context_->scheduler().now(),
-                              "rkv " + self_.object.ToString() +
-                                  " epoch bump -> " + std::to_string(epoch_) +
-                                  " (peer died during re-announce)");
-      active_ = std::move(confirmed);
+    if (confirmed.lost > 0) {
+      // Died between the two passes: evict it too. The remaining peers
+      // learn the final view with the next mirrored batch.
+      Evict(std::move(confirmed.acked), "peer died during re-announce");
     }
   }
   // The epoch the surviving peers actually confirmed the batch under
@@ -289,60 +289,42 @@ sim::Co<Status> KvReplica::Mirror(
 }
 
 sim::Co<Result<rpc::Void>> KvReplica::Put(std::string key, std::string value) {
-  co_return co_await Put(std::move(key), std::move(value), obs::TraceContext{});
+  return Put(std::move(key), std::move(value), obs::TraceContext{});
 }
 
 sim::Co<Result<rpc::Void>> KvReplica::Put(std::string key, std::string value,
                                           obs::TraceContext trace,
                                           std::uint64_t* ack_epoch) {
-  if (syncing_) co_return UnavailableError("replica syncing");
-  if (role_ != ReplicaRole::kPrimary) {
-    co_return UnavailableError("not the primary");
-  }
-  if (joining_) co_return UnavailableError("snapshot join in progress");
-  const Status owned = CheckShard(key);
-  if (!owned.ok()) co_return owned;
-  inflight_writes_++;
-  Result<rpc::Void> applied = co_await store_->Put(key, value);
-  if (!applied.ok()) {
-    inflight_writes_--;
-    co_return applied.status();
-  }
+  Status admitted = WriteGate();
+  if (admitted.ok()) admitted = CheckShard(key);
+  if (!admitted.ok()) co_return admitted;
+  const InflightWrite inflight(inflight_writes_);
+  store_->Store(key, value);
   std::vector<std::pair<std::string, std::string>> entries;
   entries.emplace_back(std::move(key), std::move(value));
   const Status mirrored =
       co_await Mirror(std::move(entries), {}, trace, ack_epoch);
-  inflight_writes_--;
   if (!mirrored.ok()) co_return mirrored;
   co_return rpc::Void{};
 }
 
 sim::Co<Result<bool>> KvReplica::Del(std::string key) {
-  co_return co_await Del(std::move(key), obs::TraceContext{});
+  return Del(std::move(key), obs::TraceContext{});
 }
 
 sim::Co<Result<bool>> KvReplica::Del(std::string key, obs::TraceContext trace,
                                      std::uint64_t* ack_epoch) {
-  if (syncing_) co_return UnavailableError("replica syncing");
-  if (role_ != ReplicaRole::kPrimary) {
-    co_return UnavailableError("not the primary");
-  }
-  if (joining_) co_return UnavailableError("snapshot join in progress");
-  const Status owned = CheckShard(key);
-  if (!owned.ok()) co_return owned;
-  inflight_writes_++;
-  Result<bool> existed = co_await store_->Del(key);
-  if (!existed.ok()) {
-    inflight_writes_--;
-    co_return existed.status();
-  }
+  Status admitted = WriteGate();
+  if (admitted.ok()) admitted = CheckShard(key);
+  if (!admitted.ok()) co_return admitted;
+  const InflightWrite inflight(inflight_writes_);
+  const bool existed = store_->Erase(key);
   std::vector<std::string> deletes;
   deletes.push_back(std::move(key));
   const Status mirrored =
       co_await Mirror({}, std::move(deletes), trace, ack_epoch);
-  inflight_writes_--;
   if (!mirrored.ok()) co_return mirrored;
-  co_return *existed;
+  co_return existed;
 }
 
 // --- replica: wire handlers --------------------------------------------
@@ -372,18 +354,25 @@ sim::Co<Result<rpc::Void>> KvReplica::HandleReplicateBatch(
     co_return UnavailableError("replica syncing");
   }
   const bool fencing = !params_.testing_disable_fencing;
-  if (fencing && req.epoch < epoch_) {
+  // One epoch, one primary: two replicas can reach an epoch number on
+  // their own (a primary evicting peers, and a backup that missed that
+  // bump promoting itself), and following both would let each of them
+  // acknowledge writes under it. So at its own epoch a replica keeps
+  // following the primary it already follows.
+  const bool rival =
+      req.epoch == epoch_ && !active_.empty() &&
+      (req.replicas.empty() || !SameObject(req.replicas[0], active_[0]));
+  if (fencing && (req.epoch < epoch_ || rival)) {
     fenced_rejections_++;
-    context_->spans().Event(context_->scheduler().now(),
-                            "rkv " + self_.object.ToString() +
-                                " fenced stale batch: epoch " +
-                                std::to_string(req.epoch) + " < " +
-                                std::to_string(epoch_));
-    co_return FencedError("stale epoch " + std::to_string(req.epoch) +
-                          " < " + std::to_string(epoch_));
+    const std::string why =
+        "epoch " + std::to_string(req.epoch) +
+        (rival ? " has another primary" : " < " + std::to_string(epoch_));
+    SpanEvent((rival ? "fenced rival batch: " : "fenced stale batch: ") +
+              why);
+    co_return FencedError(rival ? why : "stale " + why);
   }
   if (req.epoch >= epoch_) {
-    if (!InReplicaList(req.replicas)) {
+    if (!Contains(req.replicas, self_)) {
       if (fencing && role_ == ReplicaRole::kPrimary) {
         // An evicted ex-primary must fully step down: keeping the lease
         // maintainer alive would let its overwrite-renewals steal the
@@ -417,15 +406,19 @@ sim::Co<Result<rpc::Void>> KvReplica::HandleReplicateBatch(
     // With fencing disabled a (stale) primary keeps its role and epoch —
     // the reintroduced bug the chaos sweep must catch.
   }
-  if (!req.entries.empty()) {
-    Result<rpc::Void> applied = co_await store_->BatchPut(req.entries);
-    if (!applied.ok()) co_return applied.status();
-  }
-  for (const auto& key : req.deletes) {
-    Result<bool> deleted = co_await store_->Del(key);
-    if (!deleted.ok()) co_return deleted.status();
-  }
+  store_->StoreAll(std::move(req.entries));
+  for (std::string& key : req.deletes) store_->Erase(std::move(key));
   co_return rpc::Void{};
+}
+
+sim::Co<Status> KvReplica::DrainWrites() {
+  joining_ = true;
+  for (int i = 0; i < 64 && inflight_writes_ > 0; ++i) {
+    co_await sim::SleepFor(context_->scheduler(), Milliseconds(1));
+  }
+  if (inflight_writes_ == 0) co_return Status::Ok();
+  joining_ = false;
+  co_return UnavailableError("write drain timed out");
 }
 
 sim::Co<Result<JoinResponse>> KvReplica::HandleJoin(JoinRequest req) {
@@ -434,27 +427,15 @@ sim::Co<Result<JoinResponse>> KvReplica::HandleJoin(JoinRequest req) {
   }
   // Pause writes while the snapshot is cut so the joiner cannot miss a
   // concurrently mirrored batch (writes racing the join fail unacked).
-  joining_ = true;
-  for (int i = 0; i < 64 && inflight_writes_ > 0; ++i) {
-    co_await sim::SleepFor(context_->scheduler(), Milliseconds(1));
-  }
-  if (inflight_writes_ > 0) {
-    joining_ = false;
-    co_return UnavailableError("write drain timed out");
-  }
-  if (!std::any_of(active_.begin(), active_.end(), [&](const auto& r) {
-        return SameObject(r, req.joiner);
-      })) {
+  const Status drained = co_await DrainWrites();
+  if (!drained.ok()) co_return drained;
+  if (!Contains(active_, req.joiner)) {
     // Re-admit in static-configuration order, primary first, so every
     // replica agrees on backup ranks (the promotion stagger).
     std::vector<core::ServiceBinding> next{self_};
     for (const auto& r : all_replicas_) {
       if (SameObject(r, self_)) continue;
-      const bool was_active =
-          std::any_of(active_.begin(), active_.end(), [&](const auto& a) {
-            return SameObject(a, r);
-          });
-      if (was_active || SameObject(r, req.joiner)) next.push_back(r);
+      if (Contains(active_, r) || SameObject(r, req.joiner)) next.push_back(r);
     }
     active_ = std::move(next);
   }
@@ -470,21 +451,32 @@ sim::Co<Result<JoinResponse>> KvReplica::HandleJoin(JoinRequest req) {
 // --- replica: shard migration handlers ---------------------------------
 //
 // All four run on the owning group's primary, driven by the rebalancer
-// (shard_router.h). Each one mirrors the resulting ShardConfig to every
-// active backup before acknowledging, so the step survives promotion;
-// each one is idempotent, so a rebalancer that lost an ack re-runs it.
+// (shard_router.h), behind the write gate. Each one mirrors the resulting
+// ShardConfig to every active backup before acknowledging, so the step
+// survives promotion; each one is idempotent, so a rebalancer that lost
+// an ack re-runs it.
+
+Status KvReplica::CheckShardRange(std::uint32_t shard) const {
+  if (shard_.sharded() && shard < shard_.num_shards) return Status::Ok();
+  return FailedPreconditionError("group not sharded or shard " +
+                                 std::to_string(shard) + " out of range");
+}
+
+std::vector<std::string> KvReplica::ShardKeys(std::uint32_t shard) const {
+  std::vector<std::string> keys;
+  for (std::string& key : store_->Keys("")) {
+    if (ShardOf(key, shard_.num_shards) == shard) {
+      keys.push_back(std::move(key));
+    }
+  }
+  return keys;
+}
 
 sim::Co<Result<ShardFreezeResponse>> KvReplica::HandleShardFreeze(
     ShardFreezeRequest req) {
-  if (syncing_ || role_ != ReplicaRole::kPrimary) {
-    co_return UnavailableError("not the primary");
-  }
-  if (joining_) co_return UnavailableError("snapshot join in progress");
-  if (!shard_.sharded() || req.shard >= shard_.num_shards) {
-    co_return FailedPreconditionError("group not sharded or shard " +
-                                      std::to_string(req.shard) +
-                                      " out of range");
-  }
+  Status admitted = WriteGate();
+  if (admitted.ok()) admitted = CheckShardRange(req.shard);
+  if (!admitted.ok()) co_return admitted;
   if (!shard_.Owns(req.shard)) {
     co_return WrongShardError("freeze: shard " + std::to_string(req.shard) +
                               " not owned by this group");
@@ -494,14 +486,11 @@ sim::Co<Result<ShardFreezeResponse>> KvReplica::HandleShardFreeze(
   shard_.Freeze(req.shard);
   // Drain in-flight writes (they passed CheckShard before the freeze and
   // may still be mirroring) under the same write pause a join uses.
-  joining_ = true;
-  for (int i = 0; i < 64 && inflight_writes_ > 0; ++i) {
-    co_await sim::SleepFor(context_->scheduler(), Milliseconds(1));
-  }
+  const Status drained = co_await DrainWrites();
   joining_ = false;
-  if (inflight_writes_ > 0) {
+  if (!drained.ok()) {
     shard_.Unfreeze(req.shard);
-    co_return UnavailableError("write drain timed out");
+    co_return drained;
   }
   // The freeze must reach every active backup before any data leaves:
   // if this primary dies after handing out the copy, its successor must
@@ -515,33 +504,20 @@ sim::Co<Result<ShardFreezeResponse>> KvReplica::HandleShardFreeze(
   }
   ShardFreezeResponse resp;
   resp.shard_epoch = shard_.EpochOf(req.shard);
-  Result<std::vector<std::string>> keys = co_await store_->List("");
-  if (!keys.ok()) co_return keys.status();
-  const std::vector<std::string> snapshot_keys = std::move(*keys);
-  for (const auto& key : snapshot_keys) {
-    if (ShardOf(key, shard_.num_shards) != req.shard) continue;
-    Result<std::optional<std::string>> value = co_await store_->Get(key);
-    if (!value.ok()) co_return value.status();
-    if (value->has_value()) resp.entries.emplace_back(key, **value);
+  for (std::string& key : ShardKeys(req.shard)) {
+    std::string value = store_->Lookup(key).value();
+    resp.entries.emplace_back(std::move(key), std::move(value));
   }
-  context_->spans().Event(context_->scheduler().now(),
-                          "rkv " + self_.object.ToString() + " froze shard " +
-                              std::to_string(req.shard) + " (" +
-                              std::to_string(resp.entries.size()) + " keys)");
+  SpanEvent("froze shard " + std::to_string(req.shard) + " (" +
+            std::to_string(resp.entries.size()) + " keys)");
   co_return resp;
 }
 
 sim::Co<Result<ShardInstallResponse>> KvReplica::HandleShardInstall(
     ShardInstallRequest req) {
-  if (syncing_ || role_ != ReplicaRole::kPrimary) {
-    co_return UnavailableError("not the primary");
-  }
-  if (joining_) co_return UnavailableError("snapshot join in progress");
-  if (!shard_.sharded() || req.shard >= shard_.num_shards) {
-    co_return FailedPreconditionError("group not sharded or shard " +
-                                      std::to_string(req.shard) +
-                                      " out of range");
-  }
+  Status admitted = WriteGate();
+  if (admitted.ok()) admitted = CheckShardRange(req.shard);
+  if (!admitted.ok()) co_return admitted;
   if (req.shard_epoch < shard_.EpochOf(req.shard)) {
     // A duplicate of some older, long-committed move: refuse rather than
     // regress the ownership epoch.
@@ -559,55 +535,29 @@ sim::Co<Result<ShardInstallResponse>> KvReplica::HandleShardInstall(
   // older, uncommitted install of the same shard and must not resurrect
   // (it may have been deleted at the group that stayed owner meanwhile).
   std::vector<std::string> stale;
-  Result<std::vector<std::string>> held = co_await store_->List("");
-  if (!held.ok()) co_return held.status();
-  const std::vector<std::string> held_keys = std::move(*held);
-  for (const auto& key : held_keys) {
-    if (ShardOf(key, shard_.num_shards) != req.shard) continue;
+  for (std::string& key : ShardKeys(req.shard)) {
     const bool in_snapshot =
         std::any_of(req.entries.begin(), req.entries.end(),
                     [&](const auto& e) { return e.first == key; });
-    if (!in_snapshot) stale.push_back(key);
+    if (!in_snapshot) stale.push_back(std::move(key));
   }
-  inflight_writes_++;
-  for (const auto& key : stale) {
-    Result<bool> deleted = co_await store_->Del(key);
-    if (!deleted.ok()) {
-      inflight_writes_--;
-      co_return deleted.status();
-    }
-  }
-  if (!req.entries.empty()) {
-    Result<rpc::Void> applied = co_await store_->BatchPut(req.entries);
-    if (!applied.ok()) {
-      inflight_writes_--;
-      co_return applied.status();
-    }
-  }
+  const InflightWrite inflight(inflight_writes_);
+  for (const auto& key : stale) store_->Erase(key);
+  store_->StoreAll(req.entries);
   const Status mirrored =
       co_await Mirror(req.entries, std::move(stale), obs::TraceContext{});
-  inflight_writes_--;
   if (!mirrored.ok()) co_return mirrored;
-  context_->spans().Event(context_->scheduler().now(),
-                          "rkv " + self_.object.ToString() +
-                              " installed shard " + std::to_string(req.shard) +
-                              " @ epoch " + std::to_string(req.shard_epoch) +
-                              " (" + std::to_string(req.entries.size()) +
-                              " keys)");
+  SpanEvent("installed shard " + std::to_string(req.shard) + " @ epoch " +
+            std::to_string(req.shard_epoch) + " (" +
+            std::to_string(req.entries.size()) + " keys)");
   co_return ShardInstallResponse{shard_.EpochOf(req.shard)};
 }
 
 sim::Co<Result<rpc::Void>> KvReplica::HandleShardRelease(
     ShardReleaseRequest req) {
-  if (syncing_ || role_ != ReplicaRole::kPrimary) {
-    co_return UnavailableError("not the primary");
-  }
-  if (joining_) co_return UnavailableError("snapshot join in progress");
-  if (!shard_.sharded() || req.shard >= shard_.num_shards) {
-    co_return FailedPreconditionError("group not sharded or shard " +
-                                      std::to_string(req.shard) +
-                                      " out of range");
-  }
+  Status admitted = WriteGate();
+  if (admitted.ok()) admitted = CheckShardRange(req.shard);
+  if (!admitted.ok()) co_return admitted;
   if (shard_.Owns(req.shard)) {
     if (req.committed_epoch <= shard_.EpochOf(req.shard)) {
       // No proof the handoff committed — dropping now could lose the only
@@ -624,39 +574,21 @@ sim::Co<Result<rpc::Void>> KvReplica::HandleShardRelease(
   // dropped config. Receivers adopt the config before applying these
   // deletes (HandleReplicateBatch), so no replica ever serves a false
   // "absent" for a key it deleted here.
-  std::vector<std::string> deletes;
-  Result<std::vector<std::string>> keys = co_await store_->List("");
-  if (!keys.ok()) co_return keys.status();
-  const std::vector<std::string> held_keys = std::move(*keys);
-  for (const auto& key : held_keys) {
-    if (ShardOf(key, shard_.num_shards) == req.shard) deletes.push_back(key);
-  }
-  inflight_writes_++;
-  for (const auto& key : deletes) {
-    Result<bool> deleted = co_await store_->Del(key);
-    if (!deleted.ok()) {
-      inflight_writes_--;
-      co_return deleted.status();
-    }
-  }
+  std::vector<std::string> deletes = ShardKeys(req.shard);
+  const InflightWrite inflight(inflight_writes_);
+  for (const auto& key : deletes) store_->Erase(key);
   const Status mirrored =
       co_await Mirror({}, std::move(deletes), obs::TraceContext{});
-  inflight_writes_--;
   if (!mirrored.ok()) co_return mirrored;
-  context_->spans().Event(context_->scheduler().now(),
-                          "rkv " + self_.object.ToString() +
-                              " released shard " + std::to_string(req.shard) +
-                              " (committed epoch " +
-                              std::to_string(req.committed_epoch) + ")");
+  SpanEvent("released shard " + std::to_string(req.shard) +
+            " (committed epoch " + std::to_string(req.committed_epoch) + ")");
   co_return rpc::Void{};
 }
 
 sim::Co<Result<rpc::Void>> KvReplica::HandleShardUnfreeze(
     ShardUnfreezeRequest req) {
-  if (syncing_ || role_ != ReplicaRole::kPrimary) {
-    co_return UnavailableError("not the primary");
-  }
-  if (joining_) co_return UnavailableError("snapshot join in progress");
+  const Status admitted = WriteGate();
+  if (!admitted.ok()) co_return admitted;
   if (shard_.Frozen(req.shard)) {
     shard_.Unfreeze(req.shard);
     const Status mirrored = co_await Mirror({}, {}, obs::TraceContext{});
@@ -669,11 +601,10 @@ sim::Co<Result<rpc::Void>> KvReplica::HandleShardUnfreeze(
 
 sim::Co<void> KvReplica::WatchdogLoop(std::shared_ptr<KvReplica> self) {
   sim::Scheduler& sched = self->context_->scheduler();
-  while (!self->stopped_) {
+  for (;;) {
     co_await sim::SleepFor(sched, self->syncing_
                                       ? self->params_.rejoin_interval
                                       : self->params_.watch_interval);
-    if (self->stopped_) co_return;
     if (self->context_->crashed()) continue;
     if (self->syncing_) {
       co_await self->TryRejoin();
@@ -695,20 +626,73 @@ sim::Co<void> KvReplica::WatchdogLoop(std::shared_ptr<KvReplica> self) {
       const std::vector<core::ServiceBinding> probe_view =
           self->all_replicas_;
       for (const auto& peer : probe_view) {
-        if (self->InActiveSet(peer) || SameObject(peer, self->self_)) {
-          continue;
-        }
-        ReplicateBatchRequest probe;
-        probe.epoch = self->epoch_;
-        probe.replicas = self->active_;
-        probe.shard = self->shard_;
-        (void)co_await self->SendBatch(peer, probe, obs::TraceContext{});
+        if (Contains(self->active_, peer)) continue;
+        const ReplicateBatchRequest probe = self->ViewBatch();
+        std::vector<core::ServiceBinding> to{peer};
+        (void)co_await self->Replicate(std::move(to), probe,
+                                       obs::TraceContext{});
         if (self->role_ != ReplicaRole::kPrimary) break;  // deposed mid-probe
       }
       continue;
     }
     co_await self->TryPromote();
   }
+}
+
+sim::Co<bool> KvReplica::ClaimName() {
+  Result<naming::NameRecord> rec =
+      co_await context_->names().Lookup(params_.name);
+  if (rec.ok() || rec.status().code() != StatusCode::kNotFound) {
+    co_return false;  // a primary holds the name, or the lookup flaked
+  }
+  naming::NameRecord claim;
+  claim.kind = naming::RecordKind::kService;
+  claim.binding = self_;
+  claim.lease_ns = params_.lease.ttl_ns;
+  Result<rpc::Void> won = co_await context_->names().Register(
+      params_.name, claim, /*overwrite=*/false);
+  // A claim that lost the race or the name service loses; one won by a
+  // replica that crashed meanwhile expires unrenewed.
+  co_return won.ok() && !context_->crashed();
+}
+
+sim::Co<KvReplica::PeerPoll> KvReplica::PollPeers(bool rescue) {
+  PeerPoll poll;
+  const std::vector<core::ServiceBinding> peers = all_replicas_;
+  for (const auto& peer : peers) {
+    if (SameObject(peer, self_)) continue;
+    rpc::RpcResult r = co_await context_->client().Call(
+        peer.server, peer.object, kvwire::kGetStatus,
+        serde::EncodeToBytes(rpc::Void{}), params_.mirror);
+    const Result<StatusResponse> st =
+        r.ok() ? serde::DecodeFromBytes<StatusResponse>(View(r.payload))
+               : Result<StatusResponse>(r.status);
+    if (!st.ok()) {
+      ++poll.unreachable;
+    } else if (st->epoch > epoch_) {
+      poll.ahead = true;
+    } else if (!st->syncing) {
+      poll.serving = true;
+    }
+    // A peer ahead settles both callers; a rescue also gives up at the
+    // first peer that is unreachable or serving.
+    if (poll.ahead || (rescue && (poll.unreachable > 0 || poll.serving))) {
+      break;
+    }
+  }
+  co_return poll;
+}
+
+void KvReplica::TakeOver(std::vector<core::ServiceBinding> view,
+                         const char* how) {
+  promotions_++;
+  role_ = ReplicaRole::kPrimary;
+  epoch_++;
+  active_ = std::move(view);
+  PROXY_LOG(kInfo, context_->scheduler().now(), "rkv",
+            "replica " << self_.object.ToString() << " " << how
+                       << " at epoch " << epoch_);
+  SpanEvent(how + (" at epoch " + std::to_string(epoch_)));
 }
 
 sim::Co<void> KvReplica::TryPromote() {
@@ -730,32 +714,13 @@ sim::Co<void> KvReplica::TryPromote() {
   //   - with exactly one peer unreachable (presumed crashed) we still
   //     need one reachable *serving* peer as a witness that our data is
   //     current; a syncing peer knows nothing.
-  std::size_t unreachable = 0;
-  bool serving_witness = false;
-  const std::vector<core::ServiceBinding> poll_view = all_replicas_;
-  for (const auto& peer : poll_view) {
-    if (SameObject(peer, self_)) continue;
-    rpc::RpcResult r = co_await context_->client().Call(
-        peer.server, peer.object, kvwire::kGetStatus,
-        serde::EncodeToBytes(rpc::Void{}), params_.mirror);
-    if (!r.ok()) {
-      ++unreachable;
-      continue;
-    }
-    Result<StatusResponse> st =
-        serde::DecodeFromBytes<StatusResponse>(View(r.payload));
-    if (!st.ok()) {
-      ++unreachable;
-      continue;
-    }
-    if (st->epoch > epoch_) {
-      syncing_ = true;
-      co_return;
-    }
-    if (!st->syncing) serving_witness = true;
+  const PeerPoll poll = co_await PollPeers(/*rescue=*/false);
+  if (poll.ahead) {
+    syncing_ = true;
+    co_return;
   }
-  if (unreachable > 1) co_return;
-  if (unreachable == 1 && !serving_witness) co_return;
+  if (poll.unreachable > 1) co_return;
+  if (poll.unreachable == 1 && !poll.serving) co_return;
   // Stagger by backup rank so the lowest-ranked live backup claims first.
   std::size_t rank = active_.size();
   for (std::size_t i = 0; i < active_.size(); ++i) {
@@ -769,71 +734,34 @@ sim::Co<void> KvReplica::TryPromote() {
                            static_cast<SimDuration>(rank - 1) *
                                params_.promote_stagger);
   }
-  if (stopped_ || context_->crashed() || syncing_ ||
-      role_ != ReplicaRole::kBackup) {
+  if (context_->crashed() || syncing_ || role_ != ReplicaRole::kBackup) {
     co_return;
   }
-  rec = co_await context_->names().Lookup(params_.name);
-  if (rec.ok() || rec.status().code() != StatusCode::kNotFound) co_return;
-
-  // Claim the name: first-register-wins arbitration at the name server.
-  naming::NameRecord claim;
-  claim.kind = naming::RecordKind::kService;
-  claim.binding = self_;
-  claim.lease_ns = params_.lease.ttl_ns;
-  Result<rpc::Void> won = co_await context_->names().Register(
-      params_.name, claim, /*overwrite=*/false);
-  if (!won.ok()) co_return;  // lost the race, or the name service flaked
+  const bool won = co_await ClaimName();
+  // A batch that evicted us may have landed while the claim was parked,
+  // so our data may be behind: leave the claimed record to expire
+  // unrenewed, as a crashed claimant's does, and resync.
+  if (!won || syncing_) co_return;
 
   // Promoted. Announce the new epoch to the previous view; peers that do
   // not answer (typically the dead old primary) are evicted.
-  promotions_++;
-  role_ = ReplicaRole::kPrimary;
-  epoch_++;
   std::vector<core::ServiceBinding> view{self_};
   for (const auto& r : active_) {
     if (!SameObject(r, self_)) view.push_back(r);
   }
-  active_ = std::move(view);
-  PROXY_LOG(kInfo, context_->scheduler().now(), "rkv",
-            "replica " << self_.object.ToString() << " promoted to primary"
-                       << " at epoch " << epoch_);
-  context_->spans().Event(context_->scheduler().now(),
-                          "rkv " + self_.object.ToString() +
-                              " promoted to primary at epoch " +
-                              std::to_string(epoch_));
-  ReplicateBatchRequest announce;
-  announce.epoch = epoch_;
-  announce.replicas = active_;
-  announce.shard = shard_;
-  // Snapshot before the awaited loops: active_ can be reassigned by a
-  // concurrent frame while SendBatch is suspended (see Mirror).
-  const std::vector<core::ServiceBinding> announce_view = active_;
-  std::vector<core::ServiceBinding> survivors{self_};
-  for (const auto& peer : announce_view) {
-    if (SameObject(peer, self_)) continue;
-    const Status st = co_await SendBatch(peer, announce, obs::TraceContext{});
-    if (st.ok()) {
-      survivors.push_back(peer);
-    } else if (st.code() == StatusCode::kFenced) {
-      // Someone is ahead of us after all: undo the claim and resync.
-      StepDown(/*resync=*/true);
-      co_return;
-    }
+  TakeOver(std::move(view), "promoted to primary");
+  ReplicateBatchRequest announce = ViewBatch();
+  Fanout sent = co_await Replicate(active_, announce, obs::TraceContext{});
+  if (sent.fenced) {
+    // Someone is ahead of us after all: undo the claim and resync.
+    StepDown(/*resync=*/true);
+    co_return;
   }
-  if (survivors.size() != announce_view.size()) {
-    epoch_++;
-    context_->spans().Event(context_->scheduler().now(),
-                            "rkv " + self_.object.ToString() +
-                                " epoch bump -> " + std::to_string(epoch_) +
-                                " (old primary evicted on promote)");
-    active_ = survivors;
+  if (sent.lost > 0) {
+    Evict(std::move(sent.acked), "old primary evicted on promote");
     announce.epoch = epoch_;
     announce.replicas = active_;
-    for (const auto& peer : survivors) {
-      if (SameObject(peer, self_)) continue;
-      (void)co_await SendBatch(peer, announce, obs::TraceContext{});
-    }
+    (void)co_await Replicate(active_, announce, obs::TraceContext{});
   }
   // Keep the name from now on.
   lease_ = std::make_unique<core::LeaseMaintainer>(*context_, params_.name,
@@ -865,7 +793,7 @@ sim::Co<void> KvReplica::TryRejoin() {
   Result<JoinResponse> resp =
       serde::DecodeFromBytes<JoinResponse>(View(r.payload));
   if (!resp.ok()) co_return;
-  if (context_->crashed() || stopped_) co_return;  // crashed mid-join
+  if (context_->crashed()) co_return;  // crashed mid-join
 
   const Status installed = store_->RestoreState(View(resp->snapshot));
   if (!installed.ok()) co_return;
@@ -877,9 +805,7 @@ sim::Co<void> KvReplica::TryRejoin() {
   PROXY_LOG(kInfo, context_->scheduler().now(), "rkv",
             "replica " << self_.object.ToString()
                        << " rejoined at epoch " << epoch_);
-  context_->spans().Event(context_->scheduler().now(),
-                          "rkv " + self_.object.ToString() +
-                              " rejoined at epoch " + std::to_string(epoch_));
+  SpanEvent("rejoined at epoch " + std::to_string(epoch_));
 }
 
 sim::Co<void> KvReplica::TryRescue() {
@@ -893,54 +819,21 @@ sim::Co<void> KvReplica::TryRescue() {
   // partition to heal: the missing peer may be strictly ahead), must
   // itself be syncing (a serving backup will promote through the normal
   // path), and must not be ahead of us (defer to the most current copy).
-  const std::vector<core::ServiceBinding> poll_view = all_replicas_;
-  for (const auto& peer : poll_view) {
-    if (SameObject(peer, self_)) continue;
-    rpc::RpcResult r = co_await context_->client().Call(
-        peer.server, peer.object, kvwire::kGetStatus,
-        serde::EncodeToBytes(rpc::Void{}), params_.mirror);
-    if (!r.ok()) co_return;
-    Result<StatusResponse> st =
-        serde::DecodeFromBytes<StatusResponse>(View(r.payload));
-    if (!st.ok()) co_return;
-    if (st->epoch > epoch_) co_return;
-    if (!st->syncing) co_return;
-  }
+  const PeerPoll poll = co_await PollPeers(/*rescue=*/true);
+  if (poll.unreachable > 0 || poll.ahead || poll.serving) co_return;
   // State may have moved while the polls were parked (a join completed,
   // a crash hit, a peer claimed first).
-  if (stopped_ || context_->crashed() || !syncing_ || epoch_ == 0) co_return;
-  Result<naming::NameRecord> rec =
-      co_await context_->names().Lookup(params_.name);
-  if (rec.ok() || rec.status().code() != StatusCode::kNotFound) co_return;
+  if (context_->crashed() || !syncing_ || epoch_ == 0) co_return;
+  const bool won = co_await ClaimName();
+  if (!won) co_return;  // lost the race: rejoin the winner instead
 
-  naming::NameRecord claim;
-  claim.kind = naming::RecordKind::kService;
-  claim.binding = self_;
-  claim.lease_ns = params_.lease.ttl_ns;
-  Result<rpc::Void> won = co_await context_->names().Register(
-      params_.name, claim, /*overwrite=*/false);
-  if (!won.ok()) co_return;  // lost the race: rejoin the winner instead
-  if (stopped_ || context_->crashed()) co_return;  // record expires unrenewed
-
-  promotions_++;
-  rescues_++;
-  role_ = ReplicaRole::kPrimary;
-  syncing_ = false;
-  rejoin_misses_ = 0;
-  epoch_++;
   // Start alone; the peers (all syncing) rejoin through the name we just
   // registered, and writes stay unavailable until one does (the mirror
   // never acknowledges a write this replica alone holds).
-  std::vector<core::ServiceBinding> view{self_};
-  active_ = std::move(view);
-  PROXY_LOG(kInfo, context_->scheduler().now(), "rkv",
-            "replica " << self_.object.ToString()
-                       << " rescued deposed group as primary at epoch "
-                       << epoch_);
-  context_->spans().Event(context_->scheduler().now(),
-                          "rkv " + self_.object.ToString() +
-                              " rescued deposed group at epoch " +
-                              std::to_string(epoch_));
+  rescues_++;
+  syncing_ = false;
+  rejoin_misses_ = 0;
+  TakeOver({self_}, "rescued deposed group");
   lease_ = std::make_unique<core::LeaseMaintainer>(*context_, params_.name,
                                                    self_, params_.lease);
 }

@@ -291,9 +291,6 @@ class KvReplica : public IKeyValue,
   /// called in named mode.
   void StartFailover();
 
-  /// Stops background loops (test teardown).
-  void Stop() { stopped_ = true; }
-
   [[nodiscard]] ReplicaRole role() const noexcept { return role_; }
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] bool syncing() const noexcept { return syncing_; }
@@ -307,11 +304,10 @@ class KvReplica : public IKeyValue,
   [[nodiscard]] std::uint64_t replication_failures() const noexcept {
     return replication_failures_;
   }
-  [[nodiscard]] const std::shared_ptr<KvService>& local() const noexcept {
-    return store_;
-  }
-  [[nodiscard]] const core::ServiceBinding& self_binding() const noexcept {
-    return self_;
+  /// Writes admitted by the write gate whose mirroring has not finished;
+  /// the join and freeze drains wait for this to reach zero.
+  [[nodiscard]] int inflight_writes() const noexcept {
+    return inflight_writes_;
   }
   [[nodiscard]] const ShardConfig& shard() const noexcept { return shard_; }
   /// Ownership epoch of `key`'s shard (0 when unsharded/unowned) — the
@@ -322,14 +318,29 @@ class KvReplica : public IKeyValue,
   }
 
  private:
-  /// Mirrors one batch to every active peer. In named mode a peer that
-  /// fails liveness is evicted under a bumped epoch and the batch is
-  /// re-announced to the survivors; in static mode any failure fails the
-  /// write (the strict write-all the PR-2 tests pin down). A FENCED
-  /// reply deposes this primary — but only when the fenced frame carried
-  /// the *current* epoch: a concurrent frame may have bumped past this
-  /// one while it was parked, and a peer fencing the superseded epoch
-  /// says nothing about the primary's present claim.
+  /// What one replication fan-out reached.
+  struct Fanout {
+    std::vector<core::ServiceBinding> acked;  // [0] = this replica
+    std::size_t lost = 0;  // peers that failed other than with FENCED
+    Status failure;        // the last of those failures
+    bool fenced = false;   // a peer answered FENCED; the fan-out stopped
+  };
+
+  /// The one sender of kReplicateBatch: sends `req` to every peer but
+  /// this replica, in order, stopping at the first FENCED reply and, in
+  /// static mode, at the first other failure. `peers` is a copy because
+  /// the sends suspend, and a concurrent frame may reassign active_
+  /// meanwhile. The trace rides in the mirror call options.
+  sim::Co<Fanout> Replicate(std::vector<core::ServiceBinding> peers,
+                            const kvwire::ReplicateBatchRequest& req,
+                            obs::TraceContext trace);
+
+  /// Mirrors one write to every active peer through Replicate. In named
+  /// mode a peer that fails liveness is evicted under a bumped epoch and
+  /// the batch is re-announced to the survivors; in static mode any
+  /// failure fails the write (strict write-all, which
+  /// ReplicationTest.WriteFailsIfBackupUnreachable pins down). A FENCED
+  /// reply deposes this primary (OnFenced).
   ///
   /// On success `*ack_epoch` (when non-null) receives the epoch the
   /// batch was actually mirrored under — which may exceed the epoch at
@@ -342,15 +353,34 @@ class KvReplica : public IKeyValue,
       std::vector<std::string> deletes, obs::TraceContext trace,
       std::uint64_t* ack_epoch = nullptr);
 
-  /// Sends `req` to `peer`, returns the raw outcome status. The trace
-  /// rides in the mirror call options (replication fan-out propagation).
-  sim::Co<Status> SendBatch(const core::ServiceBinding& peer,
-                            const kvwire::ReplicateBatchRequest& req,
-                            obs::TraceContext trace);
+  /// A peer fenced the batch sent at `sent_epoch`. Deposes this primary,
+  /// unless the frame was superseded while it was parked: a concurrent
+  /// frame bumped the epoch or already stepped down, so the peer fenced
+  /// the stale frame, not the primary's present claim.
+  Status OnFenced(std::uint64_t sent_epoch, const char* frame);
+
+  /// A batch carrying this primary's epoch, view and shard config and no
+  /// data: an announce or probe as it is, a mirror once the write is in.
+  [[nodiscard]] kvwire::ReplicateBatchRequest ViewBatch() const;
+
+  /// The eviction step: bumps the epoch, records why, and makes
+  /// `survivors` ([0] = this replica) the active set.
+  void Evict(std::vector<core::ServiceBinding> survivors, const char* why);
+
+  /// The write gate of Put, Del and the shard-migration handlers: OK only
+  /// on a serving primary whose writes no join or freeze drain pauses.
+  [[nodiscard]] Status WriteGate() const;
+
+  /// Pauses writes (joining_) and waits up to 64 ms for the ones in
+  /// flight. On success writes stay paused and the caller resumes them;
+  /// on timeout they resume here and the drain fails.
+  sim::Co<Status> DrainWrites();
 
   /// The deposed-primary transition: drop the lease, become a syncing
   /// backup, and let the rejoin path pull fresh state.
   void StepDown(bool resync);
+  /// Records the span event "rkv <this replica> <what>".
+  void SpanEvent(const std::string& what) const;
 
   /// Watchdog: on backups, detects a lapsed primary lease and promotes;
   /// on the primary, notices a lost lease; on a syncing replica, drives
@@ -366,15 +396,33 @@ class KvReplica : public IKeyValue,
   /// active set of its epoch and epochs only grow through that set: no
   /// reachable peer strictly ahead means no acknowledged write we lack.
   sim::Co<void> TryRescue();
-
-  [[nodiscard]] bool InReplicaList(
-      const std::vector<core::ServiceBinding>& list) const;
-  [[nodiscard]] bool InActiveSet(const core::ServiceBinding& peer) const;
+  /// What a status poll of the configured peers found.
+  struct PeerPoll {
+    std::size_t unreachable = 0;
+    bool ahead = false;    // a peer is at a newer epoch; the poll stopped
+    bool serving = false;  // a reachable peer is serving, not syncing
+  };
+  /// The status poll of promotion and rescue, one peer after another. It
+  /// stops at a peer that is ahead and, for a `rescue`, also at the first
+  /// unreachable or serving peer, since any of them vetoes the rescue.
+  sim::Co<PeerPoll> PollPeers(bool rescue);
+  /// The takeover step of promotion and rescue: a fresh epoch as the
+  /// primary of `view` ([0] = this replica), logged and recorded as a
+  /// span event "<how> at epoch N". The caller starts the lease.
+  void TakeOver(std::vector<core::ServiceBinding> view, const char* how);
+  /// The name claim of promotion and rescue: registers this replica under
+  /// the service name if nobody holds it (first-register-wins at the name
+  /// server). True when the claim won and this replica is still up.
+  sim::Co<bool> ClaimName();
 
   /// Data-path shard fence: OK when this group owns `key`'s shard and it
   /// is not frozen, WRONG_SHARD otherwise (no-op when unsharded). Runs
   /// before the store is touched and before a write counts as in flight.
   [[nodiscard]] Status CheckShard(const std::string& key);
+  /// FAILED_PRECONDITION unless this group is sharded and `shard` exists.
+  [[nodiscard]] Status CheckShardRange(std::uint32_t shard) const;
+  /// The locally held keys of `shard`, sorted.
+  [[nodiscard]] std::vector<std::string> ShardKeys(std::uint32_t shard) const;
 
   core::Context* context_;
   ReplicatedKvParams params_;
@@ -385,13 +433,12 @@ class KvReplica : public IKeyValue,
   ReplicaRole role_ = ReplicaRole::kPrimary;
   std::uint64_t epoch_ = 1;
   bool syncing_ = false;
-  bool joining_ = false;   // primary: a snapshot join is in progress
+  bool joining_ = false;   // primary: a join or freeze drain pauses writes
   /// Consecutive rejoin lookups that found no name record; at
   /// kRescueAfterMisses the replica considers the group deposed and
   /// attempts TryRescue.
   std::uint32_t rejoin_misses_ = 0;
-  int inflight_writes_ = 0;
-  bool stopped_ = false;
+  int inflight_writes_ = 0;  // changed only by InflightWrite
   std::unique_ptr<core::LeaseMaintainer> lease_;  // primary only
   /// This group's live shard slice. Mutated only on the primary (by the
   /// migration handlers) and then mirrored; backups adopt it from

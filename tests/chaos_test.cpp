@@ -272,6 +272,43 @@ TEST(ChaosBugCatch, StaleShardMapRegressionCaughtByShardingCheckers) {
   EXPECT_EQ(replay.violations.size(), violating.violations.size());
 }
 
+TEST(ChaosBugCatch, StalePrimaryRegressionCaughtOnTheShardedTopology) {
+  // With epoch fencing and the lease-lost step-down disabled, a deposed
+  // group primary keeps acknowledging writes at its stale epoch. The
+  // replication invariants must catch it; the sharded topology (two
+  // groups, so twice the failovers per run) catches it within a few
+  // seeds, where the plain one needs more than the CI window.
+  ChaosReport violating;
+  std::uint64_t seed = 0;
+  for (std::uint64_t s = 1; s <= 64 && seed == 0; ++s) {
+    ChaosOptions options;
+    options.seed = s;
+    options.sharded = true;
+    options.bug = Bug::kStalePrimary;
+    ChaosReport report = RunChaos(options);
+    if (!report.ok()) {
+      violating = std::move(report);
+      seed = s;
+    }
+  }
+  ASSERT_NE(seed, 0u) << "stale-primary bug not caught within 64 seeds";
+  EXPECT_TRUE(HasInvariant(violating, "kv-split-brain") ||
+              HasInvariant(violating, "kv-durability") ||
+              HasInvariant(violating, "kv-epoch-regression") ||
+              HasInvariant(violating, "kv-lost-key"))
+      << violating.Summary();
+
+  // The violating seed replays its trace byte-identically.
+  ChaosOptions options;
+  options.seed = seed;
+  options.sharded = true;
+  options.bug = Bug::kStalePrimary;
+  const ChaosReport replay = RunChaos(options);
+  EXPECT_EQ(replay.fingerprint, violating.fingerprint);
+  EXPECT_EQ(replay.trace_events, violating.trace_events);
+  EXPECT_EQ(replay.violations.size(), violating.violations.size());
+}
+
 TEST(ChaosBugCatch, RetryStormRegressionCaughtByAmplificationBound) {
   // With the client retry governors disabled (the pre-hardening client),
   // partition episodes turn every blocked caller into an unbounded

@@ -5,6 +5,10 @@
 // the proxy principle under failure: nothing on the client changed.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "core/factory.h"
 #include "services/replicated_kv.h"
 #include "test_util.h"
@@ -234,6 +238,134 @@ TEST(ReplicationFailover, PartitionedPrimaryStepsDownNoSplitBrain) {
     EXPECT_EQ(got->value(), "v1");
   };
   fw.w.Run(after);
+}
+
+TEST(ReplicationFailover, CrashMidMirrorLeavesNoWriteCountedInFlight) {
+  // A Put parked in the primary's mirror fan-out when the primary crashes
+  // still runs to its (failed) end afterwards. It must release exactly
+  // the in-flight count it took: a count left below zero would let a
+  // later join or freeze drain stop waiting for writes really in flight.
+  FailoverWorld fw;
+  auto& net = fw.w.rt->network();
+  // Cut the primary off from one backup, so the mirror call to it
+  // retransmits until its deadline and the Put stays parked.
+  net.SetPartitioned(fw.n1, fw.n2, true);
+  sim::Future<Result<rpc::Void>> put =
+      sim::Spawn(fw.w.rt->scheduler(), fw.exp.primary->Put("k", "v"));
+  fw.w.rt->scheduler().RunFor(Milliseconds(5));
+  ASSERT_FALSE(put.ready());
+  EXPECT_EQ(fw.exp.primary->inflight_writes(), 1);
+
+  fw.w.rt->CrashNode(fw.n1);
+  fw.w.rt->scheduler().RunFor(Milliseconds(100));
+  ASSERT_TRUE(put.ready());
+  EXPECT_FALSE(put.peek().ok());  // never acknowledged
+  net.SetPartitioned(fw.n1, fw.n2, false);
+  fw.w.rt->RestartNode(fw.n1);
+  fw.w.rt->scheduler().RunFor(Milliseconds(500));
+  EXPECT_FALSE(fw.exp.primary->syncing());  // rejoined
+  EXPECT_EQ(fw.exp.primary->inflight_writes(), 0);
+}
+
+TEST(ReplicationFailover, EvictionDuringTheNameClaimStopsThePromotion) {
+  // A backup's promotion suspends on the name server between its peer
+  // poll and the takeover. A batch that evicts it can land in that
+  // window, and then its data may be behind: when the claim comes back
+  // won, it must stay a syncing backup and let the claimed record expire
+  // unrenewed rather than serve as primary.
+  FailoverWorld fw;
+  KvReplica& backup = *fw.exp.backup_impls[0];
+  sim::Network& net = fw.w.rt->network();
+  bool polling = false;     // the backup polls the dead primary: no lease
+  bool claim_held = false;  // its claim reached the paused name server
+  net.SetTraceHook([&](sim::NetTraceKind kind, NodeId from, NodeId to,
+                       PortId, std::size_t) {
+    if (from != fw.n2) return;
+    if (kind == sim::NetTraceKind::kSend && to == fw.n1) polling = true;
+    if (kind == sim::NetTraceKind::kHold && to == fw.w.server_node) {
+      claim_held = true;
+    }
+  });
+  fw.w.rt->CrashNode(fw.n1);
+  for (int ms = 0; ms < 1000 && !polling; ++ms) {
+    fw.w.rt->scheduler().RunFor(Milliseconds(1));
+  }
+  ASSERT_TRUE(polling);
+  net.SetNodePaused(fw.w.server_node, true);
+  for (int ms = 0; ms < 200 && !claim_held; ++ms) {
+    fw.w.rt->scheduler().RunFor(Milliseconds(1));
+  }
+  ASSERT_TRUE(claim_held);
+  ASSERT_EQ(backup.role(), ReplicaRole::kBackup);
+  ASSERT_FALSE(backup.syncing());
+
+  // A newer view without this backup arrives while the claim is parked.
+  kvwire::ReplicateBatchRequest evict;
+  evict.epoch = backup.epoch() + 1;
+  evict.replicas = {fw.exp.backup_bindings[1]};
+  Result<rpc::Void> evicted = fw.w.rt->Await(sim::Spawn(
+      fw.w.rt->scheduler(), backup.HandleReplicateBatch(std::move(evict))));
+  EXPECT_EQ(evicted.status().code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(backup.syncing());
+
+  net.SetNodePaused(fw.w.server_node, false);
+  fw.w.rt->scheduler().RunFor(Milliseconds(50));
+  net.SetTraceHook(nullptr);
+  // The claim won, yet the name is left to lapse.
+  Result<naming::NameRecord> rec =
+      fw.w.rt->Run(fw.w.client_ctx->names().Lookup("rkv/ha"));
+  ASSERT_OK(rec);
+  EXPECT_EQ(rec->binding.object, fw.exp.backup_bindings[0].object);
+  EXPECT_TRUE(backup.syncing());
+  EXPECT_EQ(backup.role(), ReplicaRole::kBackup);
+  EXPECT_EQ(backup.promotions(), 0u);
+  EXPECT_EQ(fw.ServingPrimaries(), 0);
+}
+
+TEST(ReplicationFailover, EqualEpochBatchFromAnotherPrimaryIsFenced) {
+  // Two replicas can reach one epoch number on their own: a primary bumps
+  // it while evicting a backup, and that backup, having missed the bump,
+  // promotes itself to the same number. A replica must keep following
+  // the primary it follows at that epoch; adopting the other claimant's
+  // batch would let both acknowledge writes under one epoch.
+  FailoverWorld fw;
+  KvReplica& backup = *fw.exp.backup_impls[0];
+  const std::uint64_t epoch = backup.epoch();
+  const std::vector<core::ServiceBinding> view{
+      fw.exp.binding, fw.exp.backup_bindings[0], fw.exp.backup_bindings[1]};
+
+  // The other claimant's announce: the same epoch, another primary at [0].
+  kvwire::ReplicateBatchRequest forged;
+  forged.epoch = epoch;
+  forged.replicas = {fw.exp.backup_bindings[1], fw.exp.binding,
+                     fw.exp.backup_bindings[0]};
+  forged.entries = {{"forged", "value"}};
+  rpc::CallOptions opts;
+  opts.retry_interval = Milliseconds(5);
+  opts.max_retries = 3;
+  opts.deadline = Milliseconds(100);
+  const core::ServiceBinding& to = fw.exp.backup_bindings[0];
+  rpc::RpcResult r = fw.w.rt->Await(fw.w.client_ctx->client().Call(
+      to.server, to.object, kvwire::kReplicateBatch,
+      serde::EncodeToBytes(forged), opts));
+  EXPECT_EQ(r.status.code(), StatusCode::kFenced) << r.status.ToString();
+  EXPECT_EQ(backup.fenced_rejections(), 1u);
+
+  // Epoch, view and data are as they were.
+  EXPECT_EQ(backup.epoch(), epoch);
+  rpc::RpcResult listed = fw.w.rt->Await(fw.w.client_ctx->client().Call(
+      to.server, to.object, kvwire::kGetReplicas,
+      serde::EncodeToBytes(rpc::Void{}), opts));
+  ASSERT_TRUE(listed.ok()) << listed.status.ToString();
+  Result<kvwire::ReplicaListResponse> list =
+      serde::DecodeFromBytes<kvwire::ReplicaListResponse>(
+          View(listed.payload));
+  ASSERT_OK(list);
+  EXPECT_EQ(list->epoch, epoch);
+  EXPECT_EQ(list->replicas, view);
+  Result<std::optional<std::string>> got = fw.w.rt->Run(backup.Get("forged"));
+  ASSERT_OK(got);
+  EXPECT_FALSE(got->has_value());
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Replicated KV tests: write-all mirroring, read failover, stickiness,
-// write unavailability semantics, and chaos (random partitions) runs.
+// write unavailability semantics, chaos (random partitions) runs, and
+// the pinned bytes of the replication wire.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/factory.h"
@@ -222,6 +226,153 @@ TEST(ReplicationTest, SemanticErrorsDoNotTriggerFailover) {
   rw.w.Run(body);
   auto* proxy = dynamic_cast<KvFailoverProxy*>(kv.get());
   EXPECT_EQ(proxy->failovers(), 0u);
+}
+
+// --- the replication wire: encoded bytes are pinned ---
+//
+// Chaos fingerprints count scheduler events, so they move whenever a
+// coroutine layer on the replica path comes or goes. These pins are what
+// show such a change left the bytes of the replica protocol alone.
+
+std::string Hex(BytesView bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+/// A static-mode primary on the server node at a fixed object id, whose
+/// one peer is a recorder on the client node that logs the argument
+/// bytes of every replication batch and acknowledges it. The group owns
+/// all four shards of a sharded keyspace at ownership epoch 1.
+struct RecordedGroup {
+  static constexpr std::uint32_t kShards = 4;
+
+  RecordedGroup() {
+    primary = std::make_shared<KvReplica>(*w.server_ctx, ReplicatedKvParams{});
+    self.server = w.server_ctx->server_address();
+    self.object = ObjectId{0xa1, 0xa2};
+    self.interface = InterfaceIdOf(IKeyValue::kInterfaceName);
+    self.protocol = 4;
+    peer = self;
+    peer.server = w.client_ctx->server_address();
+    peer.object = ObjectId{0xb1, 0xb2};
+    EXPECT_TRUE(w.server_ctx->server()
+                    .ExportObject(self.object,
+                                  MakeReplicatedKvDispatch(primary))
+                    .ok());
+    auto recorder = std::make_shared<rpc::Dispatch>();
+    recorder->Register(
+        kvwire::kReplicateBatch,
+        [this](BytesView args,
+               const rpc::CallContext&) -> sim::Co<Result<Bytes>> {
+          batches.emplace_back(args.begin(), args.end());
+          co_return serde::EncodeToBytes(rpc::Void{});
+        });
+    EXPECT_TRUE(
+        w.client_ctx->server().ExportObject(peer.object, recorder).ok());
+    primary->Configure(self, {self, peer}, ReplicaRole::kPrimary);
+    ShardConfig shard;
+    shard.num_shards = kShards;
+    shard.owned = {0, 1, 2, 3};
+    shard.owned_epoch = {1, 1, 1, 1};
+    primary->ConfigureShards(std::move(shard));
+  }
+  RecordedGroup(const RecordedGroup&) = delete;  // the recorder holds `this`
+
+  /// The `nth` key "k<i>" (counting from 0) that hashes into `shard`.
+  static std::string KeyIn(std::uint32_t shard, int nth = 0) {
+    for (int i = 0;; ++i) {
+      std::string key = "k" + std::to_string(i);
+      if (ShardOf(key, kShards) == shard && nth-- == 0) return key;
+    }
+  }
+
+  /// Calls `method` on the primary from the client node; returns the
+  /// reply payload bytes.
+  Bytes Call(std::uint32_t method, Bytes args) {
+    rpc::CallOptions opts;
+    opts.deadline = Milliseconds(100);
+    rpc::RpcResult r = w.rt->Await(w.client_ctx->client().Call(
+        self.server, self.object, method, std::move(args), opts));
+    EXPECT_TRUE(r.ok()) << r.status.ToString();
+    return std::move(r.payload);
+  }
+
+  TestWorld w;
+  std::shared_ptr<KvReplica> primary;
+  core::ServiceBinding self;
+  core::ServiceBinding peer;
+  std::vector<Bytes> batches;
+};
+
+TEST(ReplicationWire, ReplicateBatchBytesArePinned) {
+  RecordedGroup g;
+  const std::string stale = RecordedGroup::KeyIn(1);
+  const std::string fresh = RecordedGroup::KeyIn(1, 1);
+  // A Put, a freeze of shard 0, then an install of shard 1 at epoch 2
+  // whose snapshot lacks the key the Put wrote: the install mirrors the
+  // snapshot's entries, deletes the stale key, and carries the config
+  // with shard 0 still frozen.
+  ASSERT_OK(g.w.rt->Run(g.primary->Put(stale, "old")));
+  kvwire::ShardFreezeRequest freeze;
+  freeze.shard = 0;
+  ASSERT_OK(g.w.rt->Run(g.primary->HandleShardFreeze(freeze)));
+  kvwire::ShardInstallRequest install;
+  install.shard = 1;
+  install.shard_epoch = 2;
+  install.entries = {{fresh, "new"}};
+  ASSERT_OK(g.w.rt->Run(g.primary->HandleShardInstall(std::move(install))));
+
+  // Each batch: epoch 1 and the view [primary, peer], then entries,
+  // deletes, and the shard config (4 shards, owned [0 1 2 3] at their
+  // ownership epochs, then the frozen list).
+  const std::string head =
+      "01" "02" "00828002a100000000000000a2000000000000007f2bb7adc139922004"
+      "01808002b100000000000000b2000000000000007f2bb7adc139922004";
+  ASSERT_EQ(g.batches.size(), 3u);
+  EXPECT_EQ(Hex(View(g.batches[0])),  // Put k0 = old
+            head + "01026b30036f6c64" + "00" + "0404000102030401010101" + "00");
+  EXPECT_EQ(Hex(View(g.batches[1])),  // freeze shard 0
+            head + "00" + "00" + "0404000102030401010101" + "0100");
+  EXPECT_EQ(Hex(View(g.batches[2])),  // install k4 = new, delete k0
+            head + "01026b34036e6577" + "01026b30" + "0404000102030401020101" +
+                "0100");
+}
+
+TEST(ReplicationWire, JoinResponseBytesArePinned) {
+  RecordedGroup g;
+  ASSERT_OK(g.w.rt->Run(g.primary->Put(RecordedGroup::KeyIn(0), "v0")));
+  ASSERT_OK(g.w.rt->Run(g.primary->Put(RecordedGroup::KeyIn(1), "v1")));
+  kvwire::JoinRequest join;
+  join.joiner = g.peer;
+  const Bytes resp = g.Call(kvwire::kJoin, serde::EncodeToBytes(join));
+  // epoch 1; the snapshot {k0: v1, k3: v0} with its empty subscriber
+  // list; the view [primary, peer]; the shard config.
+  EXPECT_EQ(Hex(View(resp)),
+            "01" + std::string("0e02026b30027631026b3302763000") +
+                "0200828002a100000000000000a2000000000000007f2bb7adc139922004"
+                "01808002b100000000000000b2000000000000007f2bb7adc139922004" +
+                "040400010203040101010100");
+}
+
+TEST(ReplicationWire, EpochResponseBytesArePinned) {
+  RecordedGroup g;
+  const std::string key = RecordedGroup::KeyIn(2);
+  // Every reply is stamped with replication epoch 1 and the key's shard
+  // epoch 1.
+  kvwire::PutRequest put{key, "value", ObjectId{}};
+  EXPECT_EQ(Hex(View(g.Call(kvwire::kEpochPut, serde::EncodeToBytes(put)))),
+            "0101");
+  kvwire::GetRequest get{key};
+  EXPECT_EQ(Hex(View(g.Call(kvwire::kEpochGet, serde::EncodeToBytes(get)))),
+            "01" "0576616c7565" "0101");  // value "value"
+  kvwire::DelRequest del{key, ObjectId{}};
+  EXPECT_EQ(Hex(View(g.Call(kvwire::kEpochDel, serde::EncodeToBytes(del)))),
+            "01" "0101");  // existed
 }
 
 }  // namespace
