@@ -33,7 +33,9 @@ sim::Co<void> ClientWorkload(std::shared_ptr<IKeyValue> kv, std::uint64_t seed,
     if (rng.UniformDouble() < kReadRatio) {
       (void)co_await kv->Get(key);
     } else {
-      (void)co_await kv->Put(key, "v" + std::to_string(i));
+      std::string value = "v";
+      value += std::to_string(i);
+      (void)co_await kv->Put(key, std::move(value));
     }
   }
   ++*done;
@@ -55,7 +57,9 @@ Sample Run(std::uint32_t protocol, int sharers) {
   std::vector<core::Context*> contexts;
   for (int i = 0; i < sharers; ++i) {
     const NodeId node = w.rt->AddNode("sharer-" + std::to_string(i));
-    contexts.push_back(&w.rt->CreateContext(node, "c" + std::to_string(i)));
+    std::string name = "c";
+    name += std::to_string(i);
+    contexts.push_back(&w.rt->CreateContext(node, name));
   }
 
   std::vector<std::shared_ptr<IKeyValue>> proxies(sharers);

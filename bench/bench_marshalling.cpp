@@ -13,10 +13,13 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "net/endpoint.h"
 #include "rpc/frame.h"
 #include "serde/message.h"
 #include "serde/traits.h"
 #include "serde/wire.h"
+#include "sim/network.h"
+#include "sim/scheduler.h"
 
 namespace {
 
@@ -105,9 +108,7 @@ BENCHMARK(BM_DecodeNested)->Range(64, 64 << 10);
 void BM_EnvelopeWrapUnwrap(benchmark::State& state) {
   const Bytes payload = MakeFlat(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    serde::Writer w;
-    w.WriteRaw(View(payload));
-    Bytes framed = serde::WrapEnvelope(std::move(w));
+    Bytes framed = serde::WrapEnvelope(BytesView{}, View(payload));
     auto unwrapped = serde::UnwrapEnvelopeView(View(framed));
     benchmark::DoNotOptimize(unwrapped);
   }
@@ -126,22 +127,23 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Range(64, 64 << 10);
 
-rpc::RequestFrame MakeFrame(std::size_t args_size) {
+/// A request frame borrowing `args`, as RpcClient::Call builds it.
+rpc::RequestFrame MakeFrame(BytesView args) {
   rpc::RequestFrame frame;
   frame.call = {0x1122334455667788ull, 42};
   frame.object = {0xfeedfacecafebeefull, 0x0123456789abcdefull};
   frame.method = 3;
-  frame.args = MakeFlat(args_size);
+  frame.args = args;
   frame.deadline = 1'000'000'000;
   frame.trace = {0x1111, 0x2222, 0x3333};
   return frame;
 }
 
 void BM_EncodeRequestFrame(benchmark::State& state) {
-  const rpc::RequestFrame frame =
-      MakeFrame(static_cast<std::size_t>(state.range(0)));
+  const Bytes args = MakeFlat(static_cast<std::size_t>(state.range(0)));
+  const rpc::RequestFrame frame = MakeFrame(View(args));
   for (auto _ : state) {
-    Bytes encoded = rpc::EncodeRequest(rpc::RequestFrame(frame));
+    Bytes encoded = rpc::EncodeRequest(frame);
     benchmark::DoNotOptimize(encoded);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -150,8 +152,8 @@ void BM_EncodeRequestFrame(benchmark::State& state) {
 BENCHMARK(BM_EncodeRequestFrame)->Range(8, 64 << 10);
 
 void BM_DecodeRequestFrame(benchmark::State& state) {
-  const Bytes encoded =
-      rpc::EncodeRequest(MakeFrame(static_cast<std::size_t>(state.range(0))));
+  const Bytes args = MakeFlat(static_cast<std::size_t>(state.range(0)));
+  const Bytes encoded = rpc::EncodeRequest(MakeFrame(View(args)));
   for (auto _ : state) {
     auto decoded = rpc::DecodeRequestView(View(encoded));
     benchmark::DoNotOptimize(decoded);
@@ -193,15 +195,15 @@ void EmitWireMetrics() {
        {std::size_t{64}, std::size_t{4096}, std::size_t{65536}}) {
     const std::string suffix = std::to_string(size);
 
-    // encode_request: marshal a frame exactly as the client stub does —
-    // args are owned by the frame and handed to the encoder, which may
-    // adopt them into its buffer chain rather than copy.
+    // encode_request: marshal a frame exactly as RpcClient::Call does —
+    // args stay the caller's, and the encoder copies them once into the
+    // frame the client keeps for retransmission.
+    const Bytes args = MakeFlat(size);
     Bytes encoded;
     auto before = serde::WireCopyCounter().value();
     const auto enc_t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kOps; ++i) {
-      rpc::RequestFrame frame = MakeFrame(size);
-      encoded = rpc::EncodeRequest(std::move(frame));
+      encoded = rpc::EncodeRequest(MakeFrame(View(args)));
     }
     const auto enc_t1 = std::chrono::steady_clock::now();
     const double enc_copied =
@@ -228,29 +230,32 @@ void EmitWireMetrics() {
         {{"bytes_copied_per_op", dec_copied, true},
          {"wall_ops_per_sec", WallOpsPerSec(dec_t0, dec_t1, kOps), false}});
 
-    // wire_path: the whole one-way story as the stack runs it — marshal
-    // (adopting args), checksum-frame for the network (adopting the
-    // encoded request, gathering once), unwrap at arrival by narrowing,
-    // unmarshal borrowing. The headline bytes-copied-per-op number the
+    // wire_path: the whole one-way story through the runtime's own send
+    // and receive path — marshal into the frame the client keeps,
+    // Endpoint::Send (checksum in place, one copy into the datagram),
+    // delivery over a simulated link, envelope unwrap by narrowing, and
+    // the borrowed decode. The headline bytes-copied-per-op number the
     // trajectory tracks.
+    sim::Scheduler sched;
+    sim::Network network(sched, 1);
+    net::NodeStack sender(network, network.AddNode("sender"));
+    net::NodeStack receiver(network, network.AddNode("receiver"));
+    net::Endpoint* from = sender.OpenEndpoint(PortId(9));
+    net::Endpoint* to = receiver.OpenEndpoint(PortId(10));
+    std::size_t received_args = 0;
+    to->SetHandler([&received_args](const net::Address&, OwnedBytes body) {
+      auto decoded = rpc::DecodeRequestView(body.view());
+      if (!decoded.ok()) std::abort();
+      received_args = decoded->args.size();
+    });
     before = serde::WireCopyCounter().value();
     const auto rt_t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kOps; ++i) {
-      rpc::RequestFrame frame = MakeFrame(size);
-      serde::Writer stack;
-      stack.WriteVarint(9);  // the transport's source-port header
-      stack.WriteRaw(rpc::EncodeRequest(std::move(frame)));
-      Bytes framed = serde::WrapEnvelope(std::move(stack));
-      auto payload = serde::UnwrapEnvelopeView(View(framed));
-      if (!payload.ok()) std::abort();
-      serde::Reader r(*payload);
-      std::uint64_t port = 0;
-      BytesView body;
-      if (!r.ReadVarint(port).ok() || !r.ReadRaw(r.remaining(), body).ok()) {
-        std::abort();
-      }
-      auto decoded = rpc::DecodeRequestView(body);
-      if (!decoded.ok() || decoded->args.size() != size) std::abort();
+      const Bytes frame = rpc::EncodeRequest(MakeFrame(View(args)));
+      if (!from->Send(to->address(), View(frame)).ok()) std::abort();
+      received_args = 0;
+      sched.Run();
+      if (received_args != size) std::abort();
     }
     const auto rt_t1 = std::chrono::steady_clock::now();
     const double rt_copied =

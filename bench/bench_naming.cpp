@@ -39,7 +39,9 @@ Sample Run(int depth, bool cached) {
     naming::NameRecord referral;
     referral.kind = naming::RecordKind::kDirectory;
     referral.directory_server = ctx.server_address();
-    if (!cursor->RegisterDirect("d" + std::to_string(level), referral).ok()) {
+    std::string dir = "d";
+    dir += std::to_string(level);
+    if (!cursor->RegisterDirect(dir, referral).ok()) {
       std::abort();
     }
     cursor = servers.back().get();
@@ -55,7 +57,9 @@ Sample Run(int depth, bool cached) {
 
   std::string path;
   for (int level = 0; level < depth; ++level) {
-    path += "d" + std::to_string(level) + "/";
+    path += "d";
+    path += std::to_string(level);
+    path += "/";
   }
   path += "svc";
 

@@ -96,7 +96,9 @@ std::vector<LaneOutcome> RunOverload(bool admission_on,
     params[i].duration = kWindow;
     params[i].seed = 1000 + i;
     params[i].priority = call.priority;
-    params[i].value_tag = "v" + std::to_string(i);
+    std::string tag = "v";
+    tag += std::to_string(i);
+    params[i].value_tag = std::move(tag);
   }
 
   std::vector<sim::Future<bool>> lanes;
@@ -171,7 +173,9 @@ int main() {
               "mean ok"});
   for (std::size_t i = 0; i < on.size(); ++i) {
     const chaos::OpenLoopStats& s = on[i].stats;
-    prio.AddRow({"P" + std::to_string(i), FmtInt(s.offered), FmtInt(s.ok),
+    std::string lane = "P";
+    lane += std::to_string(i);
+    prio.AddRow({lane, FmtInt(s.offered), FmtInt(s.ok),
                  FmtInt(s.shed), FmtInt(s.failed),
                  FmtDouble(OkFraction(s), 3),
                  FmtMean(s.total_ok_latency, s.ok)});

@@ -18,8 +18,10 @@
 #   BENCH=1 scripts/check.sh      # also run the perf-trajectory gate:
 #                                 # deterministic bench metrics vs the
 #                                 # committed bench/BENCH_wire.json, and
-#                                 # a 1 s correctness smoke of every
-#                                 # hostbench workload
+#                                 # a 1 s seed-1 run of every hostbench
+#                                 # workload, which must report correct
+#                                 # (default preset: its exact counts are
+#                                 # gated vs bench/BENCH_host.json)
 #   NIGHTLY=1 scripts/check.sh    # widen the 10x-client chaos lane to
 #                                 # the full seed battery
 set -euo pipefail
@@ -197,21 +199,32 @@ if [ "$BENCH" = "1" ]; then
   python3 scripts/perf_gate.py --baseline bench/BENCH_wire.json \
     --current "$wire_jsonl"
 
-  echo "== hostbench correctness smoke =="
+  echo "== hostbench gate =="
   # hostbench builds its own copy of src/ (into .bench_build/), so only
   # running it shows that a src/ change still builds there and that every
-  # workload's output checks pass. One second per workload; the timings
-  # are not gated.
+  # workload's output checks pass. One second per workload and mode at
+  # seed 1: --trace 0 for allocations and virtual latency, --trace 1 for
+  # scheduler events per op. These counts are exact for one build, but
+  # they depend on the toolchain's libstdc++, so they are gated against
+  # bench/BENCH_host.json on the default preset only. The timings are
+  # never gated.
+  host_jsonl="$BUILD_DIR/bench_host_current.jsonl"
+  rm -f "$host_jsonl"
   for workload in rpc_small kv_bulk kv_sharded_open kv_cached_zipf; do
-    result="$(python3 hostbench/run.py --workload "$workload" --seed 1 \
+    plain="$(python3 hostbench/run.py --workload "$workload" --seed 1 \
       --seconds 1 | tail -n 1)"
-    if ! python3 -c \
-        'import json, sys; sys.exit(json.loads(sys.argv[1])["correct"] is not True)' \
-        "$result"; then
+    traced="$(python3 hostbench/run.py --workload "$workload" --seed 1 \
+      --seconds 1 --trace 1 | tail -n 1)"
+    if ! python3 scripts/perf_gate.py --hostbench "$workload" "$plain" \
+        "$traced" >> "$host_jsonl"; then
       echo "FAIL: hostbench $workload did not report correct=true"
       exit 1
     fi
   done
+  if [ "$PRESET" = "default" ]; then
+    python3 scripts/perf_gate.py --baseline bench/BENCH_host.json \
+      --current "$host_jsonl"
+  fi
 fi
 
 echo "== OK =="

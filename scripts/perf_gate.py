@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Perf-trajectory gate for the zero-copy wire path.
+"""Perf-trajectory gate for the wire path and the host counts.
 
 Compares a fresh bench emission (JSONL lines written by the benches when
-PROXY_BENCH_JSON is set) against the committed baseline in
-bench/BENCH_wire.json — specifically against the *last* trajectory entry,
-which is the performance the tree currently claims. Only metrics marked
-deterministic are gated: they come from virtual time and the
-serde::WireCopyCounter tally, so they are bit-identical across runs and
-machines. Wall-clock numbers ride along in the JSONL for context but are
-never compared.
+PROXY_BENCH_JSON is set) against a committed baseline —
+bench/BENCH_wire.json for the simulator benches, bench/BENCH_host.json
+for hostbench — specifically against the *last* trajectory entry, which
+is the performance the tree currently claims. Only metrics marked
+deterministic are gated: they come from virtual time, the
+serde::WireCopyCounter tally and hostbench's exact per-op counts, so
+they are identical across runs of the same build. Wall-clock numbers
+ride along in the JSONL for context but are never compared.
 
 A metric regresses when it moves past its margin in the bad direction:
 
@@ -17,6 +18,8 @@ A metric regresses when it moves past its margin in the bad direction:
     bytes_copied_per_op   must stay <= 1.1x baseline  (lower is better)
     mean_read_latency_ns  must stay <= 1.1x baseline
     msgs_per_call         must stay <= 1.1x baseline
+    allocs_per_op         must stay <= 1.02x baseline (hostbench)
+    ...                   (the full table is RULES below)
 
 Metrics present in the baseline but absent from the current run fail the
 gate (a silently-dropped scenario is a regression in coverage). Unknown
@@ -24,6 +27,9 @@ metric keys are informational and skipped.
 
 Usage:
     perf_gate.py --baseline bench/BENCH_wire.json --current run.jsonl
+    perf_gate.py --hostbench WORKLOAD PLAIN TRACED >> run.jsonl
+        # one JSONL record from the last lines of `hostbench/run.py
+        # --trace 0` and `--trace 1`; fails unless both say correct
     perf_gate.py --self-test        # prove the gate rejects regressions
 
 Exit status: 0 pass, 1 regression(s), 2 usage/input error.
@@ -55,7 +61,22 @@ RULES = {
     "events_per_virtual_sec": ("up", 0.9),
     "timers_cancelled": ("up", 0.9),
     "coalesced_fraction": ("up", 0.9),
+    # hostbench at seed 1 (bench/BENCH_host.json): exact counts of one
+    # build, so the margins are tight — one extra allocation per
+    # rpc_small op (~27) is +3.7% and fails. Virtual latency is fixed by
+    # the link parameters and the event order, so any rise is a change
+    # in behaviour.
+    "allocs_per_op": ("down", 1.02),
+    "alloc_bytes_per_op": ("down", 1.02),
+    "vlat_mean_us": ("down", 1.001),
+    "vlat_p99_us": ("down", 1.001),
+    "sim.events_per_op": ("down", 1.01),
 }
+
+# The hostbench metrics gated, by the hostbench mode that reports them.
+HOSTBENCH_PLAIN = ("allocs_per_op", "alloc_bytes_per_op", "vlat_mean_us",
+                   "vlat_p99_us")
+HOSTBENCH_TRACED = ("sim.events_per_op",)
 
 
 def load_baseline(path):
@@ -105,6 +126,23 @@ def load_current(path):
                 if m.get("deterministic"):
                     flat[f"{prefix}/{key}"] = m["value"]
     return flat
+
+
+def hostbench_record(workload, plain, traced):
+    """One bench JSONL record of the gated hostbench counts, from the
+    JSON result lines of a --trace 0 and a --trace 1 run."""
+    metrics = {}
+    for mode, text, keys in (("--trace 0", plain, HOSTBENCH_PLAIN),
+                             ("--trace 1", traced, HOSTBENCH_TRACED)):
+        result = json.loads(text)
+        if result.get("correct") is not True:
+            raise ValueError(f"hostbench {workload} {mode}: not correct")
+        for key in keys:
+            metric = result["metrics"].get(key)
+            if metric is None or metric.get("value") is None:
+                raise ValueError(f"hostbench {workload} {mode}: no {key}")
+            metrics[key] = {"value": metric["value"], "deterministic": True}
+    return {"bench": "hostbench", "scenario": workload, "metrics": metrics}
 
 
 def check(baseline, current):
@@ -206,6 +244,52 @@ def self_test():
     if len(check(sim_base, shrunk)) != 3:
         print("self-test FAIL: sim-core regressions passed")
         return 1
+    # hostbench counts: one extra allocation per rpc_small op, or one
+    # more scheduler event per op, must trip; a count that falls passes.
+    host_base = {
+        "hostbench/rpc_small/allocs_per_op": 27.0157,
+        "hostbench/rpc_small/alloc_bytes_per_op": 3444.5541,
+        "hostbench/rpc_small/vlat_mean_us": 272.91475738,
+        "hostbench/rpc_small/vlat_p99_us": 281.644,
+        "hostbench/rpc_small/sim.events_per_op": 10.0,
+    }
+    if check(host_base, dict(host_base)):
+        print("self-test FAIL: identical hostbench run was rejected")
+        return 1
+    one_more = dict(host_base)
+    one_more["hostbench/rpc_small/allocs_per_op"] += 1
+    if len(check(host_base, one_more)) != 1:
+        print("self-test FAIL: +1 alloc/op on rpc_small passed")
+        return 1
+    busier = dict(host_base)
+    busier["hostbench/rpc_small/sim.events_per_op"] += 1
+    busier["hostbench/rpc_small/vlat_p99_us"] += 1
+    if len(check(host_base, busier)) != 2:
+        print("self-test FAIL: +1 event/op or +1 us p99 passed")
+        return 1
+    leaner = dict(host_base)
+    leaner["hostbench/rpc_small/allocs_per_op"] -= 5
+    if check(host_base, leaner):
+        print("self-test FAIL: fewer allocations were rejected")
+        return 1
+    record = hostbench_record(
+        "rpc_small",
+        json.dumps({"correct": True, "metrics": {
+            k: {"value": 1.0} for k in HOSTBENCH_PLAIN}}),
+        json.dumps({"correct": True, "metrics": {
+            k: {"value": 2.0} for k in HOSTBENCH_TRACED}}))
+    if sorted(record["metrics"]) != sorted(HOSTBENCH_PLAIN +
+                                           HOSTBENCH_TRACED):
+        print(f"self-test FAIL: hostbench record has {record['metrics']}")
+        return 1
+    try:
+        hostbench_record("rpc_small", '{"correct": false, "metrics": {}}',
+                         '{"correct": true, "metrics": {}}')
+    except ValueError:
+        pass
+    else:
+        print("self-test FAIL: an incorrect hostbench run was recorded")
+        return 1
     # Malformed current-run records must produce a clear error naming the
     # offending line, not a bare KeyError traceback.
     import os
@@ -243,11 +327,20 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", help="committed BENCH_wire.json")
     parser.add_argument("--current", help="fresh JSONL bench emission")
+    parser.add_argument("--hostbench", nargs=3,
+                        metavar=("WORKLOAD", "PLAIN", "TRACED"))
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
 
     if args.self_test:
         return self_test()
+    if args.hostbench:
+        try:
+            print(json.dumps(hostbench_record(*args.hostbench)))
+        except (ValueError, KeyError) as e:
+            print(f"perf_gate: {e}", file=sys.stderr)
+            return 2
+        return 0
     if not args.baseline or not args.current:
         parser.print_usage(sys.stderr)
         return 2

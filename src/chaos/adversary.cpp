@@ -17,11 +17,11 @@ void ReplySpoofer::Burst(std::uint32_t client_index) {
     rpc::ReplyFrame reply;
     reply.call = rpc::CallId{target.nonce, seq};
     reply.code = StatusCode::kOk;
-    reply.result = poison;
+    reply.result = View(poison);
     // The adversary forges wire frames on purpose — its whole job is to
     // violate the encapsulation boundary the proxies defend.
     // NOLINTNEXTLINE(proxy-lint:L3)
-    (void)endpoint_->Send(target.client, rpc::EncodeReply(std::move(reply)));
+    (void)endpoint_->Send(target.client, rpc::EncodeReply(reply));
     ++forged_;
   }
 }

@@ -93,7 +93,7 @@ sim::Co<Result<ServiceBinding>> MigrationManager::PushTo(ObjectId id,
     co_return raw.status;
   }
   Result<AcceptResponse> resp =
-      serde::DecodeFromBytes<AcceptResponse>(View(raw.payload));
+      serde::DecodeFromBytes<AcceptResponse>(raw.payload.view());
   if (!resp.ok()) co_return resp.status();
   stats_.pushed++;
   PROXY_LOG(kInfo, context_->scheduler().now(), "migration",
@@ -113,7 +113,7 @@ sim::Co<Result<ServiceBinding>> MigrationManager::Pull(
       serde::EncodeToBytes(req), rpc::CallOptions{}.WithDeadline(Seconds(2)));
   if (!raw.ok()) co_return raw.status;
   Result<ReleaseResponse> resp =
-      serde::DecodeFromBytes<ReleaseResponse>(View(raw.payload));
+      serde::DecodeFromBytes<ReleaseResponse>(raw.payload.view());
   if (!resp.ok()) co_return resp.status();
 
   Result<ServiceBinding> rebuilt =

@@ -120,21 +120,25 @@ class ProxyBase {
   template <typename Resp, typename Req>
   sim::Co<Result<Resp>> Call(std::uint32_t method, Req req) {
     Bytes args = serde::EncodeToBytes(req);
-    Result<Bytes> raw = co_await CallRaw(method, std::move(args), options_);
+    Result<OwnedBytes> raw =
+        co_await CallRaw(method, std::move(args), options_);
     if (!raw.ok()) co_return raw.status();
-    co_return serde::DecodeFromBytes<Resp>(View(*raw));
+    co_return serde::DecodeFromBytes<Resp>(raw->view());
   }
 
   /// Untyped variant for proxies that marshal manually.
-  sim::Co<Result<Bytes>> CallRaw(std::uint32_t method, Bytes args) {
+  sim::Co<Result<OwnedBytes>> CallRaw(std::uint32_t method, Bytes args) {
     co_return co_await CallRaw(method, std::move(args), options_);
   }
 
   /// The invocation loop, and the system's measurement point: the proxy
   /// is where a call's whole story (forwarding hops, recoveries, final
   /// latency) is visible, so this is where the span opens and closes.
-  sim::Co<Result<Bytes>> CallRaw(std::uint32_t method, Bytes args,
-                                 rpc::CallOptions options) {
+  /// `args` lives in this frame for every hop; each hop's RpcClient::Call
+  /// reads it in place. The result is the reply's window of its arrival
+  /// buffer (rpc::RpcResult::payload).
+  sim::Co<Result<OwnedBytes>> CallRaw(std::uint32_t method, Bytes args,
+                                      rpc::CallOptions options) {
     stats_.calls++;
     const SimTime started = context_->scheduler().now();
     obs::SpanRecorder& spans = context_->spans();
@@ -154,7 +158,7 @@ class ProxyBase {
           options.max_retries * 2);
     }
 
-    Result<Bytes> outcome = UnavailableError(
+    Result<OwnedBytes> outcome = UnavailableError(
         "forwarding chain exceeded " + std::to_string(kMaxForwardHops) +
         " hops");
     bool recovery_tried = false;
@@ -162,7 +166,7 @@ class ProxyBase {
     SimDuration prev_pushback_wait = 0;
     for (int hop = 0; hop <= kMaxForwardHops; ++hop) {
       rpc::RpcResult raw = co_await context_->client().Call(
-          binding_.server, binding_.object, method, args, options);
+          binding_.server, binding_.object, method, View(args), options);
       if (raw.ok()) {
         outcome = std::move(raw.payload);
         break;
@@ -170,7 +174,7 @@ class ProxyBase {
       if (raw.status.code() == StatusCode::kObjectMoved) {
         // Follow the forwarding hint: adopt the new binding and retry.
         Result<ServiceBinding> fwd =
-            serde::DecodeFromBytes<ServiceBinding>(View(raw.payload));
+            serde::DecodeFromBytes<ServiceBinding>(raw.payload.view());
         if (!fwd.ok()) {
           outcome = fwd.status();
           break;

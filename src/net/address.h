@@ -27,8 +27,13 @@ struct Address {
   }
 
   [[nodiscard]] std::string ToString() const {
-    return "n" + std::to_string(node.value()) + ":p" +
-           std::to_string(port.value());
+    // Appends rather than `"n" + std::to_string(...)`: GCC 12 at -O2/-O3
+    // reports a false -Wrestrict overlap inside that operator+.
+    std::string out = "n";
+    out += std::to_string(node.value());
+    out += ":p";
+    out += std::to_string(port.value());
+    return out;
   }
 };
 

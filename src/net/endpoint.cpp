@@ -3,12 +3,12 @@
 #include "common/log.h"
 #include "serde/message.h"
 #include "serde/reader.h"
-#include "serde/writer.h"
+#include "serde/wire.h"
 
 namespace proxy::net {
 
-Status Endpoint::Send(const Address& to, Bytes payload) {
-  return stack_->SendFrom(addr_, to, std::move(payload));
+Status Endpoint::Send(const Address& to, BytesView payload) {
+  return stack_->SendFrom(addr_, to, payload);
 }
 
 NodeStack::NodeStack(sim::Network& network, NodeId node)
@@ -36,18 +36,18 @@ Endpoint* NodeStack::OpenEphemeral() {
 void NodeStack::CloseEndpoint(PortId port) { endpoints_.erase(port); }
 
 Status NodeStack::SendFrom(const Address& from, const Address& to,
-                           Bytes payload) {
+                           BytesView payload) {
   if (payload.size() > Endpoint::kMaxPayload) {
     return ResourceExhaustedError("datagram exceeds max payload");
   }
-  // Header: source port, then the payload, all inside a CRC envelope.
-  // The payload buffer is adopted into the writer's chain and gathered
-  // exactly once, inside WrapEnvelope — the send path's single flatten.
-  serde::Writer w;
-  w.WriteVarint(from.port.value());
-  w.WriteRaw(std::move(payload));
-  return network_->Send(from.node, to.node, to.port,
-                        serde::WrapEnvelope(std::move(w)));
+  // Header: the source port, then the payload, inside a CRC envelope
+  // that checksums both in place and copies them once, into the
+  // datagram.
+  std::uint8_t port[serde::kMaxVarintBytes];
+  const std::size_t port_len = serde::EncodeVarint(from.port.value(), port);
+  return network_->Send(
+      from.node, to.node, to.port,
+      serde::WrapEnvelope(BytesView(port, port_len), payload));
 }
 
 void NodeStack::OnNetworkDeliver(NodeId from_node, PortId to_port,

@@ -44,9 +44,12 @@ class Endpoint {
   /// Installs the receive handler (one per endpoint).
   void SetHandler(Handler handler) { handler_ = std::move(handler); }
 
-  /// Sends a datagram. Returns an error only for local misuse (unknown
-  /// destination node, oversized payload); loss in transit is silent.
-  Status Send(const Address& to, Bytes payload);
+  /// Sends `payload` as one datagram. The bytes are checksummed where
+  /// they lie and copied once, straight into the datagram; the caller
+  /// keeps its buffer (the RPC layer resends from it). Returns an error
+  /// only for local misuse (unknown destination node, oversized
+  /// payload); loss in transit is silent.
+  Status Send(const Address& to, BytesView payload);
 
   /// Maximum payload accepted by Send.
   static constexpr std::size_t kMaxPayload = 1 << 20;  // 1 MiB
@@ -92,7 +95,7 @@ class NodeStack {
  private:
   friend class Endpoint;
 
-  Status SendFrom(const Address& from, const Address& to, Bytes payload);
+  Status SendFrom(const Address& from, const Address& to, BytesView payload);
   void OnNetworkDeliver(NodeId from_node, PortId to_port, Bytes framed);
 
   sim::Network* network_;

@@ -54,7 +54,7 @@ bool RpcClient::CircuitOpen(const net::Address& dest) const {
 
 sim::Future<RpcResult> RpcClient::Call(const net::Address& to,
                                        ObjectId object, std::uint32_t method,
-                                       Bytes args,
+                                       BytesView args,
                                        const CallOptions& options) {
   stats_.calls_started++;
   const std::uint64_t seq = next_seq_++;
@@ -89,21 +89,17 @@ sim::Future<RpcResult> RpcClient::Call(const net::Address& to,
   frame.call = CallId{nonce_, seq};
   frame.object = object;
   frame.method = method;
-  frame.args = std::move(args);
+  frame.args = args;
   frame.trace = options.trace;
   frame.priority = options.priority;
   if (options.deadline > 0) {
     call.deadline = scheduler().now() + options.deadline;
     frame.deadline = call.deadline;
   }
-  // The frame is built only to be encoded: hand args to the encoder's
-  // buffer chain instead of re-copying them. The encoded bytes are
-  // retained for retransmission, so each (re)send explicitly copies the
-  // retained buffer — the one counted copy this layer still makes.
-  call.encoded_request = EncodeRequest(std::move(frame));
-
-  serde::CountWireCopy(call.encoded_request.size());
-  const Status sent = endpoint_->Send(to, call.encoded_request);
+  // The request's two copies: args into the encoded frame, kept for
+  // retransmission, and the frame into each datagram sent from it.
+  call.encoded_request = EncodeRequest(frame);
+  const Status sent = endpoint_->Send(to, View(call.encoded_request));
   if (!sent.ok()) {
     // Local send failure (unknown node, oversized): fail immediately.
     Finish(seq, sent);
@@ -160,13 +156,16 @@ void RpcClient::OnDatagram(const net::Address& from, OwnedBytes payload) {
     budget.tokens = std::min(retry_budget_params_.max_tokens,
                              budget.tokens +
                                  retry_budget_params_.refill_per_success);
-    Finish(reply->call.seq,
-           RpcResult(Status::Ok(), std::move(reply->result)));
+    // The caller decodes the result where it arrived: the datagram's
+    // buffer, narrowed to it, is the payload.
+    payload.Narrow(reply->result);
+    Finish(reply->call.seq, RpcResult(Status::Ok(), std::move(payload)));
   } else if (reply->code == StatusCode::kObjectMoved) {
     // Forwarding hint: the payload carries the new location; the caller
     // (typically a proxy) rebinds and retries.
+    payload.Narrow(reply->result);
     Finish(reply->call.seq, RpcResult(ObjectMovedError(reply->error_message),
-                                      std::move(reply->result)));
+                                      std::move(payload)));
   } else if (reply->code == StatusCode::kResourceExhausted) {
     // Server pushback: surface the retry-after hint so the proxy layer
     // can back off before re-offering the work (ProxyBase::CallRaw).
@@ -232,8 +231,7 @@ void RpcClient::OnRetryTimer(std::uint64_t seq) {
   }
   call.attempts++;
   stats_.retransmissions++;
-  serde::CountWireCopy(call.encoded_request.size());
-  (void)endpoint_->Send(call.dest, call.encoded_request);
+  (void)endpoint_->Send(call.dest, View(call.encoded_request));
   const SimDuration backoff = NextBackoff(call);
   if (call.deadline != 0 &&
       scheduler().now() + backoff >= call.deadline) {

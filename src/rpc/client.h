@@ -189,9 +189,11 @@ class RpcClient {
 
   /// Invokes `method` on `object` at `to`. The future resolves with the
   /// reply payload, the server's error, or TIMEOUT. An OBJECT_MOVED
-  /// outcome carries the forwarding hint in `payload`.
+  /// outcome carries the forwarding hint in `payload`. `args` is read
+  /// only during this call: it is copied once, into the encoded request
+  /// the client keeps for retransmission.
   sim::Future<RpcResult> Call(const net::Address& to, ObjectId object,
-                              std::uint32_t method, Bytes args,
+                              std::uint32_t method, BytesView args,
                               const CallOptions& options = {});
 
   /// Replaces the retry-budget tuning (existing buckets are re-clamped
@@ -248,7 +250,7 @@ class RpcClient {
   struct PendingCall {
     sim::Promise<RpcResult> promise;
     net::Address dest;
-    Bytes encoded_request;  // kept for retransmission
+    Bytes encoded_request;  // every (re)send is a view of it
     CallOptions options;
     int attempts = 0;
     SimTime started_at = 0;        // Call() entry, for the latency histogram

@@ -5,14 +5,39 @@
 
 namespace proxy::rpc {
 
-Bytes EncodeRequest(RequestFrame&& frame) {
-  serde::Writer w;
+namespace {
+
+using serde::VarintSize;
+
+std::size_t CallIdSize(const CallId& call) {
+  return VarintSize(call.client_nonce) + VarintSize(call.seq);
+}
+
+/// A length-prefixed field of `n` bytes.
+std::size_t LengthPrefixedSize(std::size_t n) { return VarintSize(n) + n; }
+
+}  // namespace
+
+// Both frames are allocated at their exact encoded size, summed field by
+// field in wire order: the client keeps each encoded request until its
+// reply, for retransmission, and the server keeps each encoded reply in
+// its at-most-once cache, so any slack would be held for every call.
+Bytes EncodeRequest(const RequestFrame& frame) {
+  serde::Writer w(1 + CallIdSize(frame.call) +
+                  2 * sizeof(std::uint64_t) +  // object: two fixed64 words
+                  VarintSize(frame.method) +
+                  LengthPrefixedSize(frame.args.size()) +
+                  VarintSize(frame.deadline) +
+                  VarintSize(frame.trace.trace_id) +
+                  VarintSize(frame.trace.span_id) +
+                  VarintSize(frame.trace.parent_span_id) +
+                  VarintSize(static_cast<std::uint64_t>(frame.priority)));
   w.WriteU8(static_cast<std::uint8_t>(FrameType::kRequest));
   serde::Serialize(w, frame.call);
   serde::Serialize(w, frame.object);
   serde::Serialize(w, frame.method);
-  w.WriteBytes(std::move(frame.args));  // adopt, don't re-copy
-  w.WriteVarint(frame.deadline);        // absolute expiry, 0 = none
+  w.WriteBytes(frame.args);
+  w.WriteVarint(frame.deadline);  // absolute expiry, 0 = none
   w.WriteVarint(frame.trace.trace_id);
   w.WriteVarint(frame.trace.span_id);
   w.WriteVarint(frame.trace.parent_span_id);
@@ -20,14 +45,18 @@ Bytes EncodeRequest(RequestFrame&& frame) {
   return w.Take();
 }
 
-Bytes EncodeReply(ReplyFrame&& frame) {
-  serde::Writer w;
+Bytes EncodeReply(const ReplyFrame& frame) {
+  serde::Writer w(1 + CallIdSize(frame.call) +
+                  VarintSize(static_cast<std::uint64_t>(frame.code)) +
+                  LengthPrefixedSize(frame.error_message.size()) +
+                  VarintSize(frame.retry_after) +
+                  LengthPrefixedSize(frame.result.size()));
   w.WriteU8(static_cast<std::uint8_t>(FrameType::kReply));
   serde::Serialize(w, frame.call);
   serde::Serialize(w, frame.code);
   serde::Serialize(w, frame.error_message);
   serde::Serialize(w, frame.retry_after);
-  w.WriteBytes(std::move(frame.result));  // adopt, don't re-copy
+  w.WriteBytes(frame.result);
   return w.Take();
 }
 
@@ -87,7 +116,11 @@ Result<ReplyFrame> DecodeReply(BytesView data) {
     return CorruptError("unexpected frame type");
   }
   ReplyFrame frame;
-  PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame));
+  PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame.call));
+  PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame.code));
+  PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame.error_message));
+  PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame.retry_after));
+  PROXY_RETURN_IF_ERROR(r.ReadBytesView(frame.result));
   PROXY_RETURN_IF_ERROR(r.ExpectEnd());
   return frame;
 }

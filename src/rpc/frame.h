@@ -50,11 +50,16 @@ struct CallId {
   }
 };
 
+/// One request on the wire. `args` is borrowed in both directions:
+/// EncodeRequest copies it into the encoded frame, which the client keeps
+/// for retransmission, and DecodeRequestView points it into the arrival
+/// buffer. The server keeps that buffer alive as the request-scoped arena
+/// for as long as the view is read, including across handler suspension.
 struct RequestFrame {
   CallId call;
   ObjectId object;        // target object within the server context
   std::uint32_t method = 0;
-  Bytes args;
+  BytesView args;
   /// Absolute virtual time after which the caller no longer wants the
   /// result; 0 means no deadline. Carried on the wire so the server can
   /// skip dispatching work whose reply nobody will read.
@@ -67,21 +72,13 @@ struct RequestFrame {
   Priority priority = Priority::kNormal;
 };
 
-/// Borrowed decode of a request: identical fields to RequestFrame except
-/// `args` is a window of the buffer handed to DecodeRequestView — no
-/// copy. The borrower (server dispatch) keeps the arrival buffer alive
-/// as the request-scoped arena for as long as the view is read,
-/// including across handler suspension points.
-struct RequestFrameView {
-  CallId call;
-  ObjectId object;
-  std::uint32_t method = 0;
-  BytesView args;
-  SimTime deadline = 0;
-  obs::TraceContext trace;
-  Priority priority = Priority::kNormal;
-};
+/// What DecodeRequestView returns: a decoded frame is an ordinary
+/// RequestFrame whose `args` borrows the arrival buffer.
+using RequestFrameView = RequestFrame;
 
+/// One reply on the wire. `result` is borrowed like RequestFrame::args:
+/// EncodeReply copies it into the encoded frame, which the server keeps
+/// in its reply cache, and DecodeReply points it into the arrival buffer.
 struct ReplyFrame {
   CallId call;
   StatusCode code = StatusCode::kOk;
@@ -90,44 +87,49 @@ struct ReplyFrame {
   /// The client should not re-offer this work to the server before the
   /// hint elapses (the server scales it with queue pressure).
   SimDuration retry_after = 0;
-  Bytes result;  // empty unless code == kOk or kObjectMoved
-
-  PROXY_SERDE_FIELDS(call, code, error_message, retry_after, result)
+  BytesView result;  // empty unless code == kOk or kObjectMoved
 };
 
 /// Outcome of one RPC as seen by the caller. `payload` is the reply body
 /// when the status is OK, and the forwarding hint (an encoded new
-/// binding) when the status is OBJECT_MOVED; empty otherwise.
+/// binding) when the status is OBJECT_MOVED; empty otherwise. It is the
+/// reply's arrival buffer narrowed to `result`, so the caller decodes
+/// straight out of the datagram, and views into it live as long as the
+/// RpcResult does.
 struct RpcResult {
   Status status;
-  Bytes payload;
+  OwnedBytes payload;
   /// Server pushback hint (RESOURCE_EXHAUSTED replies); 0 = none.
   SimDuration retry_after = 0;
 
   RpcResult() = default;
   RpcResult(Status s) : status(std::move(s)) {}  // NOLINT(implicit)
-  RpcResult(Status s, Bytes p) : status(std::move(s)), payload(std::move(p)) {}
+  RpcResult(Status s, OwnedBytes p)
+      : status(std::move(s)), payload(std::move(p)) {}
 
   [[nodiscard]] bool ok() const noexcept { return status.ok(); }
 };
 
-/// Encodes a frame with its type tag, consuming it: `args` / `result`
-/// are adopted into the encoder's buffer chain instead of copied.
+/// Encodes a frame with its type tag into one buffer, copying `args` /
+/// `result` into it once.
 ///
-/// Every peer is built from this tree, so the request frame has one
-/// fixed layout and no version field:
-///   tag, call, object, method, args, deadline,
-///   trace_id, span_id, parent_span_id, priority
-Bytes EncodeRequest(RequestFrame&& frame);
-Bytes EncodeReply(ReplyFrame&& frame);
+/// Every peer is built from this tree, so each frame has one fixed
+/// layout and no version field:
+///   request: tag, call, object, method, args, deadline,
+///            trace_id, span_id, parent_span_id, priority
+///   reply:   tag, call, code, error_message, retry_after, result
+Bytes EncodeRequest(const RequestFrame& frame);
+Bytes EncodeReply(const ReplyFrame& frame);
 
-/// Decodes the type tag, then the matching frame.
+/// Decodes the type tag.
 Result<FrameType> PeekFrameType(BytesView data);
-Result<ReplyFrame> DecodeReply(BytesView data);
 
-/// Borrowed decode: `args` in the result is a window of `data`. The
-/// caller owns `data`'s backing buffer and must keep it alive while the
-/// view is used (server dispatch holds the arrival buffer as arena).
+/// Borrowed decodes: `args` / `result` in the frame is a window of
+/// `data`. The caller owns `data`'s backing buffer and must keep it
+/// alive while the view is used (server dispatch holds the arrival
+/// buffer as the request's arena; the client hands it to the caller in
+/// RpcResult::payload).
 Result<RequestFrameView> DecodeRequestView(BytesView data);
+Result<ReplyFrame> DecodeReply(BytesView data);
 
 }  // namespace proxy::rpc

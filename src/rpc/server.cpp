@@ -97,7 +97,7 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
   if (const auto cached = hist.replies.find(seq);
       cached != hist.replies.end()) {
     stats_.duplicate_suppressed++;
-    (void)endpoint_->Send(from, cached->second);
+    (void)endpoint_->Send(from, View(cached->second));
     return;
   }
   // ...and drop duplicates of calls still executing (the eventual reply
@@ -116,7 +116,7 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
     reply.call = request->call;
     reply.code = StatusCode::kTimeout;
     reply.error_message = "deadline expired before dispatch";
-    (void)endpoint_->Send(from, EncodeReply(std::move(reply)));
+    (void)endpoint_->Send(from, EncodeReply(reply));
     return;
   }
 
@@ -126,7 +126,7 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
     reply.call = request->call;
     reply.code = StatusCode::kPermissionDenied;
     reply.error_message = "capability revoked";
-    (void)endpoint_->Send(from, EncodeReply(std::move(reply)));
+    (void)endpoint_->Send(from, EncodeReply(reply));
     return;
   }
 
@@ -137,8 +137,8 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
     reply.call = request->call;
     reply.code = StatusCode::kObjectMoved;
     reply.error_message = "object migrated";
-    reply.result = fwd->second;
-    (void)endpoint_->Send(from, EncodeReply(std::move(reply)));
+    reply.result = View(fwd->second);
+    (void)endpoint_->Send(from, EncodeReply(reply));
     return;
   }
 
@@ -150,7 +150,7 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
 }
 
 void RpcServer::Admit(const net::Address& from,
-                      const RequestFrameView& request, OwnedBytes arena,
+                      const RequestFrame& request, OwnedBytes arena,
                       SimTime received_at) {
   if (params_.max_concurrency == 0 ||
       running_ < params_.max_concurrency) {
@@ -190,7 +190,7 @@ void RpcServer::Admit(const net::Address& from,
 }
 
 void RpcServer::StartExecution(const net::Address& from,
-                               const RequestFrameView& request,
+                               const RequestFrame& request,
                                OwnedBytes arena, SimTime received_at) {
   running_++;
   LogAdmission(request.priority, AdmissionEvent::Action::kRun);
@@ -222,7 +222,7 @@ void RpcServer::FinishExecution() {
       reply.call = ready.request.call;
       reply.code = StatusCode::kTimeout;
       reply.error_message = "deadline expired in admission queue";
-      (void)endpoint_->Send(ready.from, EncodeReply(std::move(reply)));
+      (void)endpoint_->Send(ready.from, EncodeReply(reply));
       continue;
     }
     StartExecution(ready.from, ready.request, std::move(ready.arena),
@@ -248,12 +248,10 @@ void RpcServer::RejectOverload(const net::Address& from, const CallId& call,
   reply.code = StatusCode::kResourceExhausted;
   reply.error_message = "server overloaded";
   reply.retry_after = RetryAfterHint();
-  Bytes encoded = EncodeReply(std::move(reply));
   // Cached: shed means *never executed*, so a retransmission of this
   // call id must get the same rejection rather than a second admission
   // roll (which could execute work the caller was already told is shed).
-  CacheReply(call.client_nonce, call.seq, encoded);
-  (void)endpoint_->Send(from, std::move(encoded));
+  SendAndCache(from, call, EncodeReply(reply));
 }
 
 void RpcServer::LogAdmission(Priority priority,
@@ -274,7 +272,7 @@ void RpcServer::LogAdmission(Priority priority,
   admission_log_->push_back(ev);
 }
 
-sim::Co<void> RpcServer::Execute(net::Address from, RequestFrameView request,
+sim::Co<void> RpcServer::Execute(net::Address from, RequestFrame request,
                                  OwnedBytes arena, SimTime received_at) {
   // `arena` is not read here by name: its whole job is to live in this
   // coroutine's frame so request.args stays valid across suspensions.
@@ -329,21 +327,23 @@ void RpcServer::SendReply(const net::Address& to, const CallId& call,
   reply.call = call;
   if (outcome.ok()) {
     reply.code = StatusCode::kOk;
-    reply.result = std::move(*outcome);
+    reply.result = View(*outcome);
   } else {
     reply.code = outcome.status().code();
     reply.error_message = outcome.status().message();
   }
-  Bytes encoded = EncodeReply(std::move(reply));
-  CacheReply(call.client_nonce, call.seq, encoded);
-  (void)endpoint_->Send(to, std::move(encoded));
+  SendAndCache(to, call, EncodeReply(reply));
 }
 
-void RpcServer::CacheReply(std::uint64_t nonce, std::uint64_t seq,
-                           Bytes encoded) {
-  ClientHistory& hist = history_[nonce];
-  hist.replies[seq] = std::move(encoded);
-  hist.order.push_back(seq);
+void RpcServer::SendAndCache(const net::Address& to, const CallId& call,
+                             Bytes encoded) {
+  // Sending copies the encoded reply into the datagram; the encoded
+  // bytes then move into the cache, which answers retransmissions
+  // straight from them.
+  (void)endpoint_->Send(to, View(encoded));
+  ClientHistory& hist = history_[call.client_nonce];
+  hist.replies[call.seq] = std::move(encoded);
+  hist.order.push_back(call.seq);
   while (hist.order.size() > params_.reply_cache_per_client) {
     hist.replies.erase(hist.order.front());
     hist.order.pop_front();

@@ -205,7 +205,8 @@ class RpcServer {
 
  private:
   struct ClientHistory {
-    // Finished calls: seq -> encoded reply, bounded FIFO.
+    // Finished calls: seq -> encoded reply, bounded FIFO. The reply is
+    // cached by move; duplicates are answered straight from these bytes.
     std::unordered_map<std::uint64_t, Bytes> replies;
     std::deque<std::uint64_t> order;
     // Calls still executing.
@@ -217,7 +218,7 @@ class RpcServer {
   /// (OwnedBytes moves keep the heap block).
   struct QueuedRequest {
     net::Address from;
-    RequestFrameView request;
+    RequestFrame request;
     OwnedBytes arena;
     SimTime received_at = 0;
   };
@@ -225,11 +226,11 @@ class RpcServer {
   void OnDatagram(const net::Address& from, OwnedBytes payload);
   /// Admission decision for a decoded, non-duplicate request: run it,
   /// park it, displace a worse waiter, or fast-reject with pushback.
-  void Admit(const net::Address& from, const RequestFrameView& request,
+  void Admit(const net::Address& from, const RequestFrame& request,
              OwnedBytes arena, SimTime received_at);
   /// Dispatches the request (running_ accounting + Execute spawn).
   void StartExecution(const net::Address& from,
-                      const RequestFrameView& request, OwnedBytes arena,
+                      const RequestFrame& request, OwnedBytes arena,
                       SimTime received_at);
   /// Called when an execution finishes (same generation): frees the
   /// slot, then admits queued work — highest priority first, shedding
@@ -242,11 +243,14 @@ class RpcServer {
                       AdmissionEvent::Action action, Priority priority);
   [[nodiscard]] SimDuration RetryAfterHint() const noexcept;
   void LogAdmission(Priority priority, AdmissionEvent::Action action);
-  sim::Co<void> Execute(net::Address from, RequestFrameView request,
+  sim::Co<void> Execute(net::Address from, RequestFrame request,
                         OwnedBytes arena, SimTime received_at);
   void SendReply(const net::Address& to, const CallId& call,
                  Result<Bytes> outcome);
-  void CacheReply(std::uint64_t nonce, std::uint64_t seq, Bytes encoded);
+  /// Sends an encoded reply, then caches it for the at-most-once filter
+  /// (bounded FIFO per client).
+  void SendAndCache(const net::Address& to, const CallId& call,
+                    Bytes encoded);
 
   net::Endpoint* endpoint_;
   Params params_;

@@ -56,10 +56,10 @@ class StubBase {
   template <typename Resp, typename Req>
   sim::Co<Result<Resp>> TypedCall(std::uint32_t method, Req req) {
     Bytes args = serde::EncodeToBytes(req);
-    RpcResult raw = co_await client_->Call(server_, object_, method,
-                                           std::move(args), options_);
+    RpcResult raw =
+        co_await client_->Call(server_, object_, method, View(args), options_);
     if (!raw.ok()) co_return raw.status;
-    co_return serde::DecodeFromBytes<Resp>(View(raw.payload));
+    co_return serde::DecodeFromBytes<Resp>(raw.payload.view());
   }
 
  private:

@@ -2,26 +2,22 @@
 
 #include "serde/reader.h"
 #include "serde/wire.h"
-#include "serde/writer.h"
 
 namespace proxy::serde {
 
-Bytes WrapEnvelope(Writer&& payload) {
-  const std::size_t n = payload.size();
-  // Checksum the chain in place, then gather it once, straight into the
-  // framed buffer: the send path's single counted bulk copy.
-  std::uint32_t crc = kCrc32cInit;
-  payload.ForEachChunk(
-      [&crc](BytesView v) { crc = Crc32cExtend(crc, v); });
+Bytes WrapEnvelope(BytesView header, BytesView body) {
+  const std::size_t n = header.size() + body.size();
+  const std::uint32_t crc =
+      Crc32cFinish(Crc32cExtend(Crc32cExtend(kCrc32cInit, header), body));
   Bytes out;
   out.reserve(n + EnvelopeOverhead(n));
   PutFixed16(out, kEnvelopeMagic);
   out.push_back(kEnvelopeVersion);
-  PutFixed32(out, Crc32cFinish(crc));
+  PutFixed32(out, crc);
   PutVarint(out, n);
-  payload.ForEachChunk([&out](BytesView v) {
-    out.insert(out.end(), v.begin(), v.end());
-  });
+  // An empty span's data() may be null, which memmove must not see.
+  if (!header.empty()) out.insert(out.end(), header.begin(), header.end());
+  if (!body.empty()) out.insert(out.end(), body.begin(), body.end());
   CountWireCopy(n);
   return out;
 }

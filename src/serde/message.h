@@ -17,13 +17,12 @@ namespace proxy::serde {
 inline constexpr std::uint16_t kEnvelopeMagic = 0x5053;  // "PS"
 inline constexpr std::uint8_t kEnvelopeVersion = 1;
 
-class Writer;
-
-/// Wraps `payload` in an envelope: magic(2) version(1) crc(4) len payload.
-/// Checksums the buffer chain incrementally and gathers it straight into
-/// the framed output — the send path's single flatten, done once at the
-/// network boundary. `payload` is consumed.
-Bytes WrapEnvelope(Writer&& payload);
+/// Wraps `header` followed by `body` in an envelope:
+/// magic(2) version(1) crc(4) len payload, where payload is the two
+/// spans back to back. Checksums both spans where they lie and copies
+/// them straight into the framed output: the datagram copy, counted
+/// once. The caller keeps its buffers.
+Bytes WrapEnvelope(BytesView header, BytesView body);
 
 /// Validates and strips the envelope. The returned payload is a window
 /// of `framed`, valid only while the caller's buffer lives. No copy —

@@ -47,12 +47,19 @@ std::uint64_t GetFixed64(BytesView in, std::size_t pos) noexcept {
   return v;
 }
 
-void PutVarint(Bytes& out, std::uint64_t v) {
+std::size_t EncodeVarint(std::uint64_t v, std::uint8_t* out) noexcept {
+  std::size_t n = 0;
   while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    out[n++] = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  out[n++] = static_cast<std::uint8_t>(v);
+  return n;
+}
+
+void PutVarint(Bytes& out, std::uint64_t v) {
+  std::uint8_t buf[kMaxVarintBytes];
+  out.insert(out.end(), buf, buf + EncodeVarint(v, buf));
 }
 
 bool GetVarint(BytesView in, std::size_t& pos, std::uint64_t& out) noexcept {
@@ -101,7 +108,7 @@ constexpr std::size_t kBlockBytes = detail::kCrc32cStripeBytes / 3;
 static_assert(kBlockBytes * 3 == detail::kCrc32cStripeBytes &&
               kBlockBytes % 8 == 0);
 
-// Envelope windows and chain chunks start at any offset.
+// Envelope windows and the spans a sender checksums start at any offset.
 std::uint64_t Load64(const std::uint8_t* p) noexcept {
   std::uint64_t v;
   std::memcpy(&v, p, sizeof v);

@@ -25,7 +25,21 @@ std::uint16_t GetFixed16(BytesView in, std::size_t pos) noexcept;
 std::uint32_t GetFixed32(BytesView in, std::size_t pos) noexcept;
 std::uint64_t GetFixed64(BytesView in, std::size_t pos) noexcept;
 
-/// LEB128 unsigned varint (1..10 bytes).
+/// Longest LEB128 encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Length of `v`'s LEB128 encoding (1..kMaxVarintBytes).
+constexpr std::size_t VarintSize(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Writes `v` as an LEB128 unsigned varint at `out`, which has room for
+/// kMaxVarintBytes; returns the encoding's length.
+std::size_t EncodeVarint(std::uint64_t v, std::uint8_t* out) noexcept;
+
+/// Appends `v` as a varint.
 void PutVarint(Bytes& out, std::uint64_t v);
 
 /// Decodes a varint at `pos`; on success advances `pos` and returns true.
@@ -52,7 +66,8 @@ constexpr std::int64_t ZigZagDecode(std::uint64_t v) noexcept {
 std::uint32_t Crc32c(BytesView data) noexcept;
 
 /// Incremental CRC-32C: extends a running checksum with another span, so
-/// the framing layer can checksum a buffer chain without flattening it.
+/// the framing layer can checksum a header and a body where they lie,
+/// without joining them first.
 /// Start from kCrc32cInit and finish with Crc32cFinish.
 inline constexpr std::uint32_t kCrc32cInit = 0xFFFFFFFFu;
 std::uint32_t Crc32cExtend(std::uint32_t state, BytesView data) noexcept;
@@ -76,8 +91,8 @@ std::uint32_t Crc32cExtendTable(std::uint32_t state, BytesView data) noexcept;
 
 /// Process-global tally of payload bytes memcpy'd through the
 /// marshalling -> framing -> transport path (bulk copies only: field
-/// encoding into a slab is serialization, not a copy; chunk adoption
-/// moves ownership and counts nothing). The wire benches
+/// encoding into a writer's slab is serialization, not a copy, and a
+/// view handed down a layer copies nothing). The wire benches
 /// report deltas of this counter as bytes-copied-per-op, the number the
 /// perf trajectory in BENCH_wire.json tracks. Deliberately NOT attached
 /// to any per-Runtime MetricsRegistry: it is per-process and monotonic,

@@ -1,18 +1,23 @@
-// Serializing archive over a buffer chain.
+// Serializing archive over one contiguous buffer.
 //
-// The encoder appends into a chain of slab chunks instead of one flat
-// vector: field encodes land in the current tail slab, large payloads
-// are *adopted* as their own chunk (ownership moves, no copy). The bytes
-// are gathered into one contiguous buffer exactly once, at the network
-// boundary (Take() or the envelope layer's chunk walk) — the
-// rethinkdb-style gather-on-send shape. Only that gather and explicit
-// view copies tick serde::WireCopyCounter.
+// The encoder sizes its buffer for the common case and grows it at most
+// once per bulk field. A writer starts with one kSlab-byte slab, which
+// holds a message's header and its small fields; field encodes never
+// regrow it from a single byte. A bulk copy that does not fit grows the
+// buffer once, to what is already written plus the copy plus another
+// slab of room for the fields that follow it (or to twice its capacity,
+// if that is more). A message that knows its exact encoded size up front
+// (an RPC frame) is allocated at that size instead: no slack, no growth.
+// Take() moves the buffer out, so an encoded message copies each bulk
+// field exactly once and never re-gathers what it holds. Those bulk
+// copies are what tick serde::WireCopyCounter; field encodes are
+// serialization, not copies.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/bytes.h"
 #include "serde/wire.h"
@@ -23,131 +28,66 @@ namespace proxy::serde {
 /// the framing/transport boundary.
 class Writer {
  public:
-  /// Target slab size: a tail chunk that grows past this is sealed and a
-  /// fresh slab started, so field encodes stay cache-friendly without
-  /// ever re-copying what previous slabs hold.
-  static constexpr std::size_t kChunkSize = 4096;
+  /// The first allocation of a writer that does not know its message's
+  /// size, and the room a bulk copy leaves behind it: enough for a
+  /// header and its small fields. A 4 KiB slab would multiply the bytes
+  /// a small call allocates; a smaller one regrows on most messages.
+  static constexpr std::size_t kSlab = 64;
 
-  /// Buffers below this are cheaper to copy into the tail slab than to
-  /// carry as their own chunk (header + gather bookkeeping).
-  static constexpr std::size_t kAdoptThreshold = 32;
+  /// Reserves one slab, or exactly `capacity` bytes for a message that
+  /// knows its encoded size up front.
+  explicit Writer(std::size_t capacity = kSlab) { buf_.reserve(capacity); }
 
-  Writer() = default;
-  explicit Writer(std::size_t reserve) { tail_.reserve(reserve); }
-
-  void WriteU8(std::uint8_t v) { Tail().push_back(v); }
-  void WriteU16(std::uint16_t v) { PutFixed16(Tail(), v); }
-  void WriteU32(std::uint32_t v) { PutFixed32(Tail(), v); }
-  void WriteU64(std::uint64_t v) { PutFixed64(Tail(), v); }
-  void WriteVarint(std::uint64_t v) { PutVarint(Tail(), v); }
-  void WriteSigned(std::int64_t v) { PutVarint(Tail(), ZigZagEncode(v)); }
-  void WriteBool(bool v) { Tail().push_back(v ? 1 : 0); }
+  void WriteU8(std::uint8_t v) { buf_.push_back(v); }
+  void WriteU16(std::uint16_t v) { PutFixed16(buf_, v); }
+  void WriteU32(std::uint32_t v) { PutFixed32(buf_, v); }
+  void WriteU64(std::uint64_t v) { PutFixed64(buf_, v); }
+  void WriteVarint(std::uint64_t v) { PutVarint(buf_, v); }
+  void WriteSigned(std::int64_t v) { PutVarint(buf_, ZigZagEncode(v)); }
+  void WriteBool(bool v) { buf_.push_back(v ? 1 : 0); }
 
   void WriteDouble(double v) {
     std::uint64_t bits;
     static_assert(sizeof bits == sizeof v);
     __builtin_memcpy(&bits, &v, sizeof bits);
-    PutFixed64(Tail(), bits);
+    PutFixed64(buf_, bits);
   }
 
-  /// Length-prefixed byte string (copying: the caller keeps `v`).
+  /// Length-prefixed byte string.
   void WriteBytes(BytesView v) {
-    PutVarint(Tail(), v.size());
+    PutVarint(buf_, v.size());
     AppendCopy(v);
   }
 
-  /// Length-prefixed byte string, adopting the buffer: no copy, the
-  /// chain takes ownership and the gather step emits it in place.
-  void WriteBytes(Bytes&& v) {
-    PutVarint(Tail(), v.size());
-    AppendOwned(std::move(v));
-  }
-
   void WriteString(std::string_view v) {
-    PutVarint(Tail(), v.size());
+    PutVarint(buf_, v.size());
     AppendCopy(BytesView(reinterpret_cast<const std::uint8_t*>(v.data()),
                          v.size()));
   }
 
-  /// Raw append without a length prefix (for already-framed payloads).
-  void WriteRaw(BytesView v) { AppendCopy(v); }
-  void WriteRaw(Bytes&& v) { AppendOwned(std::move(v)); }
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return sealed_size_ + tail_.size();
-  }
-
-  /// Walks the chain in wire order without flattening (incremental CRC,
-  /// scatter-gather send).
-  template <typename Fn>
-  void ForEachChunk(Fn&& fn) const {
-    for (const Bytes& chunk : chunks_) fn(View(chunk));
-    if (!tail_.empty()) fn(View(tail_));
-  }
-
-  /// Gathers the chain into one contiguous buffer; the writer is empty
-  /// afterwards. A single-chunk chain moves out copy-free; otherwise
-  /// this is the one bulk copy of the send path and is counted.
+  /// Moves the encoded bytes out, without a copy; the writer is empty
+  /// afterwards.
   [[nodiscard]] Bytes Take() noexcept {
-    if (chunks_.empty()) {
-      sealed_size_ = 0;
-      return std::move(tail_);
-    }
-    if (tail_.empty() && chunks_.size() == 1) {
-      Bytes out = std::move(chunks_.front());
-      chunks_.clear();
-      sealed_size_ = 0;
-      return out;
-    }
-    Bytes out;
-    out.reserve(size());
-    ForEachChunk([&out](BytesView v) {
-      out.insert(out.end(), v.begin(), v.end());
-    });
-    CountWireCopy(out.size());
-    chunks_.clear();
-    tail_.clear();
-    sealed_size_ = 0;
+    Bytes out = std::move(buf_);
+    buf_.clear();
     return out;
   }
 
  private:
-  /// The slab the next field encode appends to.
-  Bytes& Tail() {
-    if (tail_.size() >= kChunkSize) {
-      SealTail();
-      tail_.reserve(kChunkSize);
-    }
-    return tail_;
-  }
-
-  void SealTail() {
-    if (tail_.empty()) return;
-    sealed_size_ += tail_.size();
-    chunks_.push_back(std::move(tail_));
-    tail_.clear();
-  }
-
+  /// The counted bulk copy. Grows the buffer at most once per call, and
+  /// at least geometrically, so a message of many bulk fields (a batch,
+  /// a snapshot) still appends in amortized constant time.
   void AppendCopy(BytesView v) {
     if (v.empty()) return;
     CountWireCopy(v.size());
-    Bytes& t = Tail();
-    t.insert(t.end(), v.begin(), v.end());
-  }
-
-  void AppendOwned(Bytes&& v) {
-    if (v.size() < kAdoptThreshold) {
-      AppendCopy(View(v));
-      return;
+    if (buf_.capacity() - buf_.size() < v.size()) {
+      buf_.reserve(
+          std::max(buf_.size() + v.size() + kSlab, 2 * buf_.capacity()));
     }
-    SealTail();
-    sealed_size_ += v.size();
-    chunks_.push_back(std::move(v));
+    buf_.insert(buf_.end(), v.begin(), v.end());
   }
 
-  std::vector<Bytes> chunks_;  // sealed slabs, in wire order
-  Bytes tail_;                 // active slab
-  std::size_t sealed_size_ = 0;
+  Bytes buf_;
 };
 
 }  // namespace proxy::serde

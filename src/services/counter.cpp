@@ -98,7 +98,7 @@ sim::Co<Result<std::shared_ptr<ICounter>>> CounterDsmProxy::EnsureLocal() {
     if (pulled.status().code() == StatusCode::kNotFound) {
       // The object moved since we last saw it: a plain call follows the
       // forwarding chain and refreshes our binding, then we retry.
-      Result<Bytes> probe =
+      Result<OwnedBytes> probe =
           co_await CallRaw(counterwire::kRead,
                            serde::EncodeToBytes(rpc::Void{}));
       if (!probe.ok()) co_return probe.status();

@@ -665,7 +665,7 @@ sim::Co<KvReplica::PeerPoll> KvReplica::PollPeers(bool rescue) {
         peer.server, peer.object, kvwire::kGetStatus,
         serde::EncodeToBytes(rpc::Void{}), params_.mirror);
     const Result<StatusResponse> st =
-        r.ok() ? serde::DecodeFromBytes<StatusResponse>(View(r.payload))
+        r.ok() ? serde::DecodeFromBytes<StatusResponse>(r.payload.view())
                : Result<StatusResponse>(r.status);
     if (!st.ok()) {
       ++poll.unreachable;
@@ -791,7 +791,7 @@ sim::Co<void> KvReplica::TryRejoin() {
       serde::EncodeToBytes(req), params_.mirror);
   if (!r.ok()) co_return;
   Result<JoinResponse> resp =
-      serde::DecodeFromBytes<JoinResponse>(View(r.payload));
+      serde::DecodeFromBytes<JoinResponse>(r.payload.view());
   if (!resp.ok()) co_return;
   if (context_->crashed()) co_return;  // crashed mid-join
 
@@ -990,10 +990,10 @@ sim::Co<Status> KvFailoverProxy::EnsureReplicaList(
   // the bound address stopped answering (the new primary re-registers
   // the name when it promotes).
   Result<ReplicaListResponse> resp = FailedPreconditionError("unset");
-  Result<Bytes> raw = co_await CallRaw(
+  Result<OwnedBytes> raw = co_await CallRaw(
       kvwire::kGetReplicas, serde::EncodeToBytes(rpc::Void{}), traced);
   if (raw.ok()) {
-    resp = serde::DecodeFromBytes<ReplicaListResponse>(View(*raw));
+    resp = serde::DecodeFromBytes<ReplicaListResponse>(raw->view());
   } else {
     resp = raw.status();
     // The primary is dark and the name not (yet) re-registered: any
@@ -1004,7 +1004,7 @@ sim::Co<Status> KvFailoverProxy::EnsureReplicaList(
           serde::EncodeToBytes(rpc::Void{}), traced);
       if (!alt.ok()) continue;
       Result<ReplicaListResponse> decoded =
-          serde::DecodeFromBytes<ReplicaListResponse>(View(alt.payload));
+          serde::DecodeFromBytes<ReplicaListResponse>(alt.payload.view());
       if (decoded.ok()) {
         resp = std::move(decoded);
         break;
@@ -1056,7 +1056,7 @@ sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(std::uint32_t method,
                          "failover -> replica " + std::to_string(idx));
           preferred_ = idx;  // stick with the replica that answered
         }
-        outcome = serde::DecodeFromBytes<Resp>(View(raw.payload));
+        outcome = serde::DecodeFromBytes<Resp>(raw.payload.view());
         done = true;
         break;
       }
@@ -1121,7 +1121,7 @@ sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(std::uint32_t method,
         primary.server, primary.object, method, args, opts);
     if (raw.ok()) {
       last_write_acker_ = primary.object;
-      outcome = serde::DecodeFromBytes<Resp>(View(raw.payload));
+      outcome = serde::DecodeFromBytes<Resp>(raw.payload.view());
       done = true;
       break;
     }

@@ -53,11 +53,11 @@ sim::Co<Status> KvShardRouterProxy::EnsureMap(bool force,
   rpc::CallOptions traced = options_;
   traced.trace = trace;
   rpc::Void none;  // named: see stub.h "GCC note"
-  Result<Bytes> raw = co_await CallRaw(shardwire::kGetShardMap,
+  Result<OwnedBytes> raw = co_await CallRaw(shardwire::kGetShardMap,
                                        serde::EncodeToBytes(none), traced);
   if (!raw.ok()) co_return raw.status();
   Result<GetShardMapResponse> resp =
-      serde::DecodeFromBytes<GetShardMapResponse>(View(*raw));
+      serde::DecodeFromBytes<GetShardMapResponse>(raw->view());
   if (!resp.ok()) co_return resp.status();
   if (!resp->map.Valid()) co_return InternalError("invalid shard map");
   // Refreshes never regress: a reply raced by a newer fetch is dropped.
@@ -263,7 +263,7 @@ sim::Co<Result<ShardMap>> ShardRebalancer::FetchMap() {
       serde::EncodeToBytes(none), params_.call);
   if (!r.ok()) co_return r.status;
   Result<GetShardMapResponse> resp =
-      serde::DecodeFromBytes<GetShardMapResponse>(View(r.payload));
+      serde::DecodeFromBytes<GetShardMapResponse>(r.payload.view());
   if (!resp.ok()) co_return resp.status();
   if (!resp->map.Valid()) co_return InternalError("invalid shard map");
   co_return std::move(resp->map);
@@ -287,7 +287,7 @@ sim::Co<Result<Resp>> ShardRebalancer::CallPrimary(const std::string& group,
     }
     rpc::RpcResult r = co_await context_->client().Call(
         rec->binding.server, rec->binding.object, method, args, params_.call);
-    if (r.ok()) co_return serde::DecodeFromBytes<Resp>(View(r.payload));
+    if (r.ok()) co_return serde::DecodeFromBytes<Resp>(r.payload.view());
     last = r.status;
     const StatusCode code = r.status.code();
     if (code != StatusCode::kTimeout && code != StatusCode::kUnavailable &&
@@ -352,7 +352,7 @@ sim::Co<Status> ShardRebalancer::MigrateShard(std::uint32_t shard,
         serde::EncodeToBytes(commit), params_.call);
     if (committed.ok()) {
       Result<CommitMoveResponse> resp =
-          serde::DecodeFromBytes<CommitMoveResponse>(View(committed.payload));
+          serde::DecodeFromBytes<CommitMoveResponse>(committed.payload.view());
       if (!resp.ok()) {
         move_failures_++;
         co_return resp.status();

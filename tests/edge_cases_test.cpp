@@ -241,7 +241,9 @@ TEST(EdgeCases, ManyConcurrentClientsOneServer) {
 
   std::vector<core::Context*> ctxs;
   for (int i = 0; i < kClients; ++i) {
-    const NodeId n = w.rt->AddNode("c" + std::to_string(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    const NodeId n = w.rt->AddNode(name);
     ctxs.push_back(&w.rt->CreateContext(n, "cc" + std::to_string(i)));
   }
 

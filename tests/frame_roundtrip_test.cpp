@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <utility>
 
 #include "common/rng.h"
@@ -16,12 +17,15 @@
 namespace proxy::rpc {
 namespace {
 
+/// A frame borrows its args; the samples borrow these.
+const Bytes kSampleArgs = {1, 2, 3, 4, 5};
+
 RequestFrame SampleRequest() {
   RequestFrame frame;
   frame.call = CallId{0xABCDEF0123456789ULL, 42};
   frame.object = ObjectId{7, 0x1122334455667788ULL};
   frame.method = 3;
-  frame.args = Bytes{1, 2, 3, 4, 5};
+  frame.args = View(kSampleArgs);
   frame.deadline = Milliseconds(250);
   return frame;
 }
@@ -34,14 +38,12 @@ RequestFrame SampleTracedRequest() {
   return frame;
 }
 
-/// Encodes a copy of `frame` (the encoder consumes its argument).
-Bytes Encode(RequestFrame frame) { return EncodeRequest(std::move(frame)); }
-
-void ExpectFieldsMatch(const RequestFrameView& got, const RequestFrame& want) {
+void ExpectFieldsMatch(const RequestFrame& got, const RequestFrame& want) {
   EXPECT_EQ(got.call, want.call);
   EXPECT_EQ(got.object, want.object);
   EXPECT_EQ(got.method, want.method);
-  EXPECT_EQ(Bytes(got.args.begin(), got.args.end()), want.args);
+  EXPECT_EQ(Bytes(got.args.begin(), got.args.end()),
+            Bytes(want.args.begin(), want.args.end()));
   EXPECT_EQ(got.deadline, want.deadline);
   EXPECT_EQ(got.trace, want.trace);
   EXPECT_EQ(got.priority, want.priority);
@@ -54,11 +56,12 @@ TEST(FrameRoundtrip, RequestLayoutIsPinned) {
   frame.call = CallId{7, 42};
   frame.object = ObjectId{1, 2};
   frame.method = 3;
-  frame.args = Bytes{0xA1, 0xA2, 0xA3};
+  const Bytes args = {0xA1, 0xA2, 0xA3};
+  frame.args = View(args);
   frame.deadline = 300;
   frame.trace = {0x11, 0x22, 0x33};
   frame.priority = Priority::kLow;
-  const Bytes wire = Encode(frame);
+  const Bytes wire = EncodeRequest(frame);
   const Bytes golden = {
       0x01,                    // tag: request
       0x07, 0x2A,              // call: client nonce, seq (varints)
@@ -82,7 +85,7 @@ TEST(FrameRoundtrip, RequestLayoutIsPinned) {
 
 TEST(FrameRoundtrip, RoundTripsDeadline) {
   const RequestFrame frame = SampleRequest();
-  const Bytes wire = Encode(frame);
+  const Bytes wire = EncodeRequest(frame);
   const Result<RequestFrameView> decoded = DecodeRequestView(View(wire));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ExpectFieldsMatch(*decoded, frame);
@@ -91,7 +94,7 @@ TEST(FrameRoundtrip, RoundTripsDeadline) {
 TEST(FrameRoundtrip, ZeroDeadlineMeansNone) {
   RequestFrame frame = SampleRequest();
   frame.deadline = 0;
-  const Bytes wire = Encode(frame);
+  const Bytes wire = EncodeRequest(frame);
   const Result<RequestFrameView> decoded = DecodeRequestView(View(wire));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->deadline, 0u);
@@ -99,7 +102,7 @@ TEST(FrameRoundtrip, ZeroDeadlineMeansNone) {
 
 TEST(FrameRoundtrip, RoundTripsTraceContext) {
   const RequestFrame frame = SampleTracedRequest();
-  const Bytes wire = Encode(frame);
+  const Bytes wire = EncodeRequest(frame);
   const Result<RequestFrameView> decoded = DecodeRequestView(View(wire));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ExpectFieldsMatch(*decoded, frame);
@@ -107,7 +110,7 @@ TEST(FrameRoundtrip, RoundTripsTraceContext) {
 }
 
 TEST(FrameRoundtrip, UntracedFrameDecodesInactive) {
-  const Bytes wire = Encode(SampleRequest());  // trace all-zero
+  const Bytes wire = EncodeRequest(SampleRequest());  // trace all-zero
   const Result<RequestFrameView> decoded = DecodeRequestView(View(wire));
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(decoded->trace.active());
@@ -118,7 +121,7 @@ TEST(FrameRoundtrip, RoundTripsEveryPriority) {
        {Priority::kHigh, Priority::kNormal, Priority::kLow}) {
     RequestFrame frame = SampleTracedRequest();
     frame.priority = p;
-    const Bytes wire = Encode(frame);
+    const Bytes wire = EncodeRequest(frame);
     const Result<RequestFrameView> decoded = DecodeRequestView(View(wire));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->priority, p) << PriorityName(p);
@@ -131,7 +134,7 @@ TEST(FrameRoundtrip, OutOfRangePriorityIsCorrupt) {
   // The priority lattice has exactly kPriorityLevels values; a frame
   // claiming a level beyond it is corruption, not an extension. The
   // priority is the frame's last byte.
-  Bytes wire = Encode(SampleRequest());
+  Bytes wire = EncodeRequest(SampleRequest());
   ASSERT_EQ(wire.back(), static_cast<std::uint8_t>(Priority::kNormal));
   wire.back() = kPriorityLevels;  // first invalid level
   EXPECT_FALSE(DecodeRequestView(View(wire)).ok());
@@ -144,7 +147,7 @@ TEST(FrameRoundtrip, TruncatedPriorityRequestNeverDecodesAsValid) {
   // "normal priority").
   RequestFrame frame = SampleTracedRequest();
   frame.priority = Priority::kLow;
-  const Bytes full = Encode(frame);
+  const Bytes full = EncodeRequest(frame);
   for (std::size_t len = 0; len < full.size(); ++len) {
     EXPECT_FALSE(DecodeRequestView(BytesView(full.data(), len)).ok())
         << "prefix of length " << len << " decoded";
@@ -162,8 +165,8 @@ TEST(FrameRoundtrip, ReplyFrameRoundTripsRetryAfter) {
   reply.code = StatusCode::kResourceExhausted;
   reply.error_message = "admission queue full";
   reply.retry_after = Milliseconds(15);
-  const Result<ReplyFrame> decoded =
-      DecodeReply(View(EncodeReply(ReplyFrame(reply))));
+  const Bytes wire = EncodeReply(reply);
+  const Result<ReplyFrame> decoded = DecodeReply(View(wire));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->code, StatusCode::kResourceExhausted);
   EXPECT_EQ(decoded->retry_after, Milliseconds(15));
@@ -174,7 +177,7 @@ TEST(FrameRoundtrip, TruncatedTracedRequestNeverDecodesAsValid) {
   // The trace triple sits just before the priority; every truncation
   // point inside it must fail the whole decode (a frame with half a
   // trace is a corrupt frame, not an untraced one).
-  const Bytes full = Encode(SampleTracedRequest());
+  const Bytes full = EncodeRequest(SampleTracedRequest());
   for (std::size_t len = 0; len < full.size(); ++len) {
     EXPECT_FALSE(DecodeRequestView(BytesView(full.data(), len)).ok())
         << "prefix of length " << len << " decoded";
@@ -187,8 +190,8 @@ TEST(FrameRoundtrip, ReplyFrameRoundTrips) {
   reply.call = CallId{99, 7};
   reply.code = StatusCode::kFailedPrecondition;
   reply.error_message = "held elsewhere";
-  const Result<ReplyFrame> decoded =
-      DecodeReply(View(EncodeReply(ReplyFrame(reply))));
+  const Bytes wire = EncodeReply(reply);
+  const Result<ReplyFrame> decoded = DecodeReply(View(wire));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->call, reply.call);
   EXPECT_EQ(decoded->code, reply.code);
@@ -196,7 +199,7 @@ TEST(FrameRoundtrip, ReplyFrameRoundTrips) {
 }
 
 TEST(FrameRoundtrip, TruncatedRequestNeverDecodesAsValid) {
-  const Bytes full = Encode(SampleRequest());
+  const Bytes full = EncodeRequest(SampleRequest());
   // Every strict prefix must be rejected: a truncated frame that decoded
   // "successfully" would be silent wire corruption.
   for (std::size_t len = 0; len < full.size(); ++len) {
@@ -210,8 +213,9 @@ TEST(FrameRoundtrip, TruncatedRequestNeverDecodesAsValid) {
 TEST(FrameRoundtrip, TruncatedReplyNeverDecodesAsValid) {
   ReplyFrame reply;
   reply.call = CallId{0x1234, 56};
-  reply.result = Bytes{9, 8, 7, 6};
-  const Bytes full = EncodeReply(std::move(reply));
+  const Bytes result = {9, 8, 7, 6};
+  reply.result = View(result);
+  const Bytes full = EncodeReply(reply);
   for (std::size_t len = 0; len < full.size(); ++len) {
     EXPECT_FALSE(DecodeReply(BytesView(full.data(), len)).ok())
         << "prefix of length " << len << " decoded";
@@ -220,7 +224,7 @@ TEST(FrameRoundtrip, TruncatedReplyNeverDecodesAsValid) {
 
 TEST(FrameRoundtrip, RandomCorruptionFuzzNeverCrashes) {
   Rng rng(2026);
-  const Bytes base = Encode(SampleRequest());
+  const Bytes base = EncodeRequest(SampleRequest());
   for (int trial = 0; trial < 2000; ++trial) {
     Bytes mutated = base;
     const int flips = 1 + static_cast<int>(rng.UniformU64(4));
@@ -244,8 +248,9 @@ TEST(FrameRoundtrip, BorrowedDecodeRejectsEveryTruncation) {
   // sanitizer preset, this is the regression net for the borrowed
   // reader's bounds handling.
   RequestFrame frame = SampleTracedRequest();
-  frame.args.assign(200, 0x5A);
-  const Bytes full = Encode(frame);
+  const Bytes args(200, 0x5A);
+  frame.args = View(args);
+  const Bytes full = EncodeRequest(frame);
   for (std::size_t len = 0; len < full.size(); ++len) {
     const Result<RequestFrameView> decoded =
         DecodeRequestView(BytesView(full.data(), len));
@@ -257,7 +262,7 @@ TEST(FrameRoundtrip, BorrowedDecodeRejectsEveryTruncation) {
 TEST(FrameRoundtrip, TrailingBytesAreCorrupt) {
   // Every field of the layout is mandatory and nothing may follow the
   // last one: a byte after the priority is corruption.
-  Bytes wire = Encode(SampleRequest());
+  Bytes wire = EncodeRequest(SampleRequest());
   wire.push_back(0x00);
   EXPECT_FALSE(DecodeRequestView(View(wire)).ok());
 }
@@ -270,19 +275,52 @@ TEST(FrameRoundtrip, RandomFramesRoundTripUnderRandomDeadlines) {
     frame.object = ObjectId{static_cast<std::uint32_t>(rng.UniformU64(100)),
                             rng.UniformU64(~0ULL)};
     frame.method = static_cast<std::uint32_t>(rng.UniformU64(16));
-    frame.args.resize(rng.UniformU64(64));
-    for (auto& b : frame.args) {
-      b = static_cast<std::uint8_t>(rng.UniformU64(256));
-    }
+    Bytes args(rng.UniformU64(64));
+    for (auto& b : args) b = static_cast<std::uint8_t>(rng.UniformU64(256));
+    frame.args = View(args);
     frame.deadline = rng.UniformU64(Seconds(10));
     frame.trace.trace_id = rng.UniformU64(~0ULL);
     frame.trace.span_id = rng.UniformU64(~0ULL);
     frame.trace.parent_span_id = rng.UniformU64(~0ULL);
     frame.priority = static_cast<Priority>(rng.UniformU64(kPriorityLevels));
-    const Bytes wire = Encode(frame);
+    const Bytes wire = EncodeRequest(frame);
     const Result<RequestFrameView> decoded = DecodeRequestView(View(wire));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ExpectFieldsMatch(*decoded, frame);
+  }
+}
+
+TEST(FrameRoundtrip, EncodedFramesCarryNoSlack) {
+  // Both frames are allocated at their exact encoded size: the client
+  // keeps each request until its reply and the server keeps each reply
+  // in its reply cache, so slack would be held for every call. Field
+  // values span every varint length, and one bulk field is 70,000 bytes.
+  Rng rng(91);
+  auto any = [&rng] { return rng.UniformU64(~0ULL) >> rng.UniformU64(64); };
+  const StatusCode codes[] = {StatusCode::kOk, StatusCode::kObjectMoved,
+                              StatusCode::kResourceExhausted,
+                              StatusCode::kTimeout};
+  for (int trial = 0; trial < 200; ++trial) {
+    const Bytes bulk(trial == 0 ? 70000 : rng.UniformU64(300), 0x5A);
+    RequestFrame request;
+    request.call = CallId{any(), any()};
+    request.object = ObjectId{any(), any()};
+    request.method = static_cast<std::uint32_t>(any());
+    request.args = View(bulk);
+    request.deadline = any();
+    request.trace = {any(), any(), any()};
+    request.priority = static_cast<Priority>(rng.UniformU64(kPriorityLevels));
+    const Bytes encoded_request = EncodeRequest(request);
+    EXPECT_EQ(encoded_request.capacity(), encoded_request.size()) << trial;
+
+    ReplyFrame reply;
+    reply.call = request.call;
+    reply.code = codes[rng.UniformU64(std::size(codes))];
+    reply.error_message.assign(rng.UniformU64(200), 'e');
+    reply.retry_after = any();
+    reply.result = View(bulk);
+    const Bytes encoded_reply = EncodeReply(reply);
+    EXPECT_EQ(encoded_reply.capacity(), encoded_reply.size()) << trial;
   }
 }
 
@@ -293,8 +331,8 @@ TEST(FrameRoundtrip, ReplyFrameRoundTripsWrongShard) {
   reply.call = CallId{0xBEEF, 21};
   reply.code = StatusCode::kWrongShard;
   reply.error_message = "shard 3 not owned here";
-  const Result<ReplyFrame> decoded =
-      DecodeReply(View(EncodeReply(ReplyFrame(reply))));
+  const Bytes wire = EncodeReply(reply);
+  const Result<ReplyFrame> decoded = DecodeReply(View(wire));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->code, StatusCode::kWrongShard);
   EXPECT_EQ(decoded->error_message, reply.error_message);

@@ -186,7 +186,9 @@ TEST(KvWriteBackTest, WritesCoalesceIntoBatches) {
 
   auto body = [&]() -> sim::Co<void> {
     for (int i = 0; i < 16; ++i) {  // == max_batch: one size-flush
-      CO_ASSERT_OK(co_await kv->Put("k" + std::to_string(i), "v"));
+      std::string key = "k";
+      key += std::to_string(i);
+      CO_ASSERT_OK(co_await kv->Put(std::move(key), "v"));
     }
     co_await sim::SleepFor(w.rt->scheduler(), Milliseconds(20));
     // The server saw the data.

@@ -214,11 +214,12 @@ TEST(Overload, RejectionsAreReplyCachedSoShedMeansNeverExecuted) {
   frame.call = rpc::CallId{/*client_nonce=*/999, /*seq=*/1};
   frame.object = w.object;
   frame.method = 1;
-  frame.args = serde::EncodeToBytes(PingRequest{7});
+  const Bytes args = serde::EncodeToBytes(PingRequest{7});
+  frame.args = View(args);
   frame.deadline = w.sched.now() + Milliseconds(100);
-  const Bytes wire = rpc::EncodeRequest(std::move(frame));
+  const Bytes wire = rpc::EncodeRequest(frame);
 
-  EXPECT_TRUE(raw->Send(w.server_ep->address(), wire).ok());
+  EXPECT_TRUE(raw->Send(w.server_ep->address(), View(wire)).ok());
   w.sched.RunFor(Milliseconds(2));
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].code, StatusCode::kResourceExhausted);
@@ -228,7 +229,7 @@ TEST(Overload, RejectionsAreReplyCachedSoShedMeansNeverExecuted) {
   // The retransmission is answered from the reply cache: the identical
   // rejection (hint included), no second admission decision, and — the
   // invariant the cache exists for — no execution, ever.
-  EXPECT_TRUE(raw->Send(w.server_ep->address(), wire).ok());
+  EXPECT_TRUE(raw->Send(w.server_ep->address(), View(wire)).ok());
   w.sched.RunFor(Milliseconds(2));
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_EQ(replies[1].code, StatusCode::kResourceExhausted);

@@ -359,7 +359,7 @@ TEST(ReplicationFailover, EqualEpochBatchFromAnotherPrimaryIsFenced) {
   ASSERT_TRUE(listed.ok()) << listed.status.ToString();
   Result<kvwire::ReplicaListResponse> list =
       serde::DecodeFromBytes<kvwire::ReplicaListResponse>(
-          View(listed.payload));
+          listed.payload.view());
   ASSERT_OK(list);
   EXPECT_EQ(list->epoch, epoch);
   EXPECT_EQ(list->replicas, view);

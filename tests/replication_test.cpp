@@ -286,20 +286,21 @@ struct RecordedGroup {
   /// The `nth` key "k<i>" (counting from 0) that hashes into `shard`.
   static std::string KeyIn(std::uint32_t shard, int nth = 0) {
     for (int i = 0;; ++i) {
-      std::string key = "k" + std::to_string(i);
+      std::string key = "k";
+      key += std::to_string(i);
       if (ShardOf(key, kShards) == shard && nth-- == 0) return key;
     }
   }
 
   /// Calls `method` on the primary from the client node; returns the
   /// reply payload bytes.
-  Bytes Call(std::uint32_t method, Bytes args) {
+  Bytes Call(std::uint32_t method, const Bytes& args) {
     rpc::CallOptions opts;
     opts.deadline = Milliseconds(100);
     rpc::RpcResult r = w.rt->Await(w.client_ctx->client().Call(
-        self.server, self.object, method, std::move(args), opts));
+        self.server, self.object, method, View(args), opts));
     EXPECT_TRUE(r.ok()) << r.status.ToString();
-    return std::move(r.payload);
+    return r.payload.ToBytes();
   }
 
   TestWorld w;

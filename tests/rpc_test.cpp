@@ -4,7 +4,9 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/hexdump.h"
 #include "net/endpoint.h"
 #include "rpc/client.h"
 #include "rpc/frame.h"
@@ -89,7 +91,7 @@ struct RpcFixture : public ::testing::Test {
 TEST_F(RpcFixture, BasicCallRoundTrips) {
   const RpcResult r = CallSync(1, EchoRequest{"hi", 3});
   ASSERT_TRUE(r.ok()) << r.status.ToString();
-  const auto resp = serde::DecodeFromBytes<EchoResponse>(View(r.payload));
+  const auto resp = serde::DecodeFromBytes<EchoResponse>(r.payload.view());
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->text, "hihihi");
   EXPECT_EQ(executions, 1);
@@ -154,8 +156,103 @@ TEST_F(RpcFixture, BorrowedArgsViewSurvivesHandlerSuspension) {
   sched.RunUntil([&] { return future.ready() && noise.ready(); });
   const RpcResult r = future.take();
   ASSERT_TRUE(r.ok()) << r.status.ToString();
-  EXPECT_EQ(r.payload, sent);
+  EXPECT_EQ(r.payload.ToBytes(), sent);
   EXPECT_TRUE(noise.take().ok());
+}
+
+TEST_F(RpcFixture, ReplyWindowSurvivesFurtherDatagrams) {
+  // The client-side twin of the test above: RpcResult::payload is the
+  // reply's window of its own arrival buffer. It must read the same
+  // bytes after the client has handled other datagrams — other replies'
+  // buffers come and go, this one lives as long as the result.
+  RpcResult first = CallSync(1, EchoRequest{"window", 2});
+  ASSERT_TRUE(first.ok()) << first.status.ToString();
+  const BytesView window = first.payload.view();
+  const Bytes expected = serde::EncodeToBytes(EchoResponse{"windowwindow"});
+  EXPECT_EQ(Bytes(window.begin(), window.end()), expected);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(CallSync(1, EchoRequest{"noise", 3}).ok());
+  }
+  RpcResult moved = std::move(first);
+  EXPECT_EQ(moved.payload.view().data(), window.data());
+  EXPECT_EQ(Bytes(window.begin(), window.end()), expected);
+  const auto resp = serde::DecodeFromBytes<EchoResponse>(moved.payload.view());
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->text, "windowwindow");
+}
+
+/// 64 KiB of distinct bytes, for the copy-budget tests.
+Bytes BulkBytes() {
+  Bytes b(64 * 1024);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  return b;
+}
+
+TEST_F(RpcFixture, BulkRoundTripCopyBudget) {
+  // serde::WireCopyCounter tallies every bulk copy. With 64 KiB each way:
+  //   request, client: args into the frame it keeps, frame into the
+  //                    datagram (two copies);
+  //   request, server: none (the handler reads args in the datagram);
+  //   reply, server:   result into the frame it caches, frame into the
+  //                    datagram (two copies);
+  //   reply, client:   none (the caller reads the result in place).
+  // Each datagram copy also carries the frame header and source port.
+  const Bytes args = BulkBytes();
+  const std::size_t n = args.size();
+  constexpr std::size_t kHeaders = 128;
+  std::uint64_t at_handler = 0;
+  auto dispatch = std::make_shared<Dispatch>();
+  dispatch->Register(
+      6, [&at_handler](BytesView in,
+                       const CallContext&) -> sim::Co<Result<Bytes>> {
+        at_handler = serde::WireCopyCounter().value();
+        co_return Bytes(in.rbegin(), in.rend());
+      });
+  const ObjectId bulk_object{6, 6};
+  ASSERT_TRUE(server->ExportObject(bulk_object, dispatch).ok());
+
+  // 64 KiB take ~52 ms each way on the default link: no retransmission
+  // may muddy the tally.
+  CallOptions patient;
+  patient.retry_interval = Seconds(1);
+  const std::uint64_t start = serde::WireCopyCounter().value();
+  auto future = client->Call(server_ep->address(), bulk_object, 6, View(args),
+                             patient);
+  const std::uint64_t sent = serde::WireCopyCounter().value();
+  sched.RunUntil([&] { return future.ready(); });
+  const std::uint64_t done = serde::WireCopyCounter().value();
+  const RpcResult r = future.take();
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(r.payload.ToBytes(), Bytes(args.rbegin(), args.rend()));
+
+  EXPECT_GE(sent - start, 2 * n);
+  EXPECT_LE(sent - start, 2 * n + kHeaders);
+  EXPECT_EQ(at_handler, sent) << "the server copied the request";
+  EXPECT_GE(done - at_handler, 2 * n);
+  EXPECT_LE(done - at_handler, 2 * n + kHeaders);
+}
+
+TEST_F(RpcFixture, RetransmissionCopiesOneDatagram) {
+  // A retransmission resends the frame the client kept: one copy, into
+  // the datagram, and no re-encode.
+  net.SetPartitioned(node_a, node_b, true);
+  const Bytes args = BulkBytes();
+  CallOptions options;
+  options.retry_interval = Milliseconds(10);
+  options.max_retries = 1;
+  const std::uint64_t start = serde::WireCopyCounter().value();
+  auto future =
+      client->Call(server_ep->address(), object, 1, View(args), options);
+  const std::uint64_t first = serde::WireCopyCounter().value() - start;
+  sched.RunUntil([&] { return client->stats().retransmissions == 1; });
+  const std::uint64_t resent =
+      serde::WireCopyCounter().value() - start - first;
+  EXPECT_EQ(resent, first - args.size())
+      << "a retransmission costs exactly the first send's datagram copy";
+  sched.RunUntil([&] { return future.ready(); });
+  EXPECT_EQ(future.take().status.code(), StatusCode::kTimeout);
 }
 
 TEST_F(RpcFixture, SlowHandlerDoesNotBlockOthers) {
@@ -248,7 +345,7 @@ TEST_F(RpcFixture, ForwardingAnswersObjectMoved) {
   server->SetForwarding(object, ToBytes("new-binding-hint"));
   const RpcResult r = CallSync(1, EchoRequest{"x", 1});
   EXPECT_EQ(r.status.code(), StatusCode::kObjectMoved);
-  EXPECT_EQ(ToString(View(r.payload)), "new-binding-hint");
+  EXPECT_EQ(ToString(r.payload.view()), "new-binding-hint");
   server->ClearForwarding(object);
   const RpcResult r2 = CallSync(1, EchoRequest{"x", 1});
   EXPECT_EQ(r2.status.code(), StatusCode::kNotFound);
@@ -298,15 +395,16 @@ TEST_F(RpcFixture, SpoofedReplyFromWrongAddressRejected) {
   ReplyFrame forged;
   forged.call = CallId{client->nonce(), 1};  // correctly guessed identity
   forged.code = StatusCode::kOk;
-  forged.result = serde::EncodeToBytes(EchoResponse{"forged"});
+  const Bytes forged_result = serde::EncodeToBytes(EchoResponse{"forged"});
+  forged.result = View(forged_result);
   net::Endpoint* rogue = stack_b->OpenEphemeral();
   ASSERT_TRUE(
-      rogue->Send(client->address(), EncodeReply(std::move(forged))).ok());
+      rogue->Send(client->address(), EncodeReply(forged)).ok());
 
   sched.RunUntil([&] { return future.ready(); });
   const RpcResult r = future.take();
   ASSERT_TRUE(r.ok());
-  const auto resp = serde::DecodeFromBytes<EchoResponse>(View(r.payload));
+  const auto resp = serde::DecodeFromBytes<EchoResponse>(r.payload.view());
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->text, "real");  // the forgery did not complete the call
   EXPECT_EQ(client->stats().spoofed_replies, 1u);
@@ -354,9 +452,81 @@ TEST_F(RpcFixture, StrayReplyIgnored) {
   reply.code = StatusCode::kOk;
   net::Endpoint* rogue = stack_b->OpenEphemeral();
   ASSERT_TRUE(
-      rogue->Send(client->address(), EncodeReply(std::move(reply))).ok());
+      rogue->Send(client->address(), EncodeReply(reply)).ok());
   sched.Run();
   EXPECT_EQ(client->stats().stray_replies, 1u);
+}
+
+TEST(RpcWire, DatagramBytesArePinned) {
+  // A raw receiver on the middle node stands in for both peers' network
+  // stacks, so the test sees each datagram exactly as the network
+  // carries it: envelope, source port, frame. It relays the request to
+  // the server, which answers the middle node. Args and result are 40 B
+  // each, longer than any header field, so the golden bytes pin where a
+  // bulk field and its length prefix land as well as the headers.
+  sim::Scheduler sched;
+  sim::Network net(sched, 1);
+  const NodeId client_node = net.AddNode("client");
+  const NodeId relay_node = net.AddNode("relay");
+  const NodeId server_node = net.AddNode("server");
+  net::NodeStack client_stack(net, client_node);
+  net::NodeStack server_stack(net, server_node);
+  std::vector<Bytes> captured;
+  net.AttachReceiver(relay_node, [&captured](NodeId, PortId, Bytes framed) {
+    captured.push_back(std::move(framed));
+  });
+  RpcClient client(*client_stack.OpenEndpoint(PortId(7)), 0x0C);
+  RpcServer server(*server_stack.OpenEndpoint(PortId(9)));
+  auto dispatch = std::make_shared<Dispatch>();
+  dispatch->Register(
+      4, [](BytesView args, const CallContext&) -> sim::Co<Result<Bytes>> {
+        co_return Bytes(args.rbegin(), args.rend());
+      });
+  ASSERT_TRUE(server.ExportObject(ObjectId{1, 2}, dispatch).ok());
+
+  Bytes args(40);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    args[i] = static_cast<std::uint8_t>(3 * i + 1);
+  }
+  auto call = client.Call(net::Address{relay_node, PortId(9)}, ObjectId{1, 2},
+                          4, args);
+  const auto arrived = [&captured](std::size_t n) {
+    return [&captured, n] { return captured.size() == n; };
+  };
+  ASSERT_TRUE(sched.RunUntil(arrived(1)));
+  const Bytes request = captured[0];
+  // The reply, then a duplicate answered from the reply cache.
+  ASSERT_TRUE(net.Send(relay_node, server_node, PortId(9), request).ok());
+  ASSERT_TRUE(sched.RunUntil(arrived(2)));
+  ASSERT_TRUE(net.Send(relay_node, server_node, PortId(9), request).ok());
+  ASSERT_TRUE(sched.RunUntil(arrived(3)));
+  EXPECT_EQ(server.stats().executions, 1u);
+  EXPECT_EQ(server.stats().duplicate_suppressed, 1u);
+  // The client retransmits the frame it kept, byte for byte.
+  ASSERT_TRUE(sched.RunUntil(arrived(4)));
+  EXPECT_FALSE(call.ready());
+
+  const std::string request_hex =
+      "5350" "01" "a5a10e79" "43"  // magic, version, CRC, length 67
+      "07"                          // source port
+      "01" "0c01"                   // tag: request; nonce, seq
+      "0100000000000000" "0200000000000000" "04"  // object, method
+      "28"                          // args: 40 bytes
+      "0104070a0d101316191c1f2225282b2e3134373a3d404346494c4f5255585b5e"
+      "6164676a6d707376"
+      "00" "000000" "01";           // deadline, trace, priority
+  const std::string reply_hex =
+      "5350" "01" "b5f5f997" "30"  // magic, version, CRC, length 48
+      "09"                          // source port
+      "02" "0c01"                   // tag: reply; nonce, seq
+      "00" "00" "00"                // code, error message, retry-after
+      "28"                          // result: 40 bytes
+      "7673706d6a6764615e5b5855524f4c494643403d3a3734312e2b2825221f1c19"
+      "1613100d0a070401";
+  EXPECT_EQ(HexString(View(captured[0]), 1024), request_hex);
+  EXPECT_EQ(HexString(View(captured[1]), 1024), reply_hex);
+  EXPECT_EQ(HexString(View(captured[2]), 1024), reply_hex);
+  EXPECT_EQ(HexString(View(captured[3]), 1024), request_hex);
 }
 
 TEST(FrameCodec, RequestReplyRoundTrip) {
@@ -364,8 +534,9 @@ TEST(FrameCodec, RequestReplyRoundTrip) {
   req.call = CallId{0xAB, 7};
   req.object = ObjectId{1, 2};
   req.method = 9;
-  req.args = ToBytes("args");
-  const Bytes encoded = EncodeRequest(std::move(req));
+  const Bytes args = ToBytes("args");
+  req.args = View(args);
+  const Bytes encoded = EncodeRequest(req);
   ASSERT_TRUE(PeekFrameType(View(encoded)).ok());
   EXPECT_EQ(*PeekFrameType(View(encoded)), FrameType::kRequest);
   const auto decoded = DecodeRequestView(View(encoded));
@@ -378,7 +549,7 @@ TEST(FrameCodec, RequestReplyRoundTrip) {
   reply.call = decoded->call;
   reply.code = StatusCode::kNotFound;
   reply.error_message = "gone";
-  const Bytes encoded_reply = EncodeReply(std::move(reply));
+  const Bytes encoded_reply = EncodeReply(reply);
   const auto decoded_reply = DecodeReply(View(encoded_reply));
   ASSERT_TRUE(decoded_reply.ok());
   EXPECT_EQ(decoded_reply->code, StatusCode::kNotFound);

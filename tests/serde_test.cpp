@@ -46,6 +46,7 @@ TEST(Wire, VarintRoundTripEdgeValues) {
     ASSERT_TRUE(GetVarint(View(buf), pos, out)) << v;
     EXPECT_EQ(out, v);
     EXPECT_EQ(pos, buf.size());
+    EXPECT_EQ(VarintSize(v), buf.size()) << v;
   }
 }
 
@@ -314,11 +315,7 @@ TEST(Traits, RandomBitFlipsNeverCrash) {
   EXPECT_GT(decode_failures, 0);
 }
 
-Bytes Wrap(const Bytes& payload) {
-  Writer w;
-  w.WriteRaw(View(payload));
-  return WrapEnvelope(std::move(w));
-}
+Bytes Wrap(const Bytes& payload) { return WrapEnvelope({}, View(payload)); }
 
 TEST(Envelope, RoundTrip) {
   const Bytes payload = ToBytes("payload bytes");
@@ -350,22 +347,15 @@ TEST(Envelope, RejectsBadMagicAndVersion) {
 }
 
 TEST(Envelope, LargeChainRoundTripsAndEveryBlockIsChecked) {
-  // A tail slab, an adopted odd-length chunk, then a tail slab. No chunk
-  // boundary is a multiple of 8, so the sender's stripes straddle chunks.
+  // The sender checksums its header and body where they lie, as two
+  // spans. Neither length is a multiple of 8, so the sender's stripes
+  // straddle the boundary between them.
   const Bytes payload = RandomBytes(64 * 1024, 5);
-  constexpr std::size_t kFirstEnd = 1001;
-  constexpr std::size_t kAdoptedEnd = 61002;
-  Writer w;
-  w.WriteRaw(BytesView(payload.data(), kFirstEnd));
-  w.WriteRaw(Bytes(payload.begin() + kFirstEnd, payload.begin() + kAdoptedEnd));
-  w.WriteRaw(BytesView(payload.data() + kAdoptedEnd,
-                       payload.size() - kAdoptedEnd));
-  std::vector<std::size_t> chunks;
-  w.ForEachChunk([&chunks](BytesView v) { chunks.push_back(v.size()); });
-  ASSERT_EQ(chunks, (std::vector<std::size_t>{kFirstEnd, kAdoptedEnd - kFirstEnd,
-                                              payload.size() - kAdoptedEnd}));
-
-  const Bytes framed = WrapEnvelope(std::move(w));
+  constexpr std::size_t kHeaderEnd = 1001;
+  const Bytes framed =
+      WrapEnvelope(BytesView(payload.data(), kHeaderEnd),
+                   BytesView(payload.data() + kHeaderEnd,
+                             payload.size() - kHeaderEnd));
   const auto unwrapped = UnwrapEnvelopeView(View(framed));
   ASSERT_TRUE(unwrapped.ok()) << unwrapped.status().ToString();
   EXPECT_EQ(Bytes(unwrapped->begin(), unwrapped->end()), payload);
@@ -439,10 +429,10 @@ TEST(Writer, TakeResetsBuffer) {
   w.WriteU32(7);
   const Bytes first = w.Take();
   EXPECT_FALSE(first.empty());
-  EXPECT_EQ(w.size(), 0u);
+  EXPECT_TRUE(w.Take().empty());
 }
 
-// --- buffer-chain writer -----------------------------------------------
+// --- writer sizing -------------------------------------------------------
 
 Bytes BigPayload(std::size_t n, std::uint8_t seed = 7) {
   Bytes b(n);
@@ -452,70 +442,95 @@ Bytes BigPayload(std::size_t n, std::uint8_t seed = 7) {
   return b;
 }
 
-TEST(WriterChain, AdoptedBufferEncodesSameBytesAsCopied) {
-  const Bytes payload = BigPayload(Writer::kChunkSize * 2 + 17);
-  Writer copying;
-  copying.WriteU8(0xAB);
-  copying.WriteBytes(View(payload));
-  copying.WriteVarint(99);
-  Writer adopting;
-  adopting.WriteU8(0xAB);
-  adopting.WriteBytes(Bytes(payload));  // rvalue: adopted as a chunk
-  adopting.WriteVarint(99);
-  EXPECT_EQ(copying.Take(), adopting.Take())
-      << "adoption must not change the wire bytes";
-}
-
-TEST(WriterChain, AdoptionCopiesNothing) {
-  Bytes payload = BigPayload(4 * Writer::kChunkSize);
+TEST(Writer, SmallFieldsStayInTheFirstSlab) {
+  // A header's worth of field encodes lands in the first slab: no
+  // regrowth from one byte, and Take() hands that slab out.
   Writer w;
-  const auto before = WireCopyCounter().value();
-  w.WriteBytes(std::move(payload));
-  EXPECT_EQ(WireCopyCounter().value(), before)
-      << "adopting an owned buffer must not tick the copy counter";
+  w.WriteU8(0x01);
+  w.WriteVarint(~0ULL);  // a ten-byte nonce
+  w.WriteVarint(42);
+  w.WriteU64(0x0102030405060708ULL);
+  w.WriteU64(0x1112131415161718ULL);
+  w.WriteString("small");
+  w.WriteBool(true);
+  const Bytes out = w.Take();
+  EXPECT_EQ(out.size(), 1u + 10 + 1 + 8 + 8 + 6 + 1);
+  EXPECT_EQ(out.capacity(), Writer::kSlab);
 }
 
 TEST(WriterChain, SmallOwnedBufferFoldsIntoTail) {
-  // Below the adopt threshold, carrying a chunk costs more than copying.
-  Bytes tiny = BigPayload(Writer::kAdoptThreshold - 1);
+  // A bulk field smaller than the room left is copied (and counted) into
+  // the writer's one buffer, without a new allocation.
+  const Bytes tiny = BigPayload(31);
   Writer w;
   const auto before = WireCopyCounter().value();
-  w.WriteBytes(std::move(tiny));
-  EXPECT_EQ(WireCopyCounter().value(), before + Writer::kAdoptThreshold - 1);
+  w.WriteBytes(tiny);
+  EXPECT_EQ(WireCopyCounter().value(), before + 31);
+  EXPECT_EQ(w.Take().capacity(), Writer::kSlab);
 }
 
-TEST(WriterChain, ForEachChunkWalksWireOrder) {
+struct BulkThenSmall {
+  std::string bulk;
+  std::uint64_t tag = 0;
+  PROXY_SERDE_FIELDS(bulk, tag)
+};
+
+TEST(Writer, EncodeToBytesCopiesALargeFieldOnce) {
+  // The string does not fit the first slab, so the writer grows once:
+  // to its length prefix, the string, and one slab of room for the field
+  // after it. Nothing is gathered or copied again.
+  BulkThenSmall v;
+  v.bulk = ToString(View(BigPayload(64 * 1024)));
+  v.tag = 0x2A;
+  const auto before = WireCopyCounter().value();
+  const Bytes out = EncodeToBytes(v);
+  EXPECT_EQ(WireCopyCounter().value(), before + v.bulk.size());
+  constexpr std::size_t kPrefix = 3;  // varint of 65536
+  EXPECT_EQ(out.size(), kPrefix + v.bulk.size() + 1);
+  EXPECT_EQ(out.capacity(), kPrefix + v.bulk.size() + Writer::kSlab);
+  const auto decoded = DecodeFromBytes<BulkThenSmall>(View(out));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->bulk, v.bulk);
+  EXPECT_EQ(decoded->tag, v.tag);
+}
+
+TEST(Writer, GrowthKeepsTheWireBytes) {
+  // Growing mid-message keeps what was written and appends in order: the
+  // bytes are the ones a hand-built flat encoding gives.
+  const Bytes payload = BigPayload(Writer::kSlab * 40 + 17);
   Writer w;
-  w.WriteU8(0x11);
-  w.WriteRaw(BigPayload(Writer::kChunkSize * 2, 9));
-  w.WriteU8(0x22);
-  Bytes gathered;
-  w.ForEachChunk([&gathered](BytesView v) {
-    gathered.insert(gathered.end(), v.begin(), v.end());
-  });
-  EXPECT_EQ(gathered.size(), w.size());
-  EXPECT_EQ(gathered, w.Take());
+  w.WriteU8(0xAB);
+  w.WriteBytes(View(payload));
+  w.WriteVarint(99);
+  Bytes flat{0xAB};
+  PutVarint(flat, payload.size());
+  flat.insert(flat.end(), payload.begin(), payload.end());
+  PutVarint(flat, 99);
+  EXPECT_EQ(w.Take(), flat);
 }
 
 TEST(WriterChain, SingleChunkTakeMovesOutWithoutCopy) {
+  // The writer is one buffer: Take() moves it out and copies nothing.
   Writer w;
-  w.WriteRaw(BigPayload(Writer::kChunkSize * 3));  // one adopted chunk
+  w.WriteBytes(View(BigPayload(Writer::kSlab * 3)));
   const auto before = WireCopyCounter().value();
   const Bytes out = w.Take();
-  EXPECT_EQ(WireCopyCounter().value(), before)
-      << "a single-chunk chain moves out; only multi-chunk gathers copy";
-  EXPECT_EQ(out.size(), Writer::kChunkSize * 3);
+  EXPECT_EQ(WireCopyCounter().value(), before);
+  EXPECT_EQ(out.size(), 2 + Writer::kSlab * 3);  // varint prefix, bytes
 }
 
-TEST(WriterChain, MultiChunkTakeCountsExactlyOneGather) {
-  Writer w;
-  w.WriteU8(0x33);  // tail slab
-  w.WriteRaw(BigPayload(Writer::kChunkSize));
-  const std::size_t total = w.size();
+TEST(Envelope, TwoSpansChecksumAsOne) {
+  // The datagram header and the frame are checksummed where they lie;
+  // the envelope is the one a single span of both would get, and the
+  // copy into it is counted once.
+  const Bytes header = BigPayload(3, 1);
+  const Bytes body = BigPayload(5000, 2);
+  Bytes joined = header;
+  joined.insert(joined.end(), body.begin(), body.end());
   const auto before = WireCopyCounter().value();
-  const Bytes out = w.Take();
-  EXPECT_EQ(out.size(), total);
-  EXPECT_EQ(WireCopyCounter().value(), before + total);
+  const Bytes framed = WrapEnvelope(View(header), View(body));
+  EXPECT_EQ(WireCopyCounter().value(), before + joined.size());
+  EXPECT_EQ(framed, WrapEnvelope({}, View(joined)));
 }
 
 // --- zero-length reads (UBSan regression) ------------------------------

@@ -85,8 +85,10 @@ struct ShardedWorld {
       std::vector<core::Context*> ctxs;
       std::vector<NodeId> nodes;
       for (std::uint32_t r = 0; r < replicas_per_group; ++r) {
-        const std::string label =
-            "g" + std::to_string(g) + "-r" + std::to_string(r);
+        std::string label = "g";
+        label += std::to_string(g);
+        label += "-r";
+        label += std::to_string(r);
         const NodeId node = rt->AddNode(label);
         nodes.push_back(node);
         ctxs.push_back(&rt->CreateContext(node, label));
@@ -152,7 +154,8 @@ TEST(ShardMap, StableHashStaysInRangeAndAgreesWithItself) {
   // Routers and replicas must agree on key -> shard forever: the
   // function is part of the wire contract, not an implementation detail.
   for (int i = 0; i < 512; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    std::string key = "k";
+    key += std::to_string(i);
     const std::uint32_t shard = ShardOf(key, kShards);
     EXPECT_LT(shard, kShards);
     EXPECT_EQ(shard, ShardOf(key, kShards)) << key;
