@@ -133,10 +133,7 @@ std::shared_ptr<rpc::Dispatch> MakeThrottledKvDispatch(
           GetRequest req,
           const rpc::CallContext&) -> sim::Co<Result<GetResponse>> {
         co_await sim::SleepFor(sched, service_time);
-        Result<std::optional<std::string>> value =
-            co_await impl->Get(std::move(req.key));
-        if (!value.ok()) co_return value.status();
-        co_return GetResponse{std::move(*value)};
+        co_return GetResponse{impl->Lookup(req.key)};
       });
   rpc::RegisterTyped<PutRequest, rpc::Void>(
       *dispatch, services::kvwire::kPut,
@@ -144,8 +141,9 @@ std::shared_ptr<rpc::Dispatch> MakeThrottledKvDispatch(
           PutRequest req,
           const rpc::CallContext&) -> sim::Co<Result<rpc::Void>> {
         co_await sim::SleepFor(sched, service_time);
-        co_return co_await impl->PutExcluding(
-            std::move(req.key), std::move(req.value), req.exclude_sink);
+        impl->Store(std::move(req.key), std::move(req.value),
+                    req.exclude_sink);
+        co_return rpc::Void{};
       });
   rpc::RegisterTyped<ListRequest, ListResponse>(
       *dispatch, services::kvwire::kList,
@@ -153,10 +151,7 @@ std::shared_ptr<rpc::Dispatch> MakeThrottledKvDispatch(
           ListRequest req,
           const rpc::CallContext&) -> sim::Co<Result<ListResponse>> {
         co_await sim::SleepFor(sched, service_time);
-        Result<std::vector<std::string>> keys =
-            co_await impl->List(std::move(req.prefix));
-        if (!keys.ok()) co_return keys.status();
-        co_return ListResponse{std::move(*keys)};
+        co_return ListResponse{impl->Keys(req.prefix)};
       });
   return dispatch;
 }

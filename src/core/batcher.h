@@ -67,19 +67,17 @@ class Batcher {
 
   /// Forces the current batch out (used before a dependent read).
   sim::Future<Status> Flush() {
-    sim::Promise<Status> done(*scheduler_);
     if (pending_.empty()) {
+      sim::Promise<Status> done(*scheduler_);
       done.Set(Status::Ok());
       return done.future();
     }
     stats_.manual_flushes++;
+    // A sentinel waiter shares the batch's fate without adding an item.
     waiters_.emplace_back(*scheduler_);
-    auto batch_future = waiters_.back().future();
-    // Resolve `done` with the batch outcome; the sentinel waiter shares
-    // the batch's fate without adding an item.
-    batch_future.Then([done](Status&& st) { done.Set(std::move(st)); });
+    auto future = waiters_.back().future();
     FlushNow();
-    return done.future();
+    return future;
   }
 
   /// Flushes until nothing is pending: items added while a batch is in

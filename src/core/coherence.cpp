@@ -40,8 +40,7 @@ InvalidationSink::~InvalidationSink() {
   (void)owner_->context().server().RemoveObject(id_);
 }
 
-sim::Co<Status> InvalidationSink::EnsureSubscribed() {
-  if (subscribed_ || in_flight_) co_return Status::Ok();
+sim::Co<Status> InvalidationSink::Subscribe() {
   in_flight_ = true;
   SubscribeRequest req{owner_->context().server_address(), id_};
   Result<rpc::Void> resp =

@@ -65,10 +65,10 @@ void RegisterSubscribe(rpc::Dispatch& dispatch, std::uint32_t method,
   rpc::RegisterTyped<SubscribeRequest, rpc::Void>(
       dispatch, method,
       [owner](SubscribeRequest req,
-              const rpc::CallContext&) -> sim::Co<Result<rpc::Void>> {
+              const rpc::CallContext&) -> Result<rpc::Void> {
         const Status st = owner->subscribers().Add(req);
-        if (!st.ok()) co_return st;
-        co_return rpc::Void{};
+        if (!st.ok()) return st;
+        return rpc::Void{};
       });
 }
 
@@ -83,23 +83,27 @@ class InvalidationSink {
   InvalidationSink(const InvalidationSink&) = delete;
   InvalidationSink& operator=(const InvalidationSink&) = delete;
 
-  /// Serves sink method `method`: decodes a Msg and hands it to `fn`.
+  /// Serves sink method `method`: hands each decoded Msg to `fn`.
   template <typename Msg, typename Fn>
   void Handle(std::uint32_t method, Fn fn) {
-    dispatch_->Register(
-        method,
-        [fn = std::move(fn)](BytesView args,
-                             const rpc::CallContext&) -> sim::Co<Result<Bytes>> {
-          Result<Msg> msg = serde::DecodeFromBytes<Msg>(args);
-          if (!msg.ok()) co_return msg.status();
-          fn(*msg);
-          co_return serde::EncodeToBytes(rpc::Void{});
+    rpc::RegisterTyped<Msg, rpc::Void>(
+        *dispatch_, method,
+        [fn = std::move(fn)](Msg msg,
+                             const rpc::CallContext&) -> Result<rpc::Void> {
+          fn(msg);
+          return rpc::Void{};
         });
   }
 
-  /// Subscribes through the owning proxy's Call on first use; later calls
-  /// (and calls while the subscribe is in flight) return OK at once.
-  sim::Co<Status> EnsureSubscribed();
+  /// The warm check: true until the first subscribe starts. The owning
+  /// proxy awaits Subscribe() before a read or write only then; later
+  /// operations (and those while the subscribe is in flight) go ahead.
+  [[nodiscard]] bool needs_subscribe() const noexcept {
+    return !subscribed_ && !in_flight_;
+  }
+
+  /// Subscribes through the owning proxy's Call.
+  sim::Co<Status> Subscribe();
 
   /// The sink's object id: what a write names as its excluded sink.
   [[nodiscard]] ObjectId id() const noexcept { return id_; }

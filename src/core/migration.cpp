@@ -17,7 +17,7 @@ MigrationManager::MigrationManager(Context& context)
   rpc::RegisterTyped<ReleaseRequest, ReleaseResponse>(
       *dispatch_, Method::kRelease,
       [this](ReleaseRequest req, const rpc::CallContext&) {
-        return HandleRelease(std::move(req));
+        return HandleRelease(req);
       });
   rpc::RegisterTyped<AcceptRequest, AcceptResponse>(
       *dispatch_, Method::kAccept,
@@ -80,21 +80,19 @@ sim::Co<Result<ServiceBinding>> MigrationManager::PushTo(ObjectId id,
 
   // A migration that can't complete promptly should roll back, not hold
   // the withdrawn object in limbo while retries grind on.
-  rpc::RpcResult raw = co_await context_->client().Call(
-      net::Address{target.node, target.port}, kMigrationControlObject,
-      Method::kAccept, serde::EncodeToBytes(req),
-      rpc::CallOptions{}.WithDeadline(Seconds(2)));
-  if (!raw.ok()) {
+  Result<AcceptResponse> resp =
+      co_await rpc::AwaitReply<AcceptResponse>(context_->client().Call(
+          net::Address{target.node, target.port}, kMigrationControlObject,
+          Method::kAccept, serde::EncodeToBytes(req),
+          rpc::CallOptions{}.WithDeadline(Seconds(2))));
+  if (!resp.ok()) {
     // Roll back: rebuild locally from the snapshot under the same id and
     // drop the (now wrong) forwarding hint.
     context_->server().ClearForwarding(id);
     (void)ServerObjectFactoryRegistry::Instance().Create(
         *context_, iface, id, evicted->protocol, std::move(evicted->state));
-    co_return raw.status;
+    co_return resp.status();
   }
-  Result<AcceptResponse> resp =
-      serde::DecodeFromBytes<AcceptResponse>(raw.payload.view());
-  if (!resp.ok()) co_return resp.status();
   stats_.pushed++;
   PROXY_LOG(kInfo, context_->scheduler().now(), "migration",
             "pushed " << id.ToString() << " to "
@@ -108,12 +106,11 @@ sim::Co<Result<ServiceBinding>> MigrationManager::Pull(
   req.object = binding.object;
   req.new_home = context_->server_address();
 
-  rpc::RpcResult raw = co_await context_->client().Call(
-      binding.server, kMigrationControlObject, Method::kRelease,
-      serde::EncodeToBytes(req), rpc::CallOptions{}.WithDeadline(Seconds(2)));
-  if (!raw.ok()) co_return raw.status;
   Result<ReleaseResponse> resp =
-      serde::DecodeFromBytes<ReleaseResponse>(raw.payload.view());
+      co_await rpc::AwaitReply<ReleaseResponse>(context_->client().Call(
+          binding.server, kMigrationControlObject, Method::kRelease,
+          serde::EncodeToBytes(req),
+          rpc::CallOptions{}.WithDeadline(Seconds(2))));
   if (!resp.ok()) co_return resp.status();
 
   Result<ServiceBinding> rebuilt =
@@ -128,23 +125,22 @@ sim::Co<Result<ServiceBinding>> MigrationManager::Pull(
   co_return *rebuilt;
 }
 
-sim::Co<Result<MigrationManager::ReleaseResponse>>
-MigrationManager::HandleRelease(ReleaseRequest req) {
+Result<MigrationManager::ReleaseResponse> MigrationManager::HandleRelease(
+    const ReleaseRequest& req) {
   Result<ReleaseResponse> resp = Evict(req.object, req.new_home);
-  if (!resp.ok()) co_return resp.status();
-  stats_.released++;
-  co_return std::move(*resp);
+  if (resp.ok()) stats_.released++;
+  return resp;
 }
 
-sim::Co<Result<MigrationManager::AcceptResponse>>
-MigrationManager::HandleAccept(AcceptRequest req) {
+Result<MigrationManager::AcceptResponse> MigrationManager::HandleAccept(
+    AcceptRequest req) {
   Result<ServiceBinding> rebuilt =
       ServerObjectFactoryRegistry::Instance().Create(
           *context_, req.iface, req.object, req.protocol,
           std::move(req.state));
-  if (!rebuilt.ok()) co_return rebuilt.status();
+  if (!rebuilt.ok()) return rebuilt.status();
   stats_.accepted++;
-  co_return AcceptResponse{*rebuilt};
+  return AcceptResponse{*rebuilt};
 }
 
 }  // namespace proxy::core

@@ -100,8 +100,8 @@ class MigrationManager {
   /// `new_home`. Core of both push (local half) and Release (remote half).
   Result<ReleaseResponse> Evict(ObjectId id, const net::Address& new_home);
 
-  sim::Co<Result<ReleaseResponse>> HandleRelease(ReleaseRequest req);
-  sim::Co<Result<AcceptResponse>> HandleAccept(AcceptRequest req);
+  Result<ReleaseResponse> HandleRelease(const ReleaseRequest& req);
+  Result<AcceptResponse> HandleAccept(AcceptRequest req);
 
   Context* context_;
   std::shared_ptr<rpc::Dispatch> dispatch_;

@@ -15,6 +15,11 @@
 // proxy adopts it and retries instead of erroring forever against a dead
 // address.
 //
+// A subclass marshals through Call<Resp>(method, req): a plain function
+// that encodes `req` and returns rpc::TypedReply (rpc/stub.h) over the
+// invocation loop CallRaw, so awaiting a typed call costs CallRaw's one
+// frame and no other. CallRaw is the only coroutine here.
+//
 // Everything beyond that — caching, batching, write-back, migrate-on-use
 // — is a subclass's private protocol with its service (the concrete
 // proxies live beside their services in src/services, e.g. kv.h). The
@@ -116,19 +121,25 @@ class ProxyBase {
   friend class InvalidationSink;
 
   /// Typed remote call with transparent rebinding on OBJECT_MOVED, using
-  /// the proxy's ambient options.
+  /// the proxy's ambient options. Marshals `req` now; awaiting the reply
+  /// runs the invocation loop (CallRaw) and unmarshals a Resp.
   template <typename Resp, typename Req>
-  sim::Co<Result<Resp>> Call(std::uint32_t method, Req req) {
-    Bytes args = serde::EncodeToBytes(req);
-    Result<OwnedBytes> raw =
-        co_await CallRaw(method, std::move(args), options_);
-    if (!raw.ok()) co_return raw.status();
-    co_return serde::DecodeFromBytes<Resp>(raw->view());
+  rpc::TypedReply<Resp, sim::Co<Result<OwnedBytes>>> Call(
+      std::uint32_t method, const Req& req) {
+    return Call<Resp>(method, req, options_);
+  }
+
+  /// Typed remote call under `options` instead of the ambient ones.
+  template <typename Resp, typename Req>
+  rpc::TypedReply<Resp, sim::Co<Result<OwnedBytes>>> Call(
+      std::uint32_t method, const Req& req, rpc::CallOptions options) {
+    return rpc::AwaitReply<Resp>(
+        CallRaw(method, serde::EncodeToBytes(req), std::move(options)));
   }
 
   /// Untyped variant for proxies that marshal manually.
   sim::Co<Result<OwnedBytes>> CallRaw(std::uint32_t method, Bytes args) {
-    co_return co_await CallRaw(method, std::move(args), options_);
+    return CallRaw(method, std::move(args), options_);
   }
 
   /// The invocation loop, and the system's measurement point: the proxy
@@ -158,13 +169,16 @@ class ProxyBase {
           options.max_retries * 2);
     }
 
-    Result<OwnedBytes> outcome = UnavailableError(
-        "forwarding chain exceeded " + std::to_string(kMaxForwardHops) +
-        " hops");
+    Result<OwnedBytes> outcome = Status(StatusCode::kUnavailable);  // set below
     bool recovery_tried = false;
     int pushback_waits = 0;
     SimDuration prev_pushback_wait = 0;
-    for (int hop = 0; hop <= kMaxForwardHops; ++hop) {
+    for (int hop = 0;; ++hop) {
+      if (hop > kMaxForwardHops) {
+        outcome = UnavailableError("forwarding chain exceeded " +
+                                   std::to_string(kMaxForwardHops) + " hops");
+        break;
+      }
       rpc::RpcResult raw = co_await context_->client().Call(
           binding_.server, binding_.object, method, View(args), options);
       if (raw.ok()) {

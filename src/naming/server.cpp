@@ -14,17 +14,17 @@ NameServer::NameServer(rpc::RpcServer& server)
   rpc::RegisterTyped<LookupRequest, LookupResponse>(
       *dispatch_, Method::kLookup,
       [this](LookupRequest req, const rpc::CallContext&) {
-        return HandleLookup(std::move(req));
+        return HandleLookup(req);
       });
   rpc::RegisterTyped<UnregisterRequest, rpc::Void>(
       *dispatch_, Method::kUnregister,
       [this](UnregisterRequest req, const rpc::CallContext&) {
-        return HandleUnregister(std::move(req));
+        return HandleUnregister(req);
       });
   rpc::RegisterTyped<ListRequest, ListResponse>(
       *dispatch_, Method::kList,
       [this](ListRequest req, const rpc::CallContext&) {
-        return HandleList(std::move(req));
+        return HandleList(req);
       });
   // The bootstrap capability: the only well-known object in the system.
   (void)server_->ExportObject(kNameServiceObject, dispatch_);
@@ -58,28 +58,28 @@ bool NameServer::Sweep(const std::string& name) {
   return true;
 }
 
-sim::Co<Result<rpc::Void>> NameServer::HandleRegister(RegisterRequest req) {
+Result<rpc::Void> NameServer::HandleRegister(RegisterRequest req) {
   const Status st = RegisterDirect(req.name, std::move(req.record),
                                    req.overwrite);
-  if (!st.ok()) co_return st;
-  co_return rpc::Void{};
+  if (!st.ok()) return st;
+  return rpc::Void{};
 }
 
-sim::Co<Result<LookupResponse>> NameServer::HandleLookup(LookupRequest req) {
+Result<LookupResponse> NameServer::HandleLookup(const LookupRequest& req) {
   if (!Sweep(req.name)) {
-    co_return NotFoundError("unbound name: " + req.name);
+    return NotFoundError("unbound name: " + req.name);
   }
-  co_return LookupResponse{records_.at(req.name).record};
+  return LookupResponse{records_.at(req.name).record};
 }
 
-sim::Co<Result<rpc::Void>> NameServer::HandleUnregister(UnregisterRequest req) {
+Result<rpc::Void> NameServer::HandleUnregister(const UnregisterRequest& req) {
   if (records_.erase(req.name) == 0) {
-    co_return NotFoundError("unbound name: " + req.name);
+    return NotFoundError("unbound name: " + req.name);
   }
-  co_return rpc::Void{};
+  return rpc::Void{};
 }
 
-sim::Co<Result<ListResponse>> NameServer::HandleList(ListRequest req) {
+Result<ListResponse> NameServer::HandleList(const ListRequest& req) const {
   ListResponse resp;
   // Expired entries are skipped but only erased by their own lookups, so
   // listing stays iterator-safe.
@@ -89,7 +89,7 @@ sim::Co<Result<ListResponse>> NameServer::HandleList(ListRequest req) {
     if (entry.expires_at != 0 && entry.expires_at <= now) continue;
     resp.entries.emplace_back(name, entry.record);
   }
-  co_return resp;
+  return resp;
 }
 
 }  // namespace proxy::naming

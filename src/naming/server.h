@@ -37,10 +37,10 @@ class NameServer {
   /// Drops `name` if its lease expired; returns true if still live.
   bool Sweep(const std::string& name);
 
-  sim::Co<Result<rpc::Void>> HandleRegister(RegisterRequest req);
-  sim::Co<Result<LookupResponse>> HandleLookup(LookupRequest req);
-  sim::Co<Result<rpc::Void>> HandleUnregister(UnregisterRequest req);
-  sim::Co<Result<ListResponse>> HandleList(ListRequest req);
+  Result<rpc::Void> HandleRegister(RegisterRequest req);
+  Result<LookupResponse> HandleLookup(const LookupRequest& req);
+  Result<rpc::Void> HandleUnregister(const UnregisterRequest& req);
+  Result<ListResponse> HandleList(const ListRequest& req) const;
 
   rpc::RpcServer* server_;
   std::shared_ptr<rpc::Dispatch> dispatch_;

@@ -278,7 +278,7 @@ sim::Co<void> RpcServer::Execute(net::Address from, RequestFrame request,
   // coroutine's frame so request.args stays valid across suspensions.
   (void)arena;
   const std::uint64_t born = generation_;
-  Result<Bytes> outcome = InternalError("uninitialized outcome");
+  Result<Bytes> outcome = Status(StatusCode::kInternal);  // set below
 
   const auto obj = objects_.find(request.object);
   if (obj == objects_.end()) {

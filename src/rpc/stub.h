@@ -2,8 +2,21 @@
 //
 // A *stub* is the baseline of the proxy principle comparison: it marshals
 // arguments, performs the remote call, and unmarshals the result — and
-// does nothing else. Service definitions build typed stubs from
-// TypedCall<Req, Resp>() and typed skeletons from RegisterTyped<>().
+// does nothing else. Each step is written once here:
+//
+//   - TypedReply<Resp, Source> is the one typed-reply awaitable. It
+//     awaits an RpcClient::Call future, or a coroutine yielding
+//     Result<OwnedBytes> (core::ProxyBase::CallRaw), and decodes a Resp
+//     in await_resume. Typed stubs build it with TypedCall<Resp>();
+//     proxies with core::ProxyBase::Call<Resp>(); code that calls
+//     RpcClient directly wraps the future in AwaitReply<Resp>().
+//   - RegisterTyped<Req, Resp>() is the one typed skeleton: it decodes
+//     the request, runs the handler and encodes its reply.
+//
+// TypedReply owns no coroutine frame, so a typed call costs no
+// allocation and no scheduler event beyond the call it wraps. The
+// skeleton's adapter is a handler's only frame when its service code
+// cannot suspend.
 //
 // Proxies (src/core) may *contain* a stub as their transport leg, but add
 // management intelligence around it (caching, batching, rebinding).
@@ -17,7 +30,9 @@
 //     auto resp = co_await Call<GetResponse>(kGet, std::move(req));
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "rpc/client.h"
@@ -26,6 +41,45 @@
 #include "sim/task.h"
 
 namespace proxy::rpc {
+
+/// The typed reply of one remote call. Awaiting it awaits `source` — an
+/// RpcClient::Call future, or a lazy coroutine yielding Result<OwnedBytes>
+/// — and yields the reply decoded as Resp: the call's error status, or
+/// the decode status (kCorrupt) for a reply that is not a Resp. A
+/// coroutine source is entered exactly as `co_await source` enters it and
+/// completes through its own FinalAwaiter post (DESIGN.md §7), so the
+/// wrapper adds no frame and no event.
+template <typename Resp, typename Source>
+class [[nodiscard]] TypedReply {
+ public:
+  explicit TypedReply(Source source) noexcept : source_(std::move(source)) {}
+
+  [[nodiscard]] bool await_ready() const noexcept {
+    return source_.await_ready();
+  }
+  auto await_suspend(std::coroutine_handle<> awaiting) {
+    return source_.await_suspend(awaiting);
+  }
+  Result<Resp> await_resume() { return Decode(source_.await_resume()); }
+
+ private:
+  static Result<Resp> Decode(RpcResult raw) {
+    if (!raw.ok()) return raw.status;
+    return serde::DecodeFromBytes<Resp>(raw.payload.view());
+  }
+  static Result<Resp> Decode(Result<OwnedBytes> raw) {
+    if (!raw.ok()) return raw.status();
+    return serde::DecodeFromBytes<Resp>(raw->view());
+  }
+
+  Source source_;
+};
+
+/// Awaits `source` as the typed reply of a Resp-returning method.
+template <typename Resp, typename Source>
+TypedReply<Resp, Source> AwaitReply(Source source) {
+  return TypedReply<Resp, Source>(std::move(source));
+}
 
 /// Client-side base: holds the binding triple (client, server address,
 /// object id) every stub needs.
@@ -52,14 +106,13 @@ class StubBase {
   }
 
  protected:
-  /// Marshals `req`, calls `method`, unmarshals a Resp.
+  /// Marshals `req` and sends it as `method`; awaiting the result
+  /// unmarshals a Resp.
   template <typename Resp, typename Req>
-  sim::Co<Result<Resp>> TypedCall(std::uint32_t method, Req req) {
-    Bytes args = serde::EncodeToBytes(req);
-    RpcResult raw =
-        co_await client_->Call(server_, object_, method, View(args), options_);
-    if (!raw.ok()) co_return raw.status;
-    co_return serde::DecodeFromBytes<Resp>(raw.payload.view());
+  TypedReply<Resp, sim::Future<RpcResult>> TypedCall(std::uint32_t method,
+                                                     const Req& req) {
+    return AwaitReply<Resp>(client_->Call(
+        server_, object_, method, serde::EncodeToBytes(req), options_));
   }
 
  private:
@@ -70,10 +123,14 @@ class StubBase {
 };
 
 /// Registers a typed handler on a dispatch table. `fn` has signature
-/// sim::Co<Result<Resp>>(Req, const CallContext&). Decode errors are
-/// answered with the decode Status; the handler never sees bad input.
+/// Result<Resp>(Req, const CallContext&) when it cannot suspend, or
+/// sim::Co<Result<Resp>>(Req, const CallContext&) when it can. Decode
+/// errors are answered with the decode Status; the handler never sees
+/// bad input.
 template <typename Req, typename Resp, typename Fn>
 void RegisterTyped(Dispatch& dispatch, std::uint32_t method, Fn fn) {
+  constexpr bool kSynchronous = std::is_same_v<
+      std::invoke_result_t<const Fn&, Req, const CallContext&>, Result<Resp>>;
   dispatch.Register(
       method,
       [fn = std::move(fn)](BytesView args,
@@ -82,9 +139,15 @@ void RegisterTyped(Dispatch& dispatch, std::uint32_t method, Fn fn) {
         // it alive for the handler's lifetime, so decoding here is safe.
         Result<Req> req = serde::DecodeFromBytes<Req>(args);
         if (!req.ok()) co_return req.status();
-        Result<Resp> resp = co_await fn(std::move(*req), ctx);
-        if (!resp.ok()) co_return resp.status();
-        co_return serde::EncodeToBytes(*resp);
+        if constexpr (kSynchronous) {
+          const Result<Resp> resp = fn(std::move(*req), ctx);
+          if (!resp.ok()) co_return resp.status();
+          co_return serde::EncodeToBytes(*resp);
+        } else {
+          const Result<Resp> resp = co_await fn(std::move(*req), ctx);
+          if (!resp.ok()) co_return resp.status();
+          co_return serde::EncodeToBytes(*resp);
+        }
       });
 }
 

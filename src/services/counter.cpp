@@ -8,13 +8,6 @@ namespace proxy::services {
 using counterwire::IncrementRequest;
 using counterwire::ValueResponse;
 
-sim::Co<Result<std::int64_t>> CounterService::Increment(std::int64_t delta) {
-  value_ += delta;
-  co_return value_;
-}
-
-sim::Co<Result<std::int64_t>> CounterService::Read() { co_return value_; }
-
 Bytes CounterService::SnapshotState() const {
   serde::Writer w;
   w.WriteSigned(value_);
@@ -33,18 +26,13 @@ std::shared_ptr<rpc::Dispatch> MakeCounterDispatch(
   rpc::RegisterTyped<IncrementRequest, ValueResponse>(
       *dispatch, counterwire::kIncrement,
       [impl](IncrementRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<ValueResponse>> {
-        Result<std::int64_t> value = co_await impl->Increment(req.delta);
-        if (!value.ok()) co_return value.status();
-        co_return ValueResponse{*value};
+             const rpc::CallContext&) -> Result<ValueResponse> {
+        return ValueResponse{impl->Add(req.delta)};
       });
   rpc::RegisterTyped<rpc::Void, ValueResponse>(
       *dispatch, counterwire::kRead,
-      [impl](rpc::Void,
-             const rpc::CallContext&) -> sim::Co<Result<ValueResponse>> {
-        Result<std::int64_t> value = co_await impl->Read();
-        if (!value.ok()) co_return value.status();
-        co_return ValueResponse{*value};
+      [impl](rpc::Void, const rpc::CallContext&) -> Result<ValueResponse> {
+        return ValueResponse{impl->value()};
       });
   return dispatch;
 }

@@ -60,8 +60,15 @@ class CounterService : public ICounter, public core::IMigratable {
   CounterService() = default;
   explicit CounterService(std::int64_t initial) : value_(initial) {}
 
-  sim::Co<Result<std::int64_t>> Increment(std::int64_t delta) override;
-  sim::Co<Result<std::int64_t>> Read() override;
+  sim::Co<Result<std::int64_t>> Increment(std::int64_t delta) override {
+    co_return Add(delta);
+  }
+  sim::Co<Result<std::int64_t>> Read() override { co_return value(); }
+
+  // The synchronous core the skeleton calls: an integer cannot suspend.
+  /// Adds `delta`; returns the new value.
+  std::int64_t Add(std::int64_t delta) noexcept { return value_ += delta; }
+  [[nodiscard]] std::int64_t value() const noexcept { return value_; }
 
   [[nodiscard]] Bytes SnapshotState() const override;
   Status RestoreState(BytesView state);

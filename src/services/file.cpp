@@ -18,13 +18,12 @@ using filewire::WriteVecRequest;
 
 // --- server ---
 
-sim::Co<Result<Bytes>> FileService::Read(std::uint64_t offset,
-                                         std::uint32_t length) {
-  if (offset >= content_.size()) co_return Bytes{};
+Bytes FileService::ReadAt(std::uint64_t offset, std::uint32_t length) const {
+  if (offset >= content_.size()) return Bytes{};
   const std::uint64_t end =
       std::min<std::uint64_t>(offset + length, content_.size());
-  co_return Bytes(content_.begin() + static_cast<std::ptrdiff_t>(offset),
-                  content_.begin() + static_cast<std::ptrdiff_t>(end));
+  return Bytes(content_.begin() + static_cast<std::ptrdiff_t>(offset),
+               content_.begin() + static_cast<std::ptrdiff_t>(end));
 }
 
 Status FileService::ApplyWrite(std::uint64_t offset, const Bytes& data) {
@@ -38,44 +37,30 @@ Status FileService::ApplyWrite(std::uint64_t offset, const Bytes& data) {
   return Status::Ok();
 }
 
-sim::Co<Result<rpc::Void>> FileService::Write(std::uint64_t offset,
-                                              Bytes data) {
-  co_return co_await WriteExcluding(offset, std::move(data), ObjectId{});
-}
-
-sim::Co<Result<rpc::Void>> FileService::WriteExcluding(std::uint64_t offset,
-                                                       Bytes data,
-                                                       ObjectId exclude) {
-  const std::uint64_t length = data.size();
+Result<rpc::Void> FileService::WriteExcluding(std::uint64_t offset,
+                                              const Bytes& data,
+                                              ObjectId exclude) {
   const Status st = ApplyWrite(offset, data);
-  if (!st.ok()) co_return st;
-  NotifyInvalidate(offset, length, exclude);
-  co_return rpc::Void{};
+  if (!st.ok()) return st;
+  NotifyInvalidate(offset, data.size(), exclude);
+  return rpc::Void{};
 }
 
-sim::Co<Result<std::uint64_t>> FileService::Size() {
-  co_return static_cast<std::uint64_t>(content_.size());
-}
-
-sim::Co<Result<rpc::Void>> FileService::Truncate(std::uint64_t size) {
-  co_return co_await TruncateExcluding(size, ObjectId{});
-}
-
-sim::Co<Result<rpc::Void>> FileService::TruncateExcluding(std::uint64_t size,
-                                                          ObjectId exclude) {
+Result<rpc::Void> FileService::TruncateExcluding(std::uint64_t size,
+                                                 ObjectId exclude) {
   if (size > kMaxFileSize) {
-    co_return ResourceExhaustedError("truncate exceeds max file size");
+    return ResourceExhaustedError("truncate exceeds max file size");
   }
   content_.resize(size, 0);
   NotifyInvalidate(size, 0, exclude);  // 0 length = "to end of file"
-  co_return rpc::Void{};
+  return rpc::Void{};
 }
 
-sim::Co<Result<rpc::Void>> FileService::WriteVec(
-    std::vector<WriteRequest> writes) {
+Result<rpc::Void> FileService::WriteVec(
+    const std::vector<WriteRequest>& writes) {
   for (const auto& w : writes) {
     const Status st = ApplyWrite(w.offset, w.data);
-    if (!st.ok()) co_return st;
+    if (!st.ok()) return st;
   }
   // One invalidation covering the whole touched range; the writes in a
   // batch share one excluded sink (they come from one proxy).
@@ -88,7 +73,7 @@ sim::Co<Result<rpc::Void>> FileService::WriteVec(
     }
     NotifyInvalidate(lo, hi - lo, writes.front().exclude_sink);
   }
-  co_return rpc::Void{};
+  return rpc::Void{};
 }
 
 void FileService::NotifyInvalidate(std::uint64_t offset,
@@ -126,25 +111,18 @@ std::shared_ptr<rpc::Dispatch> MakeFileDispatch(
   auto dispatch = std::make_shared<rpc::Dispatch>();
   rpc::RegisterTyped<ReadRequest, ReadResponse>(
       *dispatch, filewire::kRead,
-      [impl](ReadRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<ReadResponse>> {
-        Result<Bytes> data = co_await impl->Read(req.offset, req.length);
-        if (!data.ok()) co_return data.status();
-        co_return ReadResponse{std::move(*data)};
+      [impl](ReadRequest req, const rpc::CallContext&) -> Result<ReadResponse> {
+        return ReadResponse{impl->ReadAt(req.offset, req.length)};
       });
   rpc::RegisterTyped<WriteRequest, rpc::Void>(
       *dispatch, filewire::kWrite,
       [impl](WriteRequest req, const rpc::CallContext&) {
-        return impl->WriteExcluding(req.offset, std::move(req.data),
-                                    req.exclude_sink);
+        return impl->WriteExcluding(req.offset, req.data, req.exclude_sink);
       });
   rpc::RegisterTyped<rpc::Void, SizeResponse>(
       *dispatch, filewire::kSize,
-      [impl](rpc::Void, const rpc::CallContext&)
-          -> sim::Co<Result<SizeResponse>> {
-        Result<std::uint64_t> size = co_await impl->Size();
-        if (!size.ok()) co_return size.status();
-        co_return SizeResponse{*size};
+      [impl](rpc::Void, const rpc::CallContext&) -> Result<SizeResponse> {
+        return SizeResponse{impl->size()};
       });
   rpc::RegisterTyped<TruncateRequest, rpc::Void>(
       *dispatch, filewire::kTruncate,
@@ -155,7 +133,7 @@ std::shared_ptr<rpc::Dispatch> MakeFileDispatch(
   rpc::RegisterTyped<WriteVecRequest, rpc::Void>(
       *dispatch, filewire::kWriteVec,
       [impl](WriteVecRequest req, const rpc::CallContext&) {
-        return impl->WriteVec(std::move(req.writes));
+        return impl->WriteVec(req.writes);
       });
   return dispatch;
 }
@@ -269,8 +247,10 @@ sim::Co<void> FileCachingProxy::PrefetchTask(std::uint64_t block) {
 
 sim::Co<Result<Bytes>> FileCachingProxy::Read(std::uint64_t offset,
                                               std::uint32_t length) {
-  const Status sub = co_await sink_.EnsureSubscribed();
-  if (!sub.ok()) co_return sub;
+  if (sink_.needs_subscribe()) {
+    const Status sub = co_await sink_.Subscribe();
+    if (!sub.ok()) co_return sub;
+  }
 
   const std::uint64_t bs = params_.block_size;
   Bytes out;
@@ -315,8 +295,10 @@ sim::Co<Result<Bytes>> FileCachingProxy::Read(std::uint64_t offset,
 
 sim::Co<Result<rpc::Void>> FileCachingProxy::Write(std::uint64_t offset,
                                                    Bytes data) {
-  const Status sub = co_await sink_.EnsureSubscribed();
-  if (!sub.ok()) co_return sub;
+  if (sink_.needs_subscribe()) {
+    const Status sub = co_await sink_.Subscribe();
+    if (!sub.ok()) co_return sub;
+  }
   // Write-through with in-place patching: our own data is authoritative,
   // so cached blocks are updated rather than dropped, and the server
   // skips our sink in its invalidation fan-out.
@@ -365,15 +347,14 @@ sim::Co<Result<rpc::Void>> FileCachingProxy::Truncate(std::uint64_t size) {
 // --- protocol 3: batching proxy ---
 
 FileBatchProxy::FileBatchProxy(core::Context& context,
-                               core::ServiceBinding binding,
-                               FileBatchParams params)
-    : FileCachingProxy(context, std::move(binding), params.cache),
+                               core::ServiceBinding binding)
+    : FileCachingProxy(context, std::move(binding)),
       batcher_(
           context.scheduler(),
           [this](std::vector<WriteRequest> batch) {
             return FlushBatch(std::move(batch));
           },
-          params.max_batch, params.flush_window) {
+          kMaxBatch, kFlushWindow) {
   batcher_.BindMetrics(context.metrics(), "svc.file.writeback");
 }
 

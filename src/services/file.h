@@ -102,20 +102,29 @@ class FileService : public IFile, public core::IMigratable {
  public:
   explicit FileService(core::Context& context) : context_(&context) {}
 
+  // IFile, for same-context callers.
   sim::Co<Result<Bytes>> Read(std::uint64_t offset,
-                              std::uint32_t length) override;
-  sim::Co<Result<rpc::Void>> Write(std::uint64_t offset, Bytes data) override;
-  sim::Co<Result<std::uint64_t>> Size() override;
-  sim::Co<Result<rpc::Void>> Truncate(std::uint64_t size) override;
+                              std::uint32_t length) override {
+    co_return ReadAt(offset, length);
+  }
+  sim::Co<Result<rpc::Void>> Write(std::uint64_t offset, Bytes data) override {
+    co_return WriteExcluding(offset, data, ObjectId{});
+  }
+  sim::Co<Result<std::uint64_t>> Size() override { co_return size(); }
+  sim::Co<Result<rpc::Void>> Truncate(std::uint64_t size) override {
+    co_return TruncateExcluding(size, ObjectId{});
+  }
 
-  sim::Co<Result<rpc::Void>> WriteVec(
-      std::vector<filewire::WriteRequest> writes);
-
-  /// Mutations with writer exclusion (see kv.h for the rationale).
-  sim::Co<Result<rpc::Void>> WriteExcluding(std::uint64_t offset, Bytes data,
-                                            ObjectId exclude);
-  sim::Co<Result<rpc::Void>> TruncateExcluding(std::uint64_t size,
-                                               ObjectId exclude);
+  // The synchronous core the coroutines above and the skeleton call. A
+  // mutation skips the invalidation of sink `exclude` (see kv.h).
+  /// Up to `length` bytes at `offset` (short read at EOF).
+  [[nodiscard]] Bytes ReadAt(std::uint64_t offset, std::uint32_t length) const;
+  Result<rpc::Void> WriteExcluding(std::uint64_t offset, const Bytes& data,
+                                   ObjectId exclude);
+  Result<rpc::Void> TruncateExcluding(std::uint64_t size, ObjectId exclude);
+  /// Applies a batch of writes; one invalidation covers them all.
+  Result<rpc::Void> WriteVec(const std::vector<filewire::WriteRequest>& writes);
+  [[nodiscard]] std::uint64_t size() const noexcept { return content_.size(); }
 
   [[nodiscard]] core::SubscriberList& subscribers() noexcept {
     return subscribers_;
@@ -209,17 +218,14 @@ class FileCachingProxy : public IFile, public core::ProxyBase {
   obs::Counter prefetches_;
 };
 
-struct FileBatchParams {
-  FileCacheParams cache;
-  std::size_t max_batch = 8;
-  SimDuration flush_window = Milliseconds(5);
-};
-
 /// Protocol 3: caching + coalesced write-behind.
 class FileBatchProxy : public FileCachingProxy {
  public:
-  FileBatchProxy(core::Context& context, core::ServiceBinding binding,
-                 FileBatchParams params = {});
+  /// A batch flushes at kMaxBatch writes or kFlushWindow after its first.
+  static constexpr std::size_t kMaxBatch = 8;
+  static constexpr SimDuration kFlushWindow = Milliseconds(5);
+
+  FileBatchProxy(core::Context& context, core::ServiceBinding binding);
   ~FileBatchProxy() override;
 
   sim::Co<Result<Bytes>> Read(std::uint64_t offset,

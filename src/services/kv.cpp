@@ -61,44 +61,6 @@ std::vector<std::string> KvService::Keys(const std::string& prefix) const {
   return keys;
 }
 
-sim::Co<Result<std::optional<std::string>>> KvService::Get(std::string key) {
-  co_return Lookup(key);
-}
-
-sim::Co<Result<rpc::Void>> KvService::Put(std::string key, std::string value) {
-  co_return co_await PutExcluding(std::move(key), std::move(value),
-                                  ObjectId{});
-}
-
-sim::Co<Result<rpc::Void>> KvService::PutExcluding(std::string key,
-                                                   std::string value,
-                                                   ObjectId exclude) {
-  Store(std::move(key), std::move(value), exclude);
-  co_return rpc::Void{};
-}
-
-sim::Co<Result<bool>> KvService::Del(std::string key) {
-  co_return co_await DelExcluding(std::move(key), ObjectId{});
-}
-
-sim::Co<Result<bool>> KvService::DelExcluding(std::string key,
-                                              ObjectId exclude) {
-  co_return Erase(std::move(key), exclude);
-}
-
-sim::Co<Result<std::uint64_t>> KvService::Size() { co_return key_count(); }
-
-sim::Co<Result<std::vector<std::string>>> KvService::List(std::string prefix) {
-  co_return Keys(prefix);
-}
-
-sim::Co<Result<rpc::Void>> KvService::BatchPut(
-    std::vector<std::pair<std::string, std::string>> entries,
-    ObjectId exclude) {
-  StoreAll(std::move(entries), exclude);
-  co_return rpc::Void{};
-}
-
 void KvService::NotifyInvalidate(std::vector<std::string> keys,
                                  ObjectId exclude) {
   if (keys.empty()) return;
@@ -126,50 +88,38 @@ std::shared_ptr<rpc::Dispatch> MakeKvDispatch(
   auto dispatch = std::make_shared<rpc::Dispatch>();
   rpc::RegisterTyped<GetRequest, GetResponse>(
       *dispatch, kvwire::kGet,
-      [impl](GetRequest req, const rpc::CallContext&)
-          -> sim::Co<Result<GetResponse>> {
-        Result<std::optional<std::string>> value =
-            co_await impl->Get(std::move(req.key));
-        if (!value.ok()) co_return value.status();
-        co_return GetResponse{std::move(*value)};
+      [impl](GetRequest req, const rpc::CallContext&) -> Result<GetResponse> {
+        return GetResponse{impl->Lookup(req.key)};
       });
   rpc::RegisterTyped<PutRequest, rpc::Void>(
       *dispatch, kvwire::kPut,
-      [impl](PutRequest req, const rpc::CallContext&) {
-        return impl->PutExcluding(std::move(req.key), std::move(req.value),
-                                  req.exclude_sink);
+      [impl](PutRequest req, const rpc::CallContext&) -> Result<rpc::Void> {
+        impl->Store(std::move(req.key), std::move(req.value),
+                    req.exclude_sink);
+        return rpc::Void{};
       });
   rpc::RegisterTyped<DelRequest, DelResponse>(
       *dispatch, kvwire::kDel,
-      [impl](DelRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<DelResponse>> {
-        Result<bool> existed =
-            co_await impl->DelExcluding(std::move(req.key), req.exclude_sink);
-        if (!existed.ok()) co_return existed.status();
-        co_return DelResponse{*existed};
+      [impl](DelRequest req, const rpc::CallContext&) -> Result<DelResponse> {
+        return DelResponse{impl->Erase(std::move(req.key), req.exclude_sink)};
       });
   rpc::RegisterTyped<rpc::Void, SizeResponse>(
       *dispatch, kvwire::kSize,
-      [impl](rpc::Void, const rpc::CallContext&)
-          -> sim::Co<Result<SizeResponse>> {
-        Result<std::uint64_t> size = co_await impl->Size();
-        if (!size.ok()) co_return size.status();
-        co_return SizeResponse{*size};
+      [impl](rpc::Void, const rpc::CallContext&) -> Result<SizeResponse> {
+        return SizeResponse{impl->key_count()};
       });
   core::RegisterSubscribe(*dispatch, kvwire::kSubscribe, impl);
   rpc::RegisterTyped<BatchPutRequest, rpc::Void>(
       *dispatch, kvwire::kBatchPut,
-      [impl](BatchPutRequest req, const rpc::CallContext&) {
-        return impl->BatchPut(std::move(req.entries), req.exclude_sink);
+      [impl](BatchPutRequest req,
+             const rpc::CallContext&) -> Result<rpc::Void> {
+        impl->StoreAll(std::move(req.entries), req.exclude_sink);
+        return rpc::Void{};
       });
   rpc::RegisterTyped<ListRequest, ListResponse>(
       *dispatch, kvwire::kList,
-      [impl](ListRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<ListResponse>> {
-        Result<std::vector<std::string>> keys =
-            co_await impl->List(std::move(req.prefix));
-        if (!keys.ok()) co_return keys.status();
-        co_return ListResponse{std::move(*keys)};
+      [impl](ListRequest req, const rpc::CallContext&) -> Result<ListResponse> {
+        return ListResponse{impl->Keys(req.prefix)};
       });
   return dispatch;
 }
@@ -247,8 +197,10 @@ KvCachingProxy::~KvCachingProxy() {
 
 sim::Co<Result<std::optional<std::string>>> KvCachingProxy::Get(
     std::string key) {
-  const Status sub = co_await sink_.EnsureSubscribed();
-  if (!sub.ok()) co_return sub;
+  if (sink_.needs_subscribe()) {
+    const Status sub = co_await sink_.Subscribe();
+    if (!sub.ok()) co_return sub;
+  }
   if (auto cached = cache_.Get(key)) co_return std::move(*cached);
 
   GetRequest req{key};
@@ -274,8 +226,10 @@ sim::Co<Result<std::optional<std::string>>> KvCachingProxy::Get(
 
 sim::Co<Result<rpc::Void>> KvCachingProxy::Put(std::string key,
                                                std::string value) {
-  const Status sub = co_await sink_.EnsureSubscribed();
-  if (!sub.ok()) co_return sub;
+  if (sink_.needs_subscribe()) {
+    const Status sub = co_await sink_.Subscribe();
+    if (!sub.ok()) co_return sub;
+  }
   PutRequest req{key, value, sink_.id()};
   Result<rpc::Void> resp =
       co_await Call<rpc::Void>(kvwire::kPut, std::move(req));
@@ -317,15 +271,14 @@ sim::Co<Result<std::vector<std::string>>> KvCachingProxy::List(
 // --- protocol 3: write-back proxy ---
 
 KvWriteBackProxy::KvWriteBackProxy(core::Context& context,
-                                   core::ServiceBinding binding,
-                                   KvWriteBackParams params)
-    : KvCachingProxy(context, std::move(binding), params.cache),
+                                   core::ServiceBinding binding)
+    : KvCachingProxy(context, std::move(binding)),
       batcher_(
           context.scheduler(),
           [this](std::vector<std::pair<std::string, std::string>> batch) {
             return FlushBatch(std::move(batch));
           },
-          params.max_batch, params.flush_window) {
+          kMaxBatch, kFlushWindow) {
   batcher_.BindMetrics(context.metrics(), "svc.kv.writeback");
 }
 

@@ -127,32 +127,32 @@ class KvService : public IKeyValue, public core::IMigratable {
  public:
   explicit KvService(core::Context& context) : context_(&context) {}
 
-  // IKeyValue
-  sim::Co<Result<std::optional<std::string>>> Get(std::string key) override;
-  sim::Co<Result<rpc::Void>> Put(std::string key, std::string value) override;
-  sim::Co<Result<bool>> Del(std::string key) override;
-  sim::Co<Result<std::uint64_t>> Size() override;
-  sim::Co<Result<std::vector<std::string>>> List(std::string prefix) override;
-
-  /// Mutation entry points with writer exclusion: the subscriber whose
-  /// sink is `exclude` already reflects the write locally (it made it)
-  /// and is skipped by the invalidation fan-out.
-  sim::Co<Result<rpc::Void>> PutExcluding(std::string key, std::string value,
-                                          ObjectId exclude);
-  sim::Co<Result<bool>> DelExcluding(std::string key, ObjectId exclude);
-
-  /// Applies many puts as one unit (the write-back flush path).
-  sim::Co<Result<rpc::Void>> BatchPut(
-      std::vector<std::pair<std::string, std::string>> entries,
-      ObjectId exclude = ObjectId{});
+  // IKeyValue, for same-context callers.
+  sim::Co<Result<std::optional<std::string>>> Get(std::string key) override {
+    co_return Lookup(key);
+  }
+  sim::Co<Result<rpc::Void>> Put(std::string key, std::string value) override {
+    Store(std::move(key), std::move(value));
+    co_return rpc::Void{};
+  }
+  sim::Co<Result<bool>> Del(std::string key) override {
+    co_return Erase(std::move(key));
+  }
+  sim::Co<Result<std::uint64_t>> Size() override { co_return key_count(); }
+  sim::Co<Result<std::vector<std::string>>> List(std::string prefix) override {
+    co_return Keys(prefix);
+  }
 
   // The synchronous core. An in-memory map neither suspends nor fails, so
-  // the coroutine methods above only wrap these, and KvReplica, which
-  // owns its store, calls them directly.
+  // the coroutine methods above only wrap these; the skeleton and
+  // KvReplica, which owns its store, call them directly. A mutation
+  // skips the invalidation of sink `exclude`: the writer's proxy already
+  // reflects its own write.
   [[nodiscard]] std::optional<std::string> Lookup(const std::string& key) const;
   void Store(std::string key, std::string value, ObjectId exclude = ObjectId{});
   /// Returns true if the key existed.
   bool Erase(std::string key, ObjectId exclude = ObjectId{});
+  /// Applies many puts as one unit (the write-back flush path).
   void StoreAll(std::vector<std::pair<std::string, std::string>> entries,
                 ObjectId exclude = ObjectId{});
   /// Keys starting with `prefix`, sorted ascending.
@@ -258,19 +258,15 @@ class KvCachingProxy : public IKeyValue, public core::ProxyBase {
   core::InvalidationSink sink_;
 };
 
-/// Tuning for the write-back proxy.
-struct KvWriteBackParams {
-  KvCacheParams cache;
-  std::size_t max_batch = 16;
-  SimDuration flush_window = Milliseconds(5);
-};
-
 /// Protocol 3: caching + write-behind. Puts accumulate locally and flush
 /// as BatchPut; reads of dirty keys are served from the buffer.
 class KvWriteBackProxy : public KvCachingProxy {
  public:
-  KvWriteBackProxy(core::Context& context, core::ServiceBinding binding,
-                   KvWriteBackParams params = {});
+  /// A batch flushes at kMaxBatch puts or kFlushWindow after its first.
+  static constexpr std::size_t kMaxBatch = 16;
+  static constexpr SimDuration kFlushWindow = Milliseconds(5);
+
+  KvWriteBackProxy(core::Context& context, core::ServiceBinding binding);
   ~KvWriteBackProxy() override;
 
   sim::Co<Result<std::optional<std::string>>> Get(std::string key) override;

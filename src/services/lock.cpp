@@ -7,57 +7,51 @@ using lockwire::HolderResponse;
 using lockwire::LockRequest;
 using lockwire::TryAcquireResponse;
 
-sim::Co<Result<bool>> LockServiceImpl::TryAcquire(std::string name,
-                                                  std::uint64_t owner) {
+bool LockServiceImpl::TryLock(const std::string& name, std::uint64_t owner) {
   LockState& lock = locks_[name];
-  if (lock.holder.has_value()) co_return lock.holder == owner;
+  if (lock.holder.has_value()) return lock.holder == owner;  // re-entrant
   lock.holder = owner;
-  co_return true;
+  return true;
 }
 
 sim::Co<Result<rpc::Void>> LockServiceImpl::Acquire(std::string name,
                                                     std::uint64_t owner) {
-  LockState& lock = locks_[name];
-  if (!lock.holder.has_value()) {
-    lock.holder = owner;
-    co_return rpc::Void{};
-  }
-  if (lock.holder == owner) co_return rpc::Void{};  // re-entrant
+  if (TryLock(name, owner)) co_return rpc::Void{};
   // Park this handler until Release hands the lock over.
   sim::Promise<bool> granted(*scheduler_);
   auto future = granted.future();
-  lock.waiters.emplace_back(owner, std::move(granted));
+  locks_[name].waiters.emplace_back(owner, std::move(granted));
   (void)co_await future;
   co_return rpc::Void{};
 }
 
-sim::Co<Result<rpc::Void>> LockServiceImpl::Release(std::string name,
-                                                    std::uint64_t owner) {
+Result<rpc::Void> LockServiceImpl::Unlock(const std::string& name,
+                                          std::uint64_t owner) {
   const auto it = locks_.find(name);
   if (it == locks_.end() || !it->second.holder.has_value()) {
-    co_return FailedPreconditionError("lock not held: " + name);
+    return FailedPreconditionError("lock not held: " + name);
   }
   LockState& lock = it->second;
   if (lock.holder != owner) {
-    co_return PermissionDeniedError("lock held by another owner: " + name);
+    return PermissionDeniedError("lock held by another owner: " + name);
   }
   if (lock.waiters.empty()) {
     lock.holder.reset();
-    co_return rpc::Void{};
+    return rpc::Void{};
   }
   // FIFO hand-over.
   auto [next_owner, promise] = std::move(lock.waiters.front());
   lock.waiters.pop_front();
   lock.holder = next_owner;
   promise.Set(true);
-  co_return rpc::Void{};
+  return rpc::Void{};
 }
 
-sim::Co<Result<std::optional<std::uint64_t>>> LockServiceImpl::Holder(
-    std::string name) {
+std::optional<std::uint64_t> LockServiceImpl::HolderOf(
+    const std::string& name) const {
   const auto it = locks_.find(name);
-  if (it == locks_.end()) co_return std::optional<std::uint64_t>{};
-  co_return it->second.holder;
+  if (it == locks_.end()) return std::nullopt;
+  return it->second.holder;
 }
 
 std::shared_ptr<rpc::Dispatch> MakeLockDispatch(
@@ -66,11 +60,8 @@ std::shared_ptr<rpc::Dispatch> MakeLockDispatch(
   rpc::RegisterTyped<LockRequest, TryAcquireResponse>(
       *dispatch, lockwire::kTryAcquire,
       [impl](LockRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<TryAcquireResponse>> {
-        Result<bool> acquired =
-            co_await impl->TryAcquire(std::move(req.name), req.owner);
-        if (!acquired.ok()) co_return acquired.status();
-        co_return TryAcquireResponse{*acquired};
+             const rpc::CallContext&) -> Result<TryAcquireResponse> {
+        return TryAcquireResponse{impl->TryLock(req.name, req.owner)};
       });
   rpc::RegisterTyped<LockRequest, rpc::Void>(
       *dispatch, lockwire::kAcquire,
@@ -80,16 +71,13 @@ std::shared_ptr<rpc::Dispatch> MakeLockDispatch(
   rpc::RegisterTyped<LockRequest, rpc::Void>(
       *dispatch, lockwire::kRelease,
       [impl](LockRequest req, const rpc::CallContext&) {
-        return impl->Release(std::move(req.name), req.owner);
+        return impl->Unlock(req.name, req.owner);
       });
   rpc::RegisterTyped<HolderRequest, HolderResponse>(
       *dispatch, lockwire::kHolder,
       [impl](HolderRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<HolderResponse>> {
-        Result<std::optional<std::uint64_t>> holder =
-            co_await impl->Holder(std::move(req.name));
-        if (!holder.ok()) co_return holder.status();
-        co_return HolderResponse{*holder};
+             const rpc::CallContext&) -> Result<HolderResponse> {
+        return HolderResponse{impl->HolderOf(req.name)};
       });
   return dispatch;
 }

@@ -75,13 +75,28 @@ class LockServiceImpl : public ILockService {
       : scheduler_(&scheduler) {}
 
   sim::Co<Result<bool>> TryAcquire(std::string name,
-                                   std::uint64_t owner) override;
+                                   std::uint64_t owner) override {
+    co_return TryLock(name, owner);
+  }
+  /// The one method that suspends: it parks until the lock is handed over.
   sim::Co<Result<rpc::Void>> Acquire(std::string name,
                                      std::uint64_t owner) override;
   sim::Co<Result<rpc::Void>> Release(std::string name,
-                                     std::uint64_t owner) override;
+                                     std::uint64_t owner) override {
+    co_return Unlock(name, owner);
+  }
   sim::Co<Result<std::optional<std::uint64_t>>> Holder(
-      std::string name) override;
+      std::string name) override {
+    co_return HolderOf(name);
+  }
+
+  // The synchronous core the coroutines above and the skeleton call.
+  /// Takes the lock if it is free; true when `owner` holds it afterwards.
+  bool TryLock(const std::string& name, std::uint64_t owner);
+  /// Releases `owner`'s hold, handing the lock to the first waiter.
+  Result<rpc::Void> Unlock(const std::string& name, std::uint64_t owner);
+  [[nodiscard]] std::optional<std::uint64_t> HolderOf(
+      const std::string& name) const;
 
   [[nodiscard]] std::size_t lock_count() const noexcept {
     return locks_.size();

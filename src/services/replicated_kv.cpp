@@ -147,21 +147,22 @@ Status KvReplica::WriteGate() const {
   return Status::Ok();
 }
 
-sim::Co<Result<std::optional<std::string>>> KvReplica::Get(std::string key) {
-  if (syncing_) co_return UnavailableError("replica syncing");
+Result<std::optional<std::string>> KvReplica::Lookup(const std::string& key) {
+  if (syncing_) return UnavailableError("replica syncing");
   const Status owned = CheckShard(key);
-  if (!owned.ok()) co_return owned;
-  co_return store_->Lookup(key);
+  if (!owned.ok()) return owned;
+  return store_->Lookup(key);
 }
 
-sim::Co<Result<std::uint64_t>> KvReplica::Size() {
-  if (syncing_) co_return UnavailableError("replica syncing");
-  co_return store_->key_count();
+Result<std::uint64_t> KvReplica::KeyCount() const {
+  if (syncing_) return UnavailableError("replica syncing");
+  return store_->key_count();
 }
 
-sim::Co<Result<std::vector<std::string>>> KvReplica::List(std::string prefix) {
-  if (syncing_) co_return UnavailableError("replica syncing");
-  co_return store_->Keys(prefix);
+Result<std::vector<std::string>> KvReplica::Keys(
+    const std::string& prefix) const {
+  if (syncing_) return UnavailableError("replica syncing");
+  return store_->Keys(prefix);
 }
 
 sim::Co<KvReplica::Fanout> KvReplica::Replicate(
@@ -172,11 +173,12 @@ sim::Co<KvReplica::Fanout> KvReplica::Replicate(
   mirror.trace = trace;
   Fanout out;
   out.acked.push_back(self_);
+  Bytes args;  // encoded once, at the first peer, and sent to each by view
   for (const auto& peer : peers) {
     if (SameObject(peer, self_)) continue;
+    if (args.empty()) args = serde::EncodeToBytes(req);
     rpc::RpcResult r = co_await context_->client().Call(
-        peer.server, peer.object, kvwire::kReplicateBatch,
-        serde::EncodeToBytes(req), mirror);
+        peer.server, peer.object, kvwire::kReplicateBatch, args, mirror);
     if (r.ok()) {
       out.acked.push_back(peer);
     } else if (r.status.code() == StatusCode::kFenced) {
@@ -329,29 +331,22 @@ sim::Co<Result<bool>> KvReplica::Del(std::string key, obs::TraceContext trace,
 
 // --- replica: wire handlers --------------------------------------------
 
-sim::Co<Result<ReplicaListResponse>> KvReplica::HandleGetReplicas() {
-  if (syncing_) co_return UnavailableError("replica syncing");
-  ReplicaListResponse resp;
-  resp.epoch = epoch_;
-  resp.replicas = active_;
-  co_return resp;
+Result<ReplicaListResponse> KvReplica::HandleGetReplicas() const {
+  if (syncing_) return UnavailableError("replica syncing");
+  return ReplicaListResponse{epoch_, active_};
 }
 
-sim::Co<Result<StatusResponse>> KvReplica::HandleGetStatus() {
-  StatusResponse resp;
-  resp.epoch = epoch_;
-  resp.is_primary = role_ == ReplicaRole::kPrimary && !syncing_;
-  resp.syncing = syncing_;
-  co_return resp;
+Result<StatusResponse> KvReplica::HandleGetStatus() const {
+  return StatusResponse{epoch_, role_ == ReplicaRole::kPrimary && !syncing_,
+                        syncing_};
 }
 
-sim::Co<Result<rpc::Void>> KvReplica::HandleReplicateBatch(
-    ReplicateBatchRequest req) {
+Result<rpc::Void> KvReplica::HandleReplicateBatch(ReplicateBatchRequest req) {
   if (syncing_) {
     // Mid-resync our store is a mix of old and new state; acknowledging
     // a batch we may later overwrite with the snapshot would fake
     // durability. Refuse until the join completes.
-    co_return UnavailableError("replica syncing");
+    return UnavailableError("replica syncing");
   }
   const bool fencing = !params_.testing_disable_fencing;
   // One epoch, one primary: two replicas can reach an epoch number on
@@ -369,7 +364,7 @@ sim::Co<Result<rpc::Void>> KvReplica::HandleReplicateBatch(
         (rival ? " has another primary" : " < " + std::to_string(epoch_));
     SpanEvent((rival ? "fenced rival batch: " : "fenced stale batch: ") +
               why);
-    co_return FencedError(rival ? why : "stale " + why);
+    return FencedError(rival ? why : "stale " + why);
   }
   if (req.epoch >= epoch_) {
     if (!Contains(req.replicas, self_)) {
@@ -378,13 +373,13 @@ sim::Co<Result<rpc::Void>> KvReplica::HandleReplicateBatch(
         // maintainer alive would let its overwrite-renewals steal the
         // name back from the successor after a partition heals.
         StepDown(/*resync=*/true);
-        co_return UnavailableError("evicted from the active set");
+        return UnavailableError("evicted from the active set");
       }
       if (fencing || role_ != ReplicaRole::kPrimary) {
         // A newer view evicted us (our ack was lost, or we were cut
         // off): our data may be behind, so resync before serving again.
         syncing_ = true;
-        co_return UnavailableError("evicted from the active set");
+        return UnavailableError("evicted from the active set");
       }
       // Bug mode: a stale primary shrugs off its eviction and keeps
       // acting as primary — the split-brain the sweep must catch.
@@ -408,7 +403,7 @@ sim::Co<Result<rpc::Void>> KvReplica::HandleReplicateBatch(
   }
   store_->StoreAll(std::move(req.entries));
   for (std::string& key : req.deletes) store_->Erase(std::move(key));
-  co_return rpc::Void{};
+  return rpc::Void{};
 }
 
 sim::Co<Status> KvReplica::DrainWrites() {
@@ -661,12 +656,10 @@ sim::Co<KvReplica::PeerPoll> KvReplica::PollPeers(bool rescue) {
   const std::vector<core::ServiceBinding> peers = all_replicas_;
   for (const auto& peer : peers) {
     if (SameObject(peer, self_)) continue;
-    rpc::RpcResult r = co_await context_->client().Call(
-        peer.server, peer.object, kvwire::kGetStatus,
-        serde::EncodeToBytes(rpc::Void{}), params_.mirror);
     const Result<StatusResponse> st =
-        r.ok() ? serde::DecodeFromBytes<StatusResponse>(r.payload.view())
-               : Result<StatusResponse>(r.status);
+        co_await rpc::AwaitReply<StatusResponse>(context_->client().Call(
+            peer.server, peer.object, kvwire::kGetStatus,
+            serde::EncodeToBytes(rpc::Void{}), params_.mirror));
     if (!st.ok()) {
       ++poll.unreachable;
     } else if (st->epoch > epoch_) {
@@ -786,12 +779,10 @@ sim::Co<void> KvReplica::TryRejoin() {
 
   JoinRequest req;
   req.joiner = self_;
-  rpc::RpcResult r = co_await context_->client().Call(
-      rec->binding.server, rec->binding.object, kvwire::kJoin,
-      serde::EncodeToBytes(req), params_.mirror);
-  if (!r.ok()) co_return;
   Result<JoinResponse> resp =
-      serde::DecodeFromBytes<JoinResponse>(r.payload.view());
+      co_await rpc::AwaitReply<JoinResponse>(context_->client().Call(
+          rec->binding.server, rec->binding.object, kvwire::kJoin,
+          serde::EncodeToBytes(req), params_.mirror));
   if (!resp.ok()) co_return;
   if (context_->crashed()) co_return;  // crashed mid-join
 
@@ -844,21 +835,16 @@ std::shared_ptr<rpc::Dispatch> MakeReplicatedKvDispatch(
     std::shared_ptr<KvReplica> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
   rpc::RegisterTyped<rpc::Void, SizeResponse>(
-      *dispatch, kvwire::kSize,
-      [impl](rpc::Void, const rpc::CallContext&)
-          -> sim::Co<Result<SizeResponse>> {
-        Result<std::uint64_t> size = co_await impl->Size();
-        if (!size.ok()) co_return size.status();
-        co_return SizeResponse{*size};
+      *dispatch, kvwire::kSize, [impl](rpc::Void, const rpc::CallContext&) {
+        return impl->KeyCount().map(
+            [](std::uint64_t size) { return SizeResponse{size}; });
       });
   rpc::RegisterTyped<ListRequest, ListResponse>(
       *dispatch, kvwire::kList,
-      [impl](ListRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<ListResponse>> {
-        Result<std::vector<std::string>> keys =
-            co_await impl->List(std::move(req.prefix));
-        if (!keys.ok()) co_return keys.status();
-        co_return ListResponse{std::move(*keys)};
+      [impl](ListRequest req, const rpc::CallContext&) {
+        return impl->Keys(req.prefix).map([](std::vector<std::string> keys) {
+          return ListResponse{std::move(keys)};
+        });
       });
   rpc::RegisterTyped<rpc::Void, ReplicaListResponse>(
       *dispatch, kvwire::kGetReplicas,
@@ -906,13 +892,11 @@ std::shared_ptr<rpc::Dispatch> MakeReplicatedKvDispatch(
   rpc::RegisterTyped<GetRequest, EpochGetResponse>(
       *dispatch, kvwire::kEpochGet,
       [impl](GetRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<EpochGetResponse>> {
-        const std::string key = req.key;
-        Result<std::optional<std::string>> value =
-            co_await impl->Get(std::move(req.key));
-        if (!value.ok()) co_return value.status();
-        co_return EpochGetResponse{std::move(*value), impl->epoch(),
-                                   impl->ShardEpochOf(key)};
+             const rpc::CallContext&) -> Result<EpochGetResponse> {
+        Result<std::optional<std::string>> value = impl->Lookup(req.key);
+        if (!value.ok()) return value.status();
+        return EpochGetResponse{std::move(*value), impl->epoch(),
+                                impl->ShardEpochOf(req.key)};
       });
   rpc::RegisterTyped<ShardFreezeRequest, ShardFreezeResponse>(
       *dispatch, kvwire::kShardFreeze,
@@ -972,12 +956,11 @@ Result<ReplicatedKvExport> ExportReplicatedKv(
 
 // --- failover proxy ----------------------------------------------------
 
-sim::Co<Status> KvFailoverProxy::EnsureReplicaList(
-    bool force, obs::TraceContext trace,
+sim::Co<Status> KvFailoverProxy::LoadReplicaList(
+    bool refresh, obs::TraceContext trace,
     std::shared_ptr<rpc::AttemptBudget> budget) {
-  if (!force && !replicas_.empty()) co_return Status::Ok();
   const std::vector<core::ServiceBinding> known = replicas_;
-  if (force) {
+  if (refresh) {
     replicas_.clear();
     list_refreshes_++;
     context().spans().Annotate(trace, context().scheduler().now(),
@@ -989,27 +972,17 @@ sim::Co<Status> KvFailoverProxy::EnsureReplicaList(
   // Ask the bound primary first; CallRaw re-resolves the service name if
   // the bound address stopped answering (the new primary re-registers
   // the name when it promotes).
-  Result<ReplicaListResponse> resp = FailedPreconditionError("unset");
-  Result<OwnedBytes> raw = co_await CallRaw(
-      kvwire::kGetReplicas, serde::EncodeToBytes(rpc::Void{}), traced);
-  if (raw.ok()) {
-    resp = serde::DecodeFromBytes<ReplicaListResponse>(raw->view());
-  } else {
-    resp = raw.status();
-    // The primary is dark and the name not (yet) re-registered: any
-    // replica we already knew about can serve its view of the list.
-    for (const auto& replica : known) {
-      rpc::RpcResult alt = co_await context().client().Call(
-          replica.server, replica.object, kvwire::kGetReplicas,
-          serde::EncodeToBytes(rpc::Void{}), traced);
-      if (!alt.ok()) continue;
-      Result<ReplicaListResponse> decoded =
-          serde::DecodeFromBytes<ReplicaListResponse>(alt.payload.view());
-      if (decoded.ok()) {
-        resp = std::move(decoded);
-        break;
-      }
-    }
+  const rpc::Void none;  // named: see stub.h "GCC note"
+  Result<ReplicaListResponse> resp =
+      co_await Call<ReplicaListResponse>(kvwire::kGetReplicas, none, traced);
+  // The primary is dark and the name not (yet) re-registered: any
+  // replica we already knew about can serve its view of the list.
+  for (std::size_t i = 0; !resp.ok() && i < known.size(); ++i) {
+    Result<ReplicaListResponse> alt =
+        co_await rpc::AwaitReply<ReplicaListResponse>(context().client().Call(
+            known[i].server, known[i].object, kvwire::kGetReplicas,
+            serde::EncodeToBytes(none), traced));
+    if (alt.ok()) resp = std::move(alt);
   }
   if (!resp.ok()) co_return resp.status();
   if (resp->replicas.empty()) {
@@ -1034,11 +1007,13 @@ sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(std::uint32_t method,
 
   Result<Resp> outcome = UnavailableError("no replicas");
   bool done = false;
-  const Status ready =
-      co_await EnsureReplicaList(false, span, opts.attempt_budget);
-  if (!ready.ok()) {
-    outcome = ready;
-    done = true;
+  if (replicas_.empty()) {
+    const Status ready =
+        co_await LoadReplicaList(false, span, opts.attempt_budget);
+    if (!ready.ok()) {
+      outcome = ready;
+      done = true;
+    }
   }
   Bytes args;
   if (!done) args = serde::EncodeToBytes(req);
@@ -1047,35 +1022,35 @@ sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(std::uint32_t method,
     for (std::size_t i = 0; i < replicas_.size() && !done; ++i) {
       const std::size_t idx = (preferred_ + i) % replicas_.size();
       const core::ServiceBinding& replica = replicas_[idx];
-      rpc::RpcResult raw = co_await context().client().Call(
-          replica.server, replica.object, method, args, opts);
-      if (raw.ok()) {
+      Result<Resp> r = co_await rpc::AwaitReply<Resp>(context().client().Call(
+          replica.server, replica.object, method, args, opts));
+      if (r.ok()) {
         if (idx != preferred_) {
           failovers_++;
           spans.Annotate(span, context().scheduler().now(),
                          "failover -> replica " + std::to_string(idx));
           preferred_ = idx;  // stick with the replica that answered
         }
-        outcome = serde::DecodeFromBytes<Resp>(raw.payload.view());
+        outcome = std::move(r);
         done = true;
         break;
       }
       // Only liveness failures trigger failover; semantic errors are
       // final.
-      if (raw.status.code() != StatusCode::kTimeout &&
-          raw.status.code() != StatusCode::kUnavailable) {
-        outcome = raw.status;
+      last = r.status();
+      if (last.code() != StatusCode::kTimeout &&
+          last.code() != StatusCode::kUnavailable) {
+        outcome = last;
         done = true;
         break;
       }
-      last = raw.status;
     }
     if (!done && pass == 0) {
       // Every cached replica failed: the whole set may have moved on
       // (failover reshuffled it, or our list is from a dead epoch).
       // Re-fetch once and give the fresh set one more chance.
       const Status refreshed =
-          co_await EnsureReplicaList(true, span, opts.attempt_budget);
+          co_await LoadReplicaList(true, span, opts.attempt_budget);
       if (!refreshed.ok()) {
         outcome = last;
         done = true;
@@ -1110,28 +1085,31 @@ sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(std::uint32_t method,
   Result<Resp> outcome = UnavailableError("no replicas");
   bool done = false;
   for (int pass = 0; pass < kWritePasses && !done; ++pass) {
-    const Status ready =
-        co_await EnsureReplicaList(pass > 0, span, opts.attempt_budget);
-    if (!ready.ok()) {
-      if (!attempted) verdict = ready;
-      continue;
+    if (pass > 0 || replicas_.empty()) {
+      const Status ready =
+          co_await LoadReplicaList(pass > 0, span, opts.attempt_budget);
+      if (!ready.ok()) {
+        if (!attempted) verdict = ready;
+        continue;
+      }
     }
     const core::ServiceBinding primary = replicas_[0];
-    rpc::RpcResult raw = co_await context().client().Call(
-        primary.server, primary.object, method, args, opts);
-    if (raw.ok()) {
+    Result<Resp> r = co_await rpc::AwaitReply<Resp>(context().client().Call(
+        primary.server, primary.object, method, args, opts));
+    if (r.ok()) {
       last_write_acker_ = primary.object;
-      outcome = serde::DecodeFromBytes<Resp>(raw.payload.view());
+      outcome = std::move(r);
       done = true;
       break;
     }
-    const StatusCode code = raw.status.code();
+    const Status failed = r.status();
+    const StatusCode code = failed.code();
     // FENCED means our primary is deposed; UNAVAILABLE/TIMEOUT may mean
     // the same (a backup refusing writes, a dead node). All three:
     // refresh the list and follow the new primary.
     if (code != StatusCode::kTimeout && code != StatusCode::kUnavailable &&
         code != StatusCode::kFenced) {
-      outcome = raw.status;
+      outcome = failed;
       done = true;
       break;
     }
@@ -1140,7 +1118,7 @@ sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(std::uint32_t method,
                      "primary fenced; following the new epoch");
     }
     if (!attempted) {
-      verdict = raw.status;
+      verdict = failed;
       attempted = true;
     }
   }

@@ -239,14 +239,24 @@ class KvReplica : public IKeyValue,
   }
 
   // IKeyValue (primary path; backups serve reads, refuse writes).
-  sim::Co<Result<std::optional<std::string>>> Get(std::string key) override;
+  sim::Co<Result<std::optional<std::string>>> Get(std::string key) override {
+    co_return Lookup(key);
+  }
   sim::Co<Result<rpc::Void>> Put(std::string key, std::string value) override;
   sim::Co<Result<bool>> Del(std::string key) override;
-  sim::Co<Result<std::uint64_t>> Size() override;
-  /// Serves every locally held key. No shard check: during migration the
-  /// same key may momentarily be listable at two groups, and the router's
+  sim::Co<Result<std::uint64_t>> Size() override { co_return KeyCount(); }
+  sim::Co<Result<std::vector<std::string>>> List(std::string prefix) override {
+    co_return Keys(prefix);
+  }
+
+  // The synchronous read core the coroutines above and the skeleton call.
+  // A syncing replica serves nothing.
+  Result<std::optional<std::string>> Lookup(const std::string& key);
+  Result<std::uint64_t> KeyCount() const;
+  /// Every locally held key. No shard check: during migration the same
+  /// key may momentarily be listable at two groups, and the router's
   /// fan-out merge dedups — listing is advisory, data ops are fenced.
-  sim::Co<Result<std::vector<std::string>>> List(std::string prefix) override;
+  Result<std::vector<std::string>> Keys(const std::string& prefix) const;
 
   // Traced write paths: the server-side span of the client's request is
   // threaded through the mirror fan-out, so every replica's apply hangs
@@ -258,11 +268,10 @@ class KvReplica : public IKeyValue,
                             std::uint64_t* ack_epoch = nullptr);
 
   // Wire handlers (wired up by MakeReplicatedKvDispatch).
-  sim::Co<Result<kvwire::ReplicaListResponse>> HandleGetReplicas();
-  sim::Co<Result<rpc::Void>> HandleReplicateBatch(
-      kvwire::ReplicateBatchRequest req);
+  Result<kvwire::ReplicaListResponse> HandleGetReplicas() const;
+  Result<rpc::Void> HandleReplicateBatch(kvwire::ReplicateBatchRequest req);
   sim::Co<Result<kvwire::JoinResponse>> HandleJoin(kvwire::JoinRequest req);
-  sim::Co<Result<kvwire::StatusResponse>> HandleGetStatus();
+  Result<kvwire::StatusResponse> HandleGetStatus() const;
 
   // Shard migration handlers (primary only; every step idempotent and
   // mirrored to the backups before it is acknowledged, so the step
@@ -527,14 +536,14 @@ class KvFailoverProxy : public IKeyValue, public core::ProxyBase {
   }
 
  private:
-  /// Fetches the replica set on first use; with `force`, drops the cache
-  /// and re-fetches — first through the bound primary (which re-resolves
-  /// the name if dead), then by asking each previously known replica.
-  /// `budget` (when set) is the owning operation's shared retransmission
-  /// allowance; the refresh's own calls draw from it.
-  sim::Co<Status> EnsureReplicaList(
-      bool force, obs::TraceContext trace = {},
-      std::shared_ptr<rpc::AttemptBudget> budget = nullptr);
+  /// Fetches the replica set — through the bound primary (which
+  /// re-resolves the name if dead), then by asking each previously known
+  /// replica. Called on first use (the warm test is replicas_.empty())
+  /// and as a `refresh`, which drops the cached list first. `budget` is
+  /// the owning operation's shared retransmission allowance; the fetch's
+  /// own calls draw from it.
+  sim::Co<Status> LoadReplicaList(bool refresh, obs::TraceContext trace,
+                                  std::shared_ptr<rpc::AttemptBudget> budget);
 
   /// One shared retransmission allowance for a whole read/write
   /// operation. Each pass of ReadCall/WriteCall used to retry on its own

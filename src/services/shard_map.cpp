@@ -61,26 +61,26 @@ ShardMapService::~ShardMapService() {
   context_->metrics().Detach("svc.shard.map.commits", &commits_);
 }
 
-sim::Co<Result<GetShardMapResponse>> ShardMapService::HandleGet() {
+Result<GetShardMapResponse> ShardMapService::HandleGet() {
   gets_++;
-  co_return GetShardMapResponse{map_};
+  return GetShardMapResponse{map_};
 }
 
-sim::Co<Result<CommitMoveResponse>> ShardMapService::HandleCommitMove(
-    CommitMoveRequest req) {
+Result<CommitMoveResponse> ShardMapService::HandleCommitMove(
+    const CommitMoveRequest& req) {
   if (req.shard >= map_.num_shards || req.to_group >= map_.groups.size()) {
-    co_return InvalidArgumentError("shard or group out of range");
+    return InvalidArgumentError("shard or group out of range");
   }
   if (req.expect_version != map_.version) {
     // A concurrent move committed first; the caller re-reads and retries
     // (or discovers its move already landed — commits are idempotent at
     // the rebalancer, not here).
-    co_return FailedPreconditionError(
+    return FailedPreconditionError(
         "map version " + std::to_string(map_.version) + " != expected " +
         std::to_string(req.expect_version));
   }
   if (req.new_shard_epoch <= map_.shard_epoch[req.shard]) {
-    co_return FailedPreconditionError(
+    return FailedPreconditionError(
         "shard epoch must advance: " + std::to_string(req.new_shard_epoch) +
         " <= " + std::to_string(map_.shard_epoch[req.shard]));
   }
@@ -94,7 +94,7 @@ sim::Co<Result<CommitMoveResponse>> ShardMapService::HandleCommitMove(
                               " -> " + map_.groups[req.to_group] +
                               " @ epoch " +
                               std::to_string(req.new_shard_epoch));
-  co_return CommitMoveResponse{map_};
+  return CommitMoveResponse{map_};
 }
 
 std::shared_ptr<rpc::Dispatch> MakeShardMapDispatch(
@@ -106,7 +106,7 @@ std::shared_ptr<rpc::Dispatch> MakeShardMapDispatch(
   rpc::RegisterTyped<CommitMoveRequest, CommitMoveResponse>(
       *dispatch, shardwire::kCommitMove,
       [impl](CommitMoveRequest req, const rpc::CallContext&) {
-        return impl->HandleCommitMove(std::move(req));
+        return impl->HandleCommitMove(req);
       });
   return dispatch;
 }

@@ -181,9 +181,9 @@ class ShardMapService {
   ShardMapService(core::Context& context, shardwire::ShardMap initial);
   ~ShardMapService();
 
-  sim::Co<Result<shardwire::GetShardMapResponse>> HandleGet();
-  sim::Co<Result<shardwire::CommitMoveResponse>> HandleCommitMove(
-      shardwire::CommitMoveRequest req);
+  Result<shardwire::GetShardMapResponse> HandleGet();
+  Result<shardwire::CommitMoveResponse> HandleCommitMove(
+      const shardwire::CommitMoveRequest& req);
 
   [[nodiscard]] const shardwire::ShardMap& map() const noexcept {
     return map_;

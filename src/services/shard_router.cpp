@@ -42,10 +42,9 @@ KvShardRouterProxy::~KvShardRouterProxy() {
   context().metrics().Detach("svc.shard.router.fanouts", &fanouts_);
 }
 
-sim::Co<Status> KvShardRouterProxy::EnsureMap(bool force,
-                                              obs::TraceContext trace) {
-  if (!force && map_.Valid()) co_return Status::Ok();
-  if (force) {
+sim::Co<Status> KvShardRouterProxy::LoadMap(bool refresh,
+                                            obs::TraceContext trace) {
+  if (refresh) {
     map_refreshes_++;
     context().spans().Annotate(trace, context().scheduler().now(),
                                "shard map refresh");
@@ -53,11 +52,8 @@ sim::Co<Status> KvShardRouterProxy::EnsureMap(bool force,
   rpc::CallOptions traced = options_;
   traced.trace = trace;
   rpc::Void none;  // named: see stub.h "GCC note"
-  Result<OwnedBytes> raw = co_await CallRaw(shardwire::kGetShardMap,
-                                       serde::EncodeToBytes(none), traced);
-  if (!raw.ok()) co_return raw.status();
   Result<GetShardMapResponse> resp =
-      serde::DecodeFromBytes<GetShardMapResponse>(raw->view());
+      co_await Call<GetShardMapResponse>(shardwire::kGetShardMap, none, traced);
   if (!resp.ok()) co_return resp.status();
   if (!resp->map.Valid()) co_return InternalError("invalid shard map");
   // Refreshes never regress: a reply raced by a newer fetch is dropped.
@@ -65,10 +61,14 @@ sim::Co<Status> KvShardRouterProxy::EnsureMap(bool force,
   co_return Status::Ok();
 }
 
+std::shared_ptr<KvFailoverProxy> KvShardRouterProxy::CachedGroup(
+    const std::string& name) const {
+  const auto it = groups_.find(name);
+  return it == groups_.end() ? nullptr : it->second;
+}
+
 sim::Co<Result<std::shared_ptr<KvFailoverProxy>>> KvShardRouterProxy::
-    GroupProxy(const std::string& name) {
-  auto it = groups_.find(name);
-  if (it != groups_.end()) co_return it->second;
+    AcquireGroup(const std::string& name) {
   core::AcquireOptions opts;
   // Always bind the group's advertised failover proxy, never the raw
   // replica, even when the router happens to share a context with one.
@@ -138,8 +138,10 @@ sim::Co<Result<T>> KvShardRouterProxy::Route(std::string key, bool write,
       // Give an in-flight migration a beat to commit before re-asking.
       co_await sim::SleepFor(context().scheduler(), Milliseconds(10));
     }
-    const Status ready = co_await EnsureMap(pass > 0);
-    if (!ready.ok()) co_return ready;
+    if (pass > 0 || !map_.Valid()) {
+      const Status ready = co_await LoadMap(pass > 0);
+      if (!ready.ok()) co_return ready;
+    }
     const std::uint32_t shard = ShardOf(key, map_.num_shards);
     const std::string group_name = map_.groups[map_.owner[shard]];
     // Shed-before-send: a group that just shed load gets no more work
@@ -147,12 +149,16 @@ sim::Co<Result<T>> KvShardRouterProxy::Route(std::string key, bool write,
     if (const SimDuration left = GroupBackoffRemaining(group_name); left > 0) {
       co_return ShedFast(group_name, left);
     }
-    Result<std::shared_ptr<KvFailoverProxy>> group =
-        co_await GroupProxy(group_name);
-    if (!group.ok()) co_return group.status();
-    Result<T> r = co_await op(**group, key);
+    std::shared_ptr<KvFailoverProxy> group = CachedGroup(group_name);
+    if (!group) {
+      Result<std::shared_ptr<KvFailoverProxy>> acquired =
+          co_await AcquireGroup(group_name);
+      if (!acquired.ok()) co_return acquired.status();
+      group = std::move(*acquired);
+    }
+    Result<T> r = co_await op(*group, key);
     if (r.ok()) {
-      RecordOp(shard, group_name, **group, write);
+      RecordOp(shard, group_name, *group, write);
       co_return r;
     }
     NoteGroupOutcome(group_name, r.status().code());
@@ -165,8 +171,10 @@ sim::Co<Result<T>> KvShardRouterProxy::Route(std::string key, bool write,
 
 template <typename T, typename Op, typename Fold>
 sim::Co<Result<T>> KvShardRouterProxy::FanOut(Op op, Fold fold) {
-  const Status ready = co_await EnsureMap(false);
-  if (!ready.ok()) co_return ready;
+  if (!map_.Valid()) {
+    const Status ready = co_await LoadMap(false);
+    if (!ready.ok()) co_return ready;
+  }
   // Snapshot: map_ can be refreshed by a concurrent op while a group
   // call below is suspended.
   const std::vector<std::string> group_names = map_.groups;
@@ -180,9 +188,14 @@ sim::Co<Result<T>> KvShardRouterProxy::FanOut(Op op, Fold fold) {
   fanouts_++;
   T acc{};
   for (const auto& name : group_names) {
-    Result<std::shared_ptr<KvFailoverProxy>> group = co_await GroupProxy(name);
-    if (!group.ok()) co_return group.status();
-    Result<T> part = co_await op(**group);
+    std::shared_ptr<KvFailoverProxy> group = CachedGroup(name);
+    if (!group) {
+      Result<std::shared_ptr<KvFailoverProxy>> acquired =
+          co_await AcquireGroup(name);
+      if (!acquired.ok()) co_return acquired.status();
+      group = std::move(*acquired);
+    }
+    Result<T> part = co_await op(*group);
     if (!part.ok()) {
       // Abort on the first shed: the remaining groups get nothing.
       NoteGroupOutcome(name, part.status().code());
@@ -258,12 +271,10 @@ ShardRebalancer::~ShardRebalancer() {
 
 sim::Co<Result<ShardMap>> ShardRebalancer::FetchMap() {
   rpc::Void none;  // named: see stub.h "GCC note"
-  rpc::RpcResult r = co_await context_->client().Call(
-      map_binding_.server, map_binding_.object, shardwire::kGetShardMap,
-      serde::EncodeToBytes(none), params_.call);
-  if (!r.ok()) co_return r.status;
   Result<GetShardMapResponse> resp =
-      serde::DecodeFromBytes<GetShardMapResponse>(r.payload.view());
+      co_await rpc::AwaitReply<GetShardMapResponse>(context_->client().Call(
+          map_binding_.server, map_binding_.object, shardwire::kGetShardMap,
+          serde::EncodeToBytes(none), params_.call));
   if (!resp.ok()) co_return resp.status();
   if (!resp->map.Valid()) co_return InternalError("invalid shard map");
   co_return std::move(resp->map);
@@ -285,11 +296,11 @@ sim::Co<Result<Resp>> ShardRebalancer::CallPrimary(const std::string& group,
       last = rec.status();
       continue;
     }
-    rpc::RpcResult r = co_await context_->client().Call(
-        rec->binding.server, rec->binding.object, method, args, params_.call);
-    if (r.ok()) co_return serde::DecodeFromBytes<Resp>(r.payload.view());
-    last = r.status;
-    const StatusCode code = r.status.code();
+    Result<Resp> r = co_await rpc::AwaitReply<Resp>(context_->client().Call(
+        rec->binding.server, rec->binding.object, method, args, params_.call));
+    if (r.ok()) co_return r;
+    last = r.status();
+    const StatusCode code = last.code();
     if (code != StatusCode::kTimeout && code != StatusCode::kUnavailable &&
         code != StatusCode::kFenced) {
       co_return last;  // semantic error: final
@@ -347,17 +358,12 @@ sim::Co<Status> ShardRebalancer::MigrateShard(std::uint32_t shard,
     commit.to_group = to_group;
     commit.expect_version = map->version;
     commit.new_shard_epoch = next_epoch;
-    rpc::RpcResult committed = co_await context_->client().Call(
-        map_binding_.server, map_binding_.object, shardwire::kCommitMove,
-        serde::EncodeToBytes(commit), params_.call);
+    Result<CommitMoveResponse> committed =
+        co_await rpc::AwaitReply<CommitMoveResponse>(context_->client().Call(
+            map_binding_.server, map_binding_.object, shardwire::kCommitMove,
+            serde::EncodeToBytes(commit), params_.call));
     if (committed.ok()) {
-      Result<CommitMoveResponse> resp =
-          serde::DecodeFromBytes<CommitMoveResponse>(committed.payload.view());
-      if (!resp.ok()) {
-        move_failures_++;
-        co_return resp.status();
-      }
-      *map = std::move(resp->map);
+      *map = std::move(committed->map);
     } else {
       // A failed commit may be OUR earlier commit whose ack was lost (a
       // re-run after a crash): re-read before declaring defeat.
@@ -373,7 +379,7 @@ sim::Co<Status> ShardRebalancer::MigrateShard(std::uint32_t shard,
         ShardUnfreezeRequest thaw{shard};
         (void)co_await CallPrimary<rpc::Void>(source, kvwire::kShardUnfreeze,
                                               thaw);
-        co_return committed.status;
+        co_return committed.status();
       }
       *map = std::move(*fresh);
     }

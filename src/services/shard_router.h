@@ -103,15 +103,19 @@ class KvShardRouterProxy : public IKeyValue, public core::ProxyBase {
   }
 
  private:
-  /// Fetches the shard map on first use; with `force`, re-fetches and
-  /// adopts the result only if its version is not older than the cached
-  /// one (refreshes never regress).
-  sim::Co<Status> EnsureMap(bool force, obs::TraceContext trace = {});
+  /// Fetches the shard map: on first use (the warm test is map_.Valid()),
+  /// and as a `refresh` after WRONG_SHARD. The result is adopted only if
+  /// its version is not older than the cached one (refreshes never
+  /// regress).
+  sim::Co<Status> LoadMap(bool refresh, obs::TraceContext trace = {});
 
-  /// The (cached) protocol-4 failover proxy for a group name. Groups are
+  /// The warm test of the group cache: the protocol-4 failover proxy of
+  /// group `name`, or null until AcquireGroup binds it. Groups are
   /// resolved by *name*, so group-internal failover and promotion stay
   /// the group proxy's business.
-  sim::Co<Result<std::shared_ptr<KvFailoverProxy>>> GroupProxy(
+  [[nodiscard]] std::shared_ptr<KvFailoverProxy> CachedGroup(
+      const std::string& name) const;
+  sim::Co<Result<std::shared_ptr<KvFailoverProxy>>> AcquireGroup(
       const std::string& name);
 
   /// The route-retry loop of every single-key op: routes `key` to its

@@ -15,24 +15,12 @@ sim::Co<void> SpoolerService::ProcessJobs(std::uint64_t count) {
   }
 }
 
-sim::Co<Result<std::uint64_t>> SpoolerService::Submit(SpoolJob job) {
-  (void)job;
-  const std::uint64_t id = next_id_++;
-  (void)sim::Spawn(*scheduler_, ProcessJobs(1));
-  co_return id;
-}
-
-sim::Co<Result<std::uint64_t>> SpoolerService::SubmitMany(
-    std::vector<SpoolJob> jobs) {
-  if (jobs.empty()) co_return InvalidArgumentError("empty job batch");
+Result<std::uint64_t> SpoolerService::Enqueue(std::uint64_t count) {
+  if (count == 0) return InvalidArgumentError("empty job batch");
   const std::uint64_t first = next_id_;
-  next_id_ += jobs.size();
-  (void)sim::Spawn(*scheduler_, ProcessJobs(jobs.size()));
-  co_return first;
-}
-
-sim::Co<Result<std::uint64_t>> SpoolerService::CompletedCount() {
-  co_return completed_;
+  next_id_ += count;
+  (void)sim::Spawn(*scheduler_, ProcessJobs(count));
+  return first;
 }
 
 std::shared_ptr<rpc::Dispatch> MakeSpoolerDispatch(
@@ -40,28 +28,20 @@ std::shared_ptr<rpc::Dispatch> MakeSpoolerDispatch(
   auto dispatch = std::make_shared<rpc::Dispatch>();
   rpc::RegisterTyped<SubmitRequest, IdResponse>(
       *dispatch, spoolwire::kSubmit,
-      [impl](SubmitRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<IdResponse>> {
-        Result<std::uint64_t> id = co_await impl->Submit(std::move(req.job));
-        if (!id.ok()) co_return id.status();
-        co_return IdResponse{*id};
+      [impl](SubmitRequest, const rpc::CallContext&) {
+        return impl->Enqueue(1).map(
+            [](std::uint64_t id) { return IdResponse{id}; });
       });
   rpc::RegisterTyped<SubmitManyRequest, IdResponse>(
       *dispatch, spoolwire::kSubmitMany,
-      [impl](SubmitManyRequest req,
-             const rpc::CallContext&) -> sim::Co<Result<IdResponse>> {
-        Result<std::uint64_t> id =
-            co_await impl->SubmitMany(std::move(req.jobs));
-        if (!id.ok()) co_return id.status();
-        co_return IdResponse{*id};
+      [impl](SubmitManyRequest req, const rpc::CallContext&) {
+        return impl->Enqueue(req.jobs.size()).map(
+            [](std::uint64_t first) { return IdResponse{first}; });
       });
   rpc::RegisterTyped<rpc::Void, CountResponse>(
       *dispatch, spoolwire::kCompleted,
-      [impl](rpc::Void,
-             const rpc::CallContext&) -> sim::Co<Result<CountResponse>> {
-        Result<std::uint64_t> count = co_await impl->CompletedCount();
-        if (!count.ok()) co_return count.status();
-        co_return CountResponse{*count};
+      [impl](rpc::Void, const rpc::CallContext&) -> Result<CountResponse> {
+        return CountResponse{impl->completed()};
       });
   return dispatch;
 }

@@ -77,12 +77,23 @@ class SpoolerService : public ISpooler {
                  SimDuration per_job_cost = Microseconds(200))
       : scheduler_(&scheduler), per_job_cost_(per_job_cost) {}
 
-  sim::Co<Result<std::uint64_t>> Submit(SpoolJob job) override;
+  sim::Co<Result<std::uint64_t>> Submit(SpoolJob) override {
+    co_return Enqueue(1);
+  }
   sim::Co<Result<std::uint64_t>> SubmitMany(
-      std::vector<SpoolJob> jobs) override;
-  sim::Co<Result<std::uint64_t>> CompletedCount() override;
+      std::vector<SpoolJob> jobs) override {
+    co_return Enqueue(jobs.size());
+  }
+  sim::Co<Result<std::uint64_t>> CompletedCount() override {
+    co_return completed();
+  }
+
+  /// The synchronous core: numbers `count` jobs and sets the device on
+  /// them. Returns the first job's id; an empty batch is an error.
+  Result<std::uint64_t> Enqueue(std::uint64_t count);
 
   [[nodiscard]] std::uint64_t submitted() const noexcept { return next_id_; }
+  [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
 
  private:
   sim::Co<void> ProcessJobs(std::uint64_t count);

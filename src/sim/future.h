@@ -2,8 +2,8 @@
 //
 // A Future<T> is the single-consumer side of a one-shot value produced
 // elsewhere in the event loop (an RPC reply, a migration completion, a
-// lease renewal). It can be `co_await`ed from a Co<> coroutine, given a
-// callback, or polled by driver code after running the scheduler.
+// lease renewal). It can be `co_await`ed from a Co<> coroutine or polled
+// by driver code after running the scheduler.
 //
 // Resumption of an awaiting coroutine is *posted* to the scheduler rather
 // than run inline, so completion order is governed by the event queue and
@@ -12,7 +12,6 @@
 
 #include <cassert>
 #include <coroutine>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -29,8 +28,7 @@ struct FutureState {
 
   Scheduler* scheduler;
   std::optional<T> value;
-  std::coroutine_handle<> waiter;      // at most one awaiting coroutine
-  std::function<void(T&&)> callback;   // or one completion callback
+  std::coroutine_handle<> waiter;  // at most one awaiting coroutine
 
   /// Delivers the value exactly once; later calls are ignored (e.g. a
   /// late reply racing a timeout that already completed the future).
@@ -40,12 +38,6 @@ struct FutureState {
     if (waiter) {
       auto h = std::exchange(waiter, nullptr);
       scheduler->Post([h] { h.resume(); }).Detach();
-    } else if (callback) {
-      auto cb = std::exchange(callback, nullptr);
-      // Post, not call: keeps completion ordering queue-driven.
-      auto* self = this;
-      scheduler->Post([cb = std::move(cb), self] { cb(std::move(*self->value)); })
-          .Detach();
     }
     return true;
   }
@@ -78,24 +70,10 @@ class [[nodiscard]] Future {
     return std::move(*state_->value);
   }
 
-  /// Registers a completion callback (alternative to co_await). If the
-  /// value is already present the callback is posted immediately.
-  void Then(std::function<void(T&&)> cb) {
-    assert(state_ && !state_->waiter && !state_->callback);
-    if (state_->value.has_value()) {
-      auto st = state_;
-      st->scheduler
-          ->Post([st, cb = std::move(cb)] { cb(std::move(*st->value)); })
-          .Detach();
-    } else {
-      state_->callback = std::move(cb);
-    }
-  }
-
   // --- awaitable interface ---
   [[nodiscard]] bool await_ready() const noexcept { return ready(); }
   void await_suspend(std::coroutine_handle<> h) {
-    assert(state_ && !state_->waiter && !state_->callback);
+    assert(state_ && !state_->waiter);
     state_->waiter = h;
   }
   T await_resume() { return std::move(*state_->value); }

@@ -2,6 +2,7 @@
 // (direct vs proxy), factories, export/publish/revoke.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <typeinfo>
 
@@ -432,6 +433,96 @@ TEST(Coherence, InvalidationAndSnapshotBytesArePinned) {
   // content 00 00 00 01 02 03, then [(client server, file_sink)].
   EXPECT_EQ(Hex(View(file->impl->SnapshotState())),
             "060000000102030101808002b100000000000000b200000000000000");
+}
+
+// --- per-call event budget: no coroutine layer where nothing suspends ---
+
+/// Scheduler events `call` runs, driven through Runtime::Run on a
+/// runtime with nothing else in flight.
+template <typename T>
+std::uint64_t EventsOf(Runtime& rt, sim::Co<T> call, T* out) {
+  const std::uint64_t before = rt.scheduler().events_run();
+  *out = rt.Run(std::move(call));
+  return rt.scheduler().events_run() - before;
+}
+
+TEST(EventBudget, WarmStubIncrementRunsSevenEvents) {
+  TestWorld w;
+  Result<services::CounterExport> exported =
+      services::ExportCounterService(*w.server_ctx);
+  ASSERT_OK(exported);
+  services::CounterStub stub(*w.client_ctx, exported->binding);
+  Result<std::int64_t> value = 0;
+  EventsOf(*w.rt, stub.Increment(1), &value);  // warm-up
+  ASSERT_OK(value);
+  // 1. the request datagram reaches the server node;
+  // 2. the typed skeleton completes and resumes RpcServer::Execute, which
+  //    sends the reply (the handler and CounterService::Add run inline);
+  // 3. Execute completes and resumes its Spawn root;
+  // 4. the reply datagram reaches the client, completing the call future;
+  // 5. the future wakes ProxyBase::CallRaw;
+  // 6. CallRaw completes and resumes CounterStub::Increment through the
+  //    typed reply, which decodes in place;
+  // 7. Increment completes and resumes Runtime::Run's root.
+  EXPECT_EQ(EventsOf(*w.rt, stub.Increment(1), &value), 7u);
+  ASSERT_OK(value);
+  EXPECT_EQ(*value, 2);
+}
+
+TEST(EventBudget, WarmCachingGetHitRunsOneEvent) {
+  TestWorld w;
+  Result<services::KvExport> exported =
+      services::ExportKvService(*w.server_ctx, 2);
+  ASSERT_OK(exported);
+  services::KvCachingProxy proxy(*w.client_ctx, exported->binding);
+  Result<rpc::Void> put = rpc::Void{};
+  EventsOf(*w.rt, proxy.Put("k", "v"), &put);  // subscribes, caches "k"
+  ASSERT_OK(put);
+  Result<std::optional<std::string>> hit = std::optional<std::string>();
+  // The warm subscribe check and the cache lookup run inline; the one
+  // event is Get's completion resuming Runtime::Run's root.
+  EXPECT_EQ(EventsOf(*w.rt, proxy.Get("k"), &hit), 1u);
+  ASSERT_OK(hit);
+  EXPECT_EQ(*hit, std::optional<std::string>("v"));
+  EXPECT_EQ(proxy.cache_stats().hits, 1u);
+}
+
+// --- ProxyBase::Call: the typed reply surfaces an undecodable reply ---
+
+/// A proxy whose only interface is ProxyBase's typed call.
+class BareProxy : public ProxyBase {
+ public:
+  using ProxyBase::Call;
+  using ProxyBase::ProxyBase;
+};
+
+/// Two strings: a counter's one-varint ValueResponse never decodes as it.
+struct TwoStrings {
+  std::string a;
+  std::string b;
+  PROXY_SERDE_FIELDS(a, b)
+};
+
+TEST(ProxyCall, UndecodableReplySurfacesCorrupt) {
+  TestWorld w;
+  Result<services::CounterExport> exported =
+      services::ExportCounterService(*w.server_ctx, 1, 5);
+  ASSERT_OK(exported);
+  BareProxy proxy(*w.client_ctx, exported->binding);
+  auto body = [&]() -> sim::Co<void> {
+    const rpc::Void none;
+    Result<services::counterwire::ValueResponse> read =
+        co_await proxy.Call<services::counterwire::ValueResponse>(
+            services::counterwire::kRead, none);
+    CO_ASSERT_OK(read);
+    EXPECT_EQ(read->value, 5);
+    Result<TwoStrings> wrong =
+        co_await proxy.Call<TwoStrings>(services::counterwire::kRead, none);
+    EXPECT_EQ(wrong.status().code(), StatusCode::kCorrupt);
+  };
+  w.Run(body);
+  // The call itself succeeded: the failure is the decode's alone.
+  EXPECT_EQ(proxy.proxy_stats().failed_calls, 0u);
 }
 
 TEST(Binding, ToStringAndEquality) {

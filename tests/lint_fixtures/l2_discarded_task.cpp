@@ -15,6 +15,22 @@ sim::Co<void> Spooler::Drain() {
   co_return;
 }
 
+// The typed-reply awaitable (rpc::TypedReply) is a task too, also when
+// the callee takes explicit template arguments.
+class KvProxy {
+ protected:
+  template <typename Resp, typename Req>
+  rpc::TypedReply<Resp, sim::Co<Result<OwnedBytes>>> Call(
+      std::uint32_t method, const Req& req);
+  sim::Co<void> Touch(GetRequest req);
+};
+
+sim::Co<void> KvProxy::Touch(GetRequest req) {
+  Call<GetResponse>(kGet, req);  // MARK:l2-typed-reply
+  Result<GetResponse> got = co_await Call<GetResponse>(kGet, req);  // handled
+  (void)got;
+}
+
 // Ambiguous name: Poke is declared void here and Co elsewhere — the
 // name-based lookup must stay silent rather than guess.
 void Harness::Poke();

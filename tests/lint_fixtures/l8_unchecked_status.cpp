@@ -32,4 +32,20 @@ sim::Co<void> Store::Run() {
   co_return;
 }
 
+// The typed-reply awaitable always resumes with a Result: awaiting it as
+// a statement drops the call's failure.
+class KvProxy {
+ protected:
+  template <typename Resp, typename Req>
+  rpc::TypedReply<Resp, sim::Co<Result<OwnedBytes>>> Call(
+      std::uint32_t method, const Req& req);
+  sim::Co<void> Write(PutRequest req);
+};
+
+sim::Co<void> KvProxy::Write(PutRequest req) {
+  co_await Call<rpc::Void>(kPut, req);  // MARK:l8-typed-reply
+  Result<rpc::Void> put = co_await Call<rpc::Void>(kPut, req);  // handled
+  (void)put;
+}
+
 }  // namespace services

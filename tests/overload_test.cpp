@@ -346,9 +346,7 @@ struct SlowPutKv {
               serde::DecodeFromBytes<services::kvwire::PutRequest>(args);
           if (!req.ok()) co_return req.status();
           co_await sim::SleepFor(sched, put_service);
-          Result<rpc::Void> done = co_await impl->PutExcluding(
-              req->key, req->value, req->exclude_sink);
-          if (!done.ok()) co_return done.status();
+          impl->Store(req->key, req->value, req->exclude_sink);
           co_return serde::EncodeToBytes(rpc::Void{});
         });
     binding.object = ctx.MintObjectId();

@@ -93,9 +93,10 @@ TEST(ProxyLintL2, DiscardedTaskReportedOnceHandledFormsPass) {
       Lint("l2_discarded_task.cpp", "src/services/x.cpp");
   EXPECT_EQ(Rules(f), std::set<std::string>{"L2"});
   EXPECT_TRUE(HasFindingAt(f, "L2", LineOf(text, "MARK:l2-discarded")));
+  EXPECT_TRUE(HasFindingAt(f, "L2", LineOf(text, "MARK:l2-typed-reply")));
   // co_await / Spawn / (void) / named binding are all handled; the
   // ambiguous name (void in one class, Co in another) stays silent.
-  EXPECT_EQ(f.size(), 1u);
+  EXPECT_EQ(f.size(), 2u);
 }
 
 TEST(ProxyLintL5, DiscardedTimerReportedOnceHandledFormsPass) {
@@ -188,8 +189,9 @@ TEST(ProxyLintL8, DirectAndAwaitedDiscardsReportedHandledFormsPass) {
   EXPECT_EQ(Rules(f), std::set<std::string>{"L8"});
   EXPECT_TRUE(HasFindingAt(f, "L8", LineOf(text, "MARK:l8-direct")));
   EXPECT_TRUE(HasFindingAt(f, "L8", LineOf(text, "MARK:l8-awaited")));
+  EXPECT_TRUE(HasFindingAt(f, "L8", LineOf(text, "MARK:l8-typed-reply")));
   // (void) casts, bound names, and Co<void> awaits are all handled.
-  EXPECT_EQ(f.size(), 2u);
+  EXPECT_EQ(f.size(), 3u);
 
   // L8 is scoped to src/: a test deliberately dropping a status (e.g.
   // poking a crashed replica) is not a finding.

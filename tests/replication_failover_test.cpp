@@ -303,8 +303,7 @@ TEST(ReplicationFailover, EvictionDuringTheNameClaimStopsThePromotion) {
   kvwire::ReplicateBatchRequest evict;
   evict.epoch = backup.epoch() + 1;
   evict.replicas = {fw.exp.backup_bindings[1]};
-  Result<rpc::Void> evicted = fw.w.rt->Await(sim::Spawn(
-      fw.w.rt->scheduler(), backup.HandleReplicateBatch(std::move(evict))));
+  Result<rpc::Void> evicted = backup.HandleReplicateBatch(std::move(evict));
   EXPECT_EQ(evicted.status().code(), StatusCode::kUnavailable);
   ASSERT_TRUE(backup.syncing());
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,19 @@ struct RpcFixture : public ::testing::Test {
         [](EchoRequest, const CallContext&) -> sim::Co<Result<EchoResponse>> {
           co_return FailedPreconditionError("nope");
         });
+    // Synchronous handlers: an echo, and one that fails.
+    RegisterTyped<EchoRequest, EchoResponse>(
+        *dispatch, 4,
+        [this](EchoRequest req, const CallContext&) -> Result<EchoResponse> {
+          ++sync_executions;
+          return EchoResponse{req.text};
+        });
+    RegisterTyped<EchoRequest, EchoResponse>(
+        *dispatch, 5,
+        [this](EchoRequest, const CallContext&) -> Result<EchoResponse> {
+          ++sync_executions;
+          return PermissionDeniedError("sync nope");
+        });
     EXPECT_TRUE(server->ExportObject(object, dispatch).ok());
   }
 
@@ -86,6 +100,7 @@ struct RpcFixture : public ::testing::Test {
   std::unique_ptr<RpcServer> server;
   ObjectId object;
   int executions = 0;
+  int sync_executions = 0;
 };
 
 TEST_F(RpcFixture, BasicCallRoundTrips) {
@@ -124,6 +139,50 @@ TEST_F(RpcFixture, MalformedArgsRejectedByTypedSkeleton) {
   sched.RunUntil([&] { return future.ready(); });
   EXPECT_EQ(future.take().status.code(), StatusCode::kCorrupt);
   EXPECT_EQ(executions, 0);
+}
+
+TEST_F(RpcFixture, SyncHandlerRepliesAndPassesItsErrorThrough) {
+  const RpcResult echoed = CallSync(4, EchoRequest{"hi", 1});
+  ASSERT_TRUE(echoed.ok()) << echoed.status.ToString();
+  const auto resp = serde::DecodeFromBytes<EchoResponse>(echoed.payload.view());
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->text, "hi");
+  const RpcResult failed = CallSync(5, EchoRequest{"x", 1});
+  EXPECT_EQ(failed.status.code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(failed.status.message(), "sync nope");
+  EXPECT_EQ(sync_executions, 2);
+}
+
+TEST_F(RpcFixture, MalformedArgsNeverReachSyncHandler) {
+  const Bytes garbage = ToBytes("\xff\xff garbage");
+  auto future = client->Call(server_ep->address(), object, 4, garbage);
+  sched.RunUntil([&] { return future.ready(); });
+  const Status decode = serde::DecodeFromBytes<EchoRequest>(garbage).status();
+  const RpcResult r = future.take();
+  EXPECT_EQ(r.status.code(), decode.code());
+  EXPECT_EQ(r.status.message(), decode.message());
+  EXPECT_EQ(sync_executions, 0);
+}
+
+TEST_F(RpcFixture, TypedReplyDecodesOrSurfacesCorrupt) {
+  // EchoResponse{"hi"} is three bytes; rpc::Void reads one and leaves
+  // two, so the same reply decodes as the one and not as the other.
+  std::optional<Result<EchoResponse>> echoed;
+  std::optional<Result<Void>> wrong;
+  auto body = [&]() -> sim::Co<void> {
+    const Bytes args = serde::EncodeToBytes(EchoRequest{"hi", 1});
+    echoed = co_await AwaitReply<EchoResponse>(
+        client->Call(server_ep->address(), object, 1, args));
+    wrong = co_await AwaitReply<Void>(
+        client->Call(server_ep->address(), object, 1, args));
+  };
+  auto done = sim::Spawn(sched, body());
+  sched.RunUntil([&] { return done.ready(); });
+  ASSERT_TRUE(echoed.has_value() && echoed->ok());
+  EXPECT_EQ((*echoed)->text, "hi");
+  ASSERT_TRUE(wrong.has_value());
+  EXPECT_EQ(wrong->status().code(), StatusCode::kCorrupt);
+  EXPECT_EQ(client->stats().calls_ok, 2u);  // both calls themselves succeeded
 }
 
 TEST_F(RpcFixture, BorrowedArgsViewSurvivesHandlerSuspension) {

@@ -182,7 +182,7 @@ TEST(ShardMap, CommitMoveBumpsVersionAndCasRejectsStaleCommits) {
     move.expect_version = 1;
     move.new_shard_epoch = 2;
     Result<shardwire::CommitMoveResponse> committed =
-        co_await svc->HandleCommitMove(move);
+        svc->HandleCommitMove(move);
     CO_ASSERT_OK(committed);
     EXPECT_EQ(committed->map.version, 2u);
     EXPECT_EQ(committed->map.owner[0], 1u);
@@ -195,7 +195,7 @@ TEST(ShardMap, CommitMoveBumpsVersionAndCasRejectsStaleCommits) {
     stale.expect_version = 1;  // map is at 2 now
     stale.new_shard_epoch = 2;
     Result<shardwire::CommitMoveResponse> lost =
-        co_await svc->HandleCommitMove(stale);
+        svc->HandleCommitMove(stale);
     CO_ASSERT_TRUE(!lost.ok());
     EXPECT_EQ(lost.status().code(), StatusCode::kFailedPrecondition);
 
@@ -207,7 +207,7 @@ TEST(ShardMap, CommitMoveBumpsVersionAndCasRejectsStaleCommits) {
     replay.expect_version = 2;
     replay.new_shard_epoch = 2;
     Result<shardwire::CommitMoveResponse> refused =
-        co_await svc->HandleCommitMove(replay);
+        svc->HandleCommitMove(replay);
     CO_ASSERT_TRUE(!refused.ok());
     EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
 
@@ -218,7 +218,7 @@ TEST(ShardMap, CommitMoveBumpsVersionAndCasRejectsStaleCommits) {
     bogus.expect_version = 2;
     bogus.new_shard_epoch = 9;
     Result<shardwire::CommitMoveResponse> malformed =
-        co_await svc->HandleCommitMove(bogus);
+        svc->HandleCommitMove(bogus);
     CO_ASSERT_TRUE(!malformed.ok());
     EXPECT_EQ(malformed.status().code(), StatusCode::kInvalidArgument);
   };
@@ -652,7 +652,7 @@ TEST(ShardRouting, RerunReleasesTheSourceAfterACommittedHandoff) {
     commit.expect_version = 1;
     commit.new_shard_epoch = frozen->shard_epoch + 1;
     Result<shardwire::CommitMoveResponse> committed =
-        co_await w.skv.map_service->HandleCommitMove(commit);
+        w.skv.map_service->HandleCommitMove(commit);
     CO_ASSERT_OK(committed);
   };
   w.Run(handoff_no_release);

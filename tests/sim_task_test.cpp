@@ -90,29 +90,6 @@ TEST(Future, SecondSetIsIgnored) {
   EXPECT_EQ(f.peek(), 1);
 }
 
-TEST(Future, ThenCallbackFires) {
-  Scheduler s;
-  Promise<int> p(s);
-  int seen = 0;
-  Future<int> f = p.future();
-  f.Then([&](int&& v) { seen = v; });
-  p.Set(9);
-  EXPECT_EQ(seen, 0);  // posted, not inline
-  s.Run();
-  EXPECT_EQ(seen, 9);
-}
-
-TEST(Future, ThenOnAlreadyReadyFutureStillFires) {
-  Scheduler s;
-  Promise<int> p(s);
-  p.Set(4);
-  int seen = 0;
-  Future<int> f = p.future();
-  f.Then([&](int&& v) { seen = v; });
-  s.Run();
-  EXPECT_EQ(seen, 4);
-}
-
 TEST(Sleep, ZeroDurationDoesNotSuspend) {
   Scheduler s;
   bool flag = false;

@@ -62,7 +62,9 @@ std::string NormalizeType(const Tokens& t, std::size_t from, std::size_t to);
 std::vector<std::string> TypeWords(const std::string& type);
 
 /// Return-type predicates over normalized type strings.
-bool TypeIsAwaitable(const std::string& type);      // Co<...> / Future<...>
+/// Awaitables: Co<...>, Future<...> and rpc::TypedReply<...>, which
+/// always resumes with a Result.
+bool TypeIsAwaitable(const std::string& type);
 bool TypeIsStatusLike(const std::string& type);     // Status / Result<...>
 bool TypeIsAwaitedStatus(const std::string& type);  // Co<Status>, Co<Result<..>>
 

@@ -342,8 +342,9 @@ void CheckHeldDeclarations(const Analysis& a) {
 
 // --- statement-level discard scanning (L2 / L5 / L8) -------------------
 
-/// The identifier owning the statement's final `(...)`, or npos-like
-/// t.size(). `i` is the statement's first token, `end` its `;`.
+/// The identifier owning the statement's final `(...)` — also through
+/// explicit template arguments, `Call<R>(...)` — or npos-like t.size().
+/// `i` is the statement's first token, `end` its `;`.
 std::size_t FinalCallCallee(const Tokens& t, std::size_t i, std::size_t end) {
   std::size_t open = end - 1;  // index of ')'
   int bd = 0;
@@ -352,8 +353,21 @@ std::size_t FinalCallCallee(const Tokens& t, std::size_t i, std::size_t end) {
     if (t[open].text == "(" && --bd == 0) break;
     --open;
   }
-  if (open <= i || !IsIdent(t, open - 1)) return t.size();
-  return open - 1;
+  if (open <= i) return t.size();
+  std::size_t callee = open - 1;
+  int angle = 0;
+  for (; callee > i; --callee) {
+    const std::string& s = t[callee].text;
+    if (s == ">") ++angle;
+    else if (s == ">>") angle += 2;
+    else if (s == "<") --angle;
+    else if (s == "<<") angle -= 2;
+    if (angle <= 0) break;
+  }
+  if (angle != 0) return t.size();
+  if (Is(t, callee, "<")) --callee;
+  if (!IsIdent(t, callee)) return t.size();
+  return callee;
 }
 
 /// True when the name chain at `callee_idx` is preceded by a type token
