@@ -70,8 +70,8 @@ struct FaultWorld {
           co_return PingResponse{req.id};
         });
     if (!server->ExportObject(object, dispatch).ok()) std::abort();
-    client->BindMetrics(metrics);
-    server->BindMetrics(metrics);
+    client->BindMetrics(metric_scope);
+    server->BindMetrics(metric_scope);
   }
 
   /// Same observability footer contract as bench::World (this bench
@@ -105,6 +105,7 @@ struct FaultWorld {
   std::unique_ptr<rpc::RpcClient> client;
   net::Endpoint* server_ep = nullptr;
   std::unique_ptr<rpc::RpcServer> server;
+  obs::MetricScope metric_scope{metrics};  // after the client and server
   ObjectId object;
 };
 

@@ -4,7 +4,13 @@
 // reaches `max_items` or `window` elapses since the first queued item.
 // Each Add returns a future resolved with the flush outcome of its batch,
 // so callers keep per-item completion even though the wire sees batches.
-// Drain() is the write-behind barrier every such proxy exposes.
+//
+// Drain() is the write-behind barrier every such proxy exposes: it ships
+// what is buffered and returns once every batch dispatched so far has
+// landed, reporting the first failure of any batch that landed since the
+// previous Drain. After(op) orders an operation behind that barrier. It
+// returns `op` itself when there is nothing to wait for, so a read that
+// finds the buffer idle costs what the same read costs without a batcher.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +26,8 @@
 
 namespace proxy::core {
 
-/// Batcher tallies as obs::Counter cells (attachable to a
-/// MetricsRegistry via Batcher::BindMetrics).
+/// Batcher tallies as obs::Counter cells (attachable through an
+/// obs::MetricScope via Batcher::BindMetrics).
 struct BatcherStats {
   obs::Counter items;
   obs::Counter batches;
@@ -65,7 +71,8 @@ class Batcher {
     return future;
   }
 
-  /// Forces the current batch out (used before a dependent read).
+  /// Forces the current batch out before its window; the future
+  /// resolves with that batch's outcome.
   sim::Future<Status> Flush() {
     if (pending_.empty()) {
       sim::Promise<Status> done(*scheduler_);
@@ -80,14 +87,31 @@ class Batcher {
     return future;
   }
 
-  /// Flushes until nothing is pending: items added while a batch is in
-  /// flight ride the next round. Stops at the first failed batch.
+  /// Ships what is pending, then waits until no batch is in flight:
+  /// items added meanwhile ride another round. Returns only after every
+  /// batch dispatched before it returns has landed, with the first
+  /// failure of any batch landed since the previous Drain.
   sim::Co<Status> Drain() {
-    while (!pending_.empty()) {
-      const Status st = co_await Flush();
-      if (!st.ok()) co_return st;
+    while (!pending_.empty() || in_flight_ > 0) {
+      if (!pending_.empty()) {
+        stats_.manual_flushes++;
+        FlushNow();
+      }
+      sim::Promise<bool> landed(*scheduler_);
+      idle_.push_back(landed);
+      co_await landed.future();
     }
-    co_return Status::Ok();
+    co_return std::exchange(failure_, Status::Ok());
+  }
+
+  /// Runs `op` behind the barrier. When nothing is buffered, in flight
+  /// or failed-and-unreported, that is `op` itself. Otherwise it is a
+  /// coroutine that drains first; if the drain fails, `op` fails with
+  /// its status without running.
+  template <typename R>
+  sim::Co<R> After(sim::Co<R> op) {
+    if (pending_.empty() && in_flight_ == 0 && failure_.ok()) return op;
+    return DrainThen(std::move(op));
   }
 
   [[nodiscard]] std::size_t pending() const noexcept {
@@ -95,34 +119,40 @@ class Batcher {
   }
   [[nodiscard]] const BatcherStats& stats() const noexcept { return stats_; }
 
-  /// Attaches the tallies to `registry` as <prefix>.items / .batches /
-  /// .size_flushes / .window_flushes / .manual_flushes.
-  void BindMetrics(obs::MetricsRegistry& registry, const std::string& prefix) {
-    registry.Attach(prefix + ".items", &stats_.items);
-    registry.Attach(prefix + ".batches", &stats_.batches);
-    registry.Attach(prefix + ".size_flushes", &stats_.size_flushes);
-    registry.Attach(prefix + ".window_flushes", &stats_.window_flushes);
-    registry.Attach(prefix + ".manual_flushes", &stats_.manual_flushes);
-  }
-  void DetachMetrics(obs::MetricsRegistry& registry,
-                     const std::string& prefix) {
-    registry.Detach(prefix + ".items", &stats_.items);
-    registry.Detach(prefix + ".batches", &stats_.batches);
-    registry.Detach(prefix + ".size_flushes", &stats_.size_flushes);
-    registry.Detach(prefix + ".window_flushes", &stats_.window_flushes);
-    registry.Detach(prefix + ".manual_flushes", &stats_.manual_flushes);
+  /// Attaches the tallies through `scope` as <prefix>.items / .batches /
+  /// .size_flushes / .window_flushes / .manual_flushes. The owner
+  /// declares `scope` after the batcher, so the scope detaches them
+  /// first.
+  void BindMetrics(obs::MetricScope& scope, const std::string& prefix) {
+    scope.Attach(prefix + ".items", &stats_.items);
+    scope.Attach(prefix + ".batches", &stats_.batches);
+    scope.Attach(prefix + ".size_flushes", &stats_.size_flushes);
+    scope.Attach(prefix + ".window_flushes", &stats_.window_flushes);
+    scope.Attach(prefix + ".manual_flushes", &stats_.manual_flushes);
   }
 
  private:
+  template <typename R>
+  sim::Co<R> DrainThen(sim::Co<R> op) {
+    const Status drained = co_await Drain();
+    if (!drained.ok()) co_return drained;
+    co_return co_await std::move(op);
+  }
+
   sim::Co<void> RunFlush(std::vector<Item> batch,
                          std::vector<sim::Promise<Status>> waiters) {
     Status st = co_await flush_(std::move(batch));
+    if (!st.ok() && failure_.ok()) failure_ = st;
     for (auto& w : waiters) w.Set(st);
+    if (--in_flight_ == 0) {
+      for (auto& idle : std::exchange(idle_, {})) idle.Set(true);
+    }
   }
 
   void FlushNow() {
     timer_.Cancel();
     stats_.batches++;
+    in_flight_++;
     std::vector<Item> batch = std::move(pending_);
     std::vector<sim::Promise<Status>> waiters = std::move(waiters_);
     pending_.clear();
@@ -138,6 +168,9 @@ class Batcher {
   std::vector<Item> pending_;
   std::vector<sim::Promise<Status>> waiters_;
   sim::Timer timer_;  // pending window flush (RAII)
+  std::size_t in_flight_ = 0;  // batches dispatched and not yet landed
+  std::vector<sim::Promise<bool>> idle_;  // Drains waiting on in_flight_
+  Status failure_ = Status::Ok();  // first since the last Drain
   BatcherStats stats_;
 };
 

@@ -12,7 +12,7 @@
 namespace proxy::core {
 
 /// Cache tallies as obs::Counter cells (accessors unchanged; attachable
-/// to a MetricsRegistry via LruCache::BindMetrics).
+/// through an obs::MetricScope via LruCache::BindMetrics).
 struct CacheStats {
   obs::Counter hits;
   obs::Counter misses;
@@ -96,21 +96,14 @@ class LruCache {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
-  /// Attaches the tallies to `registry` as <prefix>.hits / .misses /
-  /// .evictions / .invalidations. The cache must outlive the registry or
-  /// DetachMetrics first.
-  void BindMetrics(obs::MetricsRegistry& registry, const std::string& prefix) {
-    registry.Attach(prefix + ".hits", &stats_.hits);
-    registry.Attach(prefix + ".misses", &stats_.misses);
-    registry.Attach(prefix + ".evictions", &stats_.evictions);
-    registry.Attach(prefix + ".invalidations", &stats_.invalidations);
-  }
-  void DetachMetrics(obs::MetricsRegistry& registry,
-                     const std::string& prefix) {
-    registry.Detach(prefix + ".hits", &stats_.hits);
-    registry.Detach(prefix + ".misses", &stats_.misses);
-    registry.Detach(prefix + ".evictions", &stats_.evictions);
-    registry.Detach(prefix + ".invalidations", &stats_.invalidations);
+  /// Attaches the tallies through `scope` as <prefix>.hits / .misses /
+  /// .evictions / .invalidations. The owner declares `scope` after the
+  /// cache, so the scope detaches them first.
+  void BindMetrics(obs::MetricScope& scope, const std::string& prefix) {
+    scope.Attach(prefix + ".hits", &stats_.hits);
+    scope.Attach(prefix + ".misses", &stats_.misses);
+    scope.Attach(prefix + ".evictions", &stats_.evictions);
+    scope.Attach(prefix + ".invalidations", &stats_.invalidations);
   }
 
   /// Iterates entries most-recent first.

@@ -17,12 +17,13 @@ Status SubscriberList::Add(const SubscribeRequest& sink) {
 std::uint64_t SubscriberList::Send(rpc::RpcClient& client,
                                    std::uint32_t method, const Bytes& msg,
                                    ObjectId exclude) const {
+  const rpc::CallOptions bounded{.deadline = Milliseconds(500)};
   std::uint64_t sent = 0;
   for (const auto& sub : sinks_) {
     if (!exclude.IsNil() && sub.sink_object == exclude) continue;
     sent++;
     (void)client.Call(sub.sink_server, sub.sink_object, method, msg,
-                      rpc::CallOptions{}.WithDeadline(Milliseconds(500)));
+                      bounded);
   }
   return sent;
 }

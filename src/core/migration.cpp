@@ -80,11 +80,11 @@ sim::Co<Result<ServiceBinding>> MigrationManager::PushTo(ObjectId id,
 
   // A migration that can't complete promptly should roll back, not hold
   // the withdrawn object in limbo while retries grind on.
+  const rpc::CallOptions bounded{.deadline = Seconds(2)};
   Result<AcceptResponse> resp =
       co_await rpc::AwaitReply<AcceptResponse>(context_->client().Call(
           net::Address{target.node, target.port}, kMigrationControlObject,
-          Method::kAccept, serde::EncodeToBytes(req),
-          rpc::CallOptions{}.WithDeadline(Seconds(2))));
+          Method::kAccept, serde::EncodeToBytes(req), bounded));
   if (!resp.ok()) {
     // Roll back: rebuild locally from the snapshot under the same id and
     // drop the (now wrong) forwarding hint.
@@ -106,11 +106,11 @@ sim::Co<Result<ServiceBinding>> MigrationManager::Pull(
   req.object = binding.object;
   req.new_home = context_->server_address();
 
+  const rpc::CallOptions bounded{.deadline = Seconds(2)};
   Result<ReleaseResponse> resp =
       co_await rpc::AwaitReply<ReleaseResponse>(context_->client().Call(
           binding.server, kMigrationControlObject, Method::kRelease,
-          serde::EncodeToBytes(req),
-          rpc::CallOptions{}.WithDeadline(Seconds(2))));
+          serde::EncodeToBytes(req), bounded));
   if (!resp.ok()) co_return resp.status();
 
   Result<ServiceBinding> rebuilt =

@@ -48,8 +48,9 @@
 namespace proxy::core {
 
 /// Per-proxy tallies. Each proxy attaches its cells to the Runtime
-/// registry under core.proxy.* and detaches (folding them in) when it
-/// dies, so the registry reports the system-wide totals.
+/// registry under core.proxy.* through its own scope, which detaches
+/// (folding them in) when the proxy dies, so the registry reports the
+/// system-wide totals.
 struct ProxyStats {
   obs::Counter calls;
   obs::Counter rebinds;       // OBJECT_MOVED recoveries
@@ -74,24 +75,19 @@ class ProxyBase {
       : context_(&context),
         binding_(std::move(binding)),
         pushback_rng_(context.client().nonce() ^ 0x5bd1e995u),
-        call_latency_(context.metrics().histogram("core.proxy.call_ns")) {
-    obs::MetricsRegistry& metrics = context.metrics();
-    metrics.Attach("core.proxy.calls", &stats_.calls);
-    metrics.Attach("core.proxy.rebinds", &stats_.rebinds);
-    metrics.Attach("core.proxy.failed_calls", &stats_.failed_calls);
-    metrics.Attach("core.proxy.recoveries", &stats_.recoveries);
-    metrics.Attach("core.proxy.pushback_backoffs", &stats_.pushback_backoffs);
+        call_latency_(context.metrics().histogram("core.proxy.call_ns")),
+        metric_scope_(context.metrics()) {
+    metric_scope_.Attach("core.proxy.calls", &stats_.calls);
+    metric_scope_.Attach("core.proxy.rebinds", &stats_.rebinds);
+    metric_scope_.Attach("core.proxy.failed_calls", &stats_.failed_calls);
+    metric_scope_.Attach("core.proxy.recoveries", &stats_.recoveries);
+    metric_scope_.Attach("core.proxy.pushback_backoffs",
+                         &stats_.pushback_backoffs);
   }
 
-  /// Detaches the stats cells, so a proxy must not outlive its Runtime.
-  virtual ~ProxyBase() {
-    obs::MetricsRegistry& metrics = context_->metrics();
-    metrics.Detach("core.proxy.calls", &stats_.calls);
-    metrics.Detach("core.proxy.rebinds", &stats_.rebinds);
-    metrics.Detach("core.proxy.failed_calls", &stats_.failed_calls);
-    metrics.Detach("core.proxy.recoveries", &stats_.recoveries);
-    metrics.Detach("core.proxy.pushback_backoffs", &stats_.pushback_backoffs);
-  }
+  /// The stats cells detach with the scope, so a proxy must not outlive
+  /// its Runtime.
+  virtual ~ProxyBase() = default;
 
   ProxyBase(const ProxyBase&) = delete;
   ProxyBase& operator=(const ProxyBase&) = delete;
@@ -269,6 +265,7 @@ class ProxyBase {
   /// stay byte-identical.
   Rng pushback_rng_;
   obs::Histogram& call_latency_;
+  obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
 }  // namespace proxy::core

@@ -10,7 +10,8 @@ namespace proxy::core {
 Context::Context(Runtime& runtime, ContextId id, NodeId node, std::string name,
                  net::NodeStack& stack, std::uint64_t client_nonce,
                  const net::Address& name_server)
-    : runtime_(&runtime), id_(id), node_(node), name_(std::move(name)) {
+    : runtime_(&runtime), id_(id), node_(node), name_(std::move(name)),
+      metric_scope_(runtime.metrics()) {
   server_endpoint_ = stack.OpenEphemeral();
   client_endpoint_ = stack.OpenEphemeral();
   server_addr_ = server_endpoint_->address();
@@ -20,10 +21,10 @@ Context::Context(Runtime& runtime, ContextId id, NodeId node, std::string name,
   cached_names_ = std::make_unique<naming::CachingNameClient>(
       *rpc_client_, name_server);
   // Every context reports into the runtime's one registry and recorder.
-  rpc_client_->BindMetrics(runtime.metrics());
-  rpc_server_->BindMetrics(runtime.metrics());
+  rpc_client_->BindMetrics(metric_scope_);
+  rpc_server_->BindMetrics(metric_scope_);
   rpc_server_->set_span_recorder(&runtime.spans());
-  cached_names_->BindMetrics(runtime.metrics());
+  cached_names_->BindMetrics(metric_scope_);
 }
 
 sim::Scheduler& Context::scheduler() noexcept { return runtime_->scheduler(); }

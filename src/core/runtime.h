@@ -141,6 +141,7 @@ class Context {
   std::vector<std::function<void()>> crash_handlers_;
   std::vector<std::function<void()>> restart_handlers_;
   bool crashed_ = false;
+  obs::MetricScope metric_scope_;  // after the components it attaches
 };
 
 class Runtime {

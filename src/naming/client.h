@@ -62,10 +62,10 @@ class CachingNameClient {
 
   void Clear() { cache_.clear(); }
 
-  /// Attaches the cache tallies to `registry` as naming.cache.*.
-  void BindMetrics(obs::MetricsRegistry& registry) {
-    registry.Attach("naming.cache.hits", &hits_);
-    registry.Attach("naming.cache.misses", &misses_);
+  /// Attaches the cache tallies through `scope` as naming.cache.*.
+  void BindMetrics(obs::MetricScope& scope) {
+    scope.Attach("naming.cache.hits", &hits_);
+    scope.Attach("naming.cache.misses", &misses_);
   }
 
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }

@@ -99,16 +99,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *e.owned_histogram;
 }
 
-void MetricsRegistry::Attach(const std::string& name, const Counter* cell) {
-  entry(name).counters.push_back(cell);
-}
-void MetricsRegistry::Attach(const std::string& name, const Gauge* cell) {
-  entry(name).gauges.push_back(cell);
-}
-void MetricsRegistry::Attach(const std::string& name, const Histogram* cell) {
-  entry(name).histograms.push_back(cell);
-}
-
 namespace {
 template <typename T>
 void EraseCell(std::vector<const T*>& cells, const T* cell) {
@@ -116,19 +106,44 @@ void EraseCell(std::vector<const T*>& cells, const T* cell) {
 }
 }  // namespace
 
-void MetricsRegistry::Detach(const std::string& name, const Counter* cell) {
-  Entry& e = entry(name);
-  // Fold the departing tallies into the owned cell so totals never drop.
-  counter(name).Inc(cell->value());
-  EraseCell(e.counters, cell);
+void MetricsRegistry::Entry::Detach(const Counter* cell) {
+  if (!owned_counter) owned_counter = std::make_unique<Counter>();
+  owned_counter->Inc(cell->value());
+  EraseCell(counters, cell);
 }
-void MetricsRegistry::Detach(const std::string& name, const Gauge* cell) {
-  EraseCell(entry(name).gauges, cell);
+void MetricsRegistry::Entry::Detach(const Gauge* cell) {
+  EraseCell(gauges, cell);
 }
-void MetricsRegistry::Detach(const std::string& name, const Histogram* cell) {
-  Entry& e = entry(name);
-  histogram(name, cell->bounds()).Merge(*cell);
-  EraseCell(e.histograms, cell);
+void MetricsRegistry::Entry::Detach(const Histogram* cell) {
+  if (!owned_histogram) {
+    owned_histogram = std::make_unique<Histogram>(cell->bounds());
+  }
+  owned_histogram->Merge(*cell);
+  EraseCell(histograms, cell);
+}
+
+void MetricScope::Attach(const std::string& name, const Counter* cell) {
+  MetricsRegistry::Entry& e = registry_->entry(name);
+  e.counters.push_back(cell);
+  cells_.emplace_back(&e, cell);
+}
+void MetricScope::Attach(const std::string& name, const Gauge* cell) {
+  MetricsRegistry::Entry& e = registry_->entry(name);
+  e.gauges.push_back(cell);
+  cells_.emplace_back(&e, cell);
+}
+void MetricScope::Attach(const std::string& name, const Histogram* cell) {
+  MetricsRegistry::Entry& e = registry_->entry(name);
+  e.histograms.push_back(cell);
+  cells_.emplace_back(&e, cell);
+}
+
+MetricScope::~MetricScope() {
+  // Entries are map nodes, never erased: the pointers outlive the scope.
+  for (const auto& attached : cells_) {
+    MetricsRegistry::Entry* e = attached.first;
+    std::visit([e](const auto* cell) { e->Detach(cell); }, attached.second);
+  }
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {

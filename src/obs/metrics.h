@@ -23,6 +23,13 @@
 //                      name at export time. Export renders in sorted
 //                      name order, so a seeded run prints byte-identical
 //                      tables and JSON every time.
+//   MetricScope        the only way to attach a cell. It records each
+//                      attach and, when destroyed, detaches exactly
+//                      those cells, folding their tallies into the
+//                      registry so totals never regress. A component
+//                      declares its scope after the cells it attaches,
+//                      so no destructor is written to undo a
+//                      registration by name.
 //
 // Determinism rules (DESIGN.md §12): metric values are functions of the
 // simulation only — virtual time, message counts — never of wall-clock
@@ -35,6 +42,8 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/clock.h"
@@ -163,18 +172,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name,
                        std::vector<std::uint64_t> bounds);
 
-  /// Attaches a component-owned metric cell under `name`; export sums
-  /// every attachment (and any owned metric) of the same name. The
-  /// pointer must stay valid until detached or the registry dies;
-  /// components with a shorter life than the Runtime must Detach (their
-  /// tallies are folded into an owned metric so totals never regress).
-  void Attach(const std::string& name, const Counter* cell);
-  void Attach(const std::string& name, const Gauge* cell);
-  void Attach(const std::string& name, const Histogram* cell);
-  void Detach(const std::string& name, const Counter* cell);
-  void Detach(const std::string& name, const Gauge* cell);
-  void Detach(const std::string& name, const Histogram* cell);
-
   /// Aggregated snapshot, sorted by name (deterministic).
   [[nodiscard]] std::vector<MetricSnapshot> Snapshot() const;
 
@@ -185,6 +182,8 @@ class MetricsRegistry {
   [[nodiscard]] std::string RenderJson() const;
 
  private:
+  friend class MetricScope;
+
   struct Entry {
     std::unique_ptr<Counter> owned_counter;
     std::unique_ptr<Gauge> owned_gauge;
@@ -192,11 +191,45 @@ class MetricsRegistry {
     std::vector<const Counter*> counters;
     std::vector<const Gauge*> gauges;
     std::vector<const Histogram*> histograms;
+
+    /// Drops an attached cell, first folding a counter's or histogram's
+    /// tallies into the owned metric (a gauge's level leaves with it).
+    void Detach(const Counter* cell);
+    void Detach(const Gauge* cell);
+    void Detach(const Histogram* cell);
   };
 
   Entry& entry(const std::string& name) { return entries_[name]; }
 
   std::map<std::string, Entry> entries_;  // sorted => deterministic export
+};
+
+/// Owns a component's registrations with one registry. Attach adds a
+/// component-owned cell under `name`; export sums every attachment (and
+/// any owned metric) of the same name. The destructor detaches exactly
+/// the cells attached through this scope. So a component declares its
+/// scope after the cells it attaches, and the scope dies while they are
+/// still alive. A subclass declares a scope of its own instead of
+/// attaching into its base's, because the subclass's cells die first.
+/// The registry must outlive the scope.
+class MetricScope {
+ public:
+  explicit MetricScope(MetricsRegistry& registry) noexcept
+      : registry_(&registry) {}
+  ~MetricScope();
+
+  MetricScope(const MetricScope&) = delete;
+  MetricScope& operator=(const MetricScope&) = delete;
+
+  void Attach(const std::string& name, const Counter* cell);
+  void Attach(const std::string& name, const Gauge* cell);
+  void Attach(const std::string& name, const Histogram* cell);
+
+ private:
+  using Cell = std::variant<const Counter*, const Gauge*, const Histogram*>;
+
+  MetricsRegistry* registry_;
+  std::vector<std::pair<MetricsRegistry::Entry*, Cell>> cells_;
 };
 
 /// Renders "count=N sum=.. p50=.. p95=.. p99=.. max=.." for one

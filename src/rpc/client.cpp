@@ -20,25 +20,21 @@ RpcClient::RpcClient(net::Endpoint& endpoint, std::uint64_t nonce,
   });
 }
 
-void RpcClient::BindMetrics(obs::MetricsRegistry& registry) {
-  registry.Attach("rpc.client.calls_started", &stats_.calls_started);
-  registry.Attach("rpc.client.calls_ok", &stats_.calls_ok);
-  registry.Attach("rpc.client.calls_failed", &stats_.calls_failed);
-  registry.Attach("rpc.client.retransmissions", &stats_.retransmissions);
-  registry.Attach("rpc.client.timeouts", &stats_.timeouts);
-  registry.Attach("rpc.client.stray_replies", &stats_.stray_replies);
-  registry.Attach("rpc.client.spoofed_replies", &stats_.spoofed_replies);
-  registry.Attach("rpc.client.deadline_expirations",
-                  &stats_.deadline_expirations);
-  registry.Attach("rpc.client.breaker_opens", &stats_.breaker_opens);
-  registry.Attach("rpc.client.breaker_fast_fails",
-                  &stats_.breaker_fast_fails);
-  registry.Attach("rpc.client.rejected_pushback", &stats_.rejected_pushback);
-  registry.Attach("rpc.client.attempt_budget_stops",
-                  &stats_.attempt_budget_stops);
-  registry.Attach("rpc.client.retry_budget_stops",
-                  &stats_.retry_budget_stops);
-  registry.Attach("rpc.client.call_ns", &call_latency_);
+void RpcClient::BindMetrics(obs::MetricScope& scope) {
+  scope.Attach("rpc.client.calls_started", &stats_.calls_started);
+  scope.Attach("rpc.client.calls_ok", &stats_.calls_ok);
+  scope.Attach("rpc.client.calls_failed", &stats_.calls_failed);
+  scope.Attach("rpc.client.retransmissions", &stats_.retransmissions);
+  scope.Attach("rpc.client.timeouts", &stats_.timeouts);
+  scope.Attach("rpc.client.stray_replies", &stats_.stray_replies);
+  scope.Attach("rpc.client.spoofed_replies", &stats_.spoofed_replies);
+  scope.Attach("rpc.client.deadline_expirations", &stats_.deadline_expirations);
+  scope.Attach("rpc.client.breaker_opens", &stats_.breaker_opens);
+  scope.Attach("rpc.client.breaker_fast_fails", &stats_.breaker_fast_fails);
+  scope.Attach("rpc.client.rejected_pushback", &stats_.rejected_pushback);
+  scope.Attach("rpc.client.attempt_budget_stops", &stats_.attempt_budget_stops);
+  scope.Attach("rpc.client.retry_budget_stops", &stats_.retry_budget_stops);
+  scope.Attach("rpc.client.call_ns", &call_latency_);
 }
 
 bool RpcClient::CircuitOpen(const net::Address& dest) const {

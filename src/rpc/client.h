@@ -73,11 +73,13 @@ class AttemptBudget {
 /// `max_retries` retransmissions go unanswered, or when `deadline`
 /// elapses, whichever comes first.
 ///
-/// The With* builders cover the common policy axes:
-///     auto opts = rpc::CallOptions{}
-///                     .WithDeadline(Milliseconds(50))
-///                     .WithRetries(2)
-///                     .WithoutBreaker();
+/// Build one with designated initializers, naming only the axes that
+/// differ from the defaults:
+///     const rpc::CallOptions opts{.max_retries = 2,
+///                                 .deadline = Milliseconds(50),
+///                                 .bypass_breaker = true};
+/// Inside a coroutine, build it as a named local, never as a temporary
+/// in the co_await expression (DESIGN.md §7, item 1).
 struct CallOptions {
   SimDuration retry_interval = Milliseconds(20);
   int max_retries = 5;
@@ -98,27 +100,6 @@ struct CallOptions {
   /// Shared retransmission allowance for one logical operation across
   /// nested proxy hops; null = each call retries on its own policy.
   std::shared_ptr<AttemptBudget> attempt_budget = nullptr;
-
-  CallOptions& WithDeadline(SimDuration d) noexcept {
-    deadline = d;
-    return *this;
-  }
-  CallOptions& WithRetries(int n) noexcept {
-    max_retries = n;
-    return *this;
-  }
-  CallOptions& WithRetryInterval(SimDuration d) noexcept {
-    retry_interval = d;
-    return *this;
-  }
-  CallOptions& WithoutBreaker() noexcept {
-    bypass_breaker = true;
-    return *this;
-  }
-  CallOptions& WithTrace(const obs::TraceContext& t) noexcept {
-    trace = t;
-    return *this;
-  }
 };
 
 /// Client-side tallies. The cells are obs::Counter so the same storage
@@ -212,11 +193,12 @@ class RpcClient {
     retry_governors_ = enabled;
   }
 
-  /// Attaches this client's counters and latency histogram to `registry`
-  /// under the rpc.client.* names. Called once by the owning Context;
-  /// clients built outside a Runtime simply never attach (their stats
-  /// remain readable through stats()).
-  void BindMetrics(obs::MetricsRegistry& registry);
+  /// Attaches this client's counters and latency histogram through
+  /// `scope` under the rpc.client.* names. Called once by the owning
+  /// Context, whose scope is declared after its client; clients built
+  /// outside a Runtime simply never attach (their stats remain readable
+  /// through stats()).
+  void BindMetrics(obs::MetricScope& scope);
 
   /// Chaos-harness fault hook: turning reply authentication off
   /// reintroduces the pre-hardening spoofing bug (any host that guesses

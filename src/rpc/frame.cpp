@@ -60,24 +60,14 @@ Bytes EncodeReply(const ReplyFrame& frame) {
   return w.Take();
 }
 
-Result<FrameType> PeekFrameType(BytesView data) {
-  if (data.empty()) return CorruptError("empty frame");
-  const auto tag = data[0];
-  if (tag != static_cast<std::uint8_t>(FrameType::kRequest) &&
-      tag != static_cast<std::uint8_t>(FrameType::kReply)) {
-    return CorruptError("unknown frame type");
-  }
-  return static_cast<FrameType>(tag);
-}
-
-Result<RequestFrameView> DecodeRequestView(BytesView data) {
+Result<RequestFrame> DecodeRequestView(BytesView data) {
   serde::Reader r(data);
   std::uint8_t tag = 0;
   PROXY_RETURN_IF_ERROR(r.ReadU8(tag));
   if (tag != static_cast<std::uint8_t>(FrameType::kRequest)) {
     return CorruptError("unexpected frame type");
   }
-  RequestFrameView frame;
+  RequestFrame frame;
   PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame.call));
   PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame.object));
   PROXY_RETURN_IF_ERROR(serde::Deserialize(r, frame.method));

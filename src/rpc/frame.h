@@ -72,8 +72,9 @@ struct RequestFrame {
   Priority priority = Priority::kNormal;
 };
 
-/// What DecodeRequestView returns: a decoded frame is an ordinary
-/// RequestFrame whose `args` borrows the arrival buffer.
+/// The old name of DecodeRequestView's result. The library no longer
+/// uses it; hostbench/src/wraps.cpp does, so it goes when that file
+/// next changes.
 using RequestFrameView = RequestFrame;
 
 /// One reply on the wire. `result` is borrowed like RequestFrame::args:
@@ -121,15 +122,12 @@ struct RpcResult {
 Bytes EncodeRequest(const RequestFrame& frame);
 Bytes EncodeReply(const ReplyFrame& frame);
 
-/// Decodes the type tag.
-Result<FrameType> PeekFrameType(BytesView data);
-
 /// Borrowed decodes: `args` / `result` in the frame is a window of
 /// `data`. The caller owns `data`'s backing buffer and must keep it
 /// alive while the view is used (server dispatch holds the arrival
 /// buffer as the request's arena; the client hands it to the caller in
 /// RpcResult::payload).
-Result<RequestFrameView> DecodeRequestView(BytesView data);
+Result<RequestFrame> DecodeRequestView(BytesView data);
 Result<ReplyFrame> DecodeReply(BytesView data);
 
 }  // namespace proxy::rpc

@@ -59,24 +59,20 @@ std::size_t RpcServer::admission_queue_depth() const noexcept {
   return depth;
 }
 
-void RpcServer::BindMetrics(obs::MetricsRegistry& registry) {
-  registry.Attach("rpc.server.requests_received", &stats_.requests_received);
-  registry.Attach("rpc.server.executions", &stats_.executions);
-  registry.Attach("rpc.server.duplicate_suppressed",
-                  &stats_.duplicate_suppressed);
-  registry.Attach("rpc.server.in_progress_dropped",
-                  &stats_.in_progress_dropped);
-  registry.Attach("rpc.server.unknown_object", &stats_.unknown_object);
-  registry.Attach("rpc.server.unknown_method", &stats_.unknown_method);
-  registry.Attach("rpc.server.expired_dropped", &stats_.expired_dropped);
-  registry.Attach("rpc.server.admission_queued", &stats_.admission_queued);
-  registry.Attach("rpc.server.admission_rejected",
-                  &stats_.admission_rejected);
-  registry.Attach("rpc.server.admission_evicted", &stats_.admission_evicted);
-  registry.Attach("rpc.server.shed_expired_queued",
-                  &stats_.shed_expired_queued);
-  registry.Attach("rpc.server.queue_wait_ns", &queue_wait_);
-  registry.Attach("rpc.server.exec_ns", &exec_latency_);
+void RpcServer::BindMetrics(obs::MetricScope& scope) {
+  scope.Attach("rpc.server.requests_received", &stats_.requests_received);
+  scope.Attach("rpc.server.executions", &stats_.executions);
+  scope.Attach("rpc.server.duplicate_suppressed", &stats_.duplicate_suppressed);
+  scope.Attach("rpc.server.in_progress_dropped", &stats_.in_progress_dropped);
+  scope.Attach("rpc.server.unknown_object", &stats_.unknown_object);
+  scope.Attach("rpc.server.unknown_method", &stats_.unknown_method);
+  scope.Attach("rpc.server.expired_dropped", &stats_.expired_dropped);
+  scope.Attach("rpc.server.admission_queued", &stats_.admission_queued);
+  scope.Attach("rpc.server.admission_rejected", &stats_.admission_rejected);
+  scope.Attach("rpc.server.admission_evicted", &stats_.admission_evicted);
+  scope.Attach("rpc.server.shed_expired_queued", &stats_.shed_expired_queued);
+  scope.Attach("rpc.server.queue_wait_ns", &queue_wait_);
+  scope.Attach("rpc.server.exec_ns", &exec_latency_);
 }
 
 void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {

@@ -33,8 +33,8 @@ struct CallContext {
   SimTime received_at = 0;
   /// The server-side span of this execution (child of the caller's
   /// wire span), or the raw wire context when no recorder is attached.
-  /// Handlers pass it into their own downstream CallOptions
-  /// (.WithTrace(ctx.trace)) to extend the causal tree.
+  /// Handlers pass it into their own downstream CallOptions (`trace`)
+  /// to extend the causal tree.
   obs::TraceContext trace;
 };
 
@@ -157,9 +157,9 @@ class RpcServer {
   /// its own state survives via Context crash handlers.
   void Reset();
 
-  /// Attaches counters and the execution histograms to `registry` under
-  /// the rpc.server.* names (see RpcClient::BindMetrics).
-  void BindMetrics(obs::MetricsRegistry& registry);
+  /// Attaches counters and the execution histograms through `scope`
+  /// under the rpc.server.* names (see RpcClient::BindMetrics).
+  void BindMetrics(obs::MetricScope& scope);
 
   /// Installs the Runtime's span recorder: each execution becomes a
   /// child span of the request's wire trace, and handlers receive that

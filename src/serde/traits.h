@@ -313,15 +313,6 @@ Result<T> DecodeFromBytes(BytesView data) {
   return out;
 }
 
-/// Decodes a prefix of the buffer, leaving the reader position for the
-/// caller (used when a header precedes an opaque payload).
-template <typename T>
-Result<T> DecodePrefix(Reader& r) {
-  T out{};
-  PROXY_RETURN_IF_ERROR(Deserialize(r, out));
-  return out;
-}
-
 }  // namespace proxy::serde
 
 /// Declares the wire fields of a struct, in encoding order. Changing the

@@ -185,19 +185,15 @@ FileCachingProxy::FileCachingProxy(core::Context& context,
     : core::ProxyBase(context, std::move(binding)),
       params_(params),
       blocks_(params.capacity_blocks),
-      sink_(*this, filewire::kSubscribe) {
+      sink_(*this, filewire::kSubscribe),
+      metric_scope_(context.metrics()) {
   sink_.Handle<InvalidateRangeMessage>(
       filewire::SinkMethod::kInvalidateRange,
       [this](const InvalidateRangeMessage& msg) {
         OnInvalidateRange(msg.offset, msg.length);
       });
-  blocks_.BindMetrics(context.metrics(), "svc.file.cache");
-  context.metrics().Attach("svc.file.prefetches", &prefetches_);
-}
-
-FileCachingProxy::~FileCachingProxy() {
-  blocks_.DetachMetrics(context().metrics(), "svc.file.cache");
-  context().metrics().Detach("svc.file.prefetches", &prefetches_);
+  blocks_.BindMetrics(metric_scope_, "svc.file.cache");
+  metric_scope_.Attach("svc.file.prefetches", &prefetches_);
 }
 
 void FileCachingProxy::OnInvalidateRange(std::uint64_t offset,
@@ -354,12 +350,9 @@ FileBatchProxy::FileBatchProxy(core::Context& context,
           [this](std::vector<WriteRequest> batch) {
             return FlushBatch(std::move(batch));
           },
-          kMaxBatch, kFlushWindow) {
-  batcher_.BindMetrics(context.metrics(), "svc.file.writeback");
-}
-
-FileBatchProxy::~FileBatchProxy() {
-  batcher_.DetachMetrics(context().metrics(), "svc.file.writeback");
+          kMaxBatch, kFlushWindow),
+      metric_scope_(context.metrics()) {
+  batcher_.BindMetrics(metric_scope_, "svc.file.writeback");
 }
 
 sim::Co<Status> FileBatchProxy::FlushBatch(std::vector<WriteRequest> batch) {
@@ -369,12 +362,11 @@ sim::Co<Status> FileBatchProxy::FlushBatch(std::vector<WriteRequest> batch) {
   co_return resp.status();
 }
 
+// Reads, Size and Truncate run behind the write barrier (no dependency
+// tracking: every buffered write lands first).
 sim::Co<Result<Bytes>> FileBatchProxy::Read(std::uint64_t offset,
                                             std::uint32_t length) {
-  // Order reads after buffered writes (no dependency tracking: flush all).
-  const Status flushed = co_await FlushWrites();
-  if (!flushed.ok()) co_return flushed;
-  co_return co_await FileCachingProxy::Read(offset, length);
+  return batcher_.After(FileCachingProxy::Read(offset, length));
 }
 
 sim::Co<Result<rpc::Void>> FileBatchProxy::Write(std::uint64_t offset,
@@ -385,15 +377,11 @@ sim::Co<Result<rpc::Void>> FileBatchProxy::Write(std::uint64_t offset,
 }
 
 sim::Co<Result<std::uint64_t>> FileBatchProxy::Size() {
-  const Status flushed = co_await FlushWrites();
-  if (!flushed.ok()) co_return flushed;
-  co_return co_await FileCachingProxy::Size();
+  return batcher_.After(FileCachingProxy::Size());
 }
 
 sim::Co<Result<rpc::Void>> FileBatchProxy::Truncate(std::uint64_t size) {
-  const Status flushed = co_await FlushWrites();
-  if (!flushed.ok()) co_return flushed;
-  co_return co_await FileCachingProxy::Truncate(size);
+  return batcher_.After(FileCachingProxy::Truncate(size));
 }
 
 }  // namespace proxy::services

@@ -182,7 +182,6 @@ class FileCachingProxy : public IFile, public core::ProxyBase {
  public:
   FileCachingProxy(core::Context& context, core::ServiceBinding binding,
                    FileCacheParams params = {});
-  ~FileCachingProxy() override;
 
   sim::Co<Result<Bytes>> Read(std::uint64_t offset,
                               std::uint32_t length) override;
@@ -216,6 +215,9 @@ class FileCachingProxy : public IFile, public core::ProxyBase {
   std::unordered_map<std::uint64_t, sim::Future<bool>> inflight_;
   core::InvalidationSink sink_;
   obs::Counter prefetches_;
+
+ private:
+  obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
 /// Protocol 3: caching + coalesced write-behind.
@@ -226,7 +228,6 @@ class FileBatchProxy : public FileCachingProxy {
   static constexpr SimDuration kFlushWindow = Milliseconds(5);
 
   FileBatchProxy(core::Context& context, core::ServiceBinding binding);
-  ~FileBatchProxy() override;
 
   sim::Co<Result<Bytes>> Read(std::uint64_t offset,
                               std::uint32_t length) override;
@@ -244,6 +245,7 @@ class FileBatchProxy : public FileCachingProxy {
   sim::Co<Status> FlushBatch(std::vector<filewire::WriteRequest> batch);
 
   core::Batcher<filewire::WriteRequest> batcher_;
+  obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
 }  // namespace proxy::services

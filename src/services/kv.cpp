@@ -181,18 +181,14 @@ KvCachingProxy::KvCachingProxy(core::Context& context,
     : core::ProxyBase(context, std::move(binding)),
       cache_(params.capacity),
       stale_(kStaleCapacity),
-      sink_(*this, kvwire::kSubscribe) {
+      sink_(*this, kvwire::kSubscribe),
+      metric_scope_(context.metrics()) {
   sink_.Handle<InvalidateMessage>(
       kvwire::SinkMethod::kInvalidate, [this](const InvalidateMessage& msg) {
         for (const auto& key : msg.keys) cache_.Invalidate(key);
       });
-  cache_.BindMetrics(context.metrics(), "svc.kv.cache");
-  context.metrics().Attach("svc.kv.cache.stale_served", &stale_served_);
-}
-
-KvCachingProxy::~KvCachingProxy() {
-  context().metrics().Detach("svc.kv.cache.stale_served", &stale_served_);
-  cache_.DetachMetrics(context().metrics(), "svc.kv.cache");
+  cache_.BindMetrics(metric_scope_, "svc.kv.cache");
+  metric_scope_.Attach("svc.kv.cache.stale_served", &stale_served_);
 }
 
 sim::Co<Result<std::optional<std::string>>> KvCachingProxy::Get(
@@ -278,12 +274,9 @@ KvWriteBackProxy::KvWriteBackProxy(core::Context& context,
           [this](std::vector<std::pair<std::string, std::string>> batch) {
             return FlushBatch(std::move(batch));
           },
-          kMaxBatch, kFlushWindow) {
-  batcher_.BindMetrics(context.metrics(), "svc.kv.writeback");
-}
-
-KvWriteBackProxy::~KvWriteBackProxy() {
-  batcher_.DetachMetrics(context().metrics(), "svc.kv.writeback");
+          kMaxBatch, kFlushWindow),
+      metric_scope_(context.metrics()) {
+  batcher_.BindMetrics(metric_scope_, "svc.kv.writeback");
 }
 
 sim::Co<Status> KvWriteBackProxy::FlushBatch(
@@ -307,13 +300,20 @@ sim::Co<Status> KvWriteBackProxy::FlushBatch(
   co_return Status::Ok();
 }
 
+namespace {
+/// A dirty key's read: the newest buffered value.
+sim::Co<Result<std::optional<std::string>>> Buffered(std::string value) {
+  co_return std::optional<std::string>(std::move(value));
+}
+}  // namespace
+
 sim::Co<Result<std::optional<std::string>>> KvWriteBackProxy::Get(
     std::string key) {
   // Read-your-writes: dirty keys are served from the buffer.
   if (const auto it = dirty_.find(key); it != dirty_.end()) {
-    co_return std::optional<std::string>(it->second);
+    return Buffered(it->second);
   }
-  co_return co_await KvCachingProxy::Get(std::move(key));
+  return KvCachingProxy::Get(std::move(key));
 }
 
 sim::Co<Result<rpc::Void>> KvWriteBackProxy::Put(std::string key,
@@ -329,19 +329,19 @@ sim::Co<Result<rpc::Void>> KvWriteBackProxy::Put(std::string key,
   co_return rpc::Void{};
 }
 
+// Del is ordering-sensitive, and Size and List must count this proxy's
+// own buffered writes: each runs behind the write barrier.
 sim::Co<Result<bool>> KvWriteBackProxy::Del(std::string key) {
-  // Deletions are ordering-sensitive: flush the buffer first.
-  const Status flushed = co_await FlushWrites();
-  if (!flushed.ok()) co_return flushed;
-  co_return co_await KvCachingProxy::Del(std::move(key));
+  return batcher_.After(KvCachingProxy::Del(std::move(key)));
+}
+
+sim::Co<Result<std::uint64_t>> KvWriteBackProxy::Size() {
+  return batcher_.After(KvCachingProxy::Size());
 }
 
 sim::Co<Result<std::vector<std::string>>> KvWriteBackProxy::List(
     std::string prefix) {
-  // A listing must observe this proxy's own buffered writes: flush first.
-  const Status flushed = co_await FlushWrites();
-  if (!flushed.ok()) co_return flushed;
-  co_return co_await KvCachingProxy::List(std::move(prefix));
+  return batcher_.After(KvCachingProxy::List(std::move(prefix)));
 }
 
 }  // namespace proxy::services

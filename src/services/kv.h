@@ -231,7 +231,6 @@ class KvCachingProxy : public IKeyValue, public core::ProxyBase {
 
   KvCachingProxy(core::Context& context, core::ServiceBinding binding,
                  KvCacheParams params = {});
-  ~KvCachingProxy() override;
 
   sim::Co<Result<std::optional<std::string>>> Get(std::string key) override;
   sim::Co<Result<rpc::Void>> Put(std::string key, std::string value) override;
@@ -256,6 +255,9 @@ class KvCachingProxy : public IKeyValue, public core::ProxyBase {
   core::LruCache<std::string, std::optional<std::string>> stale_;
   obs::Counter stale_served_;
   core::InvalidationSink sink_;
+
+ private:
+  obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
 /// Protocol 3: caching + write-behind. Puts accumulate locally and flush
@@ -267,14 +269,16 @@ class KvWriteBackProxy : public KvCachingProxy {
   static constexpr SimDuration kFlushWindow = Milliseconds(5);
 
   KvWriteBackProxy(core::Context& context, core::ServiceBinding binding);
-  ~KvWriteBackProxy() override;
 
   sim::Co<Result<std::optional<std::string>>> Get(std::string key) override;
   sim::Co<Result<rpc::Void>> Put(std::string key, std::string value) override;
   sim::Co<Result<bool>> Del(std::string key) override;
+  sim::Co<Result<std::uint64_t>> Size() override;
   sim::Co<Result<std::vector<std::string>>> List(std::string prefix) override;
 
-  /// Forces buffered writes out (also called before Del and List).
+  /// The write-behind barrier: returns once every write buffered so far
+  /// has landed, or with the first batch failure. Del, Size and List
+  /// run behind it.
   sim::Co<Status> FlushWrites() { return batcher_.Drain(); }
 
   [[nodiscard]] const core::BatcherStats& batch_stats() const noexcept {
@@ -287,6 +291,7 @@ class KvWriteBackProxy : public KvCachingProxy {
 
   std::map<std::string, std::string> dirty_;  // newest value per key
   core::Batcher<std::pair<std::string, std::string>> batcher_;
+  obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
 }  // namespace proxy::services

@@ -217,25 +217,15 @@ class KvReplica : public IKeyValue,
 
   KvReplica(core::Context& context, ReplicatedKvParams params)
       : context_(&context), params_(std::move(params)),
-        store_(std::make_shared<KvService>(context)) {
-    context_->metrics().Attach("svc.rkv.replication_failures",
-                               &replication_failures_);
-    context_->metrics().Attach("svc.rkv.fenced_rejections",
-                               &fenced_rejections_);
-    context_->metrics().Attach("svc.rkv.promotions", &promotions_);
-    context_->metrics().Attach("svc.rkv.rescues", &rescues_);
-    context_->metrics().Attach("svc.rkv.wrong_shard_rejections",
-                               &wrong_shard_rejections_);
-  }
-  ~KvReplica() override {
-    context_->metrics().Detach("svc.rkv.replication_failures",
-                               &replication_failures_);
-    context_->metrics().Detach("svc.rkv.fenced_rejections",
-                               &fenced_rejections_);
-    context_->metrics().Detach("svc.rkv.promotions", &promotions_);
-    context_->metrics().Detach("svc.rkv.rescues", &rescues_);
-    context_->metrics().Detach("svc.rkv.wrong_shard_rejections",
-                               &wrong_shard_rejections_);
+        store_(std::make_shared<KvService>(context)),
+        metric_scope_(context.metrics()) {
+    metric_scope_.Attach("svc.rkv.replication_failures",
+                         &replication_failures_);
+    metric_scope_.Attach("svc.rkv.fenced_rejections", &fenced_rejections_);
+    metric_scope_.Attach("svc.rkv.promotions", &promotions_);
+    metric_scope_.Attach("svc.rkv.rescues", &rescues_);
+    metric_scope_.Attach("svc.rkv.wrong_shard_rejections",
+                         &wrong_shard_rejections_);
   }
 
   // IKeyValue (primary path; backups serve reads, refuse writes).
@@ -460,6 +450,7 @@ class KvReplica : public IKeyValue,
   obs::Counter promotions_;
   obs::Counter rescues_;
   obs::Counter wrong_shard_rejections_;
+  obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
 /// Builds a replica's skeleton: the methods KvFailoverProxy calls (the
@@ -493,19 +484,13 @@ Result<ReplicatedKvExport> ExportReplicatedKv(
 class KvFailoverProxy : public IKeyValue, public core::ProxyBase {
  public:
   KvFailoverProxy(core::Context& context, core::ServiceBinding binding)
-      : core::ProxyBase(context, std::move(binding)) {
+      : core::ProxyBase(context, std::move(binding)),
+        metric_scope_(context.metrics()) {
     // Fail over quickly rather than retrying one dead replica forever.
-    set_call_options(rpc::CallOptions{}
-                         .WithRetryInterval(Milliseconds(10))
-                         .WithRetries(2));
-    this->context().metrics().Attach("svc.rkv.proxy.failovers", &failovers_);
-    this->context().metrics().Attach("svc.rkv.proxy.list_refreshes",
-                                     &list_refreshes_);
-  }
-  ~KvFailoverProxy() override {
-    context().metrics().Detach("svc.rkv.proxy.failovers", &failovers_);
-    context().metrics().Detach("svc.rkv.proxy.list_refreshes",
-                               &list_refreshes_);
+    set_call_options(rpc::CallOptions{.retry_interval = Milliseconds(10),
+                                      .max_retries = 2});
+    metric_scope_.Attach("svc.rkv.proxy.failovers", &failovers_);
+    metric_scope_.Attach("svc.rkv.proxy.list_refreshes", &list_refreshes_);
   }
 
   sim::Co<Result<std::optional<std::string>>> Get(std::string key) override;
@@ -576,6 +561,7 @@ class KvFailoverProxy : public IKeyValue, public core::ProxyBase {
   std::uint64_t last_op_epoch_ = 0;
   std::uint64_t last_op_shard_epoch_ = 0;
   ObjectId last_write_acker_{};
+  obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
 }  // namespace proxy::services

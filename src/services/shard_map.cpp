@@ -51,14 +51,11 @@ ShardConfig InitialShardConfig(const ShardMap& map, std::uint32_t index) {
 }
 
 ShardMapService::ShardMapService(core::Context& context, ShardMap initial)
-    : context_(&context), map_(std::move(initial)) {
-  context_->metrics().Attach("svc.shard.map.gets", &gets_);
-  context_->metrics().Attach("svc.shard.map.commits", &commits_);
-}
-
-ShardMapService::~ShardMapService() {
-  context_->metrics().Detach("svc.shard.map.gets", &gets_);
-  context_->metrics().Detach("svc.shard.map.commits", &commits_);
+    : context_(&context),
+      map_(std::move(initial)),
+      metric_scope_(context.metrics()) {
+  metric_scope_.Attach("svc.shard.map.gets", &gets_);
+  metric_scope_.Attach("svc.shard.map.commits", &commits_);
 }
 
 Result<GetShardMapResponse> ShardMapService::HandleGet() {

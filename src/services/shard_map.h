@@ -179,7 +179,6 @@ struct ShardConfig {
 class ShardMapService {
  public:
   ShardMapService(core::Context& context, shardwire::ShardMap initial);
-  ~ShardMapService();
 
   Result<shardwire::GetShardMapResponse> HandleGet();
   Result<shardwire::CommitMoveResponse> HandleCommitMove(
@@ -195,6 +194,7 @@ class ShardMapService {
   shardwire::ShardMap map_;
   obs::Counter gets_;
   obs::Counter commits_;
+  obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
 /// The map object's skeleton (kGetShardMap + kCommitMove).

@@ -22,24 +22,13 @@ using shardwire::ShardMap;
 
 KvShardRouterProxy::KvShardRouterProxy(core::Context& context,
                                        core::ServiceBinding binding)
-    : core::ProxyBase(context, std::move(binding)) {
-  this->context().metrics().Attach("svc.shard.router.map_refreshes",
-                                   &map_refreshes_);
-  this->context().metrics().Attach("svc.shard.router.wrong_shard_retries",
-                                   &wrong_shard_retries_);
-  this->context().metrics().Attach("svc.shard.router.fanouts", &fanouts_);
-  this->context().metrics().Attach("svc.shard.router.shed_fail_fast",
-                                   &shed_fail_fast_);
-}
-
-KvShardRouterProxy::~KvShardRouterProxy() {
-  context().metrics().Detach("svc.shard.router.shed_fail_fast",
-                             &shed_fail_fast_);
-  context().metrics().Detach("svc.shard.router.map_refreshes",
-                             &map_refreshes_);
-  context().metrics().Detach("svc.shard.router.wrong_shard_retries",
-                             &wrong_shard_retries_);
-  context().metrics().Detach("svc.shard.router.fanouts", &fanouts_);
+    : core::ProxyBase(context, std::move(binding)),
+      metric_scope_(context.metrics()) {
+  metric_scope_.Attach("svc.shard.router.map_refreshes", &map_refreshes_);
+  metric_scope_.Attach("svc.shard.router.wrong_shard_retries",
+                       &wrong_shard_retries_);
+  metric_scope_.Attach("svc.shard.router.fanouts", &fanouts_);
+  metric_scope_.Attach("svc.shard.router.shed_fail_fast", &shed_fail_fast_);
 }
 
 sim::Co<Status> KvShardRouterProxy::LoadMap(bool refresh,
@@ -257,16 +246,10 @@ ShardRebalancer::ShardRebalancer(core::Context& context,
                                  ShardRebalancerParams params)
     : context_(&context),
       map_binding_(std::move(map_binding)),
-      params_(params) {
-  context_->metrics().Attach("svc.shard.rebalancer.moves", &moves_);
-  context_->metrics().Attach("svc.shard.rebalancer.move_failures",
-                             &move_failures_);
-}
-
-ShardRebalancer::~ShardRebalancer() {
-  context_->metrics().Detach("svc.shard.rebalancer.moves", &moves_);
-  context_->metrics().Detach("svc.shard.rebalancer.move_failures",
-                             &move_failures_);
+      params_(params),
+      metric_scope_(context.metrics()) {
+  metric_scope_.Attach("svc.shard.rebalancer.moves", &moves_);
+  metric_scope_.Attach("svc.shard.rebalancer.move_failures", &move_failures_);
 }
 
 sim::Co<Result<ShardMap>> ShardRebalancer::FetchMap() {

@@ -54,7 +54,6 @@ class KvShardRouterProxy : public IKeyValue, public core::ProxyBase {
   static constexpr SimDuration kGroupBackoff = Milliseconds(25);
 
   KvShardRouterProxy(core::Context& context, core::ServiceBinding binding);
-  ~KvShardRouterProxy() override;
 
   sim::Co<Result<std::optional<std::string>>> Get(std::string key) override;
   sim::Co<Result<rpc::Void>> Put(std::string key, std::string value) override;
@@ -157,6 +156,7 @@ class KvShardRouterProxy : public IKeyValue, public core::ProxyBase {
   std::uint64_t last_op_shard_epoch_ = 0;
   std::uint64_t last_op_epoch_ = 0;
   ObjectId last_write_acker_{};
+  obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
 /// Rebalancer tuning. The chaos harness shrinks the pauses so several
@@ -180,7 +180,6 @@ class ShardRebalancer {
  public:
   ShardRebalancer(core::Context& context, core::ServiceBinding map_binding,
                   ShardRebalancerParams params = {});
-  ~ShardRebalancer();
 
   /// Moves `shard` to `to_group` (an index into the map's group list):
   /// freeze -> install@epoch+1 -> commit -> release-everywhere-else.
@@ -209,6 +208,7 @@ class ShardRebalancer {
   ShardRebalancerParams params_;
   obs::Counter moves_;
   obs::Counter move_failures_;
+  obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
 /// A sharded deployment: N replica groups plus the map service.

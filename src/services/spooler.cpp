@@ -91,12 +91,9 @@ SpoolerBatchProxy::SpoolerBatchProxy(core::Context& context,
           [this](std::vector<SpoolJob> batch) {
             return FlushBatch(std::move(batch));
           },
-          params.max_batch, params.flush_window) {
-  batcher_.BindMetrics(context.metrics(), "svc.spool.batch");
-}
-
-SpoolerBatchProxy::~SpoolerBatchProxy() {
-  batcher_.DetachMetrics(context().metrics(), "svc.spool.batch");
+          params.max_batch, params.flush_window),
+      metric_scope_(context.metrics()) {
+  batcher_.BindMetrics(metric_scope_, "svc.spool.batch");
 }
 
 sim::Co<Status> SpoolerBatchProxy::FlushBatch(std::vector<SpoolJob> batch) {

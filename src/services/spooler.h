@@ -138,7 +138,6 @@ class SpoolerBatchProxy : public ISpooler, public core::ProxyBase {
  public:
   SpoolerBatchProxy(core::Context& context, core::ServiceBinding binding,
                     SpoolerBatchParams params = {});
-  ~SpoolerBatchProxy() override;
 
   sim::Co<Result<std::uint64_t>> Submit(SpoolJob job) override;
   sim::Co<Result<std::uint64_t>> SubmitMany(
@@ -157,6 +156,7 @@ class SpoolerBatchProxy : public ISpooler, public core::ProxyBase {
   SpoolerBatchParams params_;
   std::uint64_t local_seq_ = 0;
   core::Batcher<SpoolJob> batcher_;
+  obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
 }  // namespace proxy::services

@@ -217,33 +217,29 @@ bool Scheduler::Step() {
   return true;
 }
 
-bool Scheduler::Drive(StopCondition stop) {
+void Scheduler::Run() {
   g_current = this;
-  switch (stop.kind_) {
-    case StopCondition::Kind::kDrained:
-      while (Step()) {
-      }
-      return true;
-    case StopCondition::Kind::kWhen:
-      while (!stop.pred_()) {
-        if (!Step()) return stop.pred_();
-      }
-      return true;
-    case StopCondition::Kind::kAfter:
-    case StopCondition::Kind::kAt: {
-      const SimTime deadline = stop.kind_ == StopCondition::Kind::kAfter
-                                   ? now_ + stop.time_
-                                   : std::max(stop.time_, now_);
-      for (;;) {
-        const std::uint32_t index = NextRunnable(deadline);
-        if (index == kNil) break;
-        RunEvent(index);
-      }
-      now_ = deadline;
-      return true;
-    }
+  while (Step()) {
   }
-  return true;  // unreachable; all kinds handled above
+}
+
+bool Scheduler::RunUntil(std::function<bool()> pred) {
+  g_current = this;
+  while (!pred()) {
+    if (!Step()) return pred();
+  }
+  return true;
+}
+
+void Scheduler::RunFor(SimDuration d) {
+  g_current = this;
+  const SimTime deadline = now_ + d;
+  for (;;) {
+    const std::uint32_t index = NextRunnable(deadline);
+    if (index == kNil) break;
+    RunEvent(index);
+  }
+  now_ = deadline;
 }
 
 }  // namespace proxy::sim

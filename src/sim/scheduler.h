@@ -138,47 +138,6 @@ class [[nodiscard]] Timer {
   std::uint32_t gen_ = 0;
 };
 
-/// Where `Drive` should stop. Constructed via the named factories; the
-/// legacy `Run`/`RunUntil`/`RunFor` names forward to these.
-class StopCondition {
- public:
-  /// Stop when no live events remain.
-  [[nodiscard]] static StopCondition Drained() { return StopCondition(Kind::kDrained); }
-
-  /// Stop when `pred()` holds (checked before every event, and once more
-  /// if the queue drains first).
-  [[nodiscard]] static StopCondition When(std::function<bool()> pred) {
-    StopCondition c(Kind::kWhen);
-    c.pred_ = std::move(pred);
-    return c;
-  }
-
-  /// Run every event with timestamp <= now + d, then set time to that
-  /// instant (even if the queue drained earlier).
-  [[nodiscard]] static StopCondition After(SimDuration d) {
-    StopCondition c(Kind::kAfter);
-    c.time_ = d;
-    return c;
-  }
-
-  /// Absolute form of After: run events with timestamp <= t, then set
-  /// time to t (no-op on time if t is already in the past).
-  [[nodiscard]] static StopCondition At(SimTime t) {
-    StopCondition c(Kind::kAt);
-    c.time_ = t;
-    return c;
-  }
-
- private:
-  friend class Scheduler;
-  enum class Kind : std::uint8_t { kDrained, kWhen, kAfter, kAt };
-  explicit StopCondition(Kind kind) : kind_(kind) {}
-
-  Kind kind_;
-  SimTime time_ = 0;
-  std::function<bool()> pred_;
-};
-
 class Scheduler {
  public:
   Scheduler();
@@ -222,20 +181,15 @@ class Scheduler {
   /// Runs the earliest live event. Returns false if none remain.
   bool Step();
 
-  /// Drives the event loop until `stop` is satisfied. Returns true when
-  /// the stop condition was met; for `When`, returns the final predicate
-  /// value (false means the queue drained with the predicate unmet).
-  bool Drive(StopCondition stop);
-
-  // Legacy names, kept as thin forwarders so call sites read either way.
+  // The drive loops. Each makes this scheduler current first.
   /// Runs until the queue drains.
-  void Run() { (void)Drive(StopCondition::Drained()); }
-  /// Runs until `pred()` is true or the queue drains; returns pred().
-  bool RunUntil(std::function<bool()> pred) {
-    return Drive(StopCondition::When(std::move(pred)));
-  }
-  /// Runs events with timestamp <= now + d, then advances time to it.
-  void RunFor(SimDuration d) { (void)Drive(StopCondition::After(d)); }
+  void Run();
+  /// Runs until `pred()` is true (checked before every event, and once
+  /// more if the queue drains first); returns pred().
+  bool RunUntil(std::function<bool()> pred);
+  /// Runs events with timestamp <= now + d, then advances time to that
+  /// instant (even if the queue drained earlier).
+  void RunFor(SimDuration d);
 
   /// Number of events executed since construction.
   [[nodiscard]] std::uint64_t events_run() const noexcept {

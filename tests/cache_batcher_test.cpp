@@ -211,6 +211,90 @@ TEST_F(BatcherFixture, DrainStopsAtTheFirstFailedBatch) {
   EXPECT_TRUE(flushed.empty());
 }
 
+TEST_F(BatcherFixture, DrainWaitsForABatchAlreadyOnTheWire) {
+  (void)batcher.Add(1);
+  (void)batcher.Add(2);
+  (void)batcher.Add(3);  // size flush: nothing pending, one batch in flight
+  sim::Future<Status> drained = sim::Spawn(sched, batcher.Drain());
+  sched.RunFor(Microseconds(99));
+  EXPECT_FALSE(drained.ready());
+  EXPECT_TRUE(flushed.empty());
+  sched.Run();
+  ASSERT_TRUE(drained.ready());
+  EXPECT_TRUE(drained.take().ok());
+  EXPECT_EQ(flushed, (std::vector<std::vector<int>>{{1, 2, 3}}));
+  EXPECT_EQ(batcher.stats().manual_flushes, 0u);
+}
+
+TEST_F(BatcherFixture, AFailingInFlightBatchFailsTheDrain) {
+  fail_next = true;
+  for (int i = 1; i <= 3; ++i) (void)batcher.Add(i);
+  sim::Future<Status> drained = sim::Spawn(sched, batcher.Drain());
+  sched.Run();
+  ASSERT_TRUE(drained.ready());
+  EXPECT_EQ(drained.take().code(), StatusCode::kUnavailable);
+}
+
+TEST_F(BatcherFixture, AnEarlierFailureFailsTheNextDrainOnly) {
+  fail_next = true;
+  for (int i = 1; i <= 3; ++i) (void)batcher.Add(i);
+  sched.Run();  // the batch fails before anyone drains
+  sim::Future<Status> first = sim::Spawn(sched, batcher.Drain());
+  sched.Run();
+  ASSERT_TRUE(first.ready());
+  EXPECT_EQ(first.take().code(), StatusCode::kUnavailable);
+  sim::Future<Status> second = sim::Spawn(sched, batcher.Drain());
+  sched.Run();
+  ASSERT_TRUE(second.ready());
+  EXPECT_TRUE(second.take().ok());
+}
+
+/// The operation After() orders behind the barrier: counts its runs.
+sim::Co<Result<int>> CountRun(int* runs) {
+  ++*runs;
+  co_return *runs;
+}
+
+TEST_F(BatcherFixture, AfterIsTheOperationItselfWhenIdle) {
+  int runs = 0;
+  sim::Future<Result<int>> done =
+      sim::Spawn(sched, batcher.After(CountRun(&runs)));
+  sched.Run();
+  ASSERT_TRUE(done.ready());
+  EXPECT_EQ(*done.take(), 1);
+  // One event, the operation's completion resuming the Spawn root: no
+  // drain coroutine ran in front of it.
+  EXPECT_EQ(sched.events_run(), 1u);
+}
+
+TEST_F(BatcherFixture, AfterRunsTheOperationOnceTheBufferLands) {
+  (void)batcher.Add(1);
+  int runs = 0;
+  std::size_t flushed_when_run = 0;
+  auto op = [&]() -> sim::Co<Result<int>> {
+    flushed_when_run = flushed.size();
+    co_return ++runs;
+  };
+  sim::Future<Result<int>> done = sim::Spawn(sched, batcher.After(op()));
+  sched.Run();
+  ASSERT_TRUE(done.ready());
+  EXPECT_EQ(*done.take(), 1);
+  EXPECT_EQ(flushed_when_run, 1u);  // {1} landed before the op ran
+  EXPECT_LT(sched.now(), Milliseconds(10));  // shipped, not windowed
+}
+
+TEST_F(BatcherFixture, AfterFailsWithoutRunningWhenTheDrainFails) {
+  fail_next = true;
+  (void)batcher.Add(1);
+  int runs = 0;
+  sim::Future<Result<int>> done =
+      sim::Spawn(sched, batcher.After(CountRun(&runs)));
+  sched.Run();
+  ASSERT_TRUE(done.ready());
+  EXPECT_EQ(done.take().status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(runs, 0);
+}
+
 TEST_F(BatcherFixture, StatsCountItemsAndBatches) {
   for (int i = 0; i < 7; ++i) (void)batcher.Add(i);
   sched.Run();

@@ -487,6 +487,24 @@ TEST(EventBudget, WarmCachingGetHitRunsOneEvent) {
   EXPECT_EQ(proxy.cache_stats().hits, 1u);
 }
 
+TEST(EventBudget, WarmWriteBackGetHitRunsOneEvent) {
+  TestWorld w;
+  Result<services::KvExport> exported =
+      services::ExportKvService(*w.server_ctx, 3);
+  ASSERT_OK(exported);
+  exported->impl->Store("k", "v");
+  services::KvWriteBackProxy proxy(*w.client_ctx, exported->binding);
+  Result<std::optional<std::string>> hit = std::optional<std::string>();
+  EventsOf(*w.rt, proxy.Get("k"), &hit);  // subscribes, caches "k"
+  ASSERT_OK(hit);
+  // "k" is clean, so Get is the caching proxy's own coroutine: as there,
+  // the one event is its completion resuming Runtime::Run's root.
+  EXPECT_EQ(EventsOf(*w.rt, proxy.Get("k"), &hit), 1u);
+  ASSERT_OK(hit);
+  EXPECT_EQ(*hit, std::optional<std::string>("v"));
+  EXPECT_EQ(proxy.cache_stats().hits, 1u);
+}
+
 // --- ProxyBase::Call: the typed reply surfaces an undecodable reply ---
 
 /// A proxy whose only interface is ProxyBase's typed call.

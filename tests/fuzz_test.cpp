@@ -30,7 +30,6 @@ TEST_P(FuzzSeed, RandomBytesThroughEveryDecoder) {
     const Bytes junk = RandomBuffer(rng, 256);
     // None of these may crash; results are unconstrained otherwise.
     (void)serde::UnwrapEnvelopeView(View(junk));
-    (void)rpc::PeekFrameType(View(junk));
     (void)rpc::DecodeRequestView(View(junk));
     (void)rpc::DecodeReply(View(junk));
     (void)serde::DecodeFromBytes<naming::NameRecord>(View(junk));

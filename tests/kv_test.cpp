@@ -273,6 +273,48 @@ TEST(KvWriteBackTest, LastWriteWinsWithinBuffer) {
   w.Run(body);
 }
 
+TEST(KvWriteBackTest, SizeCountsBufferedWrites) {
+  TestWorld w;
+  auto exported = ExportKvService(*w.server_ctx, 3);
+  ASSERT_OK(exported);
+  w.Publish("kv", exported->binding);
+  auto kv = BindKv(w, "kv");
+
+  auto body = [&]() -> sim::Co<void> {
+    CO_ASSERT_OK(co_await kv->Put("k", "buffered"));
+    // At once, with the write still in the buffer: Size counts it.
+    Result<std::uint64_t> size = co_await kv->Size();
+    CO_ASSERT_OK(size);
+    EXPECT_EQ(*size, 1u);
+  };
+  w.Run(body);
+}
+
+TEST(KvWriteBackTest, FlushWritesReportsABatchLostInFlight) {
+  TestWorld w;
+  auto exported = ExportKvService(*w.server_ctx, 3);
+  ASSERT_OK(exported);
+  w.Publish("kv", exported->binding);
+  auto kv = BindKv(w, "kv");
+  auto* proxy = dynamic_cast<KvWriteBackProxy*>(kv.get());
+  ASSERT_NE(proxy, nullptr);
+  w.rt->network().SetPartitioned(w.client_node, w.server_node, true);
+
+  auto body = [&]() -> sim::Co<void> {
+    for (std::size_t i = 0; i < KvWriteBackProxy::kMaxBatch; ++i) {
+      std::string key = "k";
+      key += std::to_string(i);
+      CO_ASSERT_OK(co_await kv->Put(std::move(key), "v"));
+    }
+    // The last Put shipped the batch: nothing is buffered, but the batch
+    // is on the wire and cannot land.
+    const Status flushed = co_await proxy->FlushWrites();
+    EXPECT_FALSE(flushed.ok());
+  };
+  w.Run(body);
+  EXPECT_EQ(exported->impl->key_count(), 0u);
+}
+
 TEST(KvMigrationTest, StateAndSubscribersSurviveMigration) {
   TestWorld w;
   auto exported = ExportKvService(*w.server_ctx, 1);

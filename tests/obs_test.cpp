@@ -129,7 +129,8 @@ TEST(MetricsRegistry, AttachedCellsSumWithOwned) {
   reg.counter("x").Inc(5);
   Counter mine;
   mine.Inc(7);
-  reg.Attach("x", &mine);
+  MetricScope scope(reg);
+  scope.Attach("x", &mine);
   const auto snap = reg.Snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap[0].name, "x");
@@ -141,8 +142,8 @@ TEST(MetricsRegistry, DetachFoldsSoTotalsNeverRegress) {
   {
     Counter shortlived;
     shortlived.Inc(9);
-    reg.Attach("x", &shortlived);
-    reg.Detach("x", &shortlived);
+    MetricScope scope(reg);
+    scope.Attach("x", &shortlived);
   }  // the cell is gone; its tally must not be
   const auto snap = reg.Snapshot();
   ASSERT_EQ(snap.size(), 1u);
@@ -150,7 +151,8 @@ TEST(MetricsRegistry, DetachFoldsSoTotalsNeverRegress) {
 
   Counter next;
   next.Inc(1);
-  reg.Attach("x", &next);
+  MetricScope scope(reg);
+  scope.Attach("x", &next);
   EXPECT_EQ(reg.Snapshot()[0].counter, 10u);
 }
 
@@ -160,13 +162,45 @@ TEST(MetricsRegistry, HistogramDetachFoldsObservations) {
     Histogram h;
     h.Record(1000);
     h.Record(2000);
-    reg.Attach("lat", &h);
-    reg.Detach("lat", &h);
+    MetricScope scope(reg);
+    scope.Attach("lat", &h);
   }
   const auto snap = reg.Snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap[0].histogram.count(), 2u);
   EXPECT_EQ(snap[0].histogram.sum(), 3000u);
+}
+
+TEST(MetricScope, DetachesExactlyTheCellsAttachedThroughIt) {
+  MetricsRegistry reg;
+  Counter kept;
+  kept.Inc(2);
+  Gauge level;
+  level.Set(4);
+  MetricScope outer(reg);
+  outer.Attach("x", &kept);
+  outer.Attach("depth", &level);
+  {
+    Counter gone;
+    gone.Inc(3);
+    Gauge gone_level;
+    gone_level.Set(5);
+    MetricScope inner(reg);
+    inner.Attach("x", &gone);
+    inner.Attach("depth", &gone_level);
+    EXPECT_EQ(reg.Snapshot()[1].counter, 5u);
+    EXPECT_EQ(reg.Snapshot()[0].gauge, 9);
+  }
+  // The outer cells are still attached and still read live; the inner
+  // counter's tally stays folded, and the inner gauge's level left.
+  kept.Inc(1);
+  level.Set(6);
+  const auto snap = reg.Snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].name, "depth");
+  EXPECT_EQ(snap[0].gauge, 6);
+  EXPECT_EQ(snap[1].name, "x");
+  EXPECT_EQ(snap[1].counter, 6u);
 }
 
 TEST(MetricsRegistry, SnapshotSortsByName) {

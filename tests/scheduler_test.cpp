@@ -367,19 +367,33 @@ TEST(Scheduler, DriveFamily) {
   for (int i = 1; i <= 6; ++i) {
     s.PostAt(static_cast<SimTime>(i) * 100, [&] { ++count; }).Detach();
   }
-  EXPECT_TRUE(s.Drive(StopCondition::When([&] { return count == 2; })));
+  EXPECT_TRUE(s.RunUntil([&] { return count == 2; }));
   EXPECT_EQ(s.now(), 200u);
-  EXPECT_TRUE(s.Drive(StopCondition::At(450)));
+  s.RunFor(250);  // through t=450
   EXPECT_EQ(count, 4);
   EXPECT_EQ(s.now(), 450u);
-  EXPECT_TRUE(s.Drive(StopCondition::After(50)));  // through t=500
+  s.RunFor(50);  // through t=500
   EXPECT_EQ(count, 5);
   EXPECT_EQ(s.now(), 500u);
-  EXPECT_TRUE(s.Drive(StopCondition::Drained()));
+  s.Run();
   EXPECT_EQ(count, 6);
-  // At() in the past: events are gone, time does not move backwards.
-  EXPECT_TRUE(s.Drive(StopCondition::At(10)));
+  // A drained queue: RunUntil reports the unmet predicate, and an empty
+  // RunFor leaves time where it is.
+  EXPECT_FALSE(s.RunUntil([&] { return count == 7; }));
+  s.RunFor(0);
   EXPECT_EQ(s.now(), 600u);
+  // Every drive loop makes its scheduler current, even one that runs
+  // no event.
+  Scheduler other;
+  other.MakeCurrent();
+  s.RunFor(0);
+  EXPECT_EQ(Scheduler::Current(), &s);
+  other.MakeCurrent();
+  EXPECT_TRUE(s.RunUntil([] { return true; }));
+  EXPECT_EQ(Scheduler::Current(), &s);
+  other.MakeCurrent();
+  s.Run();
+  EXPECT_EQ(Scheduler::Current(), &s);
 }
 
 TEST(Scheduler, EventsRunCounter) {
