@@ -65,19 +65,13 @@ std::string ChaosReport::Summary() const {
   return out.str();
 }
 
-ChaosReport RunChaos(const ChaosOptions& options) {
-  services::RegisterAllServices();
+namespace {
 
-  ChaosReport report;
-  report.seed = options.seed;
-
-  // The recorder outlives the Runtime (reverse destruction order): the
-  // scheduler/network hooks it installs stay valid to the last event.
-  TraceRecorder trace(options.trace_tail);
-
-  core::Runtime::Params params;
-  params.seed = options.seed;
-  core::Runtime rt(params);
+/// Builds one run's world inside `rt`, drives it through the fault
+/// window and judges its history into `report`. Every object of the
+/// world is a local here, so all of it dies before `rt` does.
+void RunWorld(const ChaosOptions& options, core::Runtime& rt,
+              TraceRecorder& trace, ChaosReport& report) {
   if (options.collect_spans) rt.spans().set_enabled(true);
   sim::Scheduler& sched = rt.scheduler();
   trace.Attach(sched, rt.network());
@@ -184,7 +178,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
   if (!ctr.ok() || !lock.ok() ||
       (options.sharded ? !skv.has_value() : !kv.has_value())) {
     report.violations.push_back({"harness-setup", "service export failed"});
-    return report;
+    return;
   }
 
   bool setup_ok = true;
@@ -222,7 +216,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
   if (!setup_ok) {
     report.violations.push_back(
         {"harness-setup", "publish or pre-chaos bind failed"});
-    return report;
+    return;
   }
 
   // --- overload world: throttled server + one open-loop lane per
@@ -256,7 +250,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
     if (!exported.ok()) {
       report.violations.push_back(
           {"harness-setup", "overload server export failed"});
-      return report;
+      return;
     }
     ovl_srv->server().set_admission(kOvlMaxConcurrency, kOvlQueueCapacity,
                                     Milliseconds(5));
@@ -673,6 +667,36 @@ ChaosReport RunChaos(const ChaosOptions& options) {
                             ? rt.spans().RenderTree(options.trace_filter)
                             : rt.spans().RenderAll();
     report.trace_ids = rt.spans().TraceIds();
+  }
+}
+
+}  // namespace
+
+ChaosReport RunChaos(const ChaosOptions& options) {
+  services::RegisterAllServices();
+
+  ChaosReport report;
+  report.seed = options.seed;
+
+  // The recorder outlives the Runtime (reverse destruction order): the
+  // scheduler/network hooks it installs stay valid to the last event.
+  TraceRecorder trace(options.trace_tail);
+
+  // Tearing the world down destroys every root still parked, and with
+  // it every frame below one; the scheduler reports what is left.
+  std::size_t live_frames = 0;
+  {
+    core::Runtime::Params params;
+    params.seed = options.seed;
+    core::Runtime rt(params);
+    rt.scheduler().SetTeardownHook(
+        [&live_frames](std::size_t live) { live_frames = live; });
+    rt.scheduler().set_testing_root_registry(options.bug != Bug::kLeakRoot);
+    RunWorld(options, rt, trace, report);
+  }
+  Append(report.violations, CheckFramesDestroyed(live_frames));
+  if (!report.violations.empty() && report.trace_tail.empty()) {
+    report.trace_tail = trace.DumpTail(64);
   }
   return report;
 }

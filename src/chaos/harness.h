@@ -4,7 +4,9 @@
 // counter+lock server, a replicated KV, N workload clients and a rogue
 // spoofer node), arms the adversary with the seed's fault schedule,
 // drives the workload through the fault window, heals everything, and
-// then checks every global invariant against the recorded history. The
+// then checks every global invariant against the recorded history.
+// Once the world is torn down, it also checks that none of the world's
+// coroutine frames survived. The
 // entire run — topology, workload, faults, message timing — is a pure
 // function of ChaosOptions, so a violating seed replays byte-identically
 // (same trace fingerprint) and its schedule can be minimized by
@@ -44,6 +46,12 @@ enum class Bug : std::uint8_t {
   /// retry-amplification collapse. Caught by
   /// bounded-retry-amplification (requires --overload).
   kRetryStorm = 4,
+  /// Switches off the scheduler's root registry for the run: roots are
+  /// started unregistered, so teardown cannot destroy the ones still
+  /// parked (every replica watchdog and lease heartbeat is) and their
+  /// frames outlive the world, as all parked roots did before frames
+  /// were owned. Caught by frames-destroyed at every seed.
+  kLeakRoot = 5,
 };
 
 struct ChaosOptions {

@@ -475,4 +475,16 @@ std::vector<Violation> CheckRetryAmplification(
   return out;
 }
 
+std::vector<Violation> CheckFramesDestroyed(std::size_t live_frames) {
+  std::vector<Violation> out;
+  if (live_frames != 0) {
+    out.push_back({"frames-destroyed",
+                   std::to_string(live_frames) +
+                       " coroutine frame(s) still alive after the run's "
+                       "Runtime was destroyed: some root escaped the "
+                       "scheduler's registry"});
+  }
+  return out;
+}
+
 }  // namespace proxy::chaos

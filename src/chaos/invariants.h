@@ -17,6 +17,8 @@
 //                          Put started after the Get completed
 //   lock-mutex             definite-hold intervals of different owners
 //                          never overlap
+//   frames-destroyed       no coroutine frame of the run is alive once
+//                          the run's world has been torn down
 #pragma once
 
 #include <cstdint>
@@ -173,5 +175,13 @@ std::vector<Violation> CheckRetryAmplification(
     std::uint64_t retransmissions, std::uint64_t ok_replies,
     std::uint64_t destinations, double initial_tokens,
     double refill_per_success, const std::string& who);
+
+/// frames-destroyed: once the harness has destroyed the run's Runtime,
+/// no coroutine frame its scheduler issued is still alive. Teardown
+/// destroys every registered root and each root the frames below it, so
+/// a survivor is a frame nothing owns: a root that escaped the registry,
+/// or a Co kept past its world. `live_frames` is the count the
+/// scheduler reports from its destructor (Scheduler::SetTeardownHook).
+std::vector<Violation> CheckFramesDestroyed(std::size_t live_frames);
 
 }  // namespace proxy::chaos

@@ -8,10 +8,12 @@ namespace proxy::chaos {
 namespace {
 
 /// Does this subset still break the invariant under investigation?
-bool StillFails(ChaosOptions& options, const std::vector<FaultEvent>& subset,
+bool StillFails(const ChaosOptions& options,
+                const std::vector<FaultEvent>& subset,
                 const std::string& invariant, ChaosReport& out) {
-  options.schedule = subset;
-  ChaosReport report = RunChaos(options);
+  ChaosOptions run = options;
+  run.schedule = subset;
+  ChaosReport report = RunChaos(run);
   const bool hit = std::any_of(
       report.violations.begin(), report.violations.end(),
       [&invariant](const Violation& v) { return v.invariant == invariant; });
@@ -21,7 +23,7 @@ bool StillFails(ChaosOptions& options, const std::vector<FaultEvent>& subset,
 
 }  // namespace
 
-MinimizeResult MinimizeSchedule(ChaosOptions options,
+MinimizeResult MinimizeSchedule(const ChaosOptions& options,
                                 std::vector<FaultEvent> schedule,
                                 const std::string& invariant,
                                 std::size_t max_runs) {

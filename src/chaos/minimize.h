@@ -33,7 +33,7 @@ struct MinimizeResult {
 /// Shrinks `schedule` while RunChaos(options + subset) still violates
 /// `invariant`. `options.schedule` is overwritten per probe; the caller's
 /// other fields (seed, workload, bug) are what pins the scenario.
-MinimizeResult MinimizeSchedule(ChaosOptions options,
+MinimizeResult MinimizeSchedule(const ChaosOptions& options,
                                 std::vector<FaultEvent> schedule,
                                 const std::string& invariant,
                                 std::size_t max_runs = 256);

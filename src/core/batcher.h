@@ -71,22 +71,6 @@ class Batcher {
     return future;
   }
 
-  /// Forces the current batch out before its window; the future
-  /// resolves with that batch's outcome.
-  sim::Future<Status> Flush() {
-    if (pending_.empty()) {
-      sim::Promise<Status> done(*scheduler_);
-      done.Set(Status::Ok());
-      return done.future();
-    }
-    stats_.manual_flushes++;
-    // A sentinel waiter shares the batch's fate without adding an item.
-    waiters_.emplace_back(*scheduler_);
-    auto future = waiters_.back().future();
-    FlushNow();
-    return future;
-  }
-
   /// Ships what is pending, then waits until no batch is in flight:
   /// items added meanwhile ride another round. Returns only after every
   /// batch dispatched before it returns has landed, with the first
@@ -157,8 +141,7 @@ class Batcher {
     std::vector<sim::Promise<Status>> waiters = std::move(waiters_);
     pending_.clear();
     waiters_.clear();
-    (void)sim::Spawn(*scheduler_,
-                     RunFlush(std::move(batch), std::move(waiters)));
+    sim::Detach(*scheduler_, RunFlush(std::move(batch), std::move(waiters)));
   }
 
   sim::Scheduler* scheduler_;

@@ -159,11 +159,10 @@ class ProxyBase {
     // full transport legs' worth (the original binding plus one
     // recovery rebind). Callers that span several hops over one logical
     // operation (the failover proxy's passes) pass their own budget in,
-    // and this respects it.
-    if (options.attempt_budget == nullptr) {
-      options.attempt_budget = std::make_shared<rpc::AttemptBudget>(
-          options.max_retries * 2);
-    }
+    // and this respects it. Each hop is awaited here, so this frame
+    // outlives every call that carries the budget.
+    rpc::AttemptBudget budget(options.max_retries * 2);
+    if (options.attempt_budget == nullptr) options.attempt_budget = &budget;
 
     Result<OwnedBytes> outcome = Status(StatusCode::kUnavailable);  // set below
     bool recovery_tried = false;

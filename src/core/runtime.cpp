@@ -87,7 +87,13 @@ Runtime::Runtime(Params params)
   network_.SetDefaultLink(params.default_link);
 }
 
-Runtime::~Runtime() = default;
+Runtime::~Runtime() {
+  // Parked roots first: destroying one runs its frames' destructors,
+  // which may still reach into contexts, services and the network. Those
+  // die afterwards (members, in reverse order), and the scheduler and its
+  // frame slabs last.
+  scheduler_.DestroyRoots();
+}
 
 NodeId Runtime::AddNode(std::string name) {
   const NodeId id = network_.AddNode(std::move(name));

@@ -153,6 +153,9 @@ class Runtime {
 
   Runtime() : Runtime(Params{}) {}
   explicit Runtime(Params params);
+  /// Destroys every coroutine root still parked, then the contexts,
+  /// services, network and scheduler. Objects that hold a Context or a
+  /// proxy from this runtime must die first.
   ~Runtime();
 
   Runtime(const Runtime&) = delete;

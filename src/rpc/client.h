@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "common/bytes.h"
@@ -43,7 +42,8 @@ namespace proxy::rpc {
 /// so failover can still walk the replica set; what it cannot do is keep
 /// hammering each dead replica once the operation's total allowance is
 /// spent. Share one instance through CallOptions::attempt_budget across
-/// the hops of one operation (see KvFailoverProxy::ReadCall/WriteCall).
+/// the hops of one operation (see KvFailoverProxy::ReadCall/WriteCall):
+/// it is a local of the coroutine that awaits every call carrying it.
 class AttemptBudget {
  public:
   explicit AttemptBudget(int retransmissions) noexcept
@@ -99,7 +99,8 @@ struct CallOptions {
   Priority priority = Priority::kNormal;
   /// Shared retransmission allowance for one logical operation across
   /// nested proxy hops; null = each call retries on its own policy.
-  std::shared_ptr<AttemptBudget> attempt_budget = nullptr;
+  /// Not owned: the budget must outlive every call that carries it.
+  AttemptBudget* attempt_budget = nullptr;
 };
 
 /// Client-side tallies. The cells are obs::Counter so the same storage

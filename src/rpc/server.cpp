@@ -191,8 +191,8 @@ void RpcServer::StartExecution(const net::Address& from,
   running_++;
   LogAdmission(request.priority, AdmissionEvent::Action::kRun);
   // Detach the execution coroutine; it replies and updates the cache.
-  (void)sim::Spawn(scheduler(),
-                   Execute(from, request, std::move(arena), received_at));
+  sim::Detach(scheduler(),
+              Execute(from, request, std::move(arena), received_at));
 }
 
 void RpcServer::FinishExecution() {

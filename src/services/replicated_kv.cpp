@@ -92,7 +92,7 @@ void KvReplica::StartFailover() {
       self->lease_.reset();
     }
   });
-  (void)sim::Spawn(context_->scheduler(), WatchdogLoop(self));
+  sim::Detach(context_->scheduler(), WatchdogLoop(self));
 }
 
 void KvReplica::StepDown(bool resync) {
@@ -957,8 +957,7 @@ Result<ReplicatedKvExport> ExportReplicatedKv(
 // --- failover proxy ----------------------------------------------------
 
 sim::Co<Status> KvFailoverProxy::LoadReplicaList(
-    bool refresh, obs::TraceContext trace,
-    std::shared_ptr<rpc::AttemptBudget> budget) {
+    bool refresh, obs::TraceContext trace, rpc::AttemptBudget* budget) {
   const std::vector<core::ServiceBinding> known = replicas_;
   if (refresh) {
     replicas_.clear();
@@ -968,7 +967,7 @@ sim::Co<Status> KvFailoverProxy::LoadReplicaList(
   }
   rpc::CallOptions traced = options_;
   traced.trace = trace;
-  traced.attempt_budget = std::move(budget);  // share the op's allowance
+  traced.attempt_budget = budget;  // share the op's allowance
   // Ask the bound primary first; CallRaw re-resolves the service name if
   // the bound address stopped answering (the new primary re-registers
   // the name when it promotes).
@@ -1003,7 +1002,8 @@ sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(std::uint32_t method,
                   context().scheduler().now());
   rpc::CallOptions opts = options_;
   if (span.active()) opts.trace = span;
-  opts.attempt_budget = MintOpBudget();  // one allowance across all passes
+  rpc::AttemptBudget budget = MintOpBudget();
+  opts.attempt_budget = &budget;  // one allowance across all passes
 
   Result<Resp> outcome = UnavailableError("no replicas");
   bool done = false;
@@ -1072,7 +1072,8 @@ sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(std::uint32_t method,
                   context().scheduler().now());
   rpc::CallOptions opts = options_;
   if (span.active()) opts.trace = span;
-  opts.attempt_budget = MintOpBudget();  // one allowance across all passes
+  rpc::AttemptBudget budget = MintOpBudget();
+  opts.attempt_budget = &budget;  // one allowance across all passes
 
   const Bytes args = serde::EncodeToBytes(req);
   // If every pass fails, report the FIRST actual write attempt's status:

@@ -528,7 +528,7 @@ class KvFailoverProxy : public IKeyValue, public core::ProxyBase {
   /// the owning operation's shared retransmission allowance; the fetch's
   /// own calls draw from it.
   sim::Co<Status> LoadReplicaList(bool refresh, obs::TraceContext trace,
-                                  std::shared_ptr<rpc::AttemptBudget> budget);
+                                  rpc::AttemptBudget* budget);
 
   /// One shared retransmission allowance for a whole read/write
   /// operation. Each pass of ReadCall/WriteCall used to retry on its own
@@ -536,9 +536,11 @@ class KvFailoverProxy : public IKeyValue, public core::ProxyBase {
   /// transport-retries transmissions — a retry storm exactly when the
   /// service was least able to absorb it. Every replica still gets its
   /// first transmission (failover keeps working); what the budget stops
-  /// is *re*-transmissions once the op's total allowance is spent.
-  [[nodiscard]] std::shared_ptr<rpc::AttemptBudget> MintOpBudget() const {
-    return std::make_shared<rpc::AttemptBudget>(options_.max_retries * 2 + 2);
+  /// is *re*-transmissions once the op's total allowance is spent. A
+  /// local of the operation's coroutine, which awaits every call it
+  /// rides on.
+  [[nodiscard]] rpc::AttemptBudget MintOpBudget() const {
+    return rpc::AttemptBudget(options_.max_retries * 2 + 2);
   }
 
   /// Read path: try replicas starting with the preferred one; after a

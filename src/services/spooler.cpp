@@ -19,7 +19,7 @@ Result<std::uint64_t> SpoolerService::Enqueue(std::uint64_t count) {
   if (count == 0) return InvalidArgumentError("empty job batch");
   const std::uint64_t first = next_id_;
   next_id_ += count;
-  (void)sim::Spawn(*scheduler_, ProcessJobs(count));
+  sim::Detach(*scheduler_, ProcessJobs(count));
   return first;
 }
 

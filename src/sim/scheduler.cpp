@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
+#include <cstdlib>
 
 namespace proxy::sim {
 
@@ -24,11 +26,45 @@ int FindOccupied(const std::uint64_t words[4], int from) noexcept {
 }  // namespace
 
 Scheduler::Scheduler() = default;
-Scheduler::~Scheduler() = default;
+
+Scheduler::~Scheduler() {
+  DestroyRoots();
+  const std::size_t live = frames_.live();
+  if (teardown_hook_) {
+    teardown_hook_(live);
+  } else if (live != 0) {
+    // A frame outside every root (a Co kept past its scheduler, or a
+    // root that escaped the registry) would point into a freed slab.
+    std::fprintf(stderr,
+                 "sim::Scheduler destroyed with %zu coroutine frame(s) it "
+                 "issued still live\n",
+                 live);
+    std::abort();
+  }
+  if (g_current == this) g_current = nullptr;
+}
 
 Scheduler* Scheduler::Current() noexcept { return g_current; }
 
 void Scheduler::MakeCurrent() noexcept { g_current = this; }
+
+detail::FramePool* detail::CurrentFramePool() noexcept {
+  return g_current == nullptr ? nullptr : &g_current->frames_;
+}
+
+void Scheduler::AdoptRoot(detail::RootLink& root) noexcept {
+  if (!root_registry_) return;
+  root.prev = &roots_;
+  root.next = roots_.next;
+  roots_.next->prev = &root;
+  roots_.next = &root;
+}
+
+void Scheduler::DestroyRoots() noexcept {
+  // Each destroy unlinks that root (its promise's destructor), so the
+  // head is always the newest root still parked.
+  while (roots_.next != &roots_) roots_.next->frame.destroy();
+}
 
 std::uint32_t Scheduler::AllocEvent() {
   if (free_head_ != kNil) {

@@ -36,12 +36,19 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "sim/frames.h"
 
 namespace proxy::sim {
 
 class Scheduler;
 
 namespace detail {
+
+struct RootPromise;
+
+/// The frame pool of the current scheduler, or null when none is
+/// current (coroutine frames then come from the heap).
+FramePool* CurrentFramePool() noexcept;
 
 /// One-shot type-erased callable with inline small-buffer storage. The
 /// slab stores one per event; callables up to kInlineBytes (which covers
@@ -141,13 +148,19 @@ class [[nodiscard]] Timer {
 class Scheduler {
  public:
   Scheduler();
+  /// Destroys the roots still parked (DestroyRoots), then fails loudly
+  /// if a coroutine frame this scheduler issued is still live (see
+  /// SetTeardownHook), then frees the frame slabs. Stops being
+  /// Current().
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// The scheduler currently driving events. Set by Step() and by
-  /// Spawn(); used by coroutine plumbing that has no other way to reach
-  /// its event loop (the runtime is single-threaded by design).
+  /// The scheduler currently driving events, or null. Set by Step() and
+  /// by Spawn(), cleared when that scheduler is destroyed; used by
+  /// coroutine plumbing that has no other way to reach its event loop
+  /// (the runtime is single-threaded by design), and by frame
+  /// allocation, which draws from the current scheduler's pool.
   static Scheduler* Current() noexcept;
 
   /// Marks this scheduler as the current one (normally automatic).
@@ -207,8 +220,39 @@ class Scheduler {
   using StepHook = std::function<void(SimTime, std::uint64_t)>;
   void SetStepHook(StepHook hook) { step_hook_ = std::move(hook); }
 
+  // --- frame ownership (sim/frames.h, DESIGN.md §17) ---
+
+  /// Coroutine frames this scheduler's pool issued and has not freed.
+  [[nodiscard]] std::size_t live_frames() const noexcept {
+    return frames_.live();
+  }
+
+  /// Destroys every root frame (Spawn / Detach) still registered, newest
+  /// first; each takes the frames it awaits with it. Teardown only: an
+  /// event that would resume a destroyed frame must never run, so the
+  /// owner calls this after its last Step, before the objects those
+  /// frames point into die.
+  void DestroyRoots() noexcept;
+
+  /// Teardown observation hook: the destructor calls it with the number
+  /// of frames still live once every registered root is destroyed, and
+  /// does not abort when it is set. Installed by the chaos harness,
+  /// which turns a nonzero count into a violation; unset, a live frame
+  /// at teardown aborts the process.
+  using TeardownHook = std::function<void(std::size_t live_frames)>;
+  void SetTeardownHook(TeardownHook hook) { teardown_hook_ = std::move(hook); }
+
+  /// Chaos-harness fault hook: with the registry off, new roots are not
+  /// registered, so teardown cannot find the parked ones (the behaviour
+  /// before frames were owned). Never disable outside adversarial tests.
+  void set_testing_root_registry(bool enabled) noexcept {
+    root_registry_ = enabled;
+  }
+
  private:
   friend class Timer;
+  friend struct detail::RootPromise;
+  friend detail::FramePool* detail::CurrentFramePool() noexcept;
 
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   static constexpr int kLevels = 8;    // one per byte of SimTime
@@ -259,6 +303,16 @@ class Scheduler {
   bool CancelEvent(std::uint32_t index, std::uint32_t gen) noexcept;
   [[nodiscard]] bool EventArmed(std::uint32_t index,
                                 std::uint32_t gen) const noexcept;
+
+  /// Links a root frame at the head of the registry (RootPromise).
+  void AdoptRoot(detail::RootLink& root) noexcept;
+
+  // First member, so destroyed last: every other member dies with the
+  // pool still able to take frames back.
+  detail::FramePool frames_;
+  detail::RootLink roots_;  // sentinel of the root registry
+  bool root_registry_ = true;
+  TeardownHook teardown_hook_;
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;

@@ -3,7 +3,13 @@
 // Co<T> is a *lazy* coroutine: creating one does nothing until it is
 // co_awaited (which chains it onto the awaiting coroutine via symmetric
 // transfer) or handed to Spawn(), which starts it as a root activity and
-// exposes its result as a Future<T>.
+// exposes its result as a Future<T>, or to Detach(), which starts it as a
+// root whose result nobody reads.
+//
+// Every frame comes from the current scheduler's slab pool, and every
+// root is registered with its scheduler until it completes: a Co owns
+// the frame it will await, so destroying the parked roots at teardown
+// destroys every frame below them (sim/frames.h, DESIGN.md §17).
 //
 // Exceptions escaping a coroutine terminate the program by design:
 // expected failures travel as Result values, so an exception here is a
@@ -26,6 +32,18 @@ class Co;
 
 namespace detail {
 
+/// Frame storage for every promise type: the current scheduler's pool,
+/// else the heap. The slot remembers its pool, so freeing consults
+/// nothing else.
+struct FrameAllocation {
+  static void* operator new(std::size_t n) {
+    return FramePool::Allocate(CurrentFramePool(), n);
+  }
+  static void operator delete(void* frame, std::size_t n) noexcept {
+    FramePool::Free(frame, n);
+  }
+};
+
 // The continuation is *posted* to the scheduler rather than resumed by
 // symmetric transfer. Besides keeping completion ordering queue-driven,
 // this is load-bearing: GCC 12's symmetric transfer lets a continuation
@@ -46,7 +64,7 @@ struct FinalAwaiter {
 };
 
 template <typename T>
-struct CoPromiseBase {
+struct CoPromiseBase : FrameAllocation {
   std::coroutine_handle<> continuation;
 
   std::suspend_always initial_suspend() noexcept { return {}; }
@@ -141,25 +159,45 @@ class [[nodiscard]] Co<void> {
 
 namespace detail {
 
-/// Self-destroying eager coroutine used as the root of a spawned chain.
-struct RootTask {
-  struct promise_type {
-    RootTask get_return_object() noexcept { return {}; }
-    std::suspend_never initial_suspend() noexcept { return {}; }
-    std::suspend_never final_suspend() noexcept { return {}; }
-    void return_void() noexcept {}
-    [[noreturn]] void unhandled_exception() { std::terminate(); }
-  };
+struct RootTask;
+
+/// Promise of a root frame. The frame links itself into the registry of
+/// the scheduler it is started on (the root's first parameter) and
+/// unlinks when it completes or is destroyed at teardown.
+struct RootPromise : FrameAllocation, RootLink {
+  template <typename... Args>
+  explicit RootPromise(Scheduler& sched, Args&... /*unused*/) noexcept {
+    frame = std::coroutine_handle<RootPromise>::from_promise(*this);
+    sched.AdoptRoot(*this);
+  }
+  RootTask get_return_object() noexcept;
+  std::suspend_never initial_suspend() noexcept { return {}; }
+  std::suspend_never final_suspend() noexcept { return {}; }
+  void return_void() noexcept {}
+  [[noreturn]] void unhandled_exception() { std::terminate(); }
 };
 
+/// Self-destroying eager coroutine used as the root of a started chain.
+struct RootTask {
+  using promise_type = RootPromise;
+};
+
+inline RootTask RootPromise::get_return_object() noexcept { return {}; }
+
 template <typename T>
-RootTask RunRoot(Co<T> co, Promise<T> done) {
+RootTask RunRoot(Scheduler& /*sched*/, Co<T> co, Promise<T> done) {
   done.Set(co_await std::move(co));
 }
 
-inline RootTask RunRootVoid(Co<void> co, Promise<bool> done) {
+inline RootTask RunRootVoid(Scheduler& /*sched*/, Co<void> co,
+                            Promise<bool> done) {
   co_await std::move(co);
   done.Set(true);
+}
+
+template <typename T>
+RootTask RunDetached(Scheduler& /*sched*/, Co<T> co) {
+  (void)co_await std::move(co);
 }
 
 }  // namespace detail
@@ -171,7 +209,7 @@ template <typename T>
 Future<T> Spawn(Scheduler& sched, Co<T> co) {
   sched.MakeCurrent();  // completions posted before the first Step
   Promise<T> done(sched);
-  detail::RunRoot(std::move(co), done);
+  detail::RunRoot(sched, std::move(co), done);
   return done.future();
 }
 
@@ -179,8 +217,17 @@ Future<T> Spawn(Scheduler& sched, Co<T> co) {
 inline Future<bool> Spawn(Scheduler& sched, Co<void> co) {
   sched.MakeCurrent();
   Promise<bool> done(sched);
-  detail::RunRootVoid(std::move(co), done);
+  detail::RunRootVoid(sched, std::move(co), done);
   return done.future();
+}
+
+/// Starts `co` as a root activity on `sched` whose result nobody reads:
+/// Spawn without the future, so it allocates no shared state. The root
+/// runs, completes and is destroyed exactly as a spawned one is.
+template <typename T>
+void Detach(Scheduler& sched, Co<T> co) {
+  sched.MakeCurrent();
+  detail::RunDetached(sched, std::move(co));
 }
 
 }  // namespace proxy::sim

@@ -161,7 +161,7 @@ TEST_F(BatcherFixture, FlushFailurePropagatesToItems) {
 
 TEST_F(BatcherFixture, ManualFlushShipsEarly) {
   (void)batcher.Add(9);
-  auto done = batcher.Flush();
+  sim::Future<Status> done = sim::Spawn(sched, batcher.Drain());
   sched.RunUntil([&] { return done.ready(); });
   EXPECT_TRUE(done.take().ok());
   ASSERT_EQ(flushed.size(), 1u);
@@ -170,9 +170,11 @@ TEST_F(BatcherFixture, ManualFlushShipsEarly) {
 }
 
 TEST_F(BatcherFixture, ManualFlushOnEmptyIsImmediateOk) {
-  auto done = batcher.Flush();
+  sim::Future<Status> done = sim::Spawn(sched, batcher.Drain());
+  sched.Run();
   ASSERT_TRUE(done.ready());
   EXPECT_TRUE(done.take().ok());
+  EXPECT_EQ(sched.now(), 0u);  // nothing to wait for: done at t = 0
   EXPECT_EQ(batcher.stats().batches, 0u);
 }
 

@@ -14,6 +14,10 @@
 #include "chaos/trace.h"
 #include "test_util.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/lsan_interface.h>
+#endif
+
 namespace proxy::chaos {
 namespace {
 
@@ -222,6 +226,28 @@ TEST(ChaosBugCatch, ReplyAuthRegressionCaughtAndReplaysIdentically) {
   EXPECT_EQ(replay1.trace_events, violating.trace_events);
   EXPECT_EQ(replay1.violations.size(), violating.violations.size());
   EXPECT_EQ(replay2.violations.size(), violating.violations.size());
+}
+
+TEST(ChaosBugCatch, LeakedRootsCaughtByFramesDestroyed) {
+  ChaosOptions options;
+  options.seed = 3;
+  const ChaosReport clean = RunChaos(options);
+  EXPECT_TRUE(clean.ok()) << clean.Summary();
+
+  options.bug = Bug::kLeakRoot;
+  ChaosReport leaked;
+  {
+#if defined(__SANITIZE_ADDRESS__)
+    // The demonstrator leaks the parked frames' heap on purpose.
+    __lsan::ScopedDisabler leaks_expected;
+#endif
+    leaked = RunChaos(options);
+  }
+  ASSERT_EQ(leaked.violations.size(), 1u) << leaked.Summary();
+  EXPECT_TRUE(HasInvariant(leaked, "frames-destroyed"));
+  // The registry only matters at teardown: the run itself is the same.
+  EXPECT_EQ(leaked.fingerprint, clean.fingerprint);
+  EXPECT_EQ(leaked.trace_events, clean.trace_events);
 }
 
 TEST(ChaosBugCatch, SpoofedRepliesAreRejectedOnMain) {

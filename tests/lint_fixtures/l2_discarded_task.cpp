@@ -10,6 +10,7 @@ sim::Co<void> Spooler::Drain() {
   FlushSideline();  // MARK:l2-discarded
   co_await FlushSideline();            // handled: awaited
   (void)sim::Spawn(*sched_, FlushSideline());  // handled: explicit detach
+  sim::Detach(*sched_, FlushSideline());       // handled: detached root
   sim::Co<void> kept = FlushSideline();        // handled: bound to a name
   co_await std::move(kept);
   co_return;

@@ -33,6 +33,7 @@ sim::Co<void> Sink::Handle(BytesView args) {
   stash_ = args;                               // MARK:l6-member-store
   parts_.push_back(args);                      // MARK:l6-container
   (void)sim::Spawn(*sched_, Consume(args));    // MARK:l6-detached
+  sim::Detach(*sched_, Consume(args));         // MARK:l6-sim-detach
 
   offset_ = args.size();          // handled: scalar derived from the view
   copy_ = Bytes(args.begin(), args.end());     // handled: owning copy
@@ -45,6 +46,7 @@ sim::Co<void> Sink::HandleOwned(BytesView args, OwnedBytes arena) {
   // The sanctioned pattern: the arena rides along with the view, so the
   // bytes stay alive as long as the task does.
   (void)sim::Spawn(*sched_, Park(args, std::move(arena)));
+  sim::Detach(*sched_, Park(args, std::move(arena)));
   co_return;
 }
 

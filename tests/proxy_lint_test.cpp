@@ -155,10 +155,11 @@ TEST(ProxyLintL6, ViewEscapesReportedSanctionedPatternsPass) {
   EXPECT_TRUE(HasFindingAt(f, "L6", LineOf(text, "MARK:l6-member-store")));
   EXPECT_TRUE(HasFindingAt(f, "L6", LineOf(text, "MARK:l6-container")));
   EXPECT_TRUE(HasFindingAt(f, "L6", LineOf(text, "MARK:l6-detached")));
+  EXPECT_TRUE(HasFindingAt(f, "L6", LineOf(text, "MARK:l6-sim-detach")));
   EXPECT_TRUE(HasFindingAt(f, "L6", LineOf(text, "MARK:l6-return")));
   // Scalar derivations, owning copies, same-frame consumption, the
   // view+arena pattern, and view-returning accessors are all exempt.
-  EXPECT_EQ(f.size(), 4u);
+  EXPECT_EQ(f.size(), 5u);
 }
 
 TEST(ProxyLintL7, FaithfulPairProducesNoFindings) {

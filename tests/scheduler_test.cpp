@@ -411,6 +411,22 @@ TEST(Scheduler, CurrentIsSetWhileStepping) {
   EXPECT_EQ(seen, &s);
 }
 
+TEST(Scheduler, DestroyingTheCurrentSchedulerClearsCurrent) {
+  Scheduler outer;
+  {
+    Scheduler inner;
+    inner.Post([] {}).Detach();  // posting makes it current
+    EXPECT_EQ(Scheduler::Current(), &inner);
+  }
+  // Never a dangling pointer: frame allocation draws from Current().
+  EXPECT_EQ(Scheduler::Current(), nullptr);
+  outer.MakeCurrent();
+  {
+    Scheduler bystander;
+  }  // was never current, so Current() is left alone
+  EXPECT_EQ(Scheduler::Current(), &outer);
+}
+
 TEST(Scheduler, StepReturnsFalseOnEmptyQueue) {
   Scheduler s;
   EXPECT_FALSE(s.Step());

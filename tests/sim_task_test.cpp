@@ -1,11 +1,17 @@
 // Unit tests for coroutine tasks, futures, promises and sleep.
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "sim/future.h"
 #include "sim/task.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace proxy::sim {
 namespace {
@@ -160,6 +166,130 @@ TEST(Task, DeepChainCompletesWithoutStackOverflow) {
   s.Run();
   ASSERT_TRUE(f.ready());
   EXPECT_EQ(f.take(), 2000);
+}
+
+// --- frame ownership (sim/frames.h) ---
+
+/// A local whose destructor proves its frame was destroyed.
+struct DestroyFlag {
+  bool* destroyed;
+  ~DestroyFlag() { *destroyed = true; }
+};
+
+Co<int> ParkOnFuture(Future<int> f, bool* destroyed) {
+  DestroyFlag flag{destroyed};
+  const int v = co_await f;
+  co_return v;
+}
+
+Co<void> ParkInSleep(Scheduler& s, bool* destroyed) {
+  DestroyFlag flag{destroyed};
+  co_await SleepFor(s, Seconds(1));
+}
+
+TEST(FrameOwnership, ParkedRootsAreDestroyedWithTheirScheduler) {
+  bool on_future = false;
+  bool in_sleep = false;
+  std::size_t left = 99;
+  {
+    Scheduler s;
+    s.MakeCurrent();  // every frame below comes from its pool
+    s.SetTeardownHook([&left](std::size_t live) { left = live; });
+    Promise<int> never(s);
+    Future<int> parked = Spawn(s, ParkOnFuture(never.future(), &on_future));
+    Detach(s, ParkInSleep(s, &in_sleep));
+    s.RunFor(Milliseconds(1));
+    EXPECT_FALSE(parked.ready());
+    EXPECT_FALSE(on_future);
+    EXPECT_FALSE(in_sleep);
+    EXPECT_EQ(s.live_frames(), 4u);  // two roots, each over one frame
+  }
+  EXPECT_TRUE(on_future);
+  EXPECT_TRUE(in_sleep);
+  EXPECT_EQ(left, 0u);
+}
+
+TEST(FrameOwnership, DestroyRootsTakesTheAwaitedChainAlong) {
+  Scheduler s;
+  s.MakeCurrent();
+  Promise<int> never(s);
+  Future<int> parked = Spawn(s, Chain(never.future()));
+  s.Run();
+  EXPECT_EQ(s.live_frames(), 3u);  // the root, Chain, AwaitFuture
+  s.DestroyRoots();
+  EXPECT_EQ(s.live_frames(), 0u);
+  EXPECT_FALSE(parked.ready());
+}
+
+/// Awaiting it records the awaiting coroutine's frame address and
+/// continues without suspending.
+struct FrameAddress {
+  void** out;
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const noexcept {
+    *out = h.address();
+    return false;
+  }
+  void await_resume() const noexcept {}
+};
+
+Co<int> RecordFrame(void** out) {
+  const FrameAddress here{out};
+  co_await here;
+  co_return 1;
+}
+
+Co<int> RecordTwice(void** first, void** second) {
+  const int a = co_await RecordFrame(first);
+  const int b = co_await RecordFrame(second);
+  co_return a + b;
+}
+
+TEST(FrameOwnership, SameSizeFramesReuseOneSlot) {
+  Scheduler s;
+  s.MakeCurrent();
+  void* first = nullptr;
+  void* second = nullptr;
+  Future<int> f = Spawn(s, RecordTwice(&first, &second));
+  s.Run();
+  ASSERT_TRUE(f.ready());
+  EXPECT_EQ(f.take(), 2);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first, second);  // the first frame's slot, reissued
+  EXPECT_EQ(s.live_frames(), 0u);
+}
+
+TEST(FrameOwnership, AFreedSlotIsPoisoned) {
+#if defined(__SANITIZE_ADDRESS__)
+  Scheduler s;
+  s.MakeCurrent();  // so the recorded frame is a slot, not heap
+  void* frame = nullptr;
+  Future<int> f = Spawn(s, RecordFrame(&frame));
+  s.Run();
+  ASSERT_TRUE(f.ready());
+  ASSERT_NE(frame, nullptr);
+  // A use of the destroyed frame would be reported, as on the heap.
+  EXPECT_NE(__asan_address_is_poisoned(frame), 0);
+#else
+  GTEST_SKIP() << "needs AddressSanitizer";
+#endif
+}
+
+TEST(FrameOwnership, AFrameComesFromTheCurrentPoolOrTheHeap) {
+  {
+    Scheduler gone;
+    gone.MakeCurrent();
+  }  // destroying it cleared Current()
+  Scheduler s;
+  ASSERT_EQ(Scheduler::Current(), nullptr);
+  Co<int> from_heap = ReturnImmediately(1);  // created, never started
+  EXPECT_EQ(s.live_frames(), 0u);
+  s.MakeCurrent();
+  {
+    Co<int> from_pool = ReturnImmediately(2);
+    EXPECT_EQ(s.live_frames(), 1u);
+  }
+  EXPECT_EQ(s.live_frames(), 0u);
 }
 
 }  // namespace

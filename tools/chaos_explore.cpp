@@ -10,6 +10,9 @@
 //                                         spoofing bug (the sweep must catch it)
 //   chaos_explore ... --bug=stale-primary disable epoch fencing: a deposed kv
 //                                         primary keeps acknowledging writes
+//   chaos_explore ... --bug=leak-root     start roots unregistered: teardown
+//                                         leaves their frames alive
+//                                         (frames-destroyed)
 //   chaos_explore --sharded ...           run the sharded topology: two replica
 //                                         groups behind a routing proxy, with
 //                                         online shard migrations in the window
@@ -101,6 +104,10 @@ void PrintUsage(std::FILE* out) {
                "                     (implies --overload); congestion breeds "
                "retransmission\n"
                "                     storms (bounded-retry-amplification)\n"
+               "      leak-root      start roots outside the scheduler's "
+               "registry; teardown\n"
+               "                     cannot destroy the parked ones "
+               "(frames-destroyed)\n"
                "  --sharded          shard the KV across two replica groups "
                "behind the\n"
                "                     routing proxy and drive online shard "
@@ -171,12 +178,15 @@ bool Parse(int argc, char** argv, Args& args) {
     } else if (std::strcmp(a, "--bug=retry-storm") == 0) {
       args.bug = Bug::kRetryStorm;
       args.overload = true;  // the governors only matter on overload lanes
+    } else if (std::strcmp(a, "--bug=leak-root") == 0) {
+      args.bug = Bug::kLeakRoot;
     } else if (std::strcmp(a, "--bug=none") == 0) {
       args.bug = Bug::kNone;
     } else if (std::strncmp(a, "--bug=", 6) == 0) {
       std::fprintf(stderr,
                    "unknown bug '%s' (valid: none, reply-auth, "
-                   "stale-primary, stale-shard-map, retry-storm)\n",
+                   "stale-primary, stale-shard-map, retry-storm, "
+                   "leak-root)\n",
                    a + 6);
       return false;
     } else {
@@ -232,6 +242,7 @@ int RunSweep(const Args& args) {
     if (args.bug == Bug::kStalePrimary) bug_flag = " --bug=stale-primary";
     if (args.bug == Bug::kStaleShardMap) bug_flag = " --bug=stale-shard-map";
     if (args.bug == Bug::kRetryStorm) bug_flag = " --bug=retry-storm";
+    if (args.bug == Bug::kLeakRoot) bug_flag = " --bug=leak-root";
     std::printf("reproduce with: chaos_explore --seed=%llu%s%s%s\n",
                 static_cast<unsigned long long>(s),
                 args.sharded && args.bug != Bug::kStaleShardMap ? " --sharded"
@@ -307,5 +318,10 @@ int RunSingle(const Args& args) {
 int main(int argc, char** argv) {
   Args args;
   if (!Parse(argc, argv, args)) return 2;
-  return args.seed != 0 ? RunSingle(args) : RunSweep(args);
+  const int status = args.seed != 0 ? RunSingle(args) : RunSweep(args);
+  // Flush before exit: under ASan, LeakSanitizer ends a process whose
+  // run leaked (--bug=leak-root does, on purpose) without flushing stdio,
+  // and the verdict lines would be lost from a piped stdout.
+  std::fflush(stdout);
+  return status;
 }

@@ -384,8 +384,8 @@ bool LooksLikeDeclaration(const Tokens& t, std::size_t i,
 // L2: a bare statement `Foo(args);` whose callee resolves (through the
 // symbol index) to a sim::Co / sim::Future return type — the lazy
 // coroutine is destroyed unstarted (Co) or the completion silently
-// dropped (Future). `(void)` / co_await / Spawn / assignment all count
-// as handling the result.
+// dropped (Future). `(void)` / co_await / Spawn / Detach / assignment
+// all count as handling the result.
 void CheckDiscardedTasks(const Analysis& a) {
   const Tokens& t = a.t;
   int paren_depth = 0;
@@ -431,7 +431,8 @@ void CheckDiscardedTasks(const Analysis& a) {
     a.Report(t[callee_idx].line, "L2",
              "result of '" + callee +
                  "' (returns sim::Co/sim::Future) is discarded: co_await "
-                 "it, Spawn it, or cast to (void) to detach explicitly");
+                 "it, Spawn or Detach it, or cast to (void) to drop it "
+                 "explicitly");
   }
 }
 
@@ -838,8 +839,9 @@ void CheckBorrowedViewEscape(const Analysis& a) {
       }
     }
 
-    // (c) detached capture: the view rides into a Spawn'd coroutine
-    // frame or a .Detach()'d timer callback, with no arena aboard.
+    // (c) detached capture: the view rides into a Spawn'd or
+    // sim::Detach'd coroutine frame, or a .Detach()'d timer callback,
+    // with no arena aboard.
     bool detached = false;
     int bdepth = 0;
     for (std::size_t p = i; p < end; ++p) {
@@ -847,8 +849,7 @@ void CheckBorrowedViewEscape(const Analysis& a) {
       else if (t[p].text == "}") --bdepth;
       else if (bdepth == 0 && t[p].kind == Tok::kIdent &&
                (t[p].text == "Spawn" || t[p].text == "Detach") &&
-               (t[p].text == "Spawn" ? Is(t, p + 1, "(")
-                                     : p > 0 && Is(t, p - 1, "."))) {
+               Is(t, p + 1, "(")) {
         detached = true;
         break;
       }
