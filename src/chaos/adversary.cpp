@@ -4,15 +4,14 @@
 
 #include "rpc/frame.h"
 #include "serde/traits.h"
-#include "services/counter.h"
 
 namespace proxy::chaos {
 
 void ReplySpoofer::Burst(std::uint32_t client_index) {
   if (targets_.empty()) return;
   const Target& target = targets_[client_index % targets_.size()];
-  const Bytes poison =
-      serde::EncodeToBytes(services::counterwire::ValueResponse{kPoisonValue});
+  // A counter reply is the bare value, so the poison decodes as one.
+  const Bytes poison = serde::EncodeToBytes(kPoisonValue);
   for (std::uint64_t seq = 1; seq <= kSeqSweep; ++seq) {
     rpc::ReplyFrame reply;
     reply.call = rpc::CallId{target.nonce, seq};

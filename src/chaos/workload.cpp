@@ -122,18 +122,15 @@ std::shared_ptr<rpc::Dispatch> MakeThrottledKvDispatch(
     std::shared_ptr<services::KvService> impl, sim::Scheduler& sched,
     SimDuration service_time) {
   using services::kvwire::GetRequest;
-  using services::kvwire::GetResponse;
   using services::kvwire::ListRequest;
-  using services::kvwire::ListResponse;
   using services::kvwire::PutRequest;
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<GetRequest, GetResponse>(
+  rpc::RegisterTyped<GetRequest, std::optional<std::string>>(
       *dispatch, services::kvwire::kGet,
-      [impl, &sched, service_time](
-          GetRequest req,
-          const rpc::CallContext&) -> sim::Co<Result<GetResponse>> {
+      [impl, &sched, service_time](GetRequest req, const rpc::CallContext&)
+          -> sim::Co<Result<std::optional<std::string>>> {
         co_await sim::SleepFor(sched, service_time);
-        co_return GetResponse{impl->Lookup(req.key)};
+        co_return impl->Lookup(req.key);
       });
   rpc::RegisterTyped<PutRequest, rpc::Void>(
       *dispatch, services::kvwire::kPut,
@@ -145,13 +142,12 @@ std::shared_ptr<rpc::Dispatch> MakeThrottledKvDispatch(
                     req.exclude_sink);
         co_return rpc::Void{};
       });
-  rpc::RegisterTyped<ListRequest, ListResponse>(
+  rpc::RegisterTyped<ListRequest, std::vector<std::string>>(
       *dispatch, services::kvwire::kList,
-      [impl, &sched, service_time](
-          ListRequest req,
-          const rpc::CallContext&) -> sim::Co<Result<ListResponse>> {
+      [impl, &sched, service_time](ListRequest req, const rpc::CallContext&)
+          -> sim::Co<Result<std::vector<std::string>>> {
         co_await sim::SleepFor(sched, service_time);
-        co_return ListResponse{impl->Keys(req.prefix)};
+        co_return impl->Keys(req.prefix);
       });
   return dispatch;
 }

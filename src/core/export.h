@@ -17,7 +17,6 @@
 #include "core/runtime.h"
 #include "rpc/server.h"
 #include "rpc/stub.h"
-#include "sim/task.h"
 
 namespace proxy::core {
 
@@ -75,7 +74,7 @@ class ServiceExport {
   [[nodiscard]] Context& context() noexcept { return *context_; }
 
   /// Registers the binding in the name service under `name`.
-  sim::Co<Result<rpc::Void>> Publish(std::string name,
+  rpc::TypedReply<rpc::Void> Publish(std::string name,
                                      std::uint64_t lease_ns = 0) {
     return context_->names().RegisterService(std::move(name), binding_,
                                              lease_ns);

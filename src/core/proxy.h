@@ -15,10 +15,11 @@
 // proxy adopts it and retries instead of erroring forever against a dead
 // address.
 //
-// A subclass marshals through Call<Resp>(method, req): a plain function
-// that encodes `req` and returns rpc::TypedReply (rpc/stub.h) over the
-// invocation loop CallRaw, so awaiting a typed call costs CallRaw's one
-// frame and no other. CallRaw is the only coroutine here.
+// A subclass marshals through Call<T>(method, req): a plain function that
+// encodes `req` and returns the invocation loop CallRaw<T>, which decodes
+// the reply as T. So a stub method that only marshals is a forward that
+// returns Call<T>(...), and awaiting it costs CallRaw's one frame and no
+// other. CallRaw is the only coroutine here.
 //
 // Everything beyond that — caching, batching, write-back, migrate-on-use
 // — is a subclass's private protocol with its service (the concrete
@@ -117,35 +118,29 @@ class ProxyBase {
   friend class InvalidationSink;
 
   /// Typed remote call with transparent rebinding on OBJECT_MOVED, using
-  /// the proxy's ambient options. Marshals `req` now; awaiting the reply
-  /// runs the invocation loop (CallRaw) and unmarshals a Resp.
-  template <typename Resp, typename Req>
-  rpc::TypedReply<Resp, sim::Co<Result<OwnedBytes>>> Call(
-      std::uint32_t method, const Req& req) {
-    return Call<Resp>(method, req, options_);
+  /// the proxy's ambient options. Marshals `req` now; awaiting the result
+  /// runs the invocation loop, which unmarshals a T.
+  template <typename T, typename Req>
+  sim::Co<Result<T>> Call(std::uint32_t method, const Req& req) {
+    return CallRaw<T>(method, serde::EncodeToBytes(req), options_);
   }
 
   /// Typed remote call under `options` instead of the ambient ones.
-  template <typename Resp, typename Req>
-  rpc::TypedReply<Resp, sim::Co<Result<OwnedBytes>>> Call(
-      std::uint32_t method, const Req& req, rpc::CallOptions options) {
-    return rpc::AwaitReply<Resp>(
-        CallRaw(method, serde::EncodeToBytes(req), std::move(options)));
-  }
-
-  /// Untyped variant for proxies that marshal manually.
-  sim::Co<Result<OwnedBytes>> CallRaw(std::uint32_t method, Bytes args) {
-    return CallRaw(method, std::move(args), options_);
+  template <typename T, typename Req>
+  sim::Co<Result<T>> Call(std::uint32_t method, const Req& req,
+                          rpc::CallOptions options) {
+    return CallRaw<T>(method, serde::EncodeToBytes(req), std::move(options));
   }
 
   /// The invocation loop, and the system's measurement point: the proxy
   /// is where a call's whole story (forwarding hops, recoveries, final
   /// latency) is visible, so this is where the span opens and closes.
   /// `args` lives in this frame for every hop; each hop's RpcClient::Call
-  /// reads it in place. The result is the reply's window of its arrival
-  /// buffer (rpc::RpcResult::payload).
-  sim::Co<Result<OwnedBytes>> CallRaw(std::uint32_t method, Bytes args,
-                                      rpc::CallOptions options) {
+  /// reads it in place. The reply decodes as T once the span and stats
+  /// are recorded: an undecodable reply is kCorrupt, not a failed call.
+  template <typename T>
+  sim::Co<Result<T>> CallRaw(std::uint32_t method, Bytes args,
+                             rpc::CallOptions options) {
     stats_.calls++;
     const SimTime started = context_->scheduler().now();
     obs::SpanRecorder& spans = context_->spans();
@@ -250,7 +245,8 @@ class ProxyBase {
     const SimTime ended = context_->scheduler().now();
     call_latency_.Record(ended - started);
     spans.End(span, ended, outcome.status());
-    co_return outcome;
+    if (!outcome.ok()) co_return outcome.status();
+    co_return serde::DecodeFromBytes<T>(outcome->view());
   }
 
   rpc::CallOptions options_;

@@ -85,6 +85,10 @@ Runtime::Runtime(Params params)
       network_(scheduler_, params.seed),
       rng_(SplitMix64(params.seed ^ 0x70726f7879ULL).Next()) {
   network_.SetDefaultLink(params.default_link);
+  // Driver code creates this runtime's first coroutines before any event
+  // runs (a forward creates its callee's frame when it is called): they
+  // come from this scheduler's slabs too, not from the heap.
+  scheduler_.MakeCurrent();
 }
 
 Runtime::~Runtime() {

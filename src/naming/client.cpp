@@ -2,33 +2,27 @@
 
 namespace proxy::naming {
 
-sim::Co<Result<rpc::Void>> NameClient::Register(std::string name,
+rpc::TypedReply<rpc::Void> NameClient::Register(std::string name,
                                                 NameRecord record,
                                                 bool overwrite) {
-  RegisterRequest req{std::move(name), std::move(record), overwrite};
-  co_return co_await TypedCall<rpc::Void>(Method::kRegister, std::move(req));
+  return TypedCall<rpc::Void>(
+      Method::kRegister,
+      RegisterRequest{std::move(name), std::move(record), overwrite});
 }
 
-sim::Co<Result<NameRecord>> NameClient::Lookup(std::string name) {
-  LookupRequest req{std::move(name)};  // named: see stub.h "GCC note"
-  Result<LookupResponse> resp =
-      co_await TypedCall<LookupResponse>(Method::kLookup, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->record);
+rpc::TypedReply<NameRecord> NameClient::Lookup(std::string name) {
+  return TypedCall<NameRecord>(Method::kLookup, LookupRequest{std::move(name)});
 }
 
-sim::Co<Result<rpc::Void>> NameClient::Unregister(std::string name) {
-  UnregisterRequest req{std::move(name)};
-  co_return co_await TypedCall<rpc::Void>(Method::kUnregister, std::move(req));
+rpc::TypedReply<rpc::Void> NameClient::Unregister(std::string name) {
+  return TypedCall<rpc::Void>(Method::kUnregister,
+                              UnregisterRequest{std::move(name)});
 }
 
-sim::Co<Result<std::vector<std::pair<std::string, NameRecord>>>>
+rpc::TypedReply<std::vector<std::pair<std::string, NameRecord>>>
 NameClient::List(std::string prefix) {
-  ListRequest req{std::move(prefix)};
-  Result<ListResponse> resp =
-      co_await TypedCall<ListResponse>(Method::kList, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->entries);
+  return TypedCall<std::vector<std::pair<std::string, NameRecord>>>(
+      Method::kList, ListRequest{std::move(prefix)});
 }
 
 sim::Co<Result<core::ServiceBinding>> NameClient::ResolvePath(
@@ -73,14 +67,13 @@ sim::Co<Result<core::ServiceBinding>> NameClient::ResolvePath(
   co_return FailedPreconditionError("referral chain too long: " + path);
 }
 
-sim::Co<Result<rpc::Void>> NameClient::RegisterService(
+rpc::TypedReply<rpc::Void> NameClient::RegisterService(
     std::string name, core::ServiceBinding binding, std::uint64_t lease_ns) {
   NameRecord record;
   record.kind = RecordKind::kService;
   record.binding = binding;
   record.lease_ns = lease_ns;
-  co_return co_await Register(std::move(name), std::move(record),
-                              /*overwrite=*/true);
+  return Register(std::move(name), std::move(record), /*overwrite=*/true);
 }
 
 sim::Co<Result<core::ServiceBinding>> CachingNameClient::ResolvePath(

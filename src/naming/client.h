@@ -18,16 +18,19 @@
 
 namespace proxy::naming {
 
+/// The plain stub. Register, Lookup, Unregister, List and RegisterService
+/// are forwards: each sends its call when invoked and returns the typed
+/// reply, which the caller awaits.
 class NameClient : public rpc::StubBase {
  public:
   NameClient(rpc::RpcClient& client, net::Address name_server)
       : rpc::StubBase(client, name_server, kNameServiceObject) {}
 
-  sim::Co<Result<rpc::Void>> Register(std::string name, NameRecord record,
+  rpc::TypedReply<rpc::Void> Register(std::string name, NameRecord record,
                                       bool overwrite = false);
-  sim::Co<Result<NameRecord>> Lookup(std::string name);
-  sim::Co<Result<rpc::Void>> Unregister(std::string name);
-  sim::Co<Result<std::vector<std::pair<std::string, NameRecord>>>> List(
+  rpc::TypedReply<NameRecord> Lookup(std::string name);
+  rpc::TypedReply<rpc::Void> Unregister(std::string name);
+  rpc::TypedReply<std::vector<std::pair<std::string, NameRecord>>> List(
       std::string prefix);
 
   /// Resolves a '/'-separated path, following directory referrals across
@@ -38,7 +41,7 @@ class NameClient : public rpc::StubBase {
       std::string path, int max_hops = 16, obs::TraceContext trace = {});
 
   /// Convenience: registers a service-binding leaf record.
-  sim::Co<Result<rpc::Void>> RegisterService(std::string name,
+  rpc::TypedReply<rpc::Void> RegisterService(std::string name,
                                              core::ServiceBinding binding,
                                              std::uint64_t lease_ns = 0);
 };

@@ -52,14 +52,12 @@ struct RegisterRequest {
   PROXY_SERDE_FIELDS(name, record, overwrite)
 };
 
+// A reply carries one value and is that value: Lookup answers the
+// NameRecord, List the (name, record) pairs in name order, Register and
+// Unregister rpc::Void.
 struct LookupRequest {
   std::string name;
   PROXY_SERDE_FIELDS(name)
-};
-
-struct LookupResponse {
-  NameRecord record;
-  PROXY_SERDE_FIELDS(record)
 };
 
 struct UnregisterRequest {
@@ -70,11 +68,6 @@ struct UnregisterRequest {
 struct ListRequest {
   std::string prefix;
   PROXY_SERDE_FIELDS(prefix)
-};
-
-struct ListResponse {
-  std::vector<std::pair<std::string, NameRecord>> entries;
-  PROXY_SERDE_FIELDS(entries)
 };
 
 }  // namespace proxy::naming

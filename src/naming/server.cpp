@@ -11,7 +11,7 @@ NameServer::NameServer(rpc::RpcServer& server)
       [this](RegisterRequest req, const rpc::CallContext&) {
         return HandleRegister(std::move(req));
       });
-  rpc::RegisterTyped<LookupRequest, LookupResponse>(
+  rpc::RegisterTyped<LookupRequest, NameRecord>(
       *dispatch_, Method::kLookup,
       [this](LookupRequest req, const rpc::CallContext&) {
         return HandleLookup(req);
@@ -21,7 +21,8 @@ NameServer::NameServer(rpc::RpcServer& server)
       [this](UnregisterRequest req, const rpc::CallContext&) {
         return HandleUnregister(req);
       });
-  rpc::RegisterTyped<ListRequest, ListResponse>(
+  rpc::RegisterTyped<ListRequest,
+                     std::vector<std::pair<std::string, NameRecord>>>(
       *dispatch_, Method::kList,
       [this](ListRequest req, const rpc::CallContext&) {
         return HandleList(req);
@@ -65,11 +66,11 @@ Result<rpc::Void> NameServer::HandleRegister(RegisterRequest req) {
   return rpc::Void{};
 }
 
-Result<LookupResponse> NameServer::HandleLookup(const LookupRequest& req) {
+Result<NameRecord> NameServer::HandleLookup(const LookupRequest& req) {
   if (!Sweep(req.name)) {
     return NotFoundError("unbound name: " + req.name);
   }
-  return LookupResponse{records_.at(req.name).record};
+  return records_.at(req.name).record;
 }
 
 Result<rpc::Void> NameServer::HandleUnregister(const UnregisterRequest& req) {
@@ -79,17 +80,18 @@ Result<rpc::Void> NameServer::HandleUnregister(const UnregisterRequest& req) {
   return rpc::Void{};
 }
 
-Result<ListResponse> NameServer::HandleList(const ListRequest& req) const {
-  ListResponse resp;
+Result<std::vector<std::pair<std::string, NameRecord>>> NameServer::HandleList(
+    const ListRequest& req) const {
+  std::vector<std::pair<std::string, NameRecord>> entries;
   // Expired entries are skipped but only erased by their own lookups, so
   // listing stays iterator-safe.
   const SimTime now = server_->scheduler().now();
   for (const auto& [name, entry] : records_) {
     if (name.compare(0, req.prefix.size(), req.prefix) != 0) continue;
     if (entry.expires_at != 0 && entry.expires_at <= now) continue;
-    resp.entries.emplace_back(name, entry.record);
+    entries.emplace_back(name, entry.record);
   }
-  return resp;
+  return entries;
 }
 
 }  // namespace proxy::naming

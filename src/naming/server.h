@@ -4,6 +4,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "naming/protocol.h"
 #include "rpc/server.h"
@@ -38,9 +40,10 @@ class NameServer {
   bool Sweep(const std::string& name);
 
   Result<rpc::Void> HandleRegister(RegisterRequest req);
-  Result<LookupResponse> HandleLookup(const LookupRequest& req);
+  Result<NameRecord> HandleLookup(const LookupRequest& req);
   Result<rpc::Void> HandleUnregister(const UnregisterRequest& req);
-  Result<ListResponse> HandleList(const ListRequest& req) const;
+  Result<std::vector<std::pair<std::string, NameRecord>>> HandleList(
+      const ListRequest& req) const;
 
   rpc::RpcServer* server_;
   std::shared_ptr<rpc::Dispatch> dispatch_;

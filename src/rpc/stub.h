@@ -2,21 +2,28 @@
 //
 // A *stub* is the baseline of the proxy principle comparison: it marshals
 // arguments, performs the remote call, and unmarshals the result — and
-// does nothing else. Each step is written once here:
+// does nothing else. So a stub method is a forward: a plain function that
+// builds the request (one struct per parameter list) and returns the
+// typed call, whose reply is the method's result type. Each step is
+// written once:
 //
-//   - TypedReply<Resp, Source> is the one typed-reply awaitable. It
-//     awaits an RpcClient::Call future, or a coroutine yielding
-//     Result<OwnedBytes> (core::ProxyBase::CallRaw), and decodes a Resp
-//     in await_resume. Typed stubs build it with TypedCall<Resp>();
-//     proxies with core::ProxyBase::Call<Resp>(); code that calls
-//     RpcClient directly wraps the future in AwaitReply<Resp>().
+//   - core::ProxyBase::Call<T>() (core/proxy.h) returns the invocation
+//     loop CallRaw<T>, which decodes the reply as T; a proxy's stub
+//     method returns it.
+//   - TypedReply<Resp> is the typed reply of a bare RpcClient::Call: it
+//     awaits the call's future and decodes a Resp in await_resume.
+//     StubBase::TypedCall<Resp>() builds it for stubs without a proxy
+//     (naming::NameClient); code that calls RpcClient directly wraps the
+//     future in AwaitReply<Resp>().
 //   - RegisterTyped<Req, Resp>() is the one typed skeleton: it decodes
 //     the request, runs the handler and encodes its reply.
 //
-// TypedReply owns no coroutine frame, so a typed call costs no
-// allocation and no scheduler event beyond the call it wraps. The
-// skeleton's adapter is a handler's only frame when its service code
-// cannot suspend.
+// A reply that carries one value is that value: a PROXY_SERDE_FIELDS
+// struct encodes exactly as its fields, so a bare value is wire-identical
+// to a one-field reply struct. TypedReply owns no coroutine frame, so a
+// typed call costs no allocation and no scheduler event beyond the call
+// it wraps. The skeleton's adapter is a handler's only frame when its
+// service code cannot suspend.
 //
 // Proxies (src/core) may *contain* a stub as their transport leg, but add
 // management intelligence around it (caching, batching, rebinding).
@@ -24,10 +31,13 @@
 // GCC note (load-bearing convention): never write an aggregate-initialized
 // temporary with a non-trivial destructor inside a co_await full-expression
 // — `co_await Call<R>(kGet, GetRequest{key})` double-destroys the temporary
-// under GCC 12 (isolated repro in DESIGN.md "toolchain notes"). Build the
-// request as a named local and move it:
+// under GCC 12 (isolated repro in DESIGN.md "toolchain notes"). Inside a
+// coroutine, build the request as a named local and move it:
 //     GetRequest req{key};
-//     auto resp = co_await Call<GetResponse>(kGet, std::move(req));
+//     auto value = co_await Call<std::optional<std::string>>(kGet,
+//                                                            std::move(req));
+// A forward, being no coroutine, may pass an aggregate temporary:
+//     return Call<std::optional<std::string>>(kGet, GetRequest{key});
 #pragma once
 
 #include <coroutine>
@@ -42,43 +52,35 @@
 
 namespace proxy::rpc {
 
-/// The typed reply of one remote call. Awaiting it awaits `source` — an
-/// RpcClient::Call future, or a lazy coroutine yielding Result<OwnedBytes>
-/// — and yields the reply decoded as Resp: the call's error status, or
-/// the decode status (kCorrupt) for a reply that is not a Resp. A
-/// coroutine source is entered exactly as `co_await source` enters it and
-/// completes through its own FinalAwaiter post (DESIGN.md §7), so the
-/// wrapper adds no frame and no event.
-template <typename Resp, typename Source>
+/// The typed reply of one RpcClient::Call. Awaiting it awaits the call's
+/// future and yields the reply decoded as Resp: the call's error status,
+/// or the decode status (kCorrupt) for a reply that is not a Resp.
+template <typename Resp>
 class [[nodiscard]] TypedReply {
  public:
-  explicit TypedReply(Source source) noexcept : source_(std::move(source)) {}
+  explicit TypedReply(sim::Future<RpcResult> call) noexcept
+      : call_(std::move(call)) {}
 
   [[nodiscard]] bool await_ready() const noexcept {
-    return source_.await_ready();
+    return call_.await_ready();
   }
-  auto await_suspend(std::coroutine_handle<> awaiting) {
-    return source_.await_suspend(awaiting);
+  void await_suspend(std::coroutine_handle<> awaiting) {
+    call_.await_suspend(awaiting);
   }
-  Result<Resp> await_resume() { return Decode(source_.await_resume()); }
-
- private:
-  static Result<Resp> Decode(RpcResult raw) {
+  Result<Resp> await_resume() {
+    RpcResult raw = call_.await_resume();
     if (!raw.ok()) return raw.status;
     return serde::DecodeFromBytes<Resp>(raw.payload.view());
   }
-  static Result<Resp> Decode(Result<OwnedBytes> raw) {
-    if (!raw.ok()) return raw.status();
-    return serde::DecodeFromBytes<Resp>(raw->view());
-  }
 
-  Source source_;
+ private:
+  sim::Future<RpcResult> call_;
 };
 
-/// Awaits `source` as the typed reply of a Resp-returning method.
-template <typename Resp, typename Source>
-TypedReply<Resp, Source> AwaitReply(Source source) {
-  return TypedReply<Resp, Source>(std::move(source));
+/// Awaits `call` as the typed reply of a Resp-returning method.
+template <typename Resp>
+TypedReply<Resp> AwaitReply(sim::Future<RpcResult> call) {
+  return TypedReply<Resp>(std::move(call));
 }
 
 /// Client-side base: holds the binding triple (client, server address,
@@ -109,8 +111,7 @@ class StubBase {
   /// Marshals `req` and sends it as `method`; awaiting the result
   /// unmarshals a Resp.
   template <typename Resp, typename Req>
-  TypedReply<Resp, sim::Future<RpcResult>> TypedCall(std::uint32_t method,
-                                                     const Req& req) {
+  TypedReply<Resp> TypedCall(std::uint32_t method, const Req& req) {
     return AwaitReply<Resp>(client_->Call(
         server_, object_, method, serde::EncodeToBytes(req), options_));
   }

@@ -6,7 +6,6 @@
 namespace proxy::services {
 
 using counterwire::IncrementRequest;
-using counterwire::ValueResponse;
 
 Bytes CounterService::SnapshotState() const {
   serde::Writer w;
@@ -23,16 +22,16 @@ Status CounterService::RestoreState(BytesView state) {
 std::shared_ptr<rpc::Dispatch> MakeCounterDispatch(
     std::shared_ptr<CounterService> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<IncrementRequest, ValueResponse>(
+  rpc::RegisterTyped<IncrementRequest, std::int64_t>(
       *dispatch, counterwire::kIncrement,
       [impl](IncrementRequest req,
-             const rpc::CallContext&) -> Result<ValueResponse> {
-        return ValueResponse{impl->Add(req.delta)};
+             const rpc::CallContext&) -> Result<std::int64_t> {
+        return impl->Add(req.delta);
       });
-  rpc::RegisterTyped<rpc::Void, ValueResponse>(
+  rpc::RegisterTyped<rpc::Void, std::int64_t>(
       *dispatch, counterwire::kRead,
-      [impl](rpc::Void, const rpc::CallContext&) -> Result<ValueResponse> {
-        return ValueResponse{impl->value()};
+      [impl](rpc::Void, const rpc::CallContext&) -> Result<std::int64_t> {
+        return impl->value();
       });
   return dispatch;
 }
@@ -50,18 +49,11 @@ Result<CounterExport> ExportCounterService(core::Context& context,
 }
 
 sim::Co<Result<std::int64_t>> CounterStub::Increment(std::int64_t delta) {
-  IncrementRequest req{delta};
-  Result<ValueResponse> resp =
-      co_await Call<ValueResponse>(counterwire::kIncrement, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->value;
+  return Call<std::int64_t>(counterwire::kIncrement, IncrementRequest{delta});
 }
 
 sim::Co<Result<std::int64_t>> CounterStub::Read() {
-  Result<ValueResponse> resp =
-      co_await Call<ValueResponse>(counterwire::kRead, rpc::Void{});
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->value;
+  return Call<std::int64_t>(counterwire::kRead, rpc::Void{});
 }
 
 sim::Co<Result<std::shared_ptr<ICounter>>> CounterDsmProxy::EnsureLocal() {
@@ -86,9 +78,8 @@ sim::Co<Result<std::shared_ptr<ICounter>>> CounterDsmProxy::EnsureLocal() {
     if (pulled.status().code() == StatusCode::kNotFound) {
       // The object moved since we last saw it: a plain call follows the
       // forwarding chain and refreshes our binding, then we retry.
-      Result<OwnedBytes> probe =
-          co_await CallRaw(counterwire::kRead,
-                           serde::EncodeToBytes(rpc::Void{}));
+      Result<std::int64_t> probe =
+          co_await Call<std::int64_t>(counterwire::kRead, rpc::Void{});
       if (!probe.ok()) co_return probe.status();
       continue;
     }

@@ -44,13 +44,10 @@ enum Method : std::uint32_t {
   kRead = 2,
 };
 
+// Both methods reply with the counter's value, a bare std::int64_t.
 struct IncrementRequest {
   std::int64_t delta = 0;
   PROXY_SERDE_FIELDS(delta)
-};
-struct ValueResponse {
-  std::int64_t value = 0;
-  PROXY_SERDE_FIELDS(value)
 };
 
 }  // namespace counterwire

@@ -10,8 +10,6 @@ namespace proxy::services {
 
 using filewire::InvalidateRangeMessage;
 using filewire::ReadRequest;
-using filewire::ReadResponse;
-using filewire::SizeResponse;
 using filewire::TruncateRequest;
 using filewire::WriteRequest;
 using filewire::WriteVecRequest;
@@ -109,20 +107,20 @@ void FileService::FillPattern(std::uint64_t size, std::uint8_t seed) {
 std::shared_ptr<rpc::Dispatch> MakeFileDispatch(
     std::shared_ptr<FileService> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<ReadRequest, ReadResponse>(
+  rpc::RegisterTyped<ReadRequest, Bytes>(
       *dispatch, filewire::kRead,
-      [impl](ReadRequest req, const rpc::CallContext&) -> Result<ReadResponse> {
-        return ReadResponse{impl->ReadAt(req.offset, req.length)};
+      [impl](ReadRequest req, const rpc::CallContext&) -> Result<Bytes> {
+        return impl->ReadAt(req.offset, req.length);
       });
   rpc::RegisterTyped<WriteRequest, rpc::Void>(
       *dispatch, filewire::kWrite,
       [impl](WriteRequest req, const rpc::CallContext&) {
         return impl->WriteExcluding(req.offset, req.data, req.exclude_sink);
       });
-  rpc::RegisterTyped<rpc::Void, SizeResponse>(
+  rpc::RegisterTyped<rpc::Void, std::uint64_t>(
       *dispatch, filewire::kSize,
-      [impl](rpc::Void, const rpc::CallContext&) -> Result<SizeResponse> {
-        return SizeResponse{impl->size()};
+      [impl](rpc::Void, const rpc::CallContext&) -> Result<std::uint64_t> {
+        return impl->size();
       });
   rpc::RegisterTyped<TruncateRequest, rpc::Void>(
       *dispatch, filewire::kTruncate,
@@ -153,28 +151,21 @@ Result<FileExport> ExportFileService(core::Context& context,
 
 sim::Co<Result<Bytes>> FileStub::Read(std::uint64_t offset,
                                       std::uint32_t length) {
-  ReadRequest req{offset, length};
-  Result<ReadResponse> resp =
-      co_await Call<ReadResponse>(filewire::kRead, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->data);
+  return Call<Bytes>(filewire::kRead, ReadRequest{offset, length});
 }
 
 sim::Co<Result<rpc::Void>> FileStub::Write(std::uint64_t offset, Bytes data) {
-  WriteRequest req{offset, std::move(data), ObjectId{}};
-  co_return co_await Call<rpc::Void>(filewire::kWrite, std::move(req));
+  return Call<rpc::Void>(filewire::kWrite,
+                         WriteRequest{offset, std::move(data), ObjectId{}});
 }
 
 sim::Co<Result<std::uint64_t>> FileStub::Size() {
-  Result<SizeResponse> resp =
-      co_await Call<SizeResponse>(filewire::kSize, rpc::Void{});
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->size;
+  return Call<std::uint64_t>(filewire::kSize, rpc::Void{});
 }
 
 sim::Co<Result<rpc::Void>> FileStub::Truncate(std::uint64_t size) {
-  TruncateRequest req{size, ObjectId{}};
-  co_return co_await Call<rpc::Void>(filewire::kTruncate, std::move(req));
+  return Call<rpc::Void>(filewire::kTruncate,
+                         TruncateRequest{size, ObjectId{}});
 }
 
 // --- protocol 2: caching proxy ---
@@ -217,11 +208,8 @@ void FileCachingProxy::OnInvalidateRange(std::uint64_t offset,
 
 sim::Co<Result<Bytes>> FileCachingProxy::FetchBlock(std::uint64_t block) {
   const std::uint64_t bs = params_.block_size;
-  ReadRequest req{block * bs, static_cast<std::uint32_t>(bs)};
-  Result<ReadResponse> resp =
-      co_await Call<ReadResponse>(filewire::kRead, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->data);
+  return Call<Bytes>(filewire::kRead,
+                     ReadRequest{block * bs, static_cast<std::uint32_t>(bs)});
 }
 
 void FileCachingProxy::Prefetch(std::uint64_t block) {
@@ -326,10 +314,7 @@ void FileCachingProxy::PatchBlocks(std::uint64_t offset, const Bytes& data) {
 }
 
 sim::Co<Result<std::uint64_t>> FileCachingProxy::Size() {
-  Result<SizeResponse> resp =
-      co_await Call<SizeResponse>(filewire::kSize, rpc::Void{});
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->size;
+  return Call<std::uint64_t>(filewire::kSize, rpc::Void{});
 }
 
 sim::Co<Result<rpc::Void>> FileCachingProxy::Truncate(std::uint64_t size) {
@@ -357,9 +342,15 @@ FileBatchProxy::FileBatchProxy(core::Context& context,
 
 sim::Co<Status> FileBatchProxy::FlushBatch(std::vector<WriteRequest> batch) {
   WriteVecRequest req{std::move(batch)};
-  Result<rpc::Void> resp =
-      co_await Call<rpc::Void>(filewire::kWriteVec, std::move(req));
-  co_return resp.status();
+  Result<rpc::Void> landed = co_await Call<rpc::Void>(filewire::kWriteVec, req);
+  // Write patched each buffered write into the cached blocks. The server
+  // never stored this batch, so those blocks go and are fetched again.
+  if (!landed.ok()) {
+    for (const WriteRequest& w : req.writes) {
+      if (!w.data.empty()) OnInvalidateRange(w.offset, w.data.size());
+    }
+  }
+  co_return landed.status();
 }
 
 // Reads, Size and Truncate run behind the write barrier (no dependency

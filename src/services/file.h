@@ -62,24 +62,18 @@ enum SinkMethod : std::uint32_t {
   kInvalidateRange = 1,
 };
 
+// A reply carries one value and is that value: Read answers Bytes, Size
+// std::uint64_t, Write and Truncate rpc::Void.
 struct ReadRequest {
   std::uint64_t offset = 0;
   std::uint32_t length = 0;
   PROXY_SERDE_FIELDS(offset, length)
-};
-struct ReadResponse {
-  Bytes data;
-  PROXY_SERDE_FIELDS(data)
 };
 struct WriteRequest {
   std::uint64_t offset = 0;
   Bytes data;
   ObjectId exclude_sink;  // writer's own sink: skipped by invalidation
   PROXY_SERDE_FIELDS(offset, data, exclude_sink)
-};
-struct SizeResponse {
-  std::uint64_t size = 0;
-  PROXY_SERDE_FIELDS(size)
 };
 struct TruncateRequest {
   std::uint64_t size = 0;
@@ -220,7 +214,8 @@ class FileCachingProxy : public IFile, public core::ProxyBase {
   obs::MetricScope metric_scope_;  // after the cells it attaches
 };
 
-/// Protocol 3: caching + coalesced write-behind.
+/// Protocol 3: caching + coalesced write-behind. A batch that fails drops
+/// the cached blocks its writes patched, so the next read asks the server.
 class FileBatchProxy : public FileCachingProxy {
  public:
   /// A batch flushes at kMaxBatch writes or kFlushWindow after its first.

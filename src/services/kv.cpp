@@ -11,14 +11,10 @@ namespace proxy::services {
 
 using kvwire::BatchPutRequest;
 using kvwire::DelRequest;
-using kvwire::DelResponse;
 using kvwire::GetRequest;
-using kvwire::GetResponse;
 using kvwire::InvalidateMessage;
 using kvwire::ListRequest;
-using kvwire::ListResponse;
 using kvwire::PutRequest;
-using kvwire::SizeResponse;
 
 // --- server ---
 
@@ -86,10 +82,11 @@ Status KvService::RestoreState(BytesView state) {
 std::shared_ptr<rpc::Dispatch> MakeKvDispatch(
     std::shared_ptr<KvService> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<GetRequest, GetResponse>(
+  rpc::RegisterTyped<GetRequest, std::optional<std::string>>(
       *dispatch, kvwire::kGet,
-      [impl](GetRequest req, const rpc::CallContext&) -> Result<GetResponse> {
-        return GetResponse{impl->Lookup(req.key)};
+      [impl](GetRequest req, const rpc::CallContext&)
+          -> Result<std::optional<std::string>> {
+        return impl->Lookup(req.key);
       });
   rpc::RegisterTyped<PutRequest, rpc::Void>(
       *dispatch, kvwire::kPut,
@@ -98,15 +95,15 @@ std::shared_ptr<rpc::Dispatch> MakeKvDispatch(
                     req.exclude_sink);
         return rpc::Void{};
       });
-  rpc::RegisterTyped<DelRequest, DelResponse>(
+  rpc::RegisterTyped<DelRequest, bool>(
       *dispatch, kvwire::kDel,
-      [impl](DelRequest req, const rpc::CallContext&) -> Result<DelResponse> {
-        return DelResponse{impl->Erase(std::move(req.key), req.exclude_sink)};
+      [impl](DelRequest req, const rpc::CallContext&) -> Result<bool> {
+        return impl->Erase(std::move(req.key), req.exclude_sink);
       });
-  rpc::RegisterTyped<rpc::Void, SizeResponse>(
+  rpc::RegisterTyped<rpc::Void, std::uint64_t>(
       *dispatch, kvwire::kSize,
-      [impl](rpc::Void, const rpc::CallContext&) -> Result<SizeResponse> {
-        return SizeResponse{impl->key_count()};
+      [impl](rpc::Void, const rpc::CallContext&) -> Result<std::uint64_t> {
+        return impl->key_count();
       });
   core::RegisterSubscribe(*dispatch, kvwire::kSubscribe, impl);
   rpc::RegisterTyped<BatchPutRequest, rpc::Void>(
@@ -116,10 +113,11 @@ std::shared_ptr<rpc::Dispatch> MakeKvDispatch(
         impl->StoreAll(std::move(req.entries), req.exclude_sink);
         return rpc::Void{};
       });
-  rpc::RegisterTyped<ListRequest, ListResponse>(
+  rpc::RegisterTyped<ListRequest, std::vector<std::string>>(
       *dispatch, kvwire::kList,
-      [impl](ListRequest req, const rpc::CallContext&) -> Result<ListResponse> {
-        return ListResponse{impl->Keys(req.prefix)};
+      [impl](ListRequest req, const rpc::CallContext&)
+          -> Result<std::vector<std::string>> {
+        return impl->Keys(req.prefix);
       });
   return dispatch;
 }
@@ -138,39 +136,26 @@ Result<KvExport> ExportKvService(core::Context& context,
 // --- protocol 1: stub ---
 
 sim::Co<Result<std::optional<std::string>>> KvStub::Get(std::string key) {
-  GetRequest req{std::move(key)};
-  Result<GetResponse> resp =
-      co_await Call<GetResponse>(kvwire::kGet, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->value);
+  return Call<std::optional<std::string>>(kvwire::kGet,
+                                          GetRequest{std::move(key)});
 }
 
 sim::Co<Result<rpc::Void>> KvStub::Put(std::string key, std::string value) {
-  PutRequest req{std::move(key), std::move(value), ObjectId{}};
-  co_return co_await Call<rpc::Void>(kvwire::kPut, std::move(req));
+  return Call<rpc::Void>(
+      kvwire::kPut, PutRequest{std::move(key), std::move(value), ObjectId{}});
 }
 
 sim::Co<Result<bool>> KvStub::Del(std::string key) {
-  DelRequest req{std::move(key), ObjectId{}};
-  Result<DelResponse> resp =
-      co_await Call<DelResponse>(kvwire::kDel, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->existed;
+  return Call<bool>(kvwire::kDel, DelRequest{std::move(key), ObjectId{}});
 }
 
 sim::Co<Result<std::uint64_t>> KvStub::Size() {
-  Result<SizeResponse> resp =
-      co_await Call<SizeResponse>(kvwire::kSize, rpc::Void{});
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->size;
+  return Call<std::uint64_t>(kvwire::kSize, rpc::Void{});
 }
 
 sim::Co<Result<std::vector<std::string>>> KvStub::List(std::string prefix) {
-  ListRequest req{std::move(prefix)};
-  Result<ListResponse> resp =
-      co_await Call<ListResponse>(kvwire::kList, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->keys);
+  return Call<std::vector<std::string>>(kvwire::kList,
+                                        ListRequest{std::move(prefix)});
 }
 
 // --- protocol 2: caching proxy ---
@@ -200,8 +185,8 @@ sim::Co<Result<std::optional<std::string>>> KvCachingProxy::Get(
   if (auto cached = cache_.Get(key)) co_return std::move(*cached);
 
   GetRequest req{key};
-  Result<GetResponse> resp =
-      co_await Call<GetResponse>(kvwire::kGet, std::move(req));
+  Result<std::optional<std::string>> resp =
+      co_await Call<std::optional<std::string>>(kvwire::kGet, std::move(req));
   if (!resp.ok()) {
     // Graceful degradation: the server shed this read (and the proxy's
     // bounded pushback retries did not get through). Serve the last value
@@ -215,9 +200,9 @@ sim::Co<Result<std::optional<std::string>>> KvCachingProxy::Get(
     }
     co_return resp.status();
   }
-  cache_.Put(key, resp->value);  // negative results are cached too
-  stale_.Put(key, resp->value);
-  co_return std::move(resp->value);
+  cache_.Put(key, *resp);  // negative results are cached too
+  stale_.Put(key, *resp);
+  co_return std::move(resp);
 }
 
 sim::Co<Result<rpc::Void>> KvCachingProxy::Put(std::string key,
@@ -238,30 +223,23 @@ sim::Co<Result<rpc::Void>> KvCachingProxy::Put(std::string key,
 
 sim::Co<Result<bool>> KvCachingProxy::Del(std::string key) {
   DelRequest req{key, sink_.id()};
-  Result<DelResponse> resp =
-      co_await Call<DelResponse>(kvwire::kDel, std::move(req));
-  if (!resp.ok()) co_return resp.status();
+  Result<bool> existed = co_await Call<bool>(kvwire::kDel, std::move(req));
+  if (!existed.ok()) co_return existed;
   stale_.Put(key, std::optional<std::string>{});
   cache_.Put(std::move(key), std::optional<std::string>{});
-  co_return resp->existed;
+  co_return existed;
 }
 
 sim::Co<Result<std::uint64_t>> KvCachingProxy::Size() {
-  Result<SizeResponse> resp =
-      co_await Call<SizeResponse>(kvwire::kSize, rpc::Void{});
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->size;
+  return Call<std::uint64_t>(kvwire::kSize, rpc::Void{});
 }
 
 sim::Co<Result<std::vector<std::string>>> KvCachingProxy::List(
     std::string prefix) {
   // Listings are not cached: the invalidation protocol is per-key, so a
   // cached listing could silently miss keys written by other clients.
-  ListRequest req{std::move(prefix)};
-  Result<ListResponse> resp =
-      co_await Call<ListResponse>(kvwire::kList, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->keys);
+  return Call<std::vector<std::string>>(kvwire::kList,
+                                        ListRequest{std::move(prefix)});
 }
 
 // --- protocol 3: write-back proxy ---
@@ -288,16 +266,22 @@ sim::Co<Status> KvWriteBackProxy::FlushBatch(
     if (it != dirty_.end()) value = it->second;
   }
   BatchPutRequest req{batch, sink_.id()};
-  Result<rpc::Void> resp =
+  Result<rpc::Void> landed =
       co_await Call<rpc::Void>(kvwire::kBatchPut, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  // A key is clean only if no Put re-dirtied it while the flush was in
-  // flight: compare the buffered value against what we shipped.
+  // A key is settled unless a Put re-dirtied it while the flush was in
+  // flight: compare the buffered value against what we shipped. A
+  // settled key whose batch failed is forgotten: the server never stored
+  // it, so neither the buffer nor the caches may serve it.
   for (const auto& [key, shipped] : batch) {
     const auto it = dirty_.find(key);
-    if (it != dirty_.end() && it->second == shipped) dirty_.erase(it);
+    if (it == dirty_.end() || it->second != shipped) continue;
+    dirty_.erase(it);
+    if (!landed.ok()) {
+      cache_.Invalidate(key);
+      stale_.Invalidate(key);
+    }
   }
-  co_return Status::Ok();
+  co_return landed.status();
 }
 
 namespace {

@@ -73,13 +73,12 @@ enum SinkMethod : std::uint32_t {
   kInvalidate = 1,
 };
 
+// A reply carries one value and is that value: Get answers
+// std::optional<std::string>, Del bool (the key existed), Size
+// std::uint64_t and List std::vector<std::string> (sorted ascending).
 struct GetRequest {
   std::string key;
   PROXY_SERDE_FIELDS(key)
-};
-struct GetResponse {
-  std::optional<std::string> value;
-  PROXY_SERDE_FIELDS(value)
 };
 struct PutRequest {
   std::string key;
@@ -92,14 +91,6 @@ struct DelRequest {
   ObjectId exclude_sink;
   PROXY_SERDE_FIELDS(key, exclude_sink)
 };
-struct DelResponse {
-  bool existed = false;
-  PROXY_SERDE_FIELDS(existed)
-};
-struct SizeResponse {
-  std::uint64_t size = 0;
-  PROXY_SERDE_FIELDS(size)
-};
 struct BatchPutRequest {
   std::vector<std::pair<std::string, std::string>> entries;
   ObjectId exclude_sink;
@@ -108,10 +99,6 @@ struct BatchPutRequest {
 struct ListRequest {
   std::string prefix;
   PROXY_SERDE_FIELDS(prefix)
-};
-struct ListResponse {
-  std::vector<std::string> keys;  // sorted ascending
-  PROXY_SERDE_FIELDS(keys)
 };
 struct InvalidateMessage {
   std::vector<std::string> keys;
@@ -172,9 +159,6 @@ class KvService : public IKeyValue, public core::IMigratable {
   [[nodiscard]] std::uint64_t invalidations_sent() const noexcept {
     return invalidations_sent_;
   }
-
-  /// Rebinds the service to a new hosting context (after migration).
-  void AttachContext(core::Context& context) { context_ = &context; }
 
  private:
   /// Invalidates `keys` at every subscriber but the writer's sink.
@@ -261,7 +245,9 @@ class KvCachingProxy : public IKeyValue, public core::ProxyBase {
 };
 
 /// Protocol 3: caching + write-behind. Puts accumulate locally and flush
-/// as BatchPut; reads of dirty keys are served from the buffer.
+/// as BatchPut; reads of dirty keys are served from the buffer. A batch
+/// that fails takes its writes out of the buffer and the caches, so the
+/// next read asks the server.
 class KvWriteBackProxy : public KvCachingProxy {
  public:
   /// A batch flushes at kMaxBatch puts or kFlushWindow after its first.

@@ -3,9 +3,7 @@
 namespace proxy::services {
 
 using lockwire::HolderRequest;
-using lockwire::HolderResponse;
 using lockwire::LockRequest;
-using lockwire::TryAcquireResponse;
 
 bool LockServiceImpl::TryLock(const std::string& name, std::uint64_t owner) {
   LockState& lock = locks_[name];
@@ -57,11 +55,10 @@ std::optional<std::uint64_t> LockServiceImpl::HolderOf(
 std::shared_ptr<rpc::Dispatch> MakeLockDispatch(
     std::shared_ptr<LockServiceImpl> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<LockRequest, TryAcquireResponse>(
+  rpc::RegisterTyped<LockRequest, bool>(
       *dispatch, lockwire::kTryAcquire,
-      [impl](LockRequest req,
-             const rpc::CallContext&) -> Result<TryAcquireResponse> {
-        return TryAcquireResponse{impl->TryLock(req.name, req.owner)};
+      [impl](LockRequest req, const rpc::CallContext&) -> Result<bool> {
+        return impl->TryLock(req.name, req.owner);
       });
   rpc::RegisterTyped<LockRequest, rpc::Void>(
       *dispatch, lockwire::kAcquire,
@@ -73,11 +70,11 @@ std::shared_ptr<rpc::Dispatch> MakeLockDispatch(
       [impl](LockRequest req, const rpc::CallContext&) {
         return impl->Unlock(req.name, req.owner);
       });
-  rpc::RegisterTyped<HolderRequest, HolderResponse>(
+  rpc::RegisterTyped<HolderRequest, std::optional<std::uint64_t>>(
       *dispatch, lockwire::kHolder,
-      [impl](HolderRequest req,
-             const rpc::CallContext&) -> Result<HolderResponse> {
-        return HolderResponse{impl->HolderOf(req.name)};
+      [impl](HolderRequest req, const rpc::CallContext&)
+          -> Result<std::optional<std::uint64_t>> {
+        return impl->HolderOf(req.name);
       });
   return dispatch;
 }
@@ -94,32 +91,25 @@ Result<LockExport> ExportLockService(core::Context& context) {
 
 sim::Co<Result<bool>> LockStub::TryAcquire(std::string name,
                                            std::uint64_t owner) {
-  LockRequest req{std::move(name), owner};
-  Result<TryAcquireResponse> resp = co_await Call<TryAcquireResponse>(
-      lockwire::kTryAcquire, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->acquired;
+  return Call<bool>(lockwire::kTryAcquire, LockRequest{std::move(name), owner});
 }
 
 sim::Co<Result<rpc::Void>> LockStub::Acquire(std::string name,
                                              std::uint64_t owner) {
-  LockRequest req{std::move(name), owner};
-  co_return co_await Call<rpc::Void>(lockwire::kAcquire, std::move(req));
+  return Call<rpc::Void>(lockwire::kAcquire,
+                         LockRequest{std::move(name), owner});
 }
 
 sim::Co<Result<rpc::Void>> LockStub::Release(std::string name,
                                              std::uint64_t owner) {
-  LockRequest req{std::move(name), owner};
-  co_return co_await Call<rpc::Void>(lockwire::kRelease, std::move(req));
+  return Call<rpc::Void>(lockwire::kRelease,
+                         LockRequest{std::move(name), owner});
 }
 
 sim::Co<Result<std::optional<std::uint64_t>>> LockStub::Holder(
     std::string name) {
-  HolderRequest req{std::move(name)};
-  Result<HolderResponse> resp =
-      co_await Call<HolderResponse>(lockwire::kHolder, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->holder;
+  return Call<std::optional<std::uint64_t>>(lockwire::kHolder,
+                                            HolderRequest{std::move(name)});
 }
 
 }  // namespace proxy::services

@@ -49,22 +49,16 @@ enum Method : std::uint32_t {
   kHolder = 4,
 };
 
+// A reply carries one value and is that value: TryAcquire answers bool,
+// Holder std::optional<std::uint64_t>, Acquire and Release rpc::Void.
 struct LockRequest {
   std::string name;
   std::uint64_t owner = 0;
   PROXY_SERDE_FIELDS(name, owner)
 };
-struct TryAcquireResponse {
-  bool acquired = false;
-  PROXY_SERDE_FIELDS(acquired)
-};
 struct HolderRequest {
   std::string name;
   PROXY_SERDE_FIELDS(name)
-};
-struct HolderResponse {
-  std::optional<std::uint64_t> holder;
-  PROXY_SERDE_FIELDS(holder)
 };
 
 }  // namespace lockwire

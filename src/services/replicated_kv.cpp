@@ -15,7 +15,6 @@ using kvwire::GetRequest;
 using kvwire::JoinRequest;
 using kvwire::JoinResponse;
 using kvwire::ListRequest;
-using kvwire::ListResponse;
 using kvwire::PutRequest;
 using kvwire::ReplicaListResponse;
 using kvwire::ReplicateBatchRequest;
@@ -25,7 +24,6 @@ using kvwire::ShardInstallRequest;
 using kvwire::ShardInstallResponse;
 using kvwire::ShardReleaseRequest;
 using kvwire::ShardUnfreezeRequest;
-using kvwire::SizeResponse;
 using kvwire::StatusResponse;
 
 namespace {
@@ -834,17 +832,14 @@ sim::Co<void> KvReplica::TryRescue() {
 std::shared_ptr<rpc::Dispatch> MakeReplicatedKvDispatch(
     std::shared_ptr<KvReplica> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<rpc::Void, SizeResponse>(
+  rpc::RegisterTyped<rpc::Void, std::uint64_t>(
       *dispatch, kvwire::kSize, [impl](rpc::Void, const rpc::CallContext&) {
-        return impl->KeyCount().map(
-            [](std::uint64_t size) { return SizeResponse{size}; });
+        return impl->KeyCount();
       });
-  rpc::RegisterTyped<ListRequest, ListResponse>(
+  rpc::RegisterTyped<ListRequest, std::vector<std::string>>(
       *dispatch, kvwire::kList,
       [impl](ListRequest req, const rpc::CallContext&) {
-        return impl->Keys(req.prefix).map([](std::vector<std::string> keys) {
-          return ListResponse{std::move(keys)};
-        });
+        return impl->Keys(req.prefix);
       });
   rpc::RegisterTyped<rpc::Void, ReplicaListResponse>(
       *dispatch, kvwire::kGetReplicas,
@@ -1141,18 +1136,12 @@ sim::Co<Result<std::optional<std::string>>> KvFailoverProxy::Get(
 
 sim::Co<Result<std::vector<std::string>>> KvFailoverProxy::List(
     std::string prefix) {
-  ListRequest req{std::move(prefix)};  // named: see stub.h "GCC note"
-  Result<ListResponse> resp =
-      co_await ReadCall<ListResponse>(kvwire::kList, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->keys);
+  return ReadCall<std::vector<std::string>>(kvwire::kList,
+                                            ListRequest{std::move(prefix)});
 }
 
 sim::Co<Result<std::uint64_t>> KvFailoverProxy::Size() {
-  Result<SizeResponse> resp =
-      co_await ReadCall<SizeResponse>(kvwire::kSize, rpc::Void{});
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->size;
+  return ReadCall<std::uint64_t>(kvwire::kSize, rpc::Void{});
 }
 
 sim::Co<Result<rpc::Void>> KvFailoverProxy::Put(std::string key,

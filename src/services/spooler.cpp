@@ -2,8 +2,6 @@
 
 namespace proxy::services {
 
-using spoolwire::CountResponse;
-using spoolwire::IdResponse;
 using spoolwire::SubmitManyRequest;
 using spoolwire::SubmitRequest;
 
@@ -26,22 +24,20 @@ Result<std::uint64_t> SpoolerService::Enqueue(std::uint64_t count) {
 std::shared_ptr<rpc::Dispatch> MakeSpoolerDispatch(
     std::shared_ptr<SpoolerService> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<SubmitRequest, IdResponse>(
+  rpc::RegisterTyped<SubmitRequest, std::uint64_t>(
       *dispatch, spoolwire::kSubmit,
       [impl](SubmitRequest, const rpc::CallContext&) {
-        return impl->Enqueue(1).map(
-            [](std::uint64_t id) { return IdResponse{id}; });
+        return impl->Enqueue(1);
       });
-  rpc::RegisterTyped<SubmitManyRequest, IdResponse>(
+  rpc::RegisterTyped<SubmitManyRequest, std::uint64_t>(
       *dispatch, spoolwire::kSubmitMany,
       [impl](SubmitManyRequest req, const rpc::CallContext&) {
-        return impl->Enqueue(req.jobs.size()).map(
-            [](std::uint64_t first) { return IdResponse{first}; });
+        return impl->Enqueue(req.jobs.size());
       });
-  rpc::RegisterTyped<rpc::Void, CountResponse>(
+  rpc::RegisterTyped<rpc::Void, std::uint64_t>(
       *dispatch, spoolwire::kCompleted,
-      [impl](rpc::Void, const rpc::CallContext&) -> Result<CountResponse> {
-        return CountResponse{impl->completed()};
+      [impl](rpc::Void, const rpc::CallContext&) -> Result<std::uint64_t> {
+        return impl->completed();
       });
   return dispatch;
 }
@@ -58,27 +54,17 @@ Result<SpoolerExport> ExportSpoolerService(core::Context& context,
 }
 
 sim::Co<Result<std::uint64_t>> SpoolerStub::Submit(SpoolJob job) {
-  SubmitRequest req{std::move(job)};
-  Result<IdResponse> resp =
-      co_await Call<IdResponse>(spoolwire::kSubmit, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->id;
+  return Call<std::uint64_t>(spoolwire::kSubmit, SubmitRequest{std::move(job)});
 }
 
 sim::Co<Result<std::uint64_t>> SpoolerStub::SubmitMany(
     std::vector<SpoolJob> jobs) {
-  SubmitManyRequest req{std::move(jobs)};
-  Result<IdResponse> resp =
-      co_await Call<IdResponse>(spoolwire::kSubmitMany, std::move(req));
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->id;
+  return Call<std::uint64_t>(spoolwire::kSubmitMany,
+                             SubmitManyRequest{std::move(jobs)});
 }
 
 sim::Co<Result<std::uint64_t>> SpoolerStub::CompletedCount() {
-  Result<CountResponse> resp =
-      co_await Call<CountResponse>(spoolwire::kCompleted, rpc::Void{});
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->count;
+  return Call<std::uint64_t>(spoolwire::kCompleted, rpc::Void{});
 }
 
 SpoolerBatchProxy::SpoolerBatchProxy(core::Context& context,
@@ -98,9 +84,9 @@ SpoolerBatchProxy::SpoolerBatchProxy(core::Context& context,
 
 sim::Co<Status> SpoolerBatchProxy::FlushBatch(std::vector<SpoolJob> batch) {
   SubmitManyRequest req{std::move(batch)};
-  Result<IdResponse> resp =
-      co_await Call<IdResponse>(spoolwire::kSubmitMany, std::move(req));
-  co_return resp.status();
+  Result<std::uint64_t> first =
+      co_await Call<std::uint64_t>(spoolwire::kSubmitMany, std::move(req));
+  co_return first.status();
 }
 
 sim::Co<Result<std::uint64_t>> SpoolerBatchProxy::Submit(SpoolJob job) {
@@ -120,10 +106,7 @@ sim::Co<Result<std::uint64_t>> SpoolerBatchProxy::SubmitMany(
 sim::Co<Result<std::uint64_t>> SpoolerBatchProxy::CompletedCount() {
   const Status flushed = co_await Flush();
   if (!flushed.ok()) co_return flushed;
-  Result<CountResponse> resp =
-      co_await Call<CountResponse>(spoolwire::kCompleted, rpc::Void{});
-  if (!resp.ok()) co_return resp.status();
-  co_return resp->count;
+  co_return co_await Call<std::uint64_t>(spoolwire::kCompleted, rpc::Void{});
 }
 
 }  // namespace proxy::services

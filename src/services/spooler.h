@@ -51,6 +51,8 @@ enum Method : std::uint32_t {
   kCompleted = 3,
 };
 
+// Every reply is a bare std::uint64_t: the first job id for Submit and
+// SubmitMany, the completed count for kCompleted.
 struct SubmitRequest {
   SpoolJob job;
   PROXY_SERDE_FIELDS(job)
@@ -58,14 +60,6 @@ struct SubmitRequest {
 struct SubmitManyRequest {
   std::vector<SpoolJob> jobs;
   PROXY_SERDE_FIELDS(jobs)
-};
-struct IdResponse {
-  std::uint64_t id = 0;
-  PROXY_SERDE_FIELDS(id)
-};
-struct CountResponse {
-  std::uint64_t count = 0;
-  PROXY_SERDE_FIELDS(count)
 };
 
 }  // namespace spoolwire

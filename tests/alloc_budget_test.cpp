@@ -60,10 +60,11 @@ TEST(AllocBudget, WarmStubIncrement) {
   Result<std::int64_t> value = w.rt->Run(stub.Increment(1));  // warm-up
   ASSERT_OK(value);
   // By kind. Roots (1): the future state Runtime::Run's Spawn shares
-  //   with Await. The frames (CounterStub::Increment, ProxyBase::CallRaw,
-  //   Runtime::Run's root; on the server RpcServer::Execute, its
-  //   detached root and the typed skeleton) come from the slabs, and
-  //   CallRaw's AttemptBudget is a local of its frame.
+  //   with Await. The frames (ProxyBase::CallRaw, which the forward
+  //   CounterStub::Increment returns, and Runtime::Run's root; on the
+  //   server RpcServer::Execute, its detached root and the typed
+  //   skeleton) come from the slabs, and CallRaw's AttemptBudget is a
+  //   local of its frame.
   // Datagrams (6), for the request and again for the reply: the CRC
   //   envelope, and Network::ScheduleDelivery's batch node and delivery
   //   record.

@@ -435,6 +435,98 @@ TEST(Coherence, InvalidationAndSnapshotBytesArePinned) {
             "060000000102030101808002b100000000000000b200000000000000");
 }
 
+// --- one-value replies: each method's reply bytes are pinned ---
+
+TEST(ReplyWire, OneValueReplyBytesArePinned) {
+  TestWorld w;
+  Result<services::KvExport> kv = services::ExportKvService(*w.server_ctx);
+  Result<services::FileExport> file =
+      services::ExportFileService(*w.server_ctx);
+  Result<services::CounterExport> counter =
+      services::ExportCounterService(*w.server_ctx, 1, 5);
+  Result<services::LockExport> lock =
+      services::ExportLockService(*w.server_ctx);
+  Result<services::SpoolerExport> spool =
+      services::ExportSpoolerService(*w.server_ctx);
+  ASSERT_OK(kv);
+  ASSERT_OK(file);
+  ASSERT_OK(counter);
+  ASSERT_OK(lock);
+  ASSERT_OK(spool);
+  kv->impl->Store("a", "v");
+  kv->impl->Store("b", "w");
+  file->impl->FillPattern(3);
+  ServiceBinding names;
+  names.server = w.server_ctx->names().server();
+  names.object = naming::kNameServiceObject;
+  // The reply payload of one raw call, in hex.
+  auto reply = [&](const ServiceBinding& target, std::uint32_t method,
+                   const auto& req) {
+    const Bytes args = serde::EncodeToBytes(req);
+    rpc::RpcResult r = w.rt->Await(w.client_ctx->client().Call(
+        target.server, target.object, method, View(args)));
+    EXPECT_TRUE(r.ok()) << r.status.ToString();
+    return Hex(r.payload.view());
+  };
+  const rpc::Void none;
+
+  namespace kvw = services::kvwire;
+  EXPECT_EQ(reply(kv->binding, kvw::kGet, kvw::GetRequest{"a"}), "010176");
+  EXPECT_EQ(reply(kv->binding, kvw::kGet, kvw::GetRequest{"z"}), "00");
+  EXPECT_EQ(reply(kv->binding, kvw::kSize, none), "02");
+  EXPECT_EQ(reply(kv->binding, kvw::kList, kvw::ListRequest{""}),
+            "0201610162");
+  EXPECT_EQ(reply(kv->binding, kvw::kDel, kvw::DelRequest{"b", ObjectId{}}),
+            "01");
+  EXPECT_EQ(reply(kv->binding, kvw::kDel, kvw::DelRequest{"b", ObjectId{}}),
+            "00");
+
+  namespace fw = services::filewire;
+  EXPECT_EQ(reply(file->binding, fw::kRead, fw::ReadRequest{0, 8}),
+            "0307e027");
+  EXPECT_EQ(reply(file->binding, fw::kSize, none), "03");
+
+  namespace cw = services::counterwire;
+  // Signed values are zigzag varints: 5 - 7 = -2 is 03.
+  EXPECT_EQ(reply(counter->binding, cw::kIncrement, cw::IncrementRequest{-7}),
+            "03");
+  EXPECT_EQ(reply(counter->binding, cw::kRead, none), "03");
+
+  namespace lw = services::lockwire;
+  EXPECT_EQ(reply(lock->binding, lw::kTryAcquire, lw::LockRequest{"m", 9}),
+            "01");
+  EXPECT_EQ(reply(lock->binding, lw::kTryAcquire, lw::LockRequest{"m", 4}),
+            "00");
+  EXPECT_EQ(reply(lock->binding, lw::kHolder, lw::HolderRequest{"m"}), "0109");
+  EXPECT_EQ(reply(lock->binding, lw::kHolder, lw::HolderRequest{"free"}),
+            "00");
+
+  namespace sw = services::spoolwire;
+  const services::SpoolJob job{"j", Bytes{}};
+  EXPECT_EQ(reply(spool->binding, sw::kSubmit, sw::SubmitRequest{job}), "00");
+  EXPECT_EQ(reply(spool->binding, sw::kSubmitMany,
+                  sw::SubmitManyRequest{{job, job}}),
+            "01");
+  w.rt->scheduler().RunFor(Milliseconds(10));  // the device runs all three
+  EXPECT_EQ(reply(spool->binding, sw::kCompleted, none), "03");
+
+  naming::NameRecord record;
+  record.binding.server = net::Address{NodeId(1), PortId(2)};
+  record.binding.object = ObjectId{3, 4};
+  record.binding.interface = InterfaceId(5);
+  EXPECT_EQ(reply(names, naming::kRegister,
+                  naming::RegisterRequest{"s", record, false}),
+            "00");
+  // kind 1, binding (node 1, port 2, object 3:4, interface 5, protocol
+  // 1), directory server (0, 0), lease 0.
+  const std::string record_hex =
+      "01010203000000000000000400000000000000050000000000000001000000";
+  EXPECT_EQ(reply(names, naming::kLookup, naming::LookupRequest{"s"}),
+            record_hex);
+  EXPECT_EQ(reply(names, naming::kList, naming::ListRequest{""}),
+            "010173" + record_hex);
+}
+
 // --- per-call event budget: no coroutine layer where nothing suspends ---
 
 /// Scheduler events `call` runs, driven through Runtime::Run on a
@@ -446,7 +538,7 @@ std::uint64_t EventsOf(Runtime& rt, sim::Co<T> call, T* out) {
   return rt.scheduler().events_run() - before;
 }
 
-TEST(EventBudget, WarmStubIncrementRunsSevenEvents) {
+TEST(EventBudget, WarmStubIncrementRunsSixEvents) {
   TestWorld w;
   Result<services::CounterExport> exported =
       services::ExportCounterService(*w.server_ctx);
@@ -455,18 +547,34 @@ TEST(EventBudget, WarmStubIncrementRunsSevenEvents) {
   Result<std::int64_t> value = 0;
   EventsOf(*w.rt, stub.Increment(1), &value);  // warm-up
   ASSERT_OK(value);
+  // Increment is a forward: it returns ProxyBase::CallRaw's coroutine.
   // 1. the request datagram reaches the server node;
   // 2. the typed skeleton completes and resumes RpcServer::Execute, which
   //    sends the reply (the handler and CounterService::Add run inline);
-  // 3. Execute completes and resumes its Spawn root;
+  // 3. Execute completes and resumes its detached root;
   // 4. the reply datagram reaches the client, completing the call future;
-  // 5. the future wakes ProxyBase::CallRaw;
-  // 6. CallRaw completes and resumes CounterStub::Increment through the
-  //    typed reply, which decodes in place;
-  // 7. Increment completes and resumes Runtime::Run's root.
-  EXPECT_EQ(EventsOf(*w.rt, stub.Increment(1), &value), 7u);
+  // 5. the future wakes CallRaw, which decodes the reply in place;
+  // 6. CallRaw completes and resumes Runtime::Run's root.
+  EXPECT_EQ(EventsOf(*w.rt, stub.Increment(1), &value), 6u);
   ASSERT_OK(value);
   EXPECT_EQ(*value, 2);
+}
+
+TEST(EventBudget, WarmStubGetRunsSixEvents) {
+  TestWorld w;
+  Result<services::KvExport> exported =
+      services::ExportKvService(*w.server_ctx);
+  ASSERT_OK(exported);
+  exported->impl->Store("k", "v");
+  services::KvStub stub(*w.client_ctx, exported->binding);
+  Result<std::optional<std::string>> got = std::optional<std::string>();
+  EventsOf(*w.rt, stub.Get("k"), &got);  // warm-up
+  ASSERT_OK(got);
+  // The same six as Increment's: Get returns CallRaw's coroutine, and
+  // KvService::Lookup runs inline in the typed skeleton.
+  EXPECT_EQ(EventsOf(*w.rt, stub.Get("k"), &got), 6u);
+  ASSERT_OK(got);
+  EXPECT_EQ(*got, std::optional<std::string>("v"));
 }
 
 TEST(EventBudget, WarmCachingGetHitRunsOneEvent) {
@@ -514,7 +622,7 @@ class BareProxy : public ProxyBase {
   using ProxyBase::ProxyBase;
 };
 
-/// Two strings: a counter's one-varint ValueResponse never decodes as it.
+/// Two strings: a counter's one-varint reply never decodes as it.
 struct TwoStrings {
   std::string a;
   std::string b;
@@ -529,11 +637,10 @@ TEST(ProxyCall, UndecodableReplySurfacesCorrupt) {
   BareProxy proxy(*w.client_ctx, exported->binding);
   auto body = [&]() -> sim::Co<void> {
     const rpc::Void none;
-    Result<services::counterwire::ValueResponse> read =
-        co_await proxy.Call<services::counterwire::ValueResponse>(
-            services::counterwire::kRead, none);
+    Result<std::int64_t> read =
+        co_await proxy.Call<std::int64_t>(services::counterwire::kRead, none);
     CO_ASSERT_OK(read);
-    EXPECT_EQ(read->value, 5);
+    EXPECT_EQ(*read, 5);
     Result<TwoStrings> wrong =
         co_await proxy.Call<TwoStrings>(services::counterwire::kRead, none);
     EXPECT_EQ(wrong.status().code(), StatusCode::kCorrupt);

@@ -247,6 +247,42 @@ TEST(FileBatchTest, WritesCoalesceAndReadsFlushFirst) {
   EXPECT_EQ(proxy->batch_stats().items, 8u);
 }
 
+TEST(FileBatchTest, AFailedBatchIsNotServedAfterTheHeal) {
+  TestWorld w;
+  auto exported = ExportFileService(*w.server_ctx, 3);
+  ASSERT_OK(exported);
+  exported->impl->FillPattern(8 * 1024);
+  w.Publish("file", exported->binding);
+  auto file = BindFile(w, "file");
+  auto* proxy = dynamic_cast<FileBatchProxy*>(file.get());
+  ASSERT_NE(proxy, nullptr);
+
+  auto warm = [&]() -> sim::Co<void> {
+    CO_ASSERT_OK(co_await file->Read(0, 64));  // caches block 0
+  };
+  w.Run(warm);
+  w.rt->scheduler().RunFor(Milliseconds(50));  // the prefetch lands
+  w.rt->network().SetPartitioned(w.client_node, w.server_node, true);
+  auto lose = [&]() -> sim::Co<void> {
+    for (std::size_t i = 0; i < FileBatchProxy::kMaxBatch; ++i) {
+      CO_ASSERT_OK(co_await file->Write(i * 4, ToBytes("abcd")));
+    }
+    const Status flushed = co_await proxy->FlushWrites();
+    EXPECT_FALSE(flushed.ok());
+  };
+  w.Run(lose);
+  w.rt->network().SetPartitioned(w.client_node, w.server_node, false);
+  w.rt->scheduler().RunFor(Seconds(5));  // the circuit closes again
+
+  // The writes patched block 0, but the server never stored them.
+  auto read = [&]() -> sim::Co<void> {
+    Result<Bytes> got = co_await file->Read(0, 64);
+    CO_ASSERT_OK(got);
+    EXPECT_EQ(*got, exported->impl->ReadAt(0, 64));
+  };
+  w.Run(read);
+}
+
 // Protocol equivalence: one scripted client run, three protocols, the
 // final file contents must be byte-identical. This is experiment T4's
 // correctness leg.

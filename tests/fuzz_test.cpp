@@ -33,7 +33,8 @@ TEST_P(FuzzSeed, RandomBytesThroughEveryDecoder) {
     (void)rpc::DecodeRequestView(View(junk));
     (void)rpc::DecodeReply(View(junk));
     (void)serde::DecodeFromBytes<naming::NameRecord>(View(junk));
-    (void)serde::DecodeFromBytes<naming::ListResponse>(View(junk));
+    (void)serde::DecodeFromBytes<
+        std::vector<std::pair<std::string, naming::NameRecord>>>(View(junk));
     (void)serde::DecodeFromBytes<services::kvwire::BatchPutRequest>(
         View(junk));
     (void)serde::DecodeFromBytes<services::filewire::WriteVecRequest>(

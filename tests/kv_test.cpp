@@ -315,6 +315,42 @@ TEST(KvWriteBackTest, FlushWritesReportsABatchLostInFlight) {
   EXPECT_EQ(exported->impl->key_count(), 0u);
 }
 
+TEST(KvWriteBackTest, AFailedBatchIsNotServedAfterTheHeal) {
+  TestWorld w;
+  auto exported = ExportKvService(*w.server_ctx, 3);
+  ASSERT_OK(exported);
+  w.Publish("kv", exported->binding);
+  auto kv = BindKv(w, "kv");
+  auto* proxy = dynamic_cast<KvWriteBackProxy*>(kv.get());
+  ASSERT_NE(proxy, nullptr);
+  w.rt->network().SetPartitioned(w.client_node, w.server_node, true);
+
+  auto lose = [&]() -> sim::Co<void> {
+    for (std::size_t i = 0; i < KvWriteBackProxy::kMaxBatch; ++i) {
+      std::string key = "k";
+      key += std::to_string(i);
+      CO_ASSERT_OK(co_await kv->Put(std::move(key), "v"));
+    }
+    const Status flushed = co_await proxy->FlushWrites();
+    EXPECT_FALSE(flushed.ok());
+  };
+  w.Run(lose);
+  w.rt->network().SetPartitioned(w.client_node, w.server_node, false);
+  w.rt->scheduler().RunFor(Seconds(5));  // the circuit closes again
+
+  // The server never stored the batch, so the proxy must not serve it.
+  auto read = [&]() -> sim::Co<void> {
+    Result<std::optional<std::string>> got = co_await kv->Get("k0");
+    CO_ASSERT_OK(got);
+    EXPECT_EQ(*got, std::nullopt);
+    // The failure was reported once, by the FlushWrites above.
+    const Status again = co_await proxy->FlushWrites();
+    EXPECT_TRUE(again.ok());
+  };
+  w.Run(read);
+  EXPECT_EQ(exported->impl->key_count(), 0u);
+}
+
 TEST(KvMigrationTest, StateAndSubscribersSurviveMigration) {
   TestWorld w;
   auto exported = ExportKvService(*w.server_ctx, 1);

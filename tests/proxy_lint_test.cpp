@@ -199,6 +199,23 @@ TEST(ProxyLintL8, DirectAndAwaitedDiscardsReportedHandledFormsPass) {
   EXPECT_TRUE(Lint("l8_unchecked_status.cpp", "tests/x_test.cpp").empty());
 }
 
+TEST(ProxyLintL9, RelayingCoroutinesReportedEverywhere) {
+  const std::string text = ReadFixture("l9_idle_coroutine.cpp");
+  for (const char* path : {"src/services/x.cpp", "tests/x_test.cpp"}) {
+    const std::vector<Finding> f = Lint("l9_idle_coroutine.cpp", path);
+    EXPECT_EQ(Rules(f), std::set<std::string>{"L9"}) << path;
+    EXPECT_TRUE(HasFindingAt(f, "L9", LineOf(text, "MARK:l9-stub"))) << path;
+    EXPECT_TRUE(HasFindingAt(f, "L9", LineOf(text, "MARK:l9-setup"))) << path;
+    EXPECT_TRUE(HasFindingAt(f, "L9", LineOf(text, "MARK:l9-lambda")))
+        << path;
+    EXPECT_EQ(f.size(), 3u) << path;
+  }
+}
+
+TEST(ProxyLintL9, ForwardsAndWorkingCoroutinesPass) {
+  EXPECT_TRUE(Lint("l9_forward_clean.cpp", "src/services/x.cpp").empty());
+}
+
 TEST(ProxyLintIndex, ResolvesCalleesAcrossTranslationUnits) {
   // The Co return type lives in one file, the discarding call in
   // another: only a cross-TU index can connect them.
@@ -230,8 +247,9 @@ TEST(ProxyLintSarif, RendersRuleCatalogueAndLocations) {
   const std::string sarif = proxy_lint::RenderSarif(findings);
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("\"name\": \"proxy_lint\""), std::string::npos);
-  // All eight rules are declared in the driver's catalogue.
-  for (const char* rule : {"L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8"}) {
+  // All nine rules are declared in the driver's catalogue.
+  for (const char* rule :
+       {"L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9"}) {
     EXPECT_NE(sarif.find(std::string("\"id\": \"") + rule + "\""),
               std::string::npos)
         << rule;

@@ -311,8 +311,11 @@ TEST(ReplicationFailover, EvictionDuringTheNameClaimStopsThePromotion) {
   fw.w.rt->scheduler().RunFor(Milliseconds(50));
   net.SetTraceHook(nullptr);
   // The claim won, yet the name is left to lapse.
-  Result<naming::NameRecord> rec =
-      fw.w.rt->Run(fw.w.client_ctx->names().Lookup("rkv/ha"));
+  Result<naming::NameRecord> rec = NotFoundError("not looked up");
+  auto lookup = [&]() -> sim::Co<void> {
+    rec = co_await fw.w.client_ctx->names().Lookup("rkv/ha");
+  };
+  fw.w.rt->Run(lookup());
   ASSERT_OK(rec);
   EXPECT_EQ(rec->binding.object, fw.exp.backup_bindings[0].object);
   EXPECT_TRUE(backup.syncing());

@@ -165,6 +165,11 @@ bool TypeIsAwaitable(const std::string& type) {
          (w[0] == "Co" || w[0] == "Future" || w[0] == "TypedReply");
 }
 
+bool TypeIsCoroutine(const std::string& type) {
+  const std::vector<std::string> w = TypeHeadWords(type);
+  return !w.empty() && w[0] == "Co";
+}
+
 bool TypeIsStatusLike(const std::string& type) {
   const std::vector<std::string> w = TypeHeadWords(type);
   return !w.empty() && (w[0] == "Status" || w[0] == "Result" ||

@@ -67,6 +67,7 @@ std::vector<std::string> TypeWords(const std::string& type);
 bool TypeIsAwaitable(const std::string& type);
 bool TypeIsStatusLike(const std::string& type);     // Status / Result<...>
 bool TypeIsAwaitedStatus(const std::string& type);  // Co<Status>, Co<Result<..>>
+bool TypeIsCoroutine(const std::string& type);      // Co<...>
 
 class SymbolIndex {
  public:

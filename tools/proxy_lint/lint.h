@@ -8,7 +8,7 @@
 // zero-copy arena discipline. It runs in two passes: pass 1 builds a
 // repo-wide symbol index (function return types, member field types,
 // class→file map — see index.h), pass 2
-// evaluates the rules against it (see rules.h). Eight rules:
+// evaluates the rules against it (see rules.h). Nine rules:
 //
 //   L1 suspension-hazard    a reference / iterator / pointer /
 //                           structured binding into member state live
@@ -56,6 +56,13 @@
 //                           the compiler cannot see: `co_await Fn();`
 //                           where Fn returns Co<Status> / Co<Result<T>>
 //                           (src/ only)
+//   L9 idle-coroutine       a sim::Co function or lambda whose only
+//                           co_await is its last statement,
+//                           `co_return co_await callee(...)`, and whose
+//                           other statements only set up locals: it
+//                           relays its callee at the cost of a frame
+//                           and a completion event, where returning the
+//                           callee's awaitable costs neither
 //
 // Suppressions: `// NOLINT(proxy-lint:L1)` on the finding's line, or
 // `// NOLINTNEXTLINE(proxy-lint:L1)` on the line above (rule `*` matches
@@ -77,7 +84,7 @@ namespace proxy_lint {
 struct Finding {
   std::string file;  // repo-relative, '/'-separated
   int line = 0;
-  std::string rule;  // "L1".."L8"
+  std::string rule;  // "L1".."L9"
   std::string message;
 
   friend bool operator<(const Finding& a, const Finding& b) {

@@ -593,6 +593,79 @@ void CheckUncheckedStatus(const Analysis& a) {
   }
 }
 
+// --- L9: idle coroutines -----------------------------------------------
+
+/// Parses a local declaration `[const] TYPE [<args>] [&|&&|*|const]* NAME`
+/// followed by `{`, `=`, `(` or `;`, starting at `i`. Returns the index
+/// of NAME, or t.size() when the tokens are not one.
+std::size_t DeclaredLocal(const Tokens& t, std::size_t i) {
+  std::size_t p = i;
+  if (Is(t, p, "const")) ++p;
+  if (!IsIdent(t, p) && !Is(t, p, "auto")) return t.size();
+  while (IsIdent(t, p) && Is(t, p + 1, "::")) p += 2;
+  if (!IsIdent(t, p) && !Is(t, p, "auto")) return t.size();
+  ++p;
+  if (Is(t, p, "<")) p = SkipTemplateArgs(t, p);
+  while (Is(t, p, "&") || Is(t, p, "&&") || Is(t, p, "*") ||
+         Is(t, p, "const")) {
+    ++p;
+  }
+  if (!IsIdent(t, p)) return t.size();
+  if (Is(t, p + 1, "{") || Is(t, p + 1, "=") || Is(t, p + 1, "(") ||
+      Is(t, p + 1, ";")) {
+    return p;
+  }
+  return t.size();
+}
+
+/// True when the statement [i, end) only sets up a local: it declares
+/// one, or assigns into one declared earlier (`record.kind = ...;`).
+bool SetsUpLocal(const Tokens& t, std::size_t i, std::size_t end,
+                 std::set<std::string>* locals) {
+  if (const std::size_t name = DeclaredLocal(t, i); name < end) {
+    locals->insert(t[name].text);
+    return true;
+  }
+  if (!IsIdent(t, i) || !locals->contains(t[i].text)) return false;
+  std::size_t p = i + 1;
+  while (Is(t, p, ".") && IsIdent(t, p + 1)) p += 2;
+  return Is(t, p, "=");
+}
+
+// L9 (forward shape): a sim::Co function or lambda whose one co_await is
+// its last statement, `co_return co_await callee(...);`, and whose other
+// statements only set up locals. The frame suspends only to relay the
+// callee's result, so it costs a frame and a completion event that do
+// nothing: return the callee's awaitable instead (DESIGN.md §18).
+void CheckIdleCoroutines(const Analysis& a) {
+  const Tokens& t = a.t;
+  for (const FuncSpan& f : a.scan.functions) {
+    if (!TypeIsCoroutine(f.ret)) continue;
+    int awaits = 0;
+    for (std::size_t p = f.body_begin; p < f.body_end; ++p) {
+      if (Is(t, p, "co_await")) ++awaits;
+    }
+    if (awaits != 1) continue;
+    std::set<std::string> locals;
+    for (std::size_t p = f.body_begin; p < f.body_end;) {
+      const std::size_t end = StatementEnd(t, p);
+      if (end >= f.body_end) break;
+      if (Is(t, p, "co_return") && Is(t, p + 1, "co_await")) {
+        if (end + 1 == f.body_end && Is(t, end - 1, ")")) {
+          a.Report(f.line, "L9",
+                   "'" + (f.name.empty() ? std::string("lambda") : f.name) +
+                       "' only relays `co_return co_await` of its callee: "
+                       "return the callee's awaitable instead (its frame "
+                       "and completion event do nothing)");
+        }
+        break;
+      }
+      if (!SetsUpLocal(t, p, end, &locals)) break;
+      p = end + 1;
+    }
+  }
+}
+
 // --- L6: borrowed-view escape ------------------------------------------
 
 /// Copy wrappers: a statement that funnels the view through an owning
@@ -1216,6 +1289,7 @@ std::vector<Finding> RunRules(const std::string& file,
   }
   if (IsWirePath(file)) CheckWireSymmetry(a);
   if (file.rfind("src/", 0) == 0) CheckUncheckedStatus(a);
+  CheckIdleCoroutines(a);
   std::sort(findings.begin(), findings.end());
   findings.erase(std::unique(findings.begin(), findings.end()),
                  findings.end());
@@ -1455,6 +1529,8 @@ std::string RenderSarif(const std::vector<Finding>& findings) {
        "encoder/decoder field sequences drifted"},
       {"L8", "unchecked-status",
        "Status/Result discarded at statement level (incl. co_await)"},
+      {"L9", "idle-coroutine",
+       "sim::Co whose only await relays its callee (co_return co_await)"},
   };
   std::ostringstream out;
   out << "{\n"
