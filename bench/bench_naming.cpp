@@ -72,9 +72,18 @@ Sample Run(int depth, bool cached) {
   auto resolve_once = [&](SimDuration* out) {
     auto body = [&]() -> sim::Co<void> {
       const SimTime t0 = w.rt->scheduler().now();
-      Result<core::ServiceBinding> r =
-          cached ? co_await caching.ResolvePath(path)
-                 : co_await w.client_ctx->names().ResolvePath(path);
+      // Two statements, not `cached ? co_await ... : co_await ...`: GCC 12
+      // miscompiles a co_await inside a conditional (DESIGN.md §7).
+      Result<core::ServiceBinding> r = InternalError("unresolved");
+      if (cached) {
+        Result<core::ServiceBinding> resolved =
+            co_await caching.ResolvePath(path);
+        r = std::move(resolved);
+      } else {
+        Result<core::ServiceBinding> resolved =
+            co_await w.client_ctx->names().ResolvePath(path);
+        r = std::move(resolved);
+      }
       if (!r.ok() || !(*r == target)) std::abort();
       *out += w.rt->scheduler().now() - t0;
     };

@@ -14,7 +14,8 @@ RpcClient::RpcClient(net::Endpoint& endpoint, std::uint64_t nonce)
 RpcClient::RpcClient(net::Endpoint& endpoint, std::uint64_t nonce,
                      BreakerParams breaker)
     : endpoint_(&endpoint), nonce_(nonce), rng_(nonce ^ 0x9e3779b97f4a7c15ULL),
-      breaker_params_(breaker) {
+      breaker_params_(breaker),
+      pending_(endpoint.scheduler().allocator<PendingMap::value_type>()) {
   endpoint_->SetHandler([this](const net::Address& from, OwnedBytes payload) {
     OnDatagram(from, std::move(payload));
   });

@@ -246,6 +246,13 @@ class RpcClient {
     explicit PendingCall(sim::Scheduler& sched) : promise(sched) {}
   };
 
+  // A pending call's node lives as long as the call, so it comes from
+  // the scheduler's object pool.
+  using PendingMap = std::unordered_map<
+      std::uint64_t, PendingCall, std::hash<std::uint64_t>,
+      std::equal_to<std::uint64_t>,
+      sim::SlabAllocator<std::pair<const std::uint64_t, PendingCall>>>;
+
   struct Breaker {
     int consecutive_timeouts = 0;
     bool open = false;
@@ -291,7 +298,7 @@ class RpcClient {
   /// End-to-end call latency (Call() to outcome), including retries and
   /// breaker fast-fails — what the caller actually waited.
   obs::Histogram call_latency_;
-  std::unordered_map<std::uint64_t, PendingCall> pending_;  // by seq
+  PendingMap pending_;  // by seq
   std::unordered_map<net::Address, Breaker> breakers_;      // by destination
   std::unordered_map<net::Address, RetryBudget> retry_budgets_;  // by dest
 };

@@ -86,7 +86,7 @@ void RpcServer::OnDatagram(const net::Address& from, OwnedBytes payload) {
   }
   stats_.requests_received++;
 
-  ClientHistory& hist = history_[request->call.client_nonce];
+  ClientHistory& hist = HistoryOf(request->call.client_nonce);
   const std::uint64_t seq = request->call.seq;
 
   // At-most-once: answer retransmissions from the cache...
@@ -212,8 +212,8 @@ void RpcServer::FinishExecution() {
       stats_.shed_expired_queued++;
       LogAdmission(ready.request.priority,
                    AdmissionEvent::Action::kShedExpired);
-      history_[ready.request.call.client_nonce].in_progress.erase(
-          ready.request.call.seq);
+      HistoryOf(ready.request.call.client_nonce)
+          .in_progress.erase(ready.request.call.seq);
       ReplyFrame reply;
       reply.call = ready.request.call;
       reply.code = StatusCode::kTimeout;
@@ -224,6 +224,10 @@ void RpcServer::FinishExecution() {
     StartExecution(ready.from, ready.request, std::move(ready.arena),
                    ready.received_at);
   }
+}
+
+RpcServer::ClientHistory& RpcServer::HistoryOf(std::uint64_t nonce) {
+  return history_.try_emplace(nonce, scheduler()).first->second;
 }
 
 SimDuration RpcServer::RetryAfterHint() const noexcept {
@@ -238,7 +242,7 @@ void RpcServer::RejectOverload(const net::Address& from, const CallId& call,
                                AdmissionEvent::Action action,
                                Priority priority) {
   LogAdmission(priority, action);
-  history_[call.client_nonce].in_progress.erase(call.seq);
+  HistoryOf(call.client_nonce).in_progress.erase(call.seq);
   ReplyFrame reply;
   reply.call = call;
   reply.code = StatusCode::kResourceExhausted;
@@ -311,7 +315,7 @@ sim::Co<void> RpcServer::Execute(net::Address from, RequestFrame request,
 
   SendReply(from, request.call, std::move(outcome));
 
-  ClientHistory& hist = history_[request.call.client_nonce];
+  ClientHistory& hist = HistoryOf(request.call.client_nonce);
   hist.in_progress.erase(request.call.seq);
 
   FinishExecution();
@@ -337,7 +341,7 @@ void RpcServer::SendAndCache(const net::Address& to, const CallId& call,
   // bytes then move into the cache, which answers retransmissions
   // straight from them.
   (void)endpoint_->Send(to, View(encoded));
-  ClientHistory& hist = history_[call.client_nonce];
+  ClientHistory& hist = HistoryOf(call.client_nonce);
   hist.replies[call.seq] = std::move(encoded);
   hist.order.push_back(call.seq);
   while (hist.order.size() > params_.reply_cache_per_client) {

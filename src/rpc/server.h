@@ -204,13 +204,27 @@ class RpcServer {
   }
 
  private:
+  /// One client's at-most-once history. Its nodes live as long as a
+  /// call (in progress) or a bounded cache entry, so they come from the
+  /// scheduler's object pool.
   struct ClientHistory {
+    template <typename V>
+    using BySeq = std::unordered_map<
+        std::uint64_t, V, std::hash<std::uint64_t>,
+        std::equal_to<std::uint64_t>,
+        sim::SlabAllocator<std::pair<const std::uint64_t, V>>>;
+
+    explicit ClientHistory(sim::Scheduler& sched)
+        : replies(sched.allocator<BySeq<Bytes>::value_type>()),
+          order(sched.allocator<std::uint64_t>()),
+          in_progress(sched.allocator<BySeq<bool>::value_type>()) {}
+
     // Finished calls: seq -> encoded reply, bounded FIFO. The reply is
     // cached by move; duplicates are answered straight from these bytes.
-    std::unordered_map<std::uint64_t, Bytes> replies;
-    std::deque<std::uint64_t> order;
+    BySeq<Bytes> replies;
+    std::deque<std::uint64_t, sim::SlabAllocator<std::uint64_t>> order;
     // Calls still executing.
-    std::unordered_map<std::uint64_t, bool> in_progress;
+    BySeq<bool> in_progress;
   };
 
   /// A request parked in the admission queue. Owns its arrival buffer:
@@ -242,6 +256,8 @@ class RpcServer {
   void RejectOverload(const net::Address& from, const CallId& call,
                       AdmissionEvent::Action action, Priority priority);
   [[nodiscard]] SimDuration RetryAfterHint() const noexcept;
+  /// The history of the client with `nonce`, opened on first use.
+  ClientHistory& HistoryOf(std::uint64_t nonce);
   void LogAdmission(Priority priority, AdmissionEvent::Action action);
   sim::Co<void> Execute(net::Address from, RequestFrame request,
                         OwnedBytes arena, SimTime received_at);

@@ -11,6 +11,10 @@
 // dies, so a warm call path allocates nothing for its frames, and every
 // slab dies with its scheduler (DESIGN.md §17, "Frame ownership").
 //
+// The per-call objects that live exactly as long as a call (future
+// states, pending-call and reply-cache nodes, delivery records) come
+// from a second FramePool of the same scheduler, through SlabAllocator.
+//
 // A root frame (Spawn / Detach) also links a RootLink into its
 // scheduler's registry for as long as it exists, which is how teardown
 // finds the roots still parked on a future or a timer.
@@ -19,6 +23,7 @@
 #include <coroutine>
 #include <cstddef>
 #include <new>
+#include <type_traits>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -126,3 +131,43 @@ struct RootLink {
 };
 
 }  // namespace proxy::sim::detail
+
+namespace proxy::sim {
+
+/// The standard allocator over a FramePool, for containers and shared
+/// states whose elements each live no longer than the call they serve
+/// (Scheduler::allocator). It names the pool it allocates from; freeing
+/// goes through the slot header, as for frames, so any two compare
+/// equal and the pool must outlive every element.
+template <typename T>
+class SlabAllocator {
+ public:
+  using value_type = T;
+  using is_always_equal = std::true_type;
+
+  explicit SlabAllocator(detail::FramePool& pool) noexcept : pool_(&pool) {}
+  template <typename U>
+  SlabAllocator(const SlabAllocator<U>& other) noexcept  // NOLINT(implicit)
+      : pool_(other.pool_) {}
+
+  T* allocate(std::size_t n) {
+    static_assert(alignof(T) <= alignof(std::max_align_t));
+    return static_cast<T*>(detail::FramePool::Allocate(pool_, n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    detail::FramePool::Free(p, n * sizeof(T));
+  }
+
+  template <typename U>
+  bool operator==(const SlabAllocator<U>& /*other*/) const noexcept {
+    return true;
+  }
+
+ private:
+  template <typename U>
+  friend class SlabAllocator;
+
+  detail::FramePool* pool_;
+};
+
+}  // namespace proxy::sim

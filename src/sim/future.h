@@ -89,8 +89,10 @@ class [[nodiscard]] Future {
 template <typename T>
 class Promise {
  public:
+  /// The shared state comes from `sched`'s object pool.
   explicit Promise(Scheduler& sched)
-      : state_(std::make_shared<detail::FutureState<T>>(sched)) {}
+      : state_(std::allocate_shared<detail::FutureState<T>>(
+            sched.allocator<detail::FutureState<T>>(), sched)) {}
 
   [[nodiscard]] Future<T> future() const { return Future<T>(state_); }
 

@@ -9,7 +9,9 @@
 namespace proxy::sim {
 
 Network::Network(Scheduler& sched, std::uint64_t seed)
-    : sched_(&sched), rng_(seed) {}
+    : sched_(&sched),
+      rng_(seed),
+      batches_(sched.allocator<BatchMap::value_type>()) {}
 
 NodeId Network::AddNode(std::string name) {
   const NodeId id(static_cast<std::uint32_t>(nodes_.size()));
@@ -58,13 +60,20 @@ void Network::SetNodePaused(NodeId node, bool paused) {
   std::vector<HeldMessage> backlog = std::move(it->second);
   paused_.erase(it);
   // Re-inject the backlog in arrival order at the current instant: the
-  // stalled process wakes up and drains everything at once.
+  // stalled process wakes up and drains everything at once — unless it
+  // crashed (and perhaps restarted) at this instant before the release
+  // ran, like any other arrival.
   for (auto& held : backlog) {
     sched_
         ->Post([this, node, held = std::move(held)]() mutable {
           Trace(NetTraceKind::kRelease, held.from, node, held.to_port,
                 held.payload.size());
-          Deliver(held.from, node, held.to_port, std::move(held.payload));
+          if (DroppedByCrash(held.from, node, held.to_port,
+                             held.dest_incarnation, held.payload.size())) {
+            return;
+          }
+          Deliver(held.from, node, held.to_port, held.dest_incarnation,
+                  std::move(held.payload));
         })
         .Detach();
   }
@@ -173,7 +182,8 @@ void Network::ScheduleDelivery(NodeId from, NodeId to, PortId to_port,
   // first opens the batch, the rest append to it for free. Batch order is
   // append order, which is exactly the per-message event order the old
   // one-event-per-message core produced.
-  auto [it, opened] = batches_.try_emplace(BatchKey{to.value(), arrival});
+  auto [it, opened] = batches_.try_emplace(BatchKey{to.value(), arrival},
+                                           batches_.get_allocator());
   it->second.push_back(PendingDelivery{from, to_port, std::move(payload),
                                        dest_incarnation, via_link});
   if (opened) {
@@ -191,7 +201,7 @@ void Network::DrainDeliveries(NodeId to, SimTime at) {
   // Detach the batch first: a receiver callback may send again and open a
   // fresh batch for this (node, instant) — events posted "now" run later
   // in this same virtual instant, exactly like the unbatched core.
-  std::vector<PendingDelivery> batch = std::move(it->second);
+  DeliveryList batch = std::move(it->second);
   batches_.erase(it);
   for (auto& msg : batch) {
     // A partition raised while in flight also eats the message.
@@ -204,22 +214,34 @@ void Network::DrainDeliveries(NodeId to, SimTime at) {
     // So does a crash of either endpoint: mail addressed to a dead
     // incarnation is lost even if the node restarted in the meantime —
     // checked per message, so a crash mid-drain still eats the tail.
-    if (crashed_[to.value()] ||
-        incarnation_[to.value()] != msg.dest_incarnation) {
-      stats_.messages_dropped++;
-      Trace(NetTraceKind::kDropCrash, msg.from, to, msg.to_port,
-            msg.payload.size());
+    if (DroppedByCrash(msg.from, to, msg.to_port, msg.dest_incarnation,
+                       msg.payload.size())) {
       continue;
     }
-    Deliver(msg.from, to, msg.to_port, std::move(msg.payload));
+    Deliver(msg.from, to, msg.to_port, msg.dest_incarnation,
+            std::move(msg.payload));
   }
 }
 
-void Network::Deliver(NodeId from, NodeId to, PortId to_port, Bytes payload) {
+bool Network::DroppedByCrash(NodeId from, NodeId to, PortId to_port,
+                             std::uint64_t dest_incarnation,
+                             std::size_t bytes) {
+  if (!crashed_[to.value()] &&
+      incarnation_[to.value()] == dest_incarnation) {
+    return false;
+  }
+  stats_.messages_dropped++;
+  Trace(NetTraceKind::kDropCrash, from, to, to_port, bytes);
+  return true;
+}
+
+void Network::Deliver(NodeId from, NodeId to, PortId to_port,
+                      std::uint64_t dest_incarnation, Bytes payload) {
   if (const auto it = paused_.find(to.value()); it != paused_.end()) {
     stats_.messages_held++;
     Trace(NetTraceKind::kHold, from, to, to_port, payload.size());
-    it->second.push_back(HeldMessage{from, to_port, std::move(payload)});
+    it->second.push_back(
+        HeldMessage{from, to_port, std::move(payload), dest_incarnation});
     return;
   }
   stats_.messages_delivered++;

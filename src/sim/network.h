@@ -153,6 +153,7 @@ class Network {
     NodeId from;
     PortId to_port;
     Bytes payload;
+    std::uint64_t dest_incarnation;  // rechecked when the node unpauses
   };
 
   // Batched delivery: same-instant arrivals at the same node coalesce
@@ -178,13 +179,26 @@ class Network {
       return static_cast<std::size_t>(h);
     }
   };
+  // A batch and its records live only until it drains, so both come
+  // from the scheduler's object pool.
+  using DeliveryList =
+      std::vector<PendingDelivery, SlabAllocator<PendingDelivery>>;
+  using BatchMap =
+      std::unordered_map<BatchKey, DeliveryList, BatchKeyHash,
+                         std::equal_to<BatchKey>,
+                         SlabAllocator<std::pair<const BatchKey, DeliveryList>>>;
 
   DirectedLink& LinkFor(NodeId from, NodeId to);
   void ScheduleDelivery(NodeId from, NodeId to, PortId to_port,
                         SimTime arrival, std::uint64_t dest_incarnation,
                         bool via_link, Bytes payload);
   void DrainDeliveries(NodeId to, SimTime at);
-  void Deliver(NodeId from, NodeId to, PortId to_port, Bytes payload);
+  /// Drops a message whose destination crashed, or restarted, since it
+  /// was sent; true if it did.
+  bool DroppedByCrash(NodeId from, NodeId to, PortId to_port,
+                      std::uint64_t dest_incarnation, std::size_t bytes);
+  void Deliver(NodeId from, NodeId to, PortId to_port,
+               std::uint64_t dest_incarnation, Bytes payload);
   void Trace(NetTraceKind kind, NodeId from, NodeId to, PortId to_port,
              std::size_t bytes) {
     if (trace_hook_) trace_hook_(kind, from, to, to_port, bytes);
@@ -198,8 +212,7 @@ class Network {
   std::unordered_map<std::uint64_t, DirectedLink> links_;
   std::unordered_map<std::uint64_t, bool> partitioned_;  // undirected key
   std::unordered_map<std::uint32_t, std::vector<HeldMessage>> paused_;
-  std::unordered_map<BatchKey, std::vector<PendingDelivery>, BatchKeyHash>
-      batches_;
+  BatchMap batches_;
   std::vector<bool> crashed_;
   // Bumped on every crash; a message captures its destination's value at
   // send time and is dropped on arrival if it no longer matches, so mail

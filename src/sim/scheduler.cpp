@@ -32,13 +32,14 @@ Scheduler::~Scheduler() {
   const std::size_t live = frames_.live();
   if (teardown_hook_) {
     teardown_hook_(live);
-  } else if (live != 0) {
+  } else if (live != 0 || objects_.live() != 0) {
     // A frame outside every root (a Co kept past its scheduler, or a
-    // root that escaped the registry) would point into a freed slab.
+    // root that escaped the registry), or an object kept past it (a
+    // Future, a client or a network), would point into a freed slab.
     std::fprintf(stderr,
-                 "sim::Scheduler destroyed with %zu coroutine frame(s) it "
-                 "issued still live\n",
-                 live);
+                 "sim::Scheduler destroyed with %zu coroutine frame(s) and "
+                 "%zu object(s) it issued still live\n",
+                 live, objects_.live());
     std::abort();
   }
   if (g_current == this) g_current = nullptr;

@@ -149,8 +149,8 @@ class Scheduler {
  public:
   Scheduler();
   /// Destroys the roots still parked (DestroyRoots), then fails loudly
-  /// if a coroutine frame this scheduler issued is still live (see
-  /// SetTeardownHook), then frees the frame slabs. Stops being
+  /// if a coroutine frame or a pooled object this scheduler issued is
+  /// still live (see SetTeardownHook), then frees the slabs. Stops being
   /// Current().
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
@@ -227,6 +227,21 @@ class Scheduler {
     return frames_.live();
   }
 
+  /// Allocator for per-call objects: future states, pending-call and
+  /// reply-cache nodes, delivery records. They come from this
+  /// scheduler's object pool, a FramePool of their own, so the frame
+  /// count above stays a count of frames; each must die before the
+  /// scheduler does.
+  template <typename T>
+  [[nodiscard]] SlabAllocator<T> allocator() noexcept {
+    return SlabAllocator<T>(objects_);
+  }
+
+  /// Objects the object pool issued and has not freed.
+  [[nodiscard]] std::size_t live_objects() const noexcept {
+    return objects_.live();
+  }
+
   /// Destroys every root frame (Spawn / Detach) still registered, newest
   /// first; each takes the frames it awaits with it. Teardown only: an
   /// event that would resume a destroyed frame must never run, so the
@@ -238,7 +253,7 @@ class Scheduler {
   /// of frames still live once every registered root is destroyed, and
   /// does not abort when it is set. Installed by the chaos harness,
   /// which turns a nonzero count into a violation; unset, a live frame
-  /// at teardown aborts the process.
+  /// or pooled object at teardown aborts the process.
   using TeardownHook = std::function<void(std::size_t live_frames)>;
   void SetTeardownHook(TeardownHook hook) { teardown_hook_ = std::move(hook); }
 
@@ -307,9 +322,10 @@ class Scheduler {
   /// Links a root frame at the head of the registry (RootPromise).
   void AdoptRoot(detail::RootLink& root) noexcept;
 
-  // First member, so destroyed last: every other member dies with the
-  // pool still able to take frames back.
+  // First members, so destroyed last: every other member dies with the
+  // pools still able to take frames and objects back.
   detail::FramePool frames_;
+  detail::FramePool objects_;
   detail::RootLink roots_;  // sentinel of the root registry
   bool root_registry_ = true;
   TeardownHook teardown_hook_;

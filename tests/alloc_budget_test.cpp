@@ -1,14 +1,17 @@
 // Heap allocations of the warm per-call paths, pinned the way
 // EventBudget (core_test.cpp) pins scheduler events: one warm remote
-// Increment through the protocol-1 stub, and one warm read hit through
-// the protocol-2 caching proxy and through the protocol-3 write-back
-// proxy, each driven through Runtime::Run.
+// Increment through the protocol-1 stub (also past the server's
+// reply-cache bound), and one warm read hit through the protocol-2
+// caching proxy and through the protocol-3 write-back proxy, each driven
+// through Runtime::Run.
 //
 // This binary replaces the global operator new with a counting one, so
 // it is a test binary of its own: no other test shares the counter. Like
 // bench/BENCH_host.json, the counts pin the CI toolchain's libstdc++.
-// Coroutine frames come from the scheduler's slabs (sim/frames.h), which
-// the warm-up call has already carved, so no frame is counted.
+// Coroutine frames and the per-call objects (future states, pending-call
+// and reply-cache nodes, delivery records) come from the scheduler's
+// slabs (sim/frames.h), which the warm-up call has already carved, so
+// none of them is counted.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +20,7 @@
 #include <optional>
 #include <string>
 
+#include "rpc/server.h"
 #include "services/counter.h"
 #include "services/kv.h"
 #include "test_util.h"
@@ -51,6 +55,21 @@ std::uint64_t AllocationsOf(F&& body) {
   return g_allocations - before;
 }
 
+// A warm remote Increment through the protocol-1 stub allocates its
+// buffers and nothing else:
+// - datagrams (2): the CRC envelope of the request and of the reply;
+// - message buffers (4): the args, the encoded request, the result and
+//   the encoded reply.
+// From the slabs, and so not counted: the frames (ProxyBase::CallRaw,
+// which the forward CounterStub::Increment returns, and Runtime::Run's
+// root; on the server RpcServer::Execute, its detached root and the typed
+// skeleton); the future state Runtime::Run's Spawn shares with Await;
+// RpcClient's pending-call node and its promise state; the server's
+// in-progress and reply-cache nodes and its reply FIFO; and, per
+// datagram, Network::ScheduleDelivery's batch node and delivery record.
+// CallRaw's AttemptBudget is a local of its frame.
+constexpr std::uint64_t kWarmIncrementAllocations = 6;
+
 TEST(AllocBudget, WarmStubIncrement) {
   TestWorld w;
   Result<services::CounterExport> exported =
@@ -59,23 +78,40 @@ TEST(AllocBudget, WarmStubIncrement) {
   services::CounterStub stub(*w.client_ctx, exported->binding);
   Result<std::int64_t> value = w.rt->Run(stub.Increment(1));  // warm-up
   ASSERT_OK(value);
-  // By kind. Roots (1): the future state Runtime::Run's Spawn shares
-  //   with Await. The frames (ProxyBase::CallRaw, which the forward
-  //   CounterStub::Increment returns, and Runtime::Run's root; on the
-  //   server RpcServer::Execute, its detached root and the typed
-  //   skeleton) come from the slabs, and CallRaw's AttemptBudget is a
-  //   local of its frame.
-  // Datagrams (6), for the request and again for the reply: the CRC
-  //   envelope, and Network::ScheduleDelivery's batch node and delivery
-  //   record.
-  // Per-call bookkeeping (4): RpcClient's pending-call node and its
-  //   promise state, and the server's in-progress and reply-cache nodes.
-  // Message buffers (4): the args, the encoded request, the result and
-  //   the encoded reply.
   EXPECT_EQ(AllocationsOf([&] { value = w.rt->Run(stub.Increment(1)); }),
-            15u);
+            kWarmIncrementAllocations);
   ASSERT_OK(value);
   EXPECT_EQ(*value, 2);
+}
+
+TEST(AllocBudget, WarmStubIncrementPastTheReplyCacheBound) {
+  TestWorld w;
+  Result<services::CounterExport> exported =
+      services::ExportCounterService(*w.server_ctx);
+  ASSERT_OK(exported);
+  services::CounterStub stub(*w.client_ctx, exported->binding);
+  // Past the bound, every call's cached reply evicts the oldest one. Three
+  // times the bound also takes the reply FIFO's block map to its steady
+  // size, and every slab the eviction cycle reuses is carved.
+  const std::uint64_t bound =
+      rpc::RpcServer::Params{}.reply_cache_per_client;
+  Result<std::int64_t> value = 0;
+  for (std::uint64_t i = 0; i < 3 * bound; ++i) {
+    value = w.rt->Run(stub.Increment(1));
+    ASSERT_OK(value);
+  }
+  // Eviction frees a reply-cache node and, every 64 calls, a FIFO block,
+  // and the next call takes them back from the slabs: 64 calls cost 64
+  // single calls, not one FIFO block more.
+  constexpr std::uint64_t kCalls = 64;
+  EXPECT_EQ(AllocationsOf([&] {
+              for (std::uint64_t i = 0; i < kCalls; ++i) {
+                value = w.rt->Run(stub.Increment(1));
+              }
+            }),
+            kCalls * kWarmIncrementAllocations);
+  ASSERT_OK(value);
+  EXPECT_EQ(*value, static_cast<std::int64_t>(3 * bound + kCalls));
 }
 
 TEST(AllocBudget, WarmCachingGetHit) {
@@ -87,10 +123,10 @@ TEST(AllocBudget, WarmCachingGetHit) {
   services::KvCachingProxy proxy(*w.client_ctx, exported->binding);
   Result<std::optional<std::string>> hit = w.rt->Run(proxy.Get("k"));
   ASSERT_OK(hit);  // subscribed, "k" cached
-  // The future state Spawn shares with Runtime::Run. KvCachingProxy::Get's
-  // frame and Spawn's root frame come from the slabs, and the cached
-  // value is a short string, copied without allocating.
-  EXPECT_EQ(AllocationsOf([&] { hit = w.rt->Run(proxy.Get("k")); }), 1u);
+  // Nothing: KvCachingProxy::Get's frame, Spawn's root frame and the
+  // future state Spawn shares with Runtime::Run come from the slabs, and
+  // the cached value is a short string, copied without allocating.
+  EXPECT_EQ(AllocationsOf([&] { hit = w.rt->Run(proxy.Get("k")); }), 0u);
   ASSERT_OK(hit);
   EXPECT_EQ(*hit, std::optional<std::string>("v"));
   EXPECT_EQ(proxy.cache_stats().hits, 1u);
@@ -105,9 +141,9 @@ TEST(AllocBudget, WarmWriteBackGetHitCostsWhatTheCachingHitCosts) {
   services::KvWriteBackProxy proxy(*w.client_ctx, exported->binding);
   Result<std::optional<std::string>> hit = w.rt->Run(proxy.Get("k"));
   ASSERT_OK(hit);  // subscribed, "k" cached
-  // "k" is clean, so Get is KvCachingProxy::Get's coroutine: the same
-  // one allocation as WarmCachingGetHit, and no frame of its own.
-  EXPECT_EQ(AllocationsOf([&] { hit = w.rt->Run(proxy.Get("k")); }), 1u);
+  // "k" is clean, so Get is KvCachingProxy::Get's coroutine: no
+  // allocation, as in WarmCachingGetHit, and no frame of its own.
+  EXPECT_EQ(AllocationsOf([&] { hit = w.rt->Run(proxy.Get("k")); }), 0u);
   ASSERT_OK(hit);
   EXPECT_EQ(*hit, std::optional<std::string>("v"));
   EXPECT_EQ(proxy.cache_stats().hits, 1u);

@@ -101,6 +101,35 @@ TEST(Runtime, FindObjectOnNodeSearchesAllContexts) {
   EXPECT_FALSE(rt.FindObjectOnNode(n, ObjectId{9, 9}).has_value());
 }
 
+TEST(Runtime, APendingCallLeavesNoPooledObjectAtTeardown) {
+  std::size_t frames_left = 99;
+  std::size_t objects_left = 99;
+  {
+    TestWorld w;
+    Result<services::CounterExport> exported =
+        services::ExportCounterService(*w.server_ctx);
+    ASSERT_OK(exported);
+    services::CounterStub stub(*w.client_ctx, exported->binding);
+    w.rt->network().SetPartitioned(w.client_node, w.server_node, true);
+    sim::Scheduler& sched = w.rt->scheduler();
+    sim::Detach(sched, stub.Increment(1));
+    sched.RunFor(Milliseconds(1));  // the request is lost to the partition
+    // Still pending, its retry timer armed: the pending-call node and
+    // the promise state are live in the scheduler's object pool.
+    ASSERT_EQ(w.client_ctx->client().stats().calls_started, 1u);
+    ASSERT_EQ(w.rt->network().stats().messages_dropped, 1u);
+    ASSERT_GT(sched.live_objects(), 0u);
+    ASSERT_GT(sched.pending(), 0u);
+    sched.SetTeardownHook(
+        [&sched, &frames_left, &objects_left](std::size_t live_frames) {
+          frames_left = live_frames;
+          objects_left = sched.live_objects();
+        });
+  }  // the stub dies, then the runtime with the call still pending
+  EXPECT_EQ(frames_left, 0u);
+  EXPECT_EQ(objects_left, 0u);
+}
+
 TEST(FactoryRegistry, RegisterAndCreate) {
   services::RegisterAllServices();
   auto& registry = ProxyFactoryRegistry::Instance();

@@ -16,20 +16,35 @@ sim::Co<void> Spooler::Drain() {
   co_return;
 }
 
-// The typed-reply awaitable (rpc::TypedReply) is a task too, also when
-// the callee takes explicit template arguments.
-class KvProxy {
+// Both typed-call shapes are tasks, also when the callee takes explicit
+// template arguments: ProxyBase::Call<T> returns the invocation loop's
+// coroutine, and StubBase::TypedCall<Resp> the typed-reply awaitable.
+class CounterProxy {
  protected:
-  template <typename Resp, typename Req>
-  rpc::TypedReply<Resp, sim::Co<Result<OwnedBytes>>> Call(
-      std::uint32_t method, const Req& req);
-  sim::Co<void> Touch(GetRequest req);
+  template <typename T, typename Req>
+  sim::Co<Result<T>> Call(std::uint32_t method, const Req& req);
+  sim::Co<void> Touch(std::int64_t delta);
 };
 
-sim::Co<void> KvProxy::Touch(GetRequest req) {
-  Call<GetResponse>(kGet, req);  // MARK:l2-typed-reply
-  Result<GetResponse> got = co_await Call<GetResponse>(kGet, req);  // handled
-  (void)got;
+sim::Co<void> CounterProxy::Touch(std::int64_t delta) {
+  Call<std::int64_t>(kIncrement, delta);  // MARK:l2-proxy-call
+  Result<std::int64_t> value =
+      co_await Call<std::int64_t>(kIncrement, delta);  // handled
+  (void)value;
+}
+
+class NameStub {
+ protected:
+  template <typename Resp, typename Req>
+  rpc::TypedReply<Resp> TypedCall(std::uint32_t method, const Req& req);
+  sim::Co<void> Touch(std::string name);
+};
+
+sim::Co<void> NameStub::Touch(std::string name) {
+  TypedCall<NameRecord>(kLookup, name);  // MARK:l2-typed-reply
+  Result<NameRecord> found =
+      co_await TypedCall<NameRecord>(kLookup, name);  // handled
+  (void)found;
 }
 
 // Ambiguous name: Poke is declared void here and Co elsewhere — the

@@ -32,20 +32,35 @@ sim::Co<void> Store::Run() {
   co_return;
 }
 
-// The typed-reply awaitable always resumes with a Result: awaiting it as
-// a statement drops the call's failure.
+// Both typed-call shapes always resume with a Result: awaiting either
+// as a statement drops the call's failure. ProxyBase::Call<T> returns
+// the invocation loop's coroutine, StubBase::TypedCall<Resp> the
+// typed-reply awaitable.
 class KvProxy {
  protected:
-  template <typename Resp, typename Req>
-  rpc::TypedReply<Resp, sim::Co<Result<OwnedBytes>>> Call(
-      std::uint32_t method, const Req& req);
+  template <typename T, typename Req>
+  sim::Co<Result<T>> Call(std::uint32_t method, const Req& req);
   sim::Co<void> Write(PutRequest req);
 };
 
 sim::Co<void> KvProxy::Write(PutRequest req) {
-  co_await Call<rpc::Void>(kPut, req);  // MARK:l8-typed-reply
+  co_await Call<rpc::Void>(kPut, req);  // MARK:l8-proxy-call
   Result<rpc::Void> put = co_await Call<rpc::Void>(kPut, req);  // handled
   (void)put;
+}
+
+class NameStub {
+ protected:
+  template <typename Resp, typename Req>
+  rpc::TypedReply<Resp> TypedCall(std::uint32_t method, const Req& req);
+  sim::Co<void> Register(RegisterRequest req);
+};
+
+sim::Co<void> NameStub::Register(RegisterRequest req) {
+  co_await TypedCall<rpc::Void>(kRegister, req);  // MARK:l8-typed-reply
+  Result<rpc::Void> done =
+      co_await TypedCall<rpc::Void>(kRegister, req);  // handled
+  (void)done;
 }
 
 }  // namespace services

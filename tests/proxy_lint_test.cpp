@@ -93,10 +93,11 @@ TEST(ProxyLintL2, DiscardedTaskReportedOnceHandledFormsPass) {
       Lint("l2_discarded_task.cpp", "src/services/x.cpp");
   EXPECT_EQ(Rules(f), std::set<std::string>{"L2"});
   EXPECT_TRUE(HasFindingAt(f, "L2", LineOf(text, "MARK:l2-discarded")));
+  EXPECT_TRUE(HasFindingAt(f, "L2", LineOf(text, "MARK:l2-proxy-call")));
   EXPECT_TRUE(HasFindingAt(f, "L2", LineOf(text, "MARK:l2-typed-reply")));
   // co_await / Spawn / (void) / named binding are all handled; the
   // ambiguous name (void in one class, Co in another) stays silent.
-  EXPECT_EQ(f.size(), 2u);
+  EXPECT_EQ(f.size(), 3u);
 }
 
 TEST(ProxyLintL5, DiscardedTimerReportedOnceHandledFormsPass) {
@@ -190,9 +191,10 @@ TEST(ProxyLintL8, DirectAndAwaitedDiscardsReportedHandledFormsPass) {
   EXPECT_EQ(Rules(f), std::set<std::string>{"L8"});
   EXPECT_TRUE(HasFindingAt(f, "L8", LineOf(text, "MARK:l8-direct")));
   EXPECT_TRUE(HasFindingAt(f, "L8", LineOf(text, "MARK:l8-awaited")));
+  EXPECT_TRUE(HasFindingAt(f, "L8", LineOf(text, "MARK:l8-proxy-call")));
   EXPECT_TRUE(HasFindingAt(f, "L8", LineOf(text, "MARK:l8-typed-reply")));
   // (void) casts, bound names, and Co<void> awaits are all handled.
-  EXPECT_EQ(f.size(), 3u);
+  EXPECT_EQ(f.size(), 4u);
 
   // L8 is scoped to src/: a test deliberately dropping a status (e.g.
   // poking a crashed replica) is not a finding.
@@ -214,6 +216,26 @@ TEST(ProxyLintL9, RelayingCoroutinesReportedEverywhere) {
 
 TEST(ProxyLintL9, ForwardsAndWorkingCoroutinesPass) {
   EXPECT_TRUE(Lint("l9_forward_clean.cpp", "src/services/x.cpp").empty());
+}
+
+TEST(ProxyLintL11, ConditionalAwaitsReportedEverywhere) {
+  const std::string text = ReadFixture("l11_conditional_await.cpp");
+  for (const char* path : {"src/services/x.cpp", "bench/x.cpp"}) {
+    const std::vector<Finding> f = Lint("l11_conditional_await.cpp", path);
+    EXPECT_EQ(Rules(f), std::set<std::string>{"L11"}) << path;
+    EXPECT_TRUE(HasFindingAt(f, "L11", LineOf(text, "MARK:l11-arms")))
+        << path;
+    EXPECT_TRUE(HasFindingAt(f, "L11", LineOf(text, "MARK:l11-one-arm")))
+        << path;
+    EXPECT_TRUE(HasFindingAt(f, "L11", LineOf(text, "MARK:l11-condition")))
+        << path;
+    EXPECT_EQ(f.size(), 3u) << path;
+  }
+}
+
+TEST(ProxyLintL11, SplitAwaitsAndConditionalArgumentsPass) {
+  EXPECT_TRUE(
+      Lint("l11_conditional_clean.cpp", "src/services/x.cpp").empty());
 }
 
 TEST(ProxyLintIndex, ResolvesCalleesAcrossTranslationUnits) {
@@ -247,9 +269,9 @@ TEST(ProxyLintSarif, RendersRuleCatalogueAndLocations) {
   const std::string sarif = proxy_lint::RenderSarif(findings);
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("\"name\": \"proxy_lint\""), std::string::npos);
-  // All nine rules are declared in the driver's catalogue.
+  // All ten rules are declared in the driver's catalogue.
   for (const char* rule :
-       {"L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9"}) {
+       {"L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L11"}) {
     EXPECT_NE(sarif.find(std::string("\"id\": \"") + rule + "\""),
               std::string::npos)
         << rule;

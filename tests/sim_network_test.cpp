@@ -1,5 +1,5 @@
 // Unit tests for the simulated network: delay math, loss, partitions,
-// loopback, store-and-forward serialization.
+// paused and crashed nodes, loopback, store-and-forward serialization.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -132,6 +132,50 @@ TEST_F(NetFixture, PartitionRaisedMidFlightEatsMessage) {
       .Detach();
   sched.Run();
   EXPECT_TRUE(deliveries.empty());
+}
+
+TEST_F(NetFixture, UnpausingReleasesHeldMessagesInArrivalOrder) {
+  net.SetNodePaused(b, true);
+  ASSERT_TRUE(net.Send(a, b, PortId(1), Bytes{1}).ok());
+  ASSERT_TRUE(net.Send(a, b, PortId(1), Bytes{2}).ok());
+  sched.Run();
+  EXPECT_TRUE(deliveries.empty());
+  EXPECT_EQ(net.stats().messages_held, 2u);
+  net.SetNodePaused(b, false);
+  sched.Run();
+  ASSERT_EQ(deliveries.size(), 2u);
+  EXPECT_EQ(deliveries[0].payload, Bytes{1});
+  EXPECT_EQ(deliveries[1].payload, Bytes{2});
+}
+
+// A held message was addressed to the incarnation that was paused. A
+// crash at the unpause instant, before the release runs, kills that
+// incarnation, so the release must drop the message like any arrival.
+TEST_F(NetFixture, AHeldMessageDiesWithACrashAtTheUnpauseInstant) {
+  net.SetNodePaused(b, true);
+  ASSERT_TRUE(net.Send(a, b, PortId(1), Bytes{1}).ok());
+  sched.Run();
+  ASSERT_EQ(net.stats().messages_held, 1u);
+  net.SetNodePaused(b, false);
+  net.SetNodeCrashed(b, true);
+  sched.Run();
+  EXPECT_TRUE(deliveries.empty());
+  EXPECT_EQ(net.stats().messages_delivered, 0u);
+  EXPECT_EQ(net.stats().messages_dropped, 1u);
+}
+
+TEST_F(NetFixture, AHeldMessageNeverReachesTheNextIncarnation) {
+  net.SetNodePaused(b, true);
+  ASSERT_TRUE(net.Send(a, b, PortId(1), Bytes{1}).ok());
+  sched.Run();
+  ASSERT_EQ(net.stats().messages_held, 1u);
+  net.SetNodePaused(b, false);
+  net.SetNodeCrashed(b, true);
+  net.SetNodeCrashed(b, false);  // restarted in the same instant
+  sched.Run();
+  EXPECT_TRUE(deliveries.empty());
+  EXPECT_EQ(net.stats().messages_delivered, 0u);
+  EXPECT_EQ(net.stats().messages_dropped, 1u);
 }
 
 TEST_F(NetFixture, LoopbackIsCheapAndCounted) {

@@ -221,6 +221,17 @@ TEST(FrameOwnership, DestroyRootsTakesTheAwaitedChainAlong) {
   EXPECT_FALSE(parked.ready());
 }
 
+TEST(FrameOwnership, AFutureStateComesFromTheObjectPool) {
+  Scheduler s;
+  {
+    Promise<int> p(s);
+    Future<int> f = p.future();
+    EXPECT_EQ(s.live_objects(), 1u);  // one state, shared by both ends
+    EXPECT_EQ(s.live_frames(), 0u);   // frames are counted apart
+  }
+  EXPECT_EQ(s.live_objects(), 0u);
+}
+
 /// Awaiting it records the awaiting coroutine's frame address and
 /// continues without suspending.
 struct FrameAddress {

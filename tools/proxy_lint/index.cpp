@@ -178,7 +178,7 @@ bool TypeIsStatusLike(const std::string& type) {
 
 bool TypeIsAwaitedStatus(const std::string& type) {
   const std::vector<std::string> w = TypeHeadWords(type);
-  // rpc::TypedReply<Resp, Source> always resumes with Result<Resp>.
+  // rpc::TypedReply<Resp> always resumes with Result<Resp>.
   if (!w.empty() && w[0] == "TypedReply") return true;
   return w.size() >= 2 && (w[0] == "Co" || w[0] == "Future") &&
          (w[1] == "Status" || w[1] == "Result" || w[1] == "StatusOr");

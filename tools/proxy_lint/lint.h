@@ -8,7 +8,7 @@
 // zero-copy arena discipline. It runs in two passes: pass 1 builds a
 // repo-wide symbol index (function return types, member field types,
 // class→file map — see index.h), pass 2
-// evaluates the rules against it (see rules.h). Nine rules:
+// evaluates the rules against it (see rules.h). Ten rules:
 //
 //   L1 suspension-hazard    a reference / iterator / pointer /
 //                           structured binding into member state live
@@ -63,6 +63,11 @@
 //                           relays its callee at the cost of a frame
 //                           and a completion event, where returning the
 //                           callee's awaitable costs neither
+//   L11 conditional-await   a co_await in the condition or either arm of
+//                           a `?:` expression, the shape GCC 12
+//                           miscompiles (DESIGN.md §7 item 3); a
+//                           conditional inside the awaited call's
+//                           arguments is clean
 //
 // Suppressions: `// NOLINT(proxy-lint:L1)` on the finding's line, or
 // `// NOLINTNEXTLINE(proxy-lint:L1)` on the line above (rule `*` matches
@@ -84,7 +89,7 @@ namespace proxy_lint {
 struct Finding {
   std::string file;  // repo-relative, '/'-separated
   int line = 0;
-  std::string rule;  // "L1".."L9"
+  std::string rule;  // "L1".."L9", "L11"
   std::string message;
 
   friend bool operator<(const Finding& a, const Finding& b) {

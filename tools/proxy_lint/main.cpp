@@ -44,7 +44,7 @@ void PrintUsage(std::FILE* out) {
       "lifetime, and wire-protocol hazards (rules L1 suspension-hazard,\n"
       "L2 discarded-task, L3 encapsulation-leak, L4 unchecked-deadline,\n"
       "L5 discarded-timer, L6 borrowed-view-escape, L7 wire-asymmetry,\n"
-      "L8 unchecked-status, L9 idle-coroutine).\n"
+      "L8 unchecked-status, L9 idle-coroutine, L11 conditional-await).\n"
       "\n"
       "  --root=DIR         repo root (default: cwd); findings and the\n"
       "                     baseline use paths relative to it\n"

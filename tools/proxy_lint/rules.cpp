@@ -666,6 +666,74 @@ void CheckIdleCoroutines(const Analysis& a) {
   }
 }
 
+// --- L11: conditional await -------------------------------------------
+
+/// True for a token that bounds an operand of a conditional operator at
+/// its own nesting depth: a statement or list boundary, an operator of
+/// lower precedence, or another conditional's `?` / `:`.
+bool BoundsConditionalOperand(const std::string& s) {
+  static const std::set<std::string> kBounds = {
+      ";",  ",",  "{",  "}",  "?",  ":",  "=",      "+=",        "-=",
+      "*=", "/=", "%=", "|=", "&=", "^=", "return", "co_return", "co_yield",
+      "throw"};
+  return kBounds.contains(s);
+}
+
+// L11 (`?:` shape): a co_await in the condition or either arm of a
+// conditional operator. GCC 12 miscompiles the shape: the frame cleanup
+// of the arm not taken destroys an awaited result that is then read
+// again (DESIGN.md §7 item 3). A conditional nested inside the awaited
+// call's arguments is clean: its own operands do not await. Lambda
+// bodies in an operand are other functions and are skipped.
+void CheckConditionalAwaits(const Analysis& a) {
+  const Tokens& t = a.t;
+  for (std::size_t q = 0; q < t.size(); ++q) {
+    if (!Is(t, q, "?")) continue;
+    // The condition: back to the operand boundary at this depth.
+    std::size_t begin = q;
+    for (int depth = 0; begin > 0; --begin) {
+      const std::string& s = t[begin - 1].text;
+      if (s == ")" || s == "]") {
+        ++depth;
+      } else if (s == "(" || s == "[") {
+        if (depth-- == 0) break;
+      } else if (depth == 0 && BoundsConditionalOperand(s)) {
+        break;
+      }
+    }
+    // The arms: on to this conditional's `:`, then to the boundary.
+    std::size_t end = q + 1;
+    int open_arms = 1;  // `?`s at this depth still waiting for their `:`
+    for (int depth = 0; end < t.size(); ++end) {
+      const std::string& s = t[end].text;
+      if (s == "{") {
+        end = SkipBalanced(t, end) - 1;
+      } else if (s == "(" || s == "[") {
+        ++depth;
+      } else if (s == ")" || s == "]") {
+        if (depth-- == 0) break;
+      } else if (depth == 0 && s == "?") {
+        ++open_arms;
+      } else if (depth == 0 && s == ":" && open_arms > 0) {
+        --open_arms;
+      } else if (depth == 0 && BoundsConditionalOperand(s)) {
+        break;
+      }
+    }
+    for (std::size_t p = begin; p < end; ++p) {
+      if (Is(t, p, "{")) {
+        p = SkipBalanced(t, p) - 1;
+      } else if (Is(t, p, "co_await")) {
+        a.Report(t[p].line, "L11",
+                 "co_await inside a conditional operator: GCC 12 "
+                 "miscompiles the arm not taken; await into a named "
+                 "local in an if/else instead");
+        break;
+      }
+    }
+  }
+}
+
 // --- L6: borrowed-view escape ------------------------------------------
 
 /// Copy wrappers: a statement that funnels the view through an owning
@@ -1290,6 +1358,7 @@ std::vector<Finding> RunRules(const std::string& file,
   if (IsWirePath(file)) CheckWireSymmetry(a);
   if (file.rfind("src/", 0) == 0) CheckUncheckedStatus(a);
   CheckIdleCoroutines(a);
+  CheckConditionalAwaits(a);
   std::sort(findings.begin(), findings.end());
   findings.erase(std::unique(findings.begin(), findings.end()),
                  findings.end());
@@ -1531,6 +1600,8 @@ std::string RenderSarif(const std::vector<Finding>& findings) {
        "Status/Result discarded at statement level (incl. co_await)"},
       {"L9", "idle-coroutine",
        "sim::Co whose only await relays its callee (co_return co_await)"},
+      {"L11", "conditional-await",
+       "co_await inside the condition or an arm of a ?: expression"},
   };
   std::ostringstream out;
   out << "{\n"

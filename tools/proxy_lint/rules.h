@@ -1,7 +1,8 @@
 // proxy_lint pass 2: the rule engine.
 //
 // RunRules lexes one file, scans its function extents, and evaluates
-// every rule (L1..L9) against the cross-TU SymbolIndex built in pass 1.
+// every rule (L1..L9, L11) against the cross-TU SymbolIndex built in
+// pass 1.
 // The Linter facade in lint.h is a thin wrapper over this entry point;
 // it exists so main.cpp and the tests share one call shape.
 #pragma once
