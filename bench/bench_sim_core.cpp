@@ -1,5 +1,4 @@
-// F9 — Simulator core throughput: timer wheel, event slab, batched
-// delivery.
+// F9 — Simulator core throughput: timer wheel, event slab, delivery.
 //
 // Everything else in this repo runs on sim::Scheduler, so its event
 // dispatch rate bounds how much world a CI minute can simulate. This
@@ -11,16 +10,16 @@
 //   F9b  cancel-heavy churn: timers armed and cancelled at random —
 //        the slab's generation-stamped O(1) cancel and slot reuse.
 //   F9c  RPC echo storm: concurrent closed-loop callers over loopback —
-//        the full stack (marshalling, ports, delivery batching) where
-//        same-instant arrivals coalesce into shared scheduler events.
+//        the full stack (marshalling, ports, delivery), where lock-step
+//        callers land many arrivals on one instant, each its own event.
 //   F9d  chaos-topology mixed lane: one seed of the chaos harness —
 //        timers, RPC, faults and tracing blended in realistic ratios.
 //
 // Wall-clock events/sec is the headline number but is machine-dependent,
 // so it rides in the JSONL as informational context. The gated rows are
-// the deterministic ones: event counts, virtual-time throughput, and the
-// delivery-coalescing fraction, all derived from virtual time and
-// simulator counters (bit-identical per seed).
+// the deterministic ones: event counts and virtual-time throughput, all
+// derived from virtual time and simulator counters (bit-identical per
+// seed).
 
 #include <chrono>
 #include <cstdio>
@@ -140,7 +139,6 @@ CancelResult CancelChurn() {
 struct StormResult {
   LaneResult lane;
   double msgs_per_call = 0;
-  double coalesced_fraction = 0;  // arrivals riding an existing batch
 };
 
 sim::Co<void> StormOps(std::shared_ptr<ICounter> ctr) {
@@ -156,8 +154,7 @@ StormResult EchoStorm() {
   w.Publish("ctr", exported->binding);
 
   // Same node, distinct context: calls take the loopback transport,
-  // where lock-step concurrent callers land on shared virtual instants
-  // and the network coalesces their deliveries into one event each.
+  // where lock-step concurrent callers land on shared virtual instants.
   core::Context& ctx = w.rt->CreateContext(w.server_node, "storm-client");
   core::AcquireOptions opts;
   opts.allow_direct = false;
@@ -171,7 +168,7 @@ StormResult EchoStorm() {
   if (!ctr) std::abort();
 
   sim::Scheduler& sched = w.rt->scheduler();
-  const sim::NetStats before = w.rt->network().stats();
+  const std::uint64_t sent_before = w.rt->network().stats().messages_sent;
   const std::uint64_t events_before = sched.events_run();
   const SimTime virt_before = sched.now();
 
@@ -189,7 +186,6 @@ StormResult EchoStorm() {
   });
   const auto t1 = std::chrono::steady_clock::now();
 
-  const sim::NetStats& after = w.rt->network().stats();
   constexpr double kOps =
       static_cast<double>(kStormClients) * kStormCallsEach;
   StormResult r;
@@ -197,16 +193,9 @@ StormResult EchoStorm() {
   r.lane.virtual_ns = sched.now() - virt_before;
   r.lane.wall_sec = WallSeconds(t0, t1);
   r.msgs_per_call =
-      static_cast<double>(after.messages_sent - before.messages_sent) / kOps;
-  const std::uint64_t batches =
-      after.delivery_batches - before.delivery_batches;
-  const std::uint64_t coalesced =
-      after.messages_coalesced - before.messages_coalesced;
-  r.coalesced_fraction =
-      batches + coalesced == 0
-          ? 0
-          : static_cast<double>(coalesced) /
-                static_cast<double>(batches + coalesced);
+      static_cast<double>(w.rt->network().stats().messages_sent -
+                          sent_before) /
+      kOps;
   return r;
 }
 
@@ -240,8 +229,8 @@ ChaosLane ChaosMixed() {
 int main() {
   std::printf(
       "F9: simulator core throughput — timer wheel + event slab +\n"
-      "batched delivery (wall rates are machine-dependent; the gate\n"
-      "holds only the deterministic counts and virtual rates)\n");
+      "delivery (wall rates are machine-dependent; the gate holds\n"
+      "only the deterministic counts and virtual rates)\n");
 
   const LaneResult churn = TimerChurn();
   const CancelResult cancel = CancelChurn();
@@ -264,11 +253,11 @@ int main() {
 
   std::printf(
       "\ncancel churn: %llu of %llu rounds cancelled a live timer\n"
-      "echo storm: %.2f msgs/call, %.1f%% of arrivals coalesced\n"
+      "echo storm: %.2f msgs/call\n"
       "chaos mixed: %zu history ops, %zu violations\n",
       static_cast<unsigned long long>(cancel.cancelled),
       static_cast<unsigned long long>(kCancelRounds), storm.msgs_per_call,
-      100.0 * storm.coalesced_fraction, mixed.history_ops, mixed.violations);
+      mixed.history_ops, mixed.violations);
   if (mixed.violations != 0) return 1;
 
   EmitBenchJson(
@@ -291,7 +280,7 @@ int main() {
                   static_cast<double>(storm.lane.virtual_ns),
         true},
        {"msgs_per_call", storm.msgs_per_call, true},
-       {"coalesced_fraction", storm.coalesced_fraction, true},
+       {"events_run", static_cast<double>(storm.lane.events), true},
        {"wall_events_per_sec", storm.lane.wall_events_per_sec(), false}});
   EmitBenchJson(
       "sim_core", "chaos_mixed",
@@ -301,8 +290,9 @@ int main() {
   std::printf(
       "\nShape check: timer churn is the wheel's raw dispatch ceiling;\n"
       "cancel churn stays within ~2x of it (generation bump + slot\n"
-      "reuse, no search); the storm coalesces most same-instant\n"
-      "loopback arrivals into shared delivery events; the chaos lane\n"
-      "holds every invariant while blending all of the above.\n");
+      "reuse, no search); the storm runs about six events per call,\n"
+      "as a warm stub call does, one per datagram among them; the\n"
+      "chaos lane holds every invariant while blending all of the\n"
+      "above.\n");
   return 0;
 }

@@ -55,12 +55,10 @@ RULES = {
     "ablation_goodput_fraction_x2": ("down", 1.25),
     # Simulator core (F9): wall-clock events/sec is machine-dependent and
     # rides along uncompared; these deterministic rows pin that the lanes
-    # still dispatch the same work (event counts, virtual-time rates) and
-    # that same-instant delivery coalescing keeps working.
+    # still dispatch the same work (event counts, virtual-time rates).
     "events_run": ("up", 0.9),
     "events_per_virtual_sec": ("up", 0.9),
     "timers_cancelled": ("up", 0.9),
-    "coalesced_fraction": ("up", 0.9),
     # hostbench at seed 1 (bench/BENCH_host.json): exact counts of one
     # build, so the margins are tight — one extra allocation per
     # rpc_small op (~27) is +3.7% and fails. Virtual latency is fixed by
@@ -226,12 +224,11 @@ def self_test():
     if len(check(overload_base, degraded)) != 2:
         print("self-test FAIL: overload regressions passed")
         return 1
-    # Sim-core rules: a lane dispatching fewer events, a collapsed
-    # cancel count, and lost delivery coalescing must all trip.
+    # Sim-core rules: a lane dispatching fewer events and a collapsed
+    # cancel count must both trip.
     sim_base = {
         "sim_core/timer_churn/events_run": 1998848.0,
         "sim_core/cancel_churn/timers_cancelled": 371976.0,
-        "sim_core/rpc_echo_storm/coalesced_fraction": 0.984,
         "sim_core/timer_churn/events_per_virtual_sec": 1.15e8,
     }
     if check(sim_base, dict(sim_base)):
@@ -240,8 +237,7 @@ def self_test():
     shrunk = dict(sim_base)
     shrunk["sim_core/timer_churn/events_run"] = 1998848.0 * 0.5
     shrunk["sim_core/cancel_churn/timers_cancelled"] = 100.0
-    shrunk["sim_core/rpc_echo_storm/coalesced_fraction"] = 0.0
-    if len(check(sim_base, shrunk)) != 3:
+    if len(check(sim_base, shrunk)) != 2:
         print("self-test FAIL: sim-core regressions passed")
         return 1
     # hostbench counts: one extra allocation per rpc_small op, or one

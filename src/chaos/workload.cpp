@@ -93,7 +93,6 @@ sim::Co<void> RunOpenLoop(sim::Scheduler& sched, services::IKeyValue& kv,
                      SplitMix64(params.seed ^ 0x21edd5a1ULL).Next());
   const SimTime deadline = sched.now() + params.duration;
   const double mean_gap_ns = 1e9 / params.rate_per_sec;
-  std::vector<sim::Future<bool>> ops;
   while (sched.now() < deadline) {
     const bool write = rng.UniformU64(100) < params.write_percent;
     const std::string key =
@@ -103,9 +102,8 @@ sim::Co<void> RunOpenLoop(sim::Scheduler& sched, services::IKeyValue& kv,
       value = params.value_tag + "-" + std::to_string(stats.offered);
     }
     stats.offered++;
-    ops.push_back(sim::Spawn(
-        sched, OpenLoopOp(sched, kv, params, shared, write, key,
-                          std::move(value))));
+    sim::Detach(sched, OpenLoopOp(sched, kv, params, shared, write, key,
+                                  std::move(value)));
     // Poisson arrivals: exponential gaps, independent of completions —
     // the open loop. A zero gap still advances one scheduler grain.
     const auto gap =

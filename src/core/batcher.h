@@ -2,8 +2,8 @@
 //
 // Items are accumulated and flushed as one unit when either the batch
 // reaches `max_items` or `window` elapses since the first queued item.
-// Each Add returns a future resolved with the flush outcome of its batch,
-// so callers keep per-item completion even though the wire sees batches.
+// Add reports nothing: a batch's outcome reaches callers only through
+// the barrier.
 //
 // Drain() is the write-behind barrier every such proxy exposes: it ships
 // what is buffered and returns once every batch dispatched so far has
@@ -39,7 +39,7 @@ struct BatcherStats {
 template <typename Item>
 class Batcher {
  public:
-  /// Ships one batch; the returned status resolves every item's future.
+  /// Ships one batch; a failed status is reported by the next Drain.
   using FlushFn = std::function<sim::Co<Status>(std::vector<Item> batch)>;
 
   Batcher(sim::Scheduler& scheduler, FlushFn flush, std::size_t max_items,
@@ -50,12 +50,10 @@ class Batcher {
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
 
-  /// Queues an item. The future resolves when its batch lands (or fails).
-  sim::Future<Status> Add(Item item) {
+  /// Queues an item. Drain() reports whether its batch landed.
+  void Add(Item item) {
     stats_.items++;
     pending_.push_back(std::move(item));
-    waiters_.emplace_back(*scheduler_);
-    auto future = waiters_.back().future();
 
     if (pending_.size() >= max_items_) {
       stats_.size_flushes++;
@@ -68,7 +66,6 @@ class Batcher {
         }
       });
     }
-    return future;
   }
 
   /// Ships what is pending, then waits until no batch is in flight:
@@ -123,11 +120,9 @@ class Batcher {
     co_return co_await std::move(op);
   }
 
-  sim::Co<void> RunFlush(std::vector<Item> batch,
-                         std::vector<sim::Promise<Status>> waiters) {
+  sim::Co<void> RunFlush(std::vector<Item> batch) {
     Status st = co_await flush_(std::move(batch));
     if (!st.ok() && failure_.ok()) failure_ = st;
-    for (auto& w : waiters) w.Set(st);
     if (--in_flight_ == 0) {
       for (auto& idle : std::exchange(idle_, {})) idle.Set(true);
     }
@@ -138,10 +133,8 @@ class Batcher {
     stats_.batches++;
     in_flight_++;
     std::vector<Item> batch = std::move(pending_);
-    std::vector<sim::Promise<Status>> waiters = std::move(waiters_);
     pending_.clear();
-    waiters_.clear();
-    sim::Detach(*scheduler_, RunFlush(std::move(batch), std::move(waiters)));
+    sim::Detach(*scheduler_, RunFlush(std::move(batch)));
   }
 
   sim::Scheduler* scheduler_;
@@ -149,7 +142,6 @@ class Batcher {
   std::size_t max_items_;
   SimDuration window_;
   std::vector<Item> pending_;
-  std::vector<sim::Promise<Status>> waiters_;
   sim::Timer timer_;  // pending window flush (RAII)
   std::size_t in_flight_ = 0;  // batches dispatched and not yet landed
   std::vector<sim::Promise<bool>> idle_;  // Drains waiting on in_flight_

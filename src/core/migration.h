@@ -51,12 +51,6 @@ class MigrationManager {
   MigrationManager(const MigrationManager&) = delete;
   MigrationManager& operator=(const MigrationManager&) = delete;
 
-  /// The control binding of the manager in the context at `server`.
-  /// (Every context uses the same well-known control id.)
-  static net::Address ControlAddress(const ServiceBinding& object_binding) {
-    return object_binding.server;
-  }
-
   /// Pushes local object `id` to the context whose RPC server is at
   /// `target`. Returns the object's new binding.
   sim::Co<Result<ServiceBinding>> PushTo(ObjectId id, net::Address target);

@@ -75,10 +75,7 @@ void Context::NotifyCrash() {
   cached_names_->Clear();
 }
 
-void Context::NotifyRestart() {
-  crashed_ = false;
-  for (auto& handler : restart_handlers_) handler();
-}
+void Context::NotifyRestart() { crashed_ = false; }
 
 Runtime::Runtime(Params params)
     : params_(params),

@@ -101,17 +101,13 @@ class Context {
   /// exported) on first use. Defined in migration.cpp.
   MigrationManager& migration();
 
-  /// Crash-stop hooks. Services register handlers so volatile state dies
-  /// with the node: crash handlers run when the node crash-stops (after
-  /// the network cut, before RPC state is torn down — mark yourself dead
-  /// first), restart handlers when it comes back empty (kick off rejoin).
-  /// Handlers run in registration order and stay registered across
-  /// crashes — a context may crash and restart many times per run.
+  /// Crash-stop hook. Services register handlers so volatile state dies
+  /// with the node: they run when the node crash-stops (after the network
+  /// cut, before RPC state is torn down — mark yourself dead first), in
+  /// registration order, and stay registered across crashes — a context
+  /// may crash and restart many times per run.
   void OnCrash(std::function<void()> handler) {
     crash_handlers_.push_back(std::move(handler));
-  }
-  void OnRestart(std::function<void()> handler) {
-    restart_handlers_.push_back(std::move(handler));
   }
 
   [[nodiscard]] bool crashed() const noexcept { return crashed_; }
@@ -139,7 +135,6 @@ class Context {
   std::unique_ptr<MigrationManager> migration_;
   std::unordered_map<ObjectId, LocalEntry> locals_;
   std::vector<std::function<void()>> crash_handlers_;
-  std::vector<std::function<void()>> restart_handlers_;
   bool crashed_ = false;
   obs::MetricScope metric_scope_;  // after the components it attaches
 };

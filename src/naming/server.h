@@ -26,10 +26,6 @@ class NameServer {
   Status RegisterDirect(const std::string& name, NameRecord record,
                         bool overwrite = false);
 
-  [[nodiscard]] std::size_t record_count() const noexcept {
-    return records_.size();
-  }
-
  private:
   struct Entry {
     NameRecord record;

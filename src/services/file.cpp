@@ -363,7 +363,7 @@ sim::Co<Result<Bytes>> FileBatchProxy::Read(std::uint64_t offset,
 sim::Co<Result<rpc::Void>> FileBatchProxy::Write(std::uint64_t offset,
                                                  Bytes data) {
   PatchBlocks(offset, data);
-  (void)batcher_.Add(WriteRequest{offset, std::move(data), sink_.id()});
+  batcher_.Add(WriteRequest{offset, std::move(data), sink_.id()});
   co_return rpc::Void{};
 }
 

@@ -307,9 +307,9 @@ sim::Co<Result<rpc::Void>> KvWriteBackProxy::Put(std::string key,
   // sink when this write's invalidation fans out.
   cache_.Put(key, std::optional<std::string>(value));
   stale_.Put(key, std::optional<std::string>(value));
-  // Write-behind: acknowledge immediately; the per-item future is
-  // dropped — callers needing durability use FlushWrites().
-  (void)batcher_.Add(std::make_pair(std::move(key), std::move(value)));
+  // Write-behind: acknowledge immediately; callers needing durability
+  // use FlushWrites().
+  batcher_.Add(std::make_pair(std::move(key), std::move(value)));
   co_return rpc::Void{};
 }
 

@@ -91,7 +91,7 @@ sim::Co<Status> SpoolerBatchProxy::FlushBatch(std::vector<SpoolJob> batch) {
 
 sim::Co<Result<std::uint64_t>> SpoolerBatchProxy::Submit(SpoolJob job) {
   const std::uint64_t id = local_seq_++;
-  (void)batcher_.Add(std::move(job));
+  batcher_.Add(std::move(job));
   co_return id;
 }
 
@@ -99,14 +99,15 @@ sim::Co<Result<std::uint64_t>> SpoolerBatchProxy::SubmitMany(
     std::vector<SpoolJob> jobs) {
   const std::uint64_t first = local_seq_;
   local_seq_ += jobs.size();
-  for (auto& job : jobs) (void)batcher_.Add(std::move(job));
+  for (auto& job : jobs) batcher_.Add(std::move(job));
   co_return first;
 }
 
+// CompletedCount must count this proxy's own buffered jobs, so it runs
+// behind the write barrier.
 sim::Co<Result<std::uint64_t>> SpoolerBatchProxy::CompletedCount() {
-  const Status flushed = co_await Flush();
-  if (!flushed.ok()) co_return flushed;
-  co_return co_await Call<std::uint64_t>(spoolwire::kCompleted, rpc::Void{});
+  return batcher_.After(
+      Call<std::uint64_t>(spoolwire::kCompleted, rpc::Void{}));
 }
 
 }  // namespace proxy::services

@@ -127,7 +127,8 @@ struct SpoolerBatchParams {
 /// Batching proxy: Submit() acknowledges a job id locally and ships jobs
 /// in groups. Ids are assigned pessimistically (the proxy reserves a
 /// range on first contact) — returned ids are proxy-local sequence
-/// numbers; CompletedCount flushes first so callers observe their jobs.
+/// numbers; CompletedCount runs behind the write barrier, so callers
+/// observe their jobs.
 class SpoolerBatchProxy : public ISpooler, public core::ProxyBase {
  public:
   SpoolerBatchProxy(core::Context& context, core::ServiceBinding binding,

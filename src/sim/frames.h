@@ -12,8 +12,8 @@
 // slab dies with its scheduler (DESIGN.md §17, "Frame ownership").
 //
 // The per-call objects that live exactly as long as a call (future
-// states, pending-call and reply-cache nodes, delivery records) come
-// from a second FramePool of the same scheduler, through SlabAllocator.
+// states, pending-call and reply-cache nodes) come from a second
+// FramePool of the same scheduler, through SlabAllocator.
 //
 // A root frame (Spawn / Detach) also links a RootLink into its
 // scheduler's registry for as long as it exists, which is how teardown

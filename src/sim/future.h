@@ -99,10 +99,6 @@ class Promise {
   /// Fulfills the future. Returns false if it was already fulfilled.
   bool Set(T value) const { return state_->Set(std::move(value)); }
 
-  [[nodiscard]] bool fulfilled() const noexcept {
-    return state_->value.has_value();
-  }
-
  private:
   std::shared_ptr<detail::FutureState<T>> state_;
 };

@@ -9,9 +9,7 @@
 namespace proxy::sim {
 
 Network::Network(Scheduler& sched, std::uint64_t seed)
-    : sched_(&sched),
-      rng_(seed),
-      batches_(sched.allocator<BatchMap::value_type>()) {}
+    : sched_(&sched), rng_(seed) {}
 
 NodeId Network::AddNode(std::string name) {
   const NodeId id(static_cast<std::uint32_t>(nodes_.size()));
@@ -57,7 +55,7 @@ void Network::SetNodePaused(NodeId node, bool paused) {
   }
   const auto it = paused_.find(node.value());
   if (it == paused_.end()) return;
-  std::vector<HeldMessage> backlog = std::move(it->second);
+  std::vector<Datagram> backlog = std::move(it->second);
   paused_.erase(it);
   // Re-inject the backlog in arrival order at the current instant: the
   // stalled process wakes up and drains everything at once — unless it
@@ -68,19 +66,10 @@ void Network::SetNodePaused(NodeId node, bool paused) {
         ->Post([this, node, held = std::move(held)]() mutable {
           Trace(NetTraceKind::kRelease, held.from, node, held.to_port,
                 held.payload.size());
-          if (DroppedByCrash(held.from, node, held.to_port,
-                             held.dest_incarnation, held.payload.size())) {
-            return;
-          }
-          Deliver(held.from, node, held.to_port, held.dest_incarnation,
-                  std::move(held.payload));
+          if (!DroppedByCrash(node, held)) Deliver(node, std::move(held));
         })
         .Detach();
   }
-}
-
-bool Network::IsNodePaused(NodeId node) const {
-  return paused_.contains(node.value());
 }
 
 void Network::SetNodeCrashed(NodeId node, bool crashed) {
@@ -134,9 +123,9 @@ Status Network::Send(NodeId from, NodeId to, PortId to_port, Bytes payload) {
     stats_.loopback_messages++;
     const SimDuration delay =
         kLoopbackFixed + kLoopbackPerKib * (payload.size() / 1024);
-    ScheduleDelivery(from, to, to_port, sched_->now() + delay,
-                     dest_incarnation, /*via_link=*/false,
-                     std::move(payload));
+    ScheduleDelivery(to, sched_->now() + delay,
+                     Datagram{from, to_port, std::move(payload),
+                              dest_incarnation, /*via_link=*/false});
     return Status::Ok();
   }
 
@@ -169,91 +158,63 @@ Status Network::Send(NodeId from, NodeId to, PortId to_port, Bytes payload) {
           : rng_.UniformU64(link.params.jitter + 1);
   const SimTime arrival = link.busy_until + link.params.latency + jitter;
 
-  ScheduleDelivery(from, to, to_port, arrival, dest_incarnation,
-                   /*via_link=*/true, std::move(payload));
+  ScheduleDelivery(to, arrival,
+                   Datagram{from, to_port, std::move(payload),
+                            dest_incarnation, /*via_link=*/true});
   return Status::Ok();
 }
 
-void Network::ScheduleDelivery(NodeId from, NodeId to, PortId to_port,
-                               SimTime arrival,
-                               std::uint64_t dest_incarnation, bool via_link,
-                               Bytes payload) {
-  // Same-instant arrivals at one node share a single scheduler event: the
-  // first opens the batch, the rest append to it for free. Batch order is
-  // append order, which is exactly the per-message event order the old
-  // one-event-per-message core produced.
-  auto [it, opened] = batches_.try_emplace(BatchKey{to.value(), arrival},
-                                           batches_.get_allocator());
-  it->second.push_back(PendingDelivery{from, to_port, std::move(payload),
-                                       dest_incarnation, via_link});
-  if (opened) {
-    stats_.delivery_batches++;
-    sched_->PostAt(arrival, [this, to, arrival] { DrainDeliveries(to, arrival); })
-        .Detach();
-  } else {
-    stats_.messages_coalesced++;
-  }
+void Network::ScheduleDelivery(NodeId to, SimTime arrival, Datagram msg) {
+  auto deliver = [this, to, msg = std::move(msg)]() mutable {
+    Arrive(to, std::move(msg));
+  };
+  static_assert(sizeof(deliver) <= detail::InlineCallback::kInlineBytes,
+                "a delivery event must not heap-allocate its closure");
+  sched_->PostAt(arrival, std::move(deliver)).Detach();
 }
 
-void Network::DrainDeliveries(NodeId to, SimTime at) {
-  const auto it = batches_.find(BatchKey{to.value(), at});
-  assert(it != batches_.end());
-  // Detach the batch first: a receiver callback may send again and open a
-  // fresh batch for this (node, instant) — events posted "now" run later
-  // in this same virtual instant, exactly like the unbatched core.
-  DeliveryList batch = std::move(it->second);
-  batches_.erase(it);
-  for (auto& msg : batch) {
-    // A partition raised while in flight also eats the message.
-    if (msg.via_link && IsPartitioned(msg.from, to)) {
-      stats_.messages_dropped++;
-      Trace(NetTraceKind::kDropPartition, msg.from, to, msg.to_port,
-            msg.payload.size());
-      continue;
-    }
-    // So does a crash of either endpoint: mail addressed to a dead
-    // incarnation is lost even if the node restarted in the meantime —
-    // checked per message, so a crash mid-drain still eats the tail.
-    if (DroppedByCrash(msg.from, to, msg.to_port, msg.dest_incarnation,
-                       msg.payload.size())) {
-      continue;
-    }
-    Deliver(msg.from, to, msg.to_port, msg.dest_incarnation,
-            std::move(msg.payload));
+void Network::Arrive(NodeId to, Datagram msg) {
+  // A partition raised while in flight also eats the message.
+  if (msg.via_link && IsPartitioned(msg.from, to)) {
+    stats_.messages_dropped++;
+    Trace(NetTraceKind::kDropPartition, msg.from, to, msg.to_port,
+          msg.payload.size());
+    return;
   }
+  // So does a crash of the destination: mail addressed to a dead
+  // incarnation is lost even if the node restarted in the meantime.
+  if (!DroppedByCrash(to, msg)) Deliver(to, std::move(msg));
 }
 
-bool Network::DroppedByCrash(NodeId from, NodeId to, PortId to_port,
-                             std::uint64_t dest_incarnation,
-                             std::size_t bytes) {
+bool Network::DroppedByCrash(NodeId to, const Datagram& msg) {
   if (!crashed_[to.value()] &&
-      incarnation_[to.value()] == dest_incarnation) {
+      incarnation_[to.value()] == msg.dest_incarnation) {
     return false;
   }
   stats_.messages_dropped++;
-  Trace(NetTraceKind::kDropCrash, from, to, to_port, bytes);
+  Trace(NetTraceKind::kDropCrash, msg.from, to, msg.to_port,
+        msg.payload.size());
   return true;
 }
 
-void Network::Deliver(NodeId from, NodeId to, PortId to_port,
-                      std::uint64_t dest_incarnation, Bytes payload) {
+void Network::Deliver(NodeId to, Datagram msg) {
   if (const auto it = paused_.find(to.value()); it != paused_.end()) {
     stats_.messages_held++;
-    Trace(NetTraceKind::kHold, from, to, to_port, payload.size());
-    it->second.push_back(
-        HeldMessage{from, to_port, std::move(payload), dest_incarnation});
+    Trace(NetTraceKind::kHold, msg.from, to, msg.to_port, msg.payload.size());
+    it->second.push_back(std::move(msg));
     return;
   }
   stats_.messages_delivered++;
-  stats_.bytes_delivered += payload.size();
-  Trace(NetTraceKind::kDeliver, from, to, to_port, payload.size());
+  stats_.bytes_delivered += msg.payload.size();
+  Trace(NetTraceKind::kDeliver, msg.from, to, msg.to_port,
+        msg.payload.size());
   auto& receiver = receivers_[to.value()];
   if (!receiver) {
     PROXY_LOG(kDebug, sched_->now(), "net",
               "no receiver attached on " << node_name(to) << "; dropping");
     return;
   }
-  receiver(from, to_port, std::move(payload));
+  receiver(msg.from, msg.to_port, std::move(msg.payload));
 }
 
 }  // namespace proxy::sim

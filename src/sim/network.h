@@ -5,7 +5,9 @@
 // directed link transmits one message at a time, so bandwidth contention
 // and queueing delay emerge naturally. Same-node sends go through a
 // loopback path with a small fixed cost (the "same machine, different
-// context" case the lightweight-RPC experiment measures).
+// context" case the lightweight-RPC experiment measures). Each datagram
+// arrives as one scheduler event of its own, so deliveries follow the
+// scheduler's (time, sequence) order like every other event.
 //
 // This is the substitute for the 1986 paper's real LAN (see DESIGN.md
 // "Substitutions"): experiments sweep the link parameters instead of
@@ -43,8 +45,9 @@ struct NetStats {
   std::uint64_t bytes_delivered = 0;
   std::uint64_t loopback_messages = 0;
   std::uint64_t messages_held = 0;      // delayed by a paused node
-  std::uint64_t delivery_batches = 0;   // scheduler events spent delivering
-  std::uint64_t messages_coalesced = 0; // rode an existing batch for free
+  // Always 0, since every datagram is its own delivery event; kept only
+  // because hostbench reads it.
+  std::uint64_t messages_coalesced = 0;
 
   void Reset() { *this = NetStats{}; }
 };
@@ -103,10 +106,9 @@ class Network {
 
   /// Pauses a node: arriving messages are held (in arrival order) instead
   /// of delivered, modeling a stalled process whose peers see silence.
-  /// Unpausing re-injects the backlog at the current instant — the burst
-  /// of delayed, batched delivery a real stall produces.
+  /// Unpausing re-injects the backlog at the current instant, one event
+  /// per message — the burst of delayed delivery a real stall produces.
   void SetNodePaused(NodeId node, bool paused);
-  [[nodiscard]] bool IsNodePaused(NodeId node) const;
 
   /// Crash-stops a node: every in-flight message to or from it is lost
   /// (even ones that would arrive after a restart — the old incarnation
@@ -135,7 +137,6 @@ class Network {
   Status Send(NodeId from, NodeId to, PortId to_port, Bytes payload);
 
   [[nodiscard]] const NetStats& stats() const noexcept { return stats_; }
-  NetStats& mutable_stats() noexcept { return stats_; }
 
   [[nodiscard]] Scheduler& scheduler() noexcept { return *sched_; }
 
@@ -149,56 +150,27 @@ class Network {
     return (static_cast<std::uint64_t>(a.value()) << 32) | b.value();
   }
 
-  struct HeldMessage {
+  // A datagram on its way to its destination node: captured by the
+  // event that delivers it, or held in a paused node's backlog. The
+  // delivery closure (network, node, datagram) is 64 bytes, so it fits
+  // the scheduler's inline callback storage.
+  struct Datagram {
     NodeId from;
     PortId to_port;
     Bytes payload;
-    std::uint64_t dest_incarnation;  // rechecked when the node unpauses
-  };
-
-  // Batched delivery: same-instant arrivals at the same node coalesce
-  // into one scheduler event that drains the batch in arrival order. The
-  // per-message partition/crash/incarnation checks and the trace hook
-  // still run once per message, at drain time, in the original order.
-  struct PendingDelivery {
-    NodeId from;
-    PortId to_port;
-    Bytes payload;
-    std::uint64_t dest_incarnation;
+    std::uint64_t dest_incarnation;  // rechecked on arrival and release
     bool via_link;  // link messages re-check the partition on arrival
   };
-  struct BatchKey {
-    std::uint32_t node;
-    SimTime at;
-    bool operator==(const BatchKey&) const = default;
-  };
-  struct BatchKeyHash {
-    std::size_t operator()(const BatchKey& k) const noexcept {
-      std::uint64_t h = (k.at + k.node) * 0x9e3779b97f4a7c15ULL;
-      h ^= h >> 32;
-      return static_cast<std::size_t>(h);
-    }
-  };
-  // A batch and its records live only until it drains, so both come
-  // from the scheduler's object pool.
-  using DeliveryList =
-      std::vector<PendingDelivery, SlabAllocator<PendingDelivery>>;
-  using BatchMap =
-      std::unordered_map<BatchKey, DeliveryList, BatchKeyHash,
-                         std::equal_to<BatchKey>,
-                         SlabAllocator<std::pair<const BatchKey, DeliveryList>>>;
 
   DirectedLink& LinkFor(NodeId from, NodeId to);
-  void ScheduleDelivery(NodeId from, NodeId to, PortId to_port,
-                        SimTime arrival, std::uint64_t dest_incarnation,
-                        bool via_link, Bytes payload);
-  void DrainDeliveries(NodeId to, SimTime at);
+  /// Posts the one event that delivers `msg` to `to` at `arrival`.
+  void ScheduleDelivery(NodeId to, SimTime arrival, Datagram msg);
+  /// Runs the per-message arrival checks, then delivers.
+  void Arrive(NodeId to, Datagram msg);
   /// Drops a message whose destination crashed, or restarted, since it
   /// was sent; true if it did.
-  bool DroppedByCrash(NodeId from, NodeId to, PortId to_port,
-                      std::uint64_t dest_incarnation, std::size_t bytes);
-  void Deliver(NodeId from, NodeId to, PortId to_port,
-               std::uint64_t dest_incarnation, Bytes payload);
+  bool DroppedByCrash(NodeId to, const Datagram& msg);
+  void Deliver(NodeId to, Datagram msg);
   void Trace(NetTraceKind kind, NodeId from, NodeId to, PortId to_port,
              std::size_t bytes) {
     if (trace_hook_) trace_hook_(kind, from, to, to_port, bytes);
@@ -211,8 +183,7 @@ class Network {
   std::vector<DeliveryFn> receivers_;
   std::unordered_map<std::uint64_t, DirectedLink> links_;
   std::unordered_map<std::uint64_t, bool> partitioned_;  // undirected key
-  std::unordered_map<std::uint32_t, std::vector<HeldMessage>> paused_;
-  BatchMap batches_;
+  std::unordered_map<std::uint32_t, std::vector<Datagram>> paused_;
   std::vector<bool> crashed_;
   // Bumped on every crash; a message captures its destination's value at
   // send time and is dropped on arrival if it no longer matches, so mail

@@ -228,10 +228,9 @@ class Scheduler {
   }
 
   /// Allocator for per-call objects: future states, pending-call and
-  /// reply-cache nodes, delivery records. They come from this
-  /// scheduler's object pool, a FramePool of their own, so the frame
-  /// count above stays a count of frames; each must die before the
-  /// scheduler does.
+  /// reply-cache nodes. They come from this scheduler's object pool, a
+  /// FramePool of their own, so the frame count above stays a count of
+  /// frames; each must die before the scheduler does.
   template <typename T>
   [[nodiscard]] SlabAllocator<T> allocator() noexcept {
     return SlabAllocator<T>(objects_);

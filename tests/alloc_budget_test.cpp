@@ -9,9 +9,8 @@
 // it is a test binary of its own: no other test shares the counter. Like
 // bench/BENCH_host.json, the counts pin the CI toolchain's libstdc++.
 // Coroutine frames and the per-call objects (future states, pending-call
-// and reply-cache nodes, delivery records) come from the scheduler's
-// slabs (sim/frames.h), which the warm-up call has already carved, so
-// none of them is counted.
+// and reply-cache nodes) come from the scheduler's slabs (sim/frames.h),
+// which the warm-up call has already carved, so none of them is counted.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -65,9 +64,10 @@ std::uint64_t AllocationsOf(F&& body) {
 // root; on the server RpcServer::Execute, its detached root and the typed
 // skeleton); the future state Runtime::Run's Spawn shares with Await;
 // RpcClient's pending-call node and its promise state; the server's
-// in-progress and reply-cache nodes and its reply FIFO; and, per
-// datagram, Network::ScheduleDelivery's batch node and delivery record.
-// CallRaw's AttemptBudget is a local of its frame.
+// in-progress and reply-cache nodes and its reply FIFO. Not allocated at
+// all: each datagram's delivery event, whose 64-byte closure (network,
+// node and datagram record) fits the scheduler's inline callback
+// storage, and CallRaw's AttemptBudget, a local of its frame.
 constexpr std::uint64_t kWarmIncrementAllocations = 6;
 
 TEST(AllocBudget, WarmStubIncrement) {

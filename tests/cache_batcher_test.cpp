@@ -118,10 +118,10 @@ struct BatcherFixture : public ::testing::Test {
 };
 
 TEST_F(BatcherFixture, SizeTriggeredFlush) {
-  (void)batcher.Add(1);
-  (void)batcher.Add(2);
+  batcher.Add(1);
+  batcher.Add(2);
   EXPECT_EQ(batcher.pending(), 2u);
-  (void)batcher.Add(3);  // hits max_items
+  batcher.Add(3);  // hits max_items
   EXPECT_EQ(batcher.pending(), 0u);
   sched.Run();
   ASSERT_EQ(flushed.size(), 1u);
@@ -130,7 +130,7 @@ TEST_F(BatcherFixture, SizeTriggeredFlush) {
 }
 
 TEST_F(BatcherFixture, WindowTriggeredFlush) {
-  (void)batcher.Add(7);
+  batcher.Add(7);
   sched.Run();  // window timer fires at 10ms
   ASSERT_EQ(flushed.size(), 1u);
   EXPECT_EQ(flushed[0], (std::vector<int>{7}));
@@ -138,29 +138,8 @@ TEST_F(BatcherFixture, WindowTriggeredFlush) {
   EXPECT_GE(sched.now(), Milliseconds(10));
 }
 
-TEST_F(BatcherFixture, PerItemFuturesResolve) {
-  auto f1 = batcher.Add(1);
-  auto f2 = batcher.Add(2);
-  auto f3 = batcher.Add(3);
-  sched.Run();
-  ASSERT_TRUE(f1.ready());
-  ASSERT_TRUE(f2.ready());
-  ASSERT_TRUE(f3.ready());
-  EXPECT_TRUE(f1.take().ok());
-  EXPECT_TRUE(f3.take().ok());
-}
-
-TEST_F(BatcherFixture, FlushFailurePropagatesToItems) {
-  fail_next = true;
-  auto f = batcher.Add(1);
-  sched.Run();
-  ASSERT_TRUE(f.ready());
-  EXPECT_EQ(f.take().code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(flushed.empty());
-}
-
 TEST_F(BatcherFixture, ManualFlushShipsEarly) {
-  (void)batcher.Add(9);
+  batcher.Add(9);
   sim::Future<Status> done = sim::Spawn(sched, batcher.Drain());
   sched.RunUntil([&] { return done.ready(); });
   EXPECT_TRUE(done.take().ok());
@@ -179,11 +158,11 @@ TEST_F(BatcherFixture, ManualFlushOnEmptyIsImmediateOk) {
 }
 
 TEST_F(BatcherFixture, ItemsDuringFlightFormNextBatch) {
-  (void)batcher.Add(1);
-  (void)batcher.Add(2);
-  (void)batcher.Add(3);  // flush #1 departs (takes 100us)
-  (void)batcher.Add(4);
-  (void)batcher.Add(5);
+  batcher.Add(1);
+  batcher.Add(2);
+  batcher.Add(3);  // flush #1 departs (takes 100us)
+  batcher.Add(4);
+  batcher.Add(5);
   sched.Run();
   ASSERT_EQ(flushed.size(), 2u);
   EXPECT_EQ(flushed[0], (std::vector<int>{1, 2, 3}));
@@ -191,10 +170,10 @@ TEST_F(BatcherFixture, ItemsDuringFlightFormNextBatch) {
 }
 
 TEST_F(BatcherFixture, DrainWaitsOutItemsAddedDuringAFlush) {
-  (void)batcher.Add(1);
+  batcher.Add(1);
   sim::Future<Status> drained = sim::Spawn(sched, batcher.Drain());
   // Lands while batch {1} is on the wire, so it rides a second round.
-  sched.PostAfter(Microseconds(50), [this] { (void)batcher.Add(2); })
+  sched.PostAfter(Microseconds(50), [this] { batcher.Add(2); })
       .Detach();
   sched.Run();
   ASSERT_TRUE(drained.ready());
@@ -204,7 +183,7 @@ TEST_F(BatcherFixture, DrainWaitsOutItemsAddedDuringAFlush) {
 }
 
 TEST_F(BatcherFixture, DrainStopsAtTheFirstFailedBatch) {
-  (void)batcher.Add(1);
+  batcher.Add(1);
   fail_next = true;
   sim::Future<Status> drained = sim::Spawn(sched, batcher.Drain());
   sched.Run();
@@ -214,9 +193,9 @@ TEST_F(BatcherFixture, DrainStopsAtTheFirstFailedBatch) {
 }
 
 TEST_F(BatcherFixture, DrainWaitsForABatchAlreadyOnTheWire) {
-  (void)batcher.Add(1);
-  (void)batcher.Add(2);
-  (void)batcher.Add(3);  // size flush: nothing pending, one batch in flight
+  batcher.Add(1);
+  batcher.Add(2);
+  batcher.Add(3);  // size flush: nothing pending, one batch in flight
   sim::Future<Status> drained = sim::Spawn(sched, batcher.Drain());
   sched.RunFor(Microseconds(99));
   EXPECT_FALSE(drained.ready());
@@ -230,7 +209,7 @@ TEST_F(BatcherFixture, DrainWaitsForABatchAlreadyOnTheWire) {
 
 TEST_F(BatcherFixture, AFailingInFlightBatchFailsTheDrain) {
   fail_next = true;
-  for (int i = 1; i <= 3; ++i) (void)batcher.Add(i);
+  for (int i = 1; i <= 3; ++i) batcher.Add(i);
   sim::Future<Status> drained = sim::Spawn(sched, batcher.Drain());
   sched.Run();
   ASSERT_TRUE(drained.ready());
@@ -239,7 +218,7 @@ TEST_F(BatcherFixture, AFailingInFlightBatchFailsTheDrain) {
 
 TEST_F(BatcherFixture, AnEarlierFailureFailsTheNextDrainOnly) {
   fail_next = true;
-  for (int i = 1; i <= 3; ++i) (void)batcher.Add(i);
+  for (int i = 1; i <= 3; ++i) batcher.Add(i);
   sched.Run();  // the batch fails before anyone drains
   sim::Future<Status> first = sim::Spawn(sched, batcher.Drain());
   sched.Run();
@@ -270,7 +249,7 @@ TEST_F(BatcherFixture, AfterIsTheOperationItselfWhenIdle) {
 }
 
 TEST_F(BatcherFixture, AfterRunsTheOperationOnceTheBufferLands) {
-  (void)batcher.Add(1);
+  batcher.Add(1);
   int runs = 0;
   std::size_t flushed_when_run = 0;
   auto op = [&]() -> sim::Co<Result<int>> {
@@ -287,7 +266,7 @@ TEST_F(BatcherFixture, AfterRunsTheOperationOnceTheBufferLands) {
 
 TEST_F(BatcherFixture, AfterFailsWithoutRunningWhenTheDrainFails) {
   fail_next = true;
-  (void)batcher.Add(1);
+  batcher.Add(1);
   int runs = 0;
   sim::Future<Result<int>> done =
       sim::Spawn(sched, batcher.After(CountRun(&runs)));
@@ -298,7 +277,7 @@ TEST_F(BatcherFixture, AfterFailsWithoutRunningWhenTheDrainFails) {
 }
 
 TEST_F(BatcherFixture, StatsCountItemsAndBatches) {
-  for (int i = 0; i < 7; ++i) (void)batcher.Add(i);
+  for (int i = 0; i < 7; ++i) batcher.Add(i);
   sched.Run();
   EXPECT_EQ(batcher.stats().items, 7u);
   EXPECT_EQ(batcher.stats().batches, 3u);  // 3+3+1

@@ -642,6 +642,27 @@ TEST(EventBudget, WarmWriteBackGetHitRunsOneEvent) {
   EXPECT_EQ(proxy.cache_stats().hits, 1u);
 }
 
+TEST(EventBudget, IdleBatchingCompletedCountRunsWhatTheStubRuns) {
+  TestWorld w;
+  Result<services::SpoolerExport> exported =
+      services::ExportSpoolerService(*w.server_ctx);
+  ASSERT_OK(exported);
+  services::SpoolerStub stub(*w.client_ctx, exported->binding);
+  services::SpoolerBatchProxy proxy(*w.client_ctx, exported->binding);
+  Result<std::uint64_t> count = 0;
+  EventsOf(*w.rt, stub.CompletedCount(), &count);   // warm-up
+  EventsOf(*w.rt, proxy.CompletedCount(), &count);  // warm-up
+  ASSERT_OK(count);
+  // Nothing buffered, so Batcher::After returns the call itself: the
+  // proxy runs the stub's six events (as WarmStubIncrementRunsSixEvents
+  // lists them), with no barrier coroutine in front.
+  EXPECT_EQ(EventsOf(*w.rt, stub.CompletedCount(), &count), 6u);
+  ASSERT_OK(count);
+  EXPECT_EQ(EventsOf(*w.rt, proxy.CompletedCount(), &count), 6u);
+  ASSERT_OK(count);
+  EXPECT_EQ(*count, 0u);
+}
+
 // --- ProxyBase::Call: the typed reply surfaces an undecodable reply ---
 
 /// A proxy whose only interface is ProxyBase's typed call.

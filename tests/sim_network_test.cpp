@@ -2,6 +2,7 @@
 // paused and crashed nodes, loopback, store-and-forward serialization.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/network.h"
@@ -142,7 +143,9 @@ TEST_F(NetFixture, UnpausingReleasesHeldMessagesInArrivalOrder) {
   EXPECT_TRUE(deliveries.empty());
   EXPECT_EQ(net.stats().messages_held, 2u);
   net.SetNodePaused(b, false);
+  const std::uint64_t events_before = sched.events_run();
   sched.Run();
+  EXPECT_EQ(sched.events_run() - events_before, 2u);  // one per message
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_EQ(deliveries[0].payload, Bytes{1});
   EXPECT_EQ(deliveries[1].payload, Bytes{2});
@@ -185,6 +188,25 @@ TEST_F(NetFixture, LoopbackIsCheapAndCounted) {
   // Default loopback: 5us fixed + 1us per KiB => 7us for 2 KiB.
   EXPECT_EQ(deliveries[0].at, Microseconds(7));
   EXPECT_EQ(net.stats().loopback_messages, 1u);
+}
+
+// Each datagram is a scheduler event of its own, so arrivals at one node
+// in one instant keep the scheduler's (time, send) order with every other
+// event: one posted for that instant between two sends runs between the
+// two deliveries.
+TEST_F(NetFixture, SameInstantArrivalsRunAsSeparateEventsInSendOrder) {
+  std::vector<std::string> order;
+  net.AttachReceiver(a, [&order](NodeId, PortId, Bytes payload) {
+    order.push_back(payload == Bytes{1} ? "m1" : "m2");
+  });
+  ASSERT_TRUE(net.Send(a, a, PortId(1), Bytes{1}).ok());
+  sched.PostAt(Network::kLoopbackFixed, [&order] { order.push_back("x"); })
+      .Detach();
+  ASSERT_TRUE(net.Send(a, a, PortId(1), Bytes{2}).ok());
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<std::string>{"m1", "x", "m2"}));
+  EXPECT_EQ(sched.events_run(), 3u);
+  EXPECT_EQ(sched.now(), Network::kLoopbackFixed);
 }
 
 TEST_F(NetFixture, UnknownNodeIsAnError) {
