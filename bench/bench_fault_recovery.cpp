@@ -45,6 +45,7 @@ struct PingResponse {
   std::uint32_t id = 0;
   PROXY_SERDE_FIELDS(id)
 };
+constexpr rpc::Method<PingRequest, PingResponse> kPing{1};
 
 /// Raw client/server pair (no proxies): the subject here is the RPC
 /// runtime itself.
@@ -63,12 +64,10 @@ struct FaultWorld {
     server = std::make_unique<rpc::RpcServer>(*server_ep);
     object = ObjectId{1, 1};
     auto dispatch = std::make_shared<rpc::Dispatch>();
-    rpc::RegisterTyped<PingRequest, PingResponse>(
-        *dispatch, 1,
-        [](PingRequest req,
-           const rpc::CallContext&) -> sim::Co<Result<PingResponse>> {
-          co_return PingResponse{req.id};
-        });
+    rpc::RegisterTyped(*dispatch, kPing,
+                       [](PingRequest req) -> sim::Co<Result<PingResponse>> {
+                         co_return PingResponse{req.id};
+                       });
     if (!server->ExportObject(object, dispatch).ok()) std::abort();
     client->BindMetrics(metric_scope);
     server->BindMetrics(metric_scope);
@@ -85,7 +84,7 @@ struct FaultWorld {
 
   sim::Future<rpc::RpcResult> Start(std::uint32_t id,
                                     const rpc::CallOptions& options) {
-    return client->Call(server_ep->address(), object, 1,
+    return client->Call(server_ep->address(), object, kPing.id,
                         serde::EncodeToBytes(PingRequest{id}), options);
   }
 

@@ -64,8 +64,7 @@ Sample Run(int depth, bool cached) {
   path += "svc";
 
   naming::CachingNameClient caching(w.client_ctx->client(),
-                                    w.rt->name_server_address(),
-                                    /*ttl=*/Seconds(60));
+                                    w.rt->name_server_address());
 
   Sample s;
   const auto msgs_before = w.rt->network().stats().messages_sent;

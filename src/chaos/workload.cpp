@@ -123,27 +123,26 @@ std::shared_ptr<rpc::Dispatch> MakeThrottledKvDispatch(
   using services::kvwire::ListRequest;
   using services::kvwire::PutRequest;
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<GetRequest, std::optional<std::string>>(
+  rpc::RegisterTyped(
       *dispatch, services::kvwire::kGet,
-      [impl, &sched, service_time](GetRequest req, const rpc::CallContext&)
-          -> sim::Co<Result<std::optional<std::string>>> {
+      [impl, &sched, service_time](
+          GetRequest req) -> sim::Co<Result<std::optional<std::string>>> {
         co_await sim::SleepFor(sched, service_time);
         co_return impl->Lookup(req.key);
       });
-  rpc::RegisterTyped<PutRequest, rpc::Void>(
+  rpc::RegisterTyped(
       *dispatch, services::kvwire::kPut,
       [impl, &sched, service_time](
-          PutRequest req,
-          const rpc::CallContext&) -> sim::Co<Result<rpc::Void>> {
+          PutRequest req) -> sim::Co<Result<rpc::Void>> {
         co_await sim::SleepFor(sched, service_time);
         impl->Store(std::move(req.key), std::move(req.value),
                     req.exclude_sink);
         co_return rpc::Void{};
       });
-  rpc::RegisterTyped<ListRequest, std::vector<std::string>>(
+  rpc::RegisterTyped(
       *dispatch, services::kvwire::kList,
-      [impl, &sched, service_time](ListRequest req, const rpc::CallContext&)
-          -> sim::Co<Result<std::vector<std::string>>> {
+      [impl, &sched, service_time](
+          ListRequest req) -> sim::Co<Result<std::vector<std::string>>> {
         co_await sim::SleepFor(sched, service_time);
         co_return impl->Keys(req.prefix);
       });

@@ -29,7 +29,7 @@ std::uint64_t SubscriberList::Send(rpc::RpcClient& client,
 }
 
 InvalidationSink::InvalidationSink(ProxyBase& owner,
-                                   std::uint32_t subscribe_method)
+                                   SubscribeMethod subscribe_method)
     : owner_(&owner),
       subscribe_method_(subscribe_method),
       id_(owner.context().MintObjectId()),
@@ -45,7 +45,7 @@ sim::Co<Status> InvalidationSink::Subscribe() {
   in_flight_ = true;
   SubscribeRequest req{owner_->context().server_address(), id_};
   Result<rpc::Void> resp =
-      co_await owner_->Call<rpc::Void>(subscribe_method_, std::move(req));
+      co_await owner_->Call(subscribe_method_, std::move(req));
   in_flight_ = false;
   if (resp.ok() || resp.status().code() == StatusCode::kAlreadyExists) {
     subscribed_ = true;

@@ -28,6 +28,9 @@ struct SubscribeRequest {
   PROXY_SERDE_FIELDS(sink_server, sink_object)
 };
 
+/// A caching service's subscribe method.
+using SubscribeMethod = rpc::Method<SubscribeRequest, rpc::Void>;
+
 /// Server half: the sinks subscribed to one service object. It travels
 /// with the object's state (it serializes as the plain list of
 /// subscriptions), so subscribers survive migration.
@@ -41,11 +44,12 @@ class SubscriberList {
   /// invalidation costs a subscriber staleness until its next miss, so
   /// each call gets a 500 ms deadline instead of grinding against a dead
   /// sink. Returns the number of notifications sent.
-  template <typename Msg>
-  std::uint64_t Notify(rpc::RpcClient& client, std::uint32_t method,
-                       const Msg& msg, ObjectId exclude) const {
+  template <typename Msg, rpc::RequestOf<Msg> A>
+  std::uint64_t Notify(rpc::RpcClient& client,
+                       rpc::Method<Msg, rpc::Void> method, const A& msg,
+                       ObjectId exclude) const {
     if (sinks_.empty()) return 0;
-    return Send(client, method, serde::EncodeToBytes(msg), exclude);
+    return Send(client, method.id, serde::EncodeToBytes(msg), exclude);
   }
 
   PROXY_SERDE_FIELDS(sinks_)
@@ -60,12 +64,10 @@ class SubscriberList {
 /// Serves `method` on `dispatch` by adding the caller's sink to
 /// `owner->subscribers()`; the handler keeps `owner` alive.
 template <typename S>
-void RegisterSubscribe(rpc::Dispatch& dispatch, std::uint32_t method,
+void RegisterSubscribe(rpc::Dispatch& dispatch, SubscribeMethod method,
                        std::shared_ptr<S> owner) {
-  rpc::RegisterTyped<SubscribeRequest, rpc::Void>(
-      dispatch, method,
-      [owner](SubscribeRequest req,
-              const rpc::CallContext&) -> Result<rpc::Void> {
+  rpc::RegisterTyped(
+      dispatch, method, [owner](SubscribeRequest req) -> Result<rpc::Void> {
         const Status st = owner->subscribers().Add(req);
         if (!st.ok()) return st;
         return rpc::Void{};
@@ -76,8 +78,8 @@ void RegisterSubscribe(rpc::Dispatch& dispatch, std::uint32_t method,
 /// and exports it in the proxy's context; destruction withdraws it.
 class InvalidationSink {
  public:
-  /// `subscribe_method` is the service's subscribe method id.
-  InvalidationSink(ProxyBase& owner, std::uint32_t subscribe_method);
+  /// `subscribe_method` is the service's subscribe method.
+  InvalidationSink(ProxyBase& owner, SubscribeMethod subscribe_method);
   ~InvalidationSink();
 
   InvalidationSink(const InvalidationSink&) = delete;
@@ -85,14 +87,11 @@ class InvalidationSink {
 
   /// Serves sink method `method`: hands each decoded Msg to `fn`.
   template <typename Msg, typename Fn>
-  void Handle(std::uint32_t method, Fn fn) {
-    rpc::RegisterTyped<Msg, rpc::Void>(
-        *dispatch_, method,
-        [fn = std::move(fn)](Msg msg,
-                             const rpc::CallContext&) -> Result<rpc::Void> {
-          fn(msg);
-          return rpc::Void{};
-        });
+  void Handle(rpc::Method<Msg, rpc::Void> method, Fn fn) {
+    rpc::RegisterTyped(*dispatch_, method, [fn = std::move(fn)](Msg msg) {
+      fn(msg);
+      return rpc::Void{};
+    });
   }
 
   /// The warm check: true until the first subscribe starts. The owning
@@ -110,7 +109,7 @@ class InvalidationSink {
 
  private:
   ProxyBase* owner_;
-  std::uint32_t subscribe_method_;
+  SubscribeMethod subscribe_method_;
   ObjectId id_;
   std::shared_ptr<rpc::Dispatch> dispatch_;
   bool subscribed_ = false;

@@ -45,8 +45,9 @@ class ServiceExport {
       std::shared_ptr<rpc::Dispatch> dispatch, std::uint32_t protocol,
       std::shared_ptr<IMigratable> migratable = nullptr) {
     PROXY_RETURN_IF_ERROR(context.server().ExportObject(id, dispatch));
-    const Status local = context.RegisterLocal(
-        id, InterfaceIdOf(I::kInterfaceName), impl, std::move(migratable));
+    const Status local =
+        context.RegisterLocal(id, InterfaceIdOf(I::kInterfaceName), protocol,
+                              impl, std::move(migratable));
     if (!local.ok()) {
       (void)context.server().RemoveObject(id);
       return local;

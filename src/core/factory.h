@@ -107,7 +107,6 @@ Status RegisterProxy(std::uint32_t protocol) {
 /// `trace` threads a causal context through the name resolution itself.
 struct AcquireOptions {
   bool allow_direct = true;
-  bool use_name_cache = true;
   std::uint32_t protocol_override = 0;  // 0 = respect the service
   std::optional<rpc::CallOptions> call;
   obs::TraceContext trace;
@@ -146,28 +145,15 @@ Result<std::shared_ptr<I>> BindObject(Context& context, ServiceBinding binding,
   return typed;
 }
 
-/// THE way a client acquires a service: resolves `path` in the name
-/// service (cached or authoritative per options), verifies the
-/// interface, instantiates the advertised proxy, and arms it for
-/// failure re-resolution. Replaces the old Bind / cached-Bind /
-/// test-BindByName trio.
-///
-/// (The two resolve branches are separate statements, not a conditional
-/// expression: `cond ? co_await a : co_await b` miscompiles under GCC 12
-/// — see DESIGN.md toolchain notes.)
+/// THE way a client acquires a service: resolves `path` through the
+/// context's caching name client, verifies the interface, instantiates
+/// the advertised proxy, and arms it for failure re-resolution. Replaces
+/// the old Bind / cached-Bind / test-BindByName trio.
 template <typename I>
 sim::Co<Result<std::shared_ptr<I>>> Acquire(Context& context, std::string path,
                                             AcquireOptions options = {}) {
-  Result<ServiceBinding> binding = InternalError("unresolved");
-  if (options.use_name_cache) {
-    Result<ServiceBinding> resolved =
-        co_await context.cached_names().ResolvePath(path, options.trace);
-    binding = std::move(resolved);
-  } else {
-    Result<ServiceBinding> resolved =
-        co_await context.names().ResolvePath(path, 16, options.trace);
-    binding = std::move(resolved);
-  }
+  Result<ServiceBinding> binding =
+      co_await context.cached_names().ResolvePath(path, options.trace);
   if (!binding.ok()) co_return binding.status();
   Result<std::shared_ptr<I>> bound =
       BindObject<I>(context, std::move(*binding), options);

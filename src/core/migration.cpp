@@ -14,16 +14,12 @@ MigrationManager& Context::migration() {
 
 MigrationManager::MigrationManager(Context& context)
     : context_(&context), dispatch_(std::make_shared<rpc::Dispatch>()) {
-  rpc::RegisterTyped<ReleaseRequest, ReleaseResponse>(
-      *dispatch_, Method::kRelease,
-      [this](ReleaseRequest req, const rpc::CallContext&) {
-        return HandleRelease(req);
-      });
-  rpc::RegisterTyped<AcceptRequest, AcceptResponse>(
-      *dispatch_, Method::kAccept,
-      [this](AcceptRequest req, const rpc::CallContext&) {
-        return HandleAccept(std::move(req));
-      });
+  rpc::RegisterTyped(*dispatch_, kRelease, [this](ReleaseRequest req) {
+    return HandleRelease(req);
+  });
+  rpc::RegisterTyped(*dispatch_, kAccept, [this](AcceptRequest req) {
+    return HandleAccept(std::move(req));
+  });
   (void)context_->server().ExportObject(kMigrationControlObject, dispatch_);
 }
 
@@ -41,7 +37,7 @@ Result<MigrationManager::ReleaseResponse> MigrationManager::Evict(
   const InterfaceId iface = entry->iface;
   ReleaseResponse resp;
   resp.iface = iface;
-  resp.protocol = 1;
+  resp.protocol = entry->protocol;
   resp.state = entry->migratable->SnapshotState();
 
   // Withdraw the object and leave a forwarding hint: proxies that still
@@ -81,23 +77,21 @@ sim::Co<Result<ServiceBinding>> MigrationManager::PushTo(ObjectId id,
   // A migration that can't complete promptly should roll back, not hold
   // the withdrawn object in limbo while retries grind on.
   const rpc::CallOptions bounded{.deadline = Seconds(2)};
-  Result<AcceptResponse> resp =
-      co_await rpc::AwaitReply<AcceptResponse>(context_->client().Call(
-          net::Address{target.node, target.port}, kMigrationControlObject,
-          Method::kAccept, serde::EncodeToBytes(req), bounded));
-  if (!resp.ok()) {
+  Result<ServiceBinding> moved = co_await rpc::TypedCall(
+      context_->client(), net::Address{target.node, target.port},
+      kMigrationControlObject, kAccept, req, bounded);
+  if (!moved.ok()) {
     // Roll back: rebuild locally from the snapshot under the same id and
     // drop the (now wrong) forwarding hint.
     context_->server().ClearForwarding(id);
     (void)ServerObjectFactoryRegistry::Instance().Create(
         *context_, iface, id, evicted->protocol, std::move(evicted->state));
-    co_return resp.status();
+    co_return moved.status();
   }
   stats_.pushed++;
   PROXY_LOG(kInfo, context_->scheduler().now(), "migration",
-            "pushed " << id.ToString() << " to "
-                      << resp->binding.server.ToString());
-  co_return resp->binding;
+            "pushed " << id.ToString() << " to " << moved->server.ToString());
+  co_return moved;
 }
 
 sim::Co<Result<ServiceBinding>> MigrationManager::Pull(
@@ -107,10 +101,9 @@ sim::Co<Result<ServiceBinding>> MigrationManager::Pull(
   req.new_home = context_->server_address();
 
   const rpc::CallOptions bounded{.deadline = Seconds(2)};
-  Result<ReleaseResponse> resp =
-      co_await rpc::AwaitReply<ReleaseResponse>(context_->client().Call(
-          binding.server, kMigrationControlObject, Method::kRelease,
-          serde::EncodeToBytes(req), bounded));
+  Result<ReleaseResponse> resp = co_await rpc::TypedCall(
+      context_->client(), binding.server, kMigrationControlObject, kRelease,
+      req, bounded);
   if (!resp.ok()) co_return resp.status();
 
   Result<ServiceBinding> rebuilt =
@@ -132,15 +125,13 @@ Result<MigrationManager::ReleaseResponse> MigrationManager::HandleRelease(
   return resp;
 }
 
-Result<MigrationManager::AcceptResponse> MigrationManager::HandleAccept(
-    AcceptRequest req) {
+Result<ServiceBinding> MigrationManager::HandleAccept(AcceptRequest req) {
   Result<ServiceBinding> rebuilt =
       ServerObjectFactoryRegistry::Instance().Create(
           *context_, req.iface, req.object, req.protocol,
           std::move(req.state));
-  if (!rebuilt.ok()) return rebuilt.status();
-  stats_.accepted++;
-  return AcceptResponse{*rebuilt};
+  if (rebuilt.ok()) stats_.accepted++;
+  return rebuilt;
 }
 
 }  // namespace proxy::core

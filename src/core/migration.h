@@ -83,19 +83,17 @@ class MigrationManager {
     Bytes state;
     PROXY_SERDE_FIELDS(object, iface, protocol, state)
   };
-  struct AcceptResponse {
-    ServiceBinding binding;
-    PROXY_SERDE_FIELDS(binding)
-  };
 
-  enum Method : std::uint32_t { kRelease = 1, kAccept = 2 };
+  static constexpr rpc::Method<ReleaseRequest, ReleaseResponse> kRelease{1};
+  /// Answers the object's binding in its new home.
+  static constexpr rpc::Method<AcceptRequest, ServiceBinding> kAccept{2};
 
   /// Snapshots and withdraws local object `id`; installs forwarding to
   /// `new_home`. Core of both push (local half) and Release (remote half).
   Result<ReleaseResponse> Evict(ObjectId id, const net::Address& new_home);
 
   Result<ReleaseResponse> HandleRelease(const ReleaseRequest& req);
-  Result<AcceptResponse> HandleAccept(AcceptRequest req);
+  Result<ServiceBinding> HandleAccept(AcceptRequest req);
 
   Context* context_;
   std::shared_ptr<rpc::Dispatch> dispatch_;

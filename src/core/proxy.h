@@ -15,11 +15,14 @@
 // proxy adopts it and retries instead of erroring forever against a dead
 // address.
 //
-// A subclass marshals through Call<T>(method, req): a plain function that
-// encodes `req` and returns the invocation loop CallRaw<T>, which decodes
-// the reply as T. So a stub method that only marshals is a forward that
-// returns Call<T>(...), and awaiting it costs CallRaw's one frame and no
-// other. CallRaw is the only coroutine here.
+// A subclass marshals through Call(method, req), where `method` is the
+// remote method's one declaration, an rpc::Method<Req, Resp> descriptor
+// (rpc/stub.h): a plain function that encodes `req` and returns the
+// invocation loop CallRaw, which decodes the reply as Resp. So a stub
+// method that only marshals is a forward that returns Call(method, req),
+// names no type the descriptor does not already name, and awaiting it
+// costs CallRaw's one frame and no other. CallRaw is the only coroutine
+// here.
 //
 // Everything beyond that — caching, batching, write-back, migrate-on-use
 // — is a subclass's private protocol with its service (the concrete
@@ -119,28 +122,31 @@ class ProxyBase {
 
   /// Typed remote call with transparent rebinding on OBJECT_MOVED, using
   /// the proxy's ambient options. Marshals `req` now; awaiting the result
-  /// runs the invocation loop, which unmarshals a T.
-  template <typename T, typename Req>
-  sim::Co<Result<T>> Call(std::uint32_t method, const Req& req) {
-    return CallRaw<T>(method, serde::EncodeToBytes(req), options_);
+  /// runs the invocation loop, which unmarshals the method's reply.
+  template <typename Req, typename Resp, rpc::RequestOf<Req> A>
+  sim::Co<Result<Resp>> Call(rpc::Method<Req, Resp> method, const A& req) {
+    return CallRaw<Resp>(method.id, serde::EncodeToBytes(req), options_);
   }
 
   /// Typed remote call under `options` instead of the ambient ones.
-  template <typename T, typename Req>
-  sim::Co<Result<T>> Call(std::uint32_t method, const Req& req,
-                          rpc::CallOptions options) {
-    return CallRaw<T>(method, serde::EncodeToBytes(req), std::move(options));
+  template <typename Req, typename Resp, rpc::RequestOf<Req> A>
+  sim::Co<Result<Resp>> Call(rpc::Method<Req, Resp> method, const A& req,
+                             rpc::CallOptions options) {
+    return CallRaw<Resp>(method.id, serde::EncodeToBytes(req),
+                         std::move(options));
   }
 
   /// The invocation loop, and the system's measurement point: the proxy
   /// is where a call's whole story (forwarding hops, recoveries, final
   /// latency) is visible, so this is where the span opens and closes.
   /// `args` lives in this frame for every hop; each hop's RpcClient::Call
-  /// reads it in place. The reply decodes as T once the span and stats
+  /// reads it in place. The reply decodes as Resp once the span and stats
   /// are recorded: an undecodable reply is kCorrupt, not a failed call.
-  template <typename T>
-  sim::Co<Result<T>> CallRaw(std::uint32_t method, Bytes args,
-                             rpc::CallOptions options) {
+  /// It takes the method's id, not its descriptor, so methods that share
+  /// a reply type share one instantiation of this frame's code.
+  template <typename Resp>
+  sim::Co<Result<Resp>> CallRaw(std::uint32_t method, Bytes args,
+                                rpc::CallOptions options) {
     stats_.calls++;
     const SimTime started = context_->scheduler().now();
     obs::SpanRecorder& spans = context_->spans();
@@ -221,8 +227,7 @@ class ProxyBase {
         recovery_tried = true;
         context_->cached_names().Invalidate(name_path_);
         Result<ServiceBinding> fresh =
-            co_await context_->names().ResolvePath(name_path_, 16,
-                                                   options.trace);
+            co_await context_->names().ResolvePath(name_path_, options.trace);
         if (fresh.ok() && fresh->interface == binding_.interface &&
             !(fresh->server == binding_.server &&
               fresh->object == binding_.object)) {
@@ -246,7 +251,7 @@ class ProxyBase {
     call_latency_.Record(ended - started);
     spans.End(span, ended, outcome.status());
     if (!outcome.ok()) co_return outcome.status();
-    co_return serde::DecodeFromBytes<T>(outcome->view());
+    co_return serde::DecodeFromBytes<Resp>(outcome->view());
   }
 
   rpc::CallOptions options_;

@@ -45,13 +45,14 @@ ObjectId Context::MintObjectId() {
 }
 
 Status Context::RegisterLocal(ObjectId id, InterfaceId iface,
+                              std::uint32_t protocol,
                               std::shared_ptr<void> impl,
                               std::shared_ptr<IMigratable> migratable) {
   if (id.IsNil() || impl == nullptr) {
     return InvalidArgumentError("nil object id or null implementation");
   }
   const auto [it, inserted] = locals_.emplace(
-      id, LocalEntry{iface, std::move(impl), std::move(migratable)});
+      id, LocalEntry{iface, protocol, std::move(impl), std::move(migratable)});
   (void)it;
   if (!inserted) return AlreadyExistsError("object already registered");
   return Status::Ok();

@@ -77,9 +77,11 @@ class Context {
   /// Mints a fresh sparse object id (unforgeable by construction).
   ObjectId MintObjectId();
 
-  /// Registers an implementation object for the direct (same-context)
-  /// invocation path and for migration. `migratable` may be null.
-  Status RegisterLocal(ObjectId id, InterfaceId iface,
+  /// Registers an implementation object, exported under proxy protocol
+  /// `protocol`, for the direct (same-context) invocation path and for
+  /// migration, which re-exports it under the same protocol. `migratable`
+  /// may be null.
+  Status RegisterLocal(ObjectId id, InterfaceId iface, std::uint32_t protocol,
                        std::shared_ptr<void> impl,
                        std::shared_ptr<IMigratable> migratable = nullptr);
 
@@ -87,6 +89,7 @@ class Context {
 
   struct LocalEntry {
     InterfaceId iface;
+    std::uint32_t protocol = 1;
     std::shared_ptr<void> impl;
     std::shared_ptr<IMigratable> migratable;
   };
@@ -177,10 +180,11 @@ class Runtime {
   /// conventional port. Must be called once, before contexts bind names.
   Context& StartNameService(NodeId node);
 
-  /// Crash-stops `node`: all in-flight messages to/from it are lost, its
-  /// contexts' crash handlers run, outstanding RPCs fail locally and
-  /// server-side executions are abandoned. The node stays dark until
-  /// RestartNode. Crashing the name-service node is not supported.
+  /// Crash-stops `node`: in-flight messages addressed to it are lost
+  /// (what it sent before the crash still arrives), its contexts' crash
+  /// handlers run, outstanding RPCs fail locally and server-side
+  /// executions are abandoned. The node stays dark until RestartNode.
+  /// Crashing the name-service node is not supported.
   void CrashNode(NodeId node);
 
   /// Brings a crashed node back with empty volatile state (crash-stop,

@@ -5,28 +5,25 @@ namespace proxy::naming {
 rpc::TypedReply<rpc::Void> NameClient::Register(std::string name,
                                                 NameRecord record,
                                                 bool overwrite) {
-  return TypedCall<rpc::Void>(
-      Method::kRegister,
-      RegisterRequest{std::move(name), std::move(record), overwrite});
+  return TypedCall(kRegister, RegisterRequest{std::move(name),
+                                              std::move(record), overwrite});
 }
 
 rpc::TypedReply<NameRecord> NameClient::Lookup(std::string name) {
-  return TypedCall<NameRecord>(Method::kLookup, LookupRequest{std::move(name)});
+  return TypedCall(kLookup, LookupRequest{std::move(name)});
 }
 
 rpc::TypedReply<rpc::Void> NameClient::Unregister(std::string name) {
-  return TypedCall<rpc::Void>(Method::kUnregister,
-                              UnregisterRequest{std::move(name)});
+  return TypedCall(kUnregister, UnregisterRequest{std::move(name)});
 }
 
 rpc::TypedReply<std::vector<std::pair<std::string, NameRecord>>>
 NameClient::List(std::string prefix) {
-  return TypedCall<std::vector<std::pair<std::string, NameRecord>>>(
-      Method::kList, ListRequest{std::move(prefix)});
+  return TypedCall(kList, ListRequest{std::move(prefix)});
 }
 
 sim::Co<Result<core::ServiceBinding>> NameClient::ResolvePath(
-    std::string path, int max_hops, obs::TraceContext trace) {
+    std::string path, obs::TraceContext trace) {
   // Walk the path, hopping servers at directory referrals. A server may
   // store names containing '/' directly, so at each hop the whole
   // remaining path is tried as one record first; only on a miss is it
@@ -37,7 +34,7 @@ sim::Co<Result<core::ServiceBinding>> NameClient::ResolvePath(
   walk_options.trace = trace;
   cursor.set_call_options(walk_options);
   std::size_t start = 0;
-  for (int hop = 0; hop < max_hops; ++hop) {
+  for (int hop = 0; hop < kMaxReferralHops; ++hop) {
     std::string rest = path.substr(start);
     if (rest.empty()) co_return InvalidArgumentError("empty path");
 
@@ -86,9 +83,9 @@ sim::Co<Result<core::ServiceBinding>> CachingNameClient::ResolvePath(
   }
   ++misses_;
   Result<core::ServiceBinding> resolved =
-      co_await inner_.ResolvePath(path, 16, trace);
+      co_await inner_.ResolvePath(path, trace);
   if (resolved.ok()) {
-    cache_[path] = CacheEntry{*resolved, scheduler_->now() + ttl_};
+    cache_[path] = CacheEntry{*resolved, scheduler_->now() + kTtl};
   }
   co_return resolved;
 }

@@ -33,12 +33,15 @@ class NameClient : public rpc::StubBase {
   rpc::TypedReply<std::vector<std::pair<std::string, NameRecord>>> List(
       std::string prefix);
 
+  /// Referrals one path resolution follows at most.
+  static constexpr int kMaxReferralHops = 16;
+
   /// Resolves a '/'-separated path, following directory referrals across
-  /// federated name servers. At most `max_hops` referrals. When `trace`
-  /// is active, every lookup of the walk carries it — nested
+  /// federated name servers. At most kMaxReferralHops referrals. When
+  /// `trace` is active, every lookup of the walk carries it — nested
   /// re-resolution shows up as children in the caller's span tree.
   sim::Co<Result<core::ServiceBinding>> ResolvePath(
-      std::string path, int max_hops = 16, obs::TraceContext trace = {});
+      std::string path, obs::TraceContext trace = {});
 
   /// Convenience: registers a service-binding leaf record.
   rpc::TypedReply<rpc::Void> RegisterService(std::string name,
@@ -47,14 +50,15 @@ class NameClient : public rpc::StubBase {
 };
 
 /// Caching proxy over the name service. Positive lookups are cached for
-/// `ttl`; entries are dropped eagerly when a consumer reports a stale
+/// kTtl; entries are dropped eagerly when a consumer reports a stale
 /// binding (Invalidate).
 class CachingNameClient {
  public:
-  CachingNameClient(rpc::RpcClient& client, net::Address name_server,
-                    SimDuration ttl = Seconds(10))
-      : inner_(client, name_server), ttl_(ttl),
-        scheduler_(&client.scheduler()) {}
+  /// How long a positive lookup stays cached.
+  static constexpr SimDuration kTtl = Seconds(10);
+
+  CachingNameClient(rpc::RpcClient& client, net::Address name_server)
+      : inner_(client, name_server), scheduler_(&client.scheduler()) {}
 
   sim::Co<Result<core::ServiceBinding>> ResolvePath(
       std::string path, obs::TraceContext trace = {});
@@ -83,7 +87,6 @@ class CachingNameClient {
   };
 
   NameClient inner_;
-  SimDuration ttl_;
   sim::Scheduler* scheduler_;
   std::unordered_map<std::string, CacheEntry> cache_;
   obs::Counter hits_;

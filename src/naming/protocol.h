@@ -8,11 +8,13 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
 #include "core/binding.h"
 #include "net/address.h"
+#include "rpc/stub.h"
 #include "serde/traits.h"
 
 namespace proxy::naming {
@@ -38,13 +40,6 @@ struct NameRecord {
   PROXY_SERDE_FIELDS(kind, binding, directory_server, lease_ns)
 };
 
-enum Method : std::uint32_t {
-  kRegister = 1,
-  kLookup = 2,
-  kUnregister = 3,
-  kList = 4,
-};
-
 struct RegisterRequest {
   std::string name;  // single path segment (no '/')
   NameRecord record;
@@ -52,9 +47,6 @@ struct RegisterRequest {
   PROXY_SERDE_FIELDS(name, record, overwrite)
 };
 
-// A reply carries one value and is that value: Lookup answers the
-// NameRecord, List the (name, record) pairs in name order, Register and
-// Unregister rpc::Void.
 struct LookupRequest {
   std::string name;
   PROXY_SERDE_FIELDS(name)
@@ -69,5 +61,13 @@ struct ListRequest {
   std::string prefix;
   PROXY_SERDE_FIELDS(prefix)
 };
+
+inline constexpr rpc::Method<RegisterRequest, rpc::Void> kRegister{1};
+inline constexpr rpc::Method<LookupRequest, NameRecord> kLookup{2};
+inline constexpr rpc::Method<UnregisterRequest, rpc::Void> kUnregister{3};
+/// The (name, record) pairs under a prefix, in name order.
+inline constexpr rpc::Method<ListRequest,
+                             std::vector<std::pair<std::string, NameRecord>>>
+    kList{4};
 
 }  // namespace proxy::naming

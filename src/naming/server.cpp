@@ -6,27 +6,16 @@ namespace proxy::naming {
 
 NameServer::NameServer(rpc::RpcServer& server)
     : server_(&server), dispatch_(std::make_shared<rpc::Dispatch>()) {
-  rpc::RegisterTyped<RegisterRequest, rpc::Void>(
-      *dispatch_, Method::kRegister,
-      [this](RegisterRequest req, const rpc::CallContext&) {
-        return HandleRegister(std::move(req));
-      });
-  rpc::RegisterTyped<LookupRequest, NameRecord>(
-      *dispatch_, Method::kLookup,
-      [this](LookupRequest req, const rpc::CallContext&) {
-        return HandleLookup(req);
-      });
-  rpc::RegisterTyped<UnregisterRequest, rpc::Void>(
-      *dispatch_, Method::kUnregister,
-      [this](UnregisterRequest req, const rpc::CallContext&) {
-        return HandleUnregister(req);
-      });
-  rpc::RegisterTyped<ListRequest,
-                     std::vector<std::pair<std::string, NameRecord>>>(
-      *dispatch_, Method::kList,
-      [this](ListRequest req, const rpc::CallContext&) {
-        return HandleList(req);
-      });
+  rpc::RegisterTyped(*dispatch_, kRegister, [this](RegisterRequest req) {
+    return HandleRegister(std::move(req));
+  });
+  rpc::RegisterTyped(*dispatch_, kLookup,
+                     [this](LookupRequest req) { return HandleLookup(req); });
+  rpc::RegisterTyped(*dispatch_, kUnregister, [this](UnregisterRequest req) {
+    return HandleUnregister(req);
+  });
+  rpc::RegisterTyped(*dispatch_, kList,
+                     [this](ListRequest req) { return HandleList(req); });
   // The bootstrap capability: the only well-known object in the system.
   (void)server_->ExportObject(kNameServiceObject, dispatch_);
 }

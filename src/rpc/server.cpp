@@ -284,26 +284,25 @@ sim::Co<void> RpcServer::Execute(net::Address from, RequestFrame request,
   if (obj == objects_.end()) {
     stats_.unknown_object++;
     outcome = NotFoundError("no such object: " + request.object.ToString());
-  } else if (const Method* method = obj->second->Find(request.method);
-             method == nullptr) {
+  } else if (const Handler* handler = obj->second->Find(request.method);
+             handler == nullptr) {
     stats_.unknown_method++;
     outcome = NotFoundError("no such method: " + std::to_string(request.method));
   } else {
     stats_.executions++;
     const SimTime dispatched = scheduler().now();
     queue_wait_.Record(dispatched - received_at);
-    CallContext ctx{from, request.call, dispatched, request.trace};
+    obs::TraceContext trace = request.trace;
     if (spans_ != nullptr && request.trace.active()) {
       // The execution is a child of the caller's wire span; the handler
       // sees the child so its own downstream calls nest under it.
-      ctx.trace = spans_->Begin(
+      trace = spans_->Begin(
           request.trace, "exec m" + std::to_string(request.method),
           dispatched);
     }
-    outcome = co_await (*method)(request.args, ctx);
-    if (spans_ != nullptr && ctx.trace.active() &&
-        ctx.trace != request.trace) {
-      spans_->End(ctx.trace, scheduler().now(), outcome.status());
+    outcome = co_await (*handler)(request.args, trace);
+    if (spans_ != nullptr && trace.active() && trace != request.trace) {
+      spans_->End(trace, scheduler().now(), outcome.status());
     }
     exec_latency_.Record(scheduler().now() - dispatched);
   }

@@ -26,41 +26,33 @@
 
 namespace proxy::rpc {
 
-/// Ambient information handed to every method handler.
-struct CallContext {
-  net::Address client;
-  CallId call_id;
-  SimTime received_at = 0;
-  /// The server-side span of this execution (child of the caller's
-  /// wire span), or the raw wire context when no recorder is attached.
-  /// Handlers pass it into their own downstream CallOptions (`trace`)
-  /// to extend the causal tree.
-  obs::TraceContext trace;
-};
-
 /// A method handler: decoded-by-the-callee args in, reply payload out.
 /// `args` is a borrowed window of the request's arrival buffer; the
 /// server keeps that buffer alive for the handler's whole execution
 /// (across suspension points), so decoding may be deferred — but a
 /// handler that stashes bytes past its own completion must copy them.
-using Method = std::function<sim::Co<Result<Bytes>>(BytesView args,
-                                                    const CallContext& ctx)>;
+/// `trace` is the server-side span of this execution (child of the
+/// caller's wire span), or the raw wire context when no recorder is
+/// attached; a handler passes it into its own downstream CallOptions
+/// (`trace`) to extend the causal tree.
+using Handler = std::function<sim::Co<Result<Bytes>>(
+    BytesView args, const obs::TraceContext& trace)>;
 
 /// Dispatch table of one exported object.
 class Dispatch {
  public:
   /// Registers a handler; replaces any previous binding of `method`.
-  void Register(std::uint32_t method, Method handler) {
+  void Register(std::uint32_t method, Handler handler) {
     methods_[method] = std::move(handler);
   }
 
-  [[nodiscard]] const Method* Find(std::uint32_t method) const {
+  [[nodiscard]] const Handler* Find(std::uint32_t method) const {
     const auto it = methods_.find(method);
     return it == methods_.end() ? nullptr : &it->second;
   }
 
  private:
-  std::unordered_map<std::uint32_t, Method> methods_;
+  std::unordered_map<std::uint32_t, Handler> methods_;
 };
 
 /// Server-side tallies; obs::Counter cells, attachable to a registry
@@ -163,7 +155,7 @@ class RpcServer {
 
   /// Installs the Runtime's span recorder: each execution becomes a
   /// child span of the request's wire trace, and handlers receive that
-  /// span in CallContext::trace. Null detaches.
+  /// span as their `trace`. Null detaches.
   void set_span_recorder(obs::SpanRecorder* recorder) noexcept {
     spans_ = recorder;
   }

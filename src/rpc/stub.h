@@ -4,19 +4,23 @@
 // arguments, performs the remote call, and unmarshals the result — and
 // does nothing else. So a stub method is a forward: a plain function that
 // builds the request (one struct per parameter list) and returns the
-// typed call, whose reply is the method's result type. Each step is
-// written once:
+// typed call.
 //
-//   - core::ProxyBase::Call<T>() (core/proxy.h) returns the invocation
-//     loop CallRaw<T>, which decodes the reply as T; a proxy's stub
-//     method returns it.
-//   - TypedReply<Resp> is the typed reply of a bare RpcClient::Call: it
-//     awaits the call's future and decodes a Resp in await_resume.
-//     StubBase::TypedCall<Resp>() builds it for stubs without a proxy
-//     (naming::NameClient); code that calls RpcClient directly wraps the
-//     future in AwaitReply<Resp>().
-//   - RegisterTyped<Req, Resp>() is the one typed skeleton: it decodes
-//     the request, runs the handler and encodes its reply.
+// Every remote method is declared once, as a Method<Req, Resp> descriptor
+// in its service's wire namespace: its id on the wire, its request type
+// and its reply type. Every typed entry point takes the descriptor and
+// deduces both types from it, so a stub and its skeleton name a method's
+// types nowhere else and cannot disagree about them:
+//
+//   - core::ProxyBase::Call(method, req) (core/proxy.h) returns the
+//     invocation loop CallRaw, which decodes the reply as the method's
+//     reply type; a proxy's stub method returns it.
+//   - TypedCall(client, to, object, method, req, options) is the typed
+//     call of a bare RpcClient. Its TypedReply awaits the call's future
+//     and decodes the reply in await_resume. StubBase::TypedCall(method,
+//     req) is the same call for stubs without a proxy (naming::NameClient).
+//   - RegisterTyped(dispatch, method, fn) is the one typed skeleton: it
+//     decodes the request, runs the handler and encodes its reply.
 //
 // A reply that carries one value is that value: a PROXY_SERDE_FIELDS
 // struct encodes exactly as its fields, so a bare value is wire-identical
@@ -30,27 +34,45 @@
 //
 // GCC note (load-bearing convention): never write an aggregate-initialized
 // temporary with a non-trivial destructor inside a co_await full-expression
-// — `co_await Call<R>(kGet, GetRequest{key})` double-destroys the temporary
-// under GCC 12 (isolated repro in DESIGN.md "toolchain notes"). Inside a
-// coroutine, build the request as a named local and move it:
+// — `co_await Call(kvwire::kGet, GetRequest{key})` double-destroys the
+// temporary under GCC 12 (isolated repro in DESIGN.md "toolchain notes").
+// Inside a coroutine, build the request as a named local and move it:
 //     GetRequest req{key};
-//     auto value = co_await Call<std::optional<std::string>>(kGet,
-//                                                            std::move(req));
+//     auto value = co_await Call(kvwire::kGet, std::move(req));
 // A forward, being no coroutine, may pass an aggregate temporary:
-//     return Call<std::optional<std::string>>(kGet, GetRequest{key});
+//     return Call(kvwire::kGet, GetRequest{key});
+// The request's type is deduced from the argument as well as from the
+// descriptor, so the braced form `Call(kvwire::kGet, {key})` does not
+// compile.
 #pragma once
 
+#include <concepts>
 #include <coroutine>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
 
+#include "obs/trace.h"
 #include "rpc/client.h"
 #include "rpc/server.h"
 #include "serde/traits.h"
 #include "sim/task.h"
 
 namespace proxy::rpc {
+
+/// One remote method: its id on the wire, its request type and its reply
+/// type. Each method is declared once, after the structs it names, and
+/// every typed call and registration deduces both types from it.
+template <typename Req, typename Resp>
+struct Method {
+  std::uint32_t id;
+};
+
+/// An argument that is a request of type Req. The argument's own type is
+/// deduced, so a braced temporary, which deduces nothing, does not
+/// compile as one.
+template <typename A, typename Req>
+concept RequestOf = std::same_as<std::remove_cvref_t<A>, Req>;
 
 /// The typed reply of one RpcClient::Call. Awaiting it awaits the call's
 /// future and yields the reply decoded as Resp: the call's error status,
@@ -77,10 +99,14 @@ class [[nodiscard]] TypedReply {
   sim::Future<RpcResult> call_;
 };
 
-/// Awaits `call` as the typed reply of a Resp-returning method.
-template <typename Resp>
-TypedReply<Resp> AwaitReply(sim::Future<RpcResult> call) {
-  return TypedReply<Resp>(std::move(call));
+/// Marshals `req` and sends it as `method` to `object` at `to` under
+/// `options`; awaiting the result unmarshals the method's reply.
+template <typename Req, typename Resp, RequestOf<Req> A>
+TypedReply<Resp> TypedCall(RpcClient& client, const net::Address& to,
+                           ObjectId object, Method<Req, Resp> method,
+                           const A& req, const CallOptions& options) {
+  return TypedReply<Resp>(client.Call(to, object, method.id,
+                                      serde::EncodeToBytes(req), options));
 }
 
 /// Client-side base: holds the binding triple (client, server address,
@@ -108,12 +134,10 @@ class StubBase {
   }
 
  protected:
-  /// Marshals `req` and sends it as `method`; awaiting the result
-  /// unmarshals a Resp.
-  template <typename Resp, typename Req>
-  TypedReply<Resp> TypedCall(std::uint32_t method, const Req& req) {
-    return AwaitReply<Resp>(client_->Call(
-        server_, object_, method, serde::EncodeToBytes(req), options_));
+  /// The typed call to this stub's binding under its options.
+  template <typename Req, typename Resp, RequestOf<Req> A>
+  TypedReply<Resp> TypedCall(Method<Req, Resp> method, const A& req) {
+    return rpc::TypedCall(*client_, server_, object_, method, req, options_);
   }
 
  private:
@@ -123,29 +147,53 @@ class StubBase {
   CallOptions options_;
 };
 
-/// Registers a typed handler on a dispatch table. `fn` has signature
-/// Result<Resp>(Req, const CallContext&) when it cannot suspend, or
-/// sim::Co<Result<Resp>>(Req, const CallContext&) when it can. Decode
-/// errors are answered with the decode Status; the handler never sees
-/// bad input.
+namespace detail {
+
+/// Runs a handler on its request, passing the execution's trace only to
+/// a handler that takes one.
+template <typename Fn, typename Req>
+decltype(auto) RunHandler(const Fn& fn, Req&& req,
+                          const obs::TraceContext& trace) {
+  if constexpr (std::is_invocable_v<const Fn&, Req,
+                                    const obs::TraceContext&>) {
+    return fn(std::forward<Req>(req), trace);
+  } else {
+    return fn(std::forward<Req>(req));
+  }
+}
+
+}  // namespace detail
+
+/// Registers the handler of `method` on a dispatch table. `fn` takes the
+/// decoded request, plus the execution's trace when it declares a second
+/// parameter `const obs::TraceContext&` (a handler whose own calls extend
+/// the call tree). It returns its reply, as anything that converts to
+/// Result<Resp>, when it cannot suspend, or a sim::Co<Result<Resp>> when
+/// it can. Decode errors are answered with the decode Status; the handler
+/// never sees bad input.
 template <typename Req, typename Resp, typename Fn>
-void RegisterTyped(Dispatch& dispatch, std::uint32_t method, Fn fn) {
-  constexpr bool kSynchronous = std::is_same_v<
-      std::invoke_result_t<const Fn&, Req, const CallContext&>, Result<Resp>>;
+void RegisterTyped(Dispatch& dispatch, Method<Req, Resp> method, Fn fn) {
+  using Returned = decltype(detail::RunHandler(
+      std::declval<const Fn&>(), std::declval<Req>(),
+      std::declval<const obs::TraceContext&>()));
+  constexpr bool kSynchronous = std::is_convertible_v<Returned, Result<Resp>>;
   dispatch.Register(
-      method,
-      [fn = std::move(fn)](BytesView args,
-                           const CallContext& ctx) -> sim::Co<Result<Bytes>> {
+      method.id,
+      [fn = std::move(fn)](
+          BytesView args,
+          const obs::TraceContext& trace) -> sim::Co<Result<Bytes>> {
         // `args` borrows the request's arrival buffer; the server keeps
         // it alive for the handler's lifetime, so decoding here is safe.
         Result<Req> req = serde::DecodeFromBytes<Req>(args);
         if (!req.ok()) co_return req.status();
         if constexpr (kSynchronous) {
-          const Result<Resp> resp = fn(std::move(*req), ctx);
+          const Result<Resp> resp =
+              detail::RunHandler(fn, std::move(*req), trace);
           if (!resp.ok()) co_return resp.status();
           co_return serde::EncodeToBytes(*resp);
         } else {
-          const Result<Resp> resp = co_await fn(std::move(*req), ctx);
+          const Result<Resp> resp =
+              co_await detail::RunHandler(fn, std::move(*req), trace);
           if (!resp.ok()) co_return resp.status();
           co_return serde::EncodeToBytes(*resp);
         }

@@ -22,17 +22,12 @@ Status CounterService::RestoreState(BytesView state) {
 std::shared_ptr<rpc::Dispatch> MakeCounterDispatch(
     std::shared_ptr<CounterService> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<IncrementRequest, std::int64_t>(
-      *dispatch, counterwire::kIncrement,
-      [impl](IncrementRequest req,
-             const rpc::CallContext&) -> Result<std::int64_t> {
-        return impl->Add(req.delta);
-      });
-  rpc::RegisterTyped<rpc::Void, std::int64_t>(
-      *dispatch, counterwire::kRead,
-      [impl](rpc::Void, const rpc::CallContext&) -> Result<std::int64_t> {
-        return impl->value();
-      });
+  rpc::RegisterTyped(*dispatch, counterwire::kIncrement,
+                     [impl](IncrementRequest req) {
+                       return impl->Add(req.delta);
+                     });
+  rpc::RegisterTyped(*dispatch, counterwire::kRead,
+                     [impl](rpc::Void) { return impl->value(); });
   return dispatch;
 }
 
@@ -49,11 +44,11 @@ Result<CounterExport> ExportCounterService(core::Context& context,
 }
 
 sim::Co<Result<std::int64_t>> CounterStub::Increment(std::int64_t delta) {
-  return Call<std::int64_t>(counterwire::kIncrement, IncrementRequest{delta});
+  return Call(counterwire::kIncrement, IncrementRequest{delta});
 }
 
 sim::Co<Result<std::int64_t>> CounterStub::Read() {
-  return Call<std::int64_t>(counterwire::kRead, rpc::Void{});
+  return Call(counterwire::kRead, rpc::Void{});
 }
 
 sim::Co<Result<std::shared_ptr<ICounter>>> CounterDsmProxy::EnsureLocal() {
@@ -79,7 +74,7 @@ sim::Co<Result<std::shared_ptr<ICounter>>> CounterDsmProxy::EnsureLocal() {
       // The object moved since we last saw it: a plain call follows the
       // forwarding chain and refreshes our binding, then we retry.
       Result<std::int64_t> probe =
-          co_await Call<std::int64_t>(counterwire::kRead, rpc::Void{});
+          co_await Call(counterwire::kRead, rpc::Void{});
       if (!probe.ok()) co_return probe.status();
       continue;
     }

@@ -39,16 +39,14 @@ class ICounter {
 
 namespace counterwire {
 
-enum Method : std::uint32_t {
-  kIncrement = 1,
-  kRead = 2,
-};
-
-// Both methods reply with the counter's value, a bare std::int64_t.
 struct IncrementRequest {
   std::int64_t delta = 0;
   PROXY_SERDE_FIELDS(delta)
 };
+
+/// Both methods answer the counter's value.
+inline constexpr rpc::Method<IncrementRequest, std::int64_t> kIncrement{1};
+inline constexpr rpc::Method<rpc::Void, std::int64_t> kRead{2};
 
 }  // namespace counterwire
 

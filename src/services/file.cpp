@@ -76,8 +76,7 @@ Result<rpc::Void> FileService::WriteVec(
 
 void FileService::NotifyInvalidate(std::uint64_t offset,
                                    std::uint64_t length, ObjectId exclude) {
-  (void)subscribers_.Notify(context_->client(),
-                            filewire::SinkMethod::kInvalidateRange,
+  (void)subscribers_.Notify(context_->client(), filewire::kInvalidateRange,
                             InvalidateRangeMessage{offset, length}, exclude);
 }
 
@@ -107,32 +106,24 @@ void FileService::FillPattern(std::uint64_t size, std::uint8_t seed) {
 std::shared_ptr<rpc::Dispatch> MakeFileDispatch(
     std::shared_ptr<FileService> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<ReadRequest, Bytes>(
-      *dispatch, filewire::kRead,
-      [impl](ReadRequest req, const rpc::CallContext&) -> Result<Bytes> {
-        return impl->ReadAt(req.offset, req.length);
-      });
-  rpc::RegisterTyped<WriteRequest, rpc::Void>(
-      *dispatch, filewire::kWrite,
-      [impl](WriteRequest req, const rpc::CallContext&) {
-        return impl->WriteExcluding(req.offset, req.data, req.exclude_sink);
-      });
-  rpc::RegisterTyped<rpc::Void, std::uint64_t>(
-      *dispatch, filewire::kSize,
-      [impl](rpc::Void, const rpc::CallContext&) -> Result<std::uint64_t> {
-        return impl->size();
-      });
-  rpc::RegisterTyped<TruncateRequest, rpc::Void>(
-      *dispatch, filewire::kTruncate,
-      [impl](TruncateRequest req, const rpc::CallContext&) {
-        return impl->TruncateExcluding(req.size, req.exclude_sink);
-      });
+  rpc::RegisterTyped(*dispatch, filewire::kRead, [impl](ReadRequest req) {
+    return impl->ReadAt(req.offset, req.length);
+  });
+  rpc::RegisterTyped(*dispatch, filewire::kWrite, [impl](WriteRequest req) {
+    return impl->WriteExcluding(req.offset, req.data, req.exclude_sink);
+  });
+  rpc::RegisterTyped(*dispatch, filewire::kSize,
+                     [impl](rpc::Void) { return impl->size(); });
+  rpc::RegisterTyped(*dispatch, filewire::kTruncate,
+                     [impl](TruncateRequest req) {
+                       return impl->TruncateExcluding(req.size,
+                                                      req.exclude_sink);
+                     });
   core::RegisterSubscribe(*dispatch, filewire::kSubscribe, impl);
-  rpc::RegisterTyped<WriteVecRequest, rpc::Void>(
-      *dispatch, filewire::kWriteVec,
-      [impl](WriteVecRequest req, const rpc::CallContext&) {
-        return impl->WriteVec(req.writes);
-      });
+  rpc::RegisterTyped(*dispatch, filewire::kWriteVec,
+                     [impl](WriteVecRequest req) {
+                       return impl->WriteVec(req.writes);
+                     });
   return dispatch;
 }
 
@@ -151,21 +142,20 @@ Result<FileExport> ExportFileService(core::Context& context,
 
 sim::Co<Result<Bytes>> FileStub::Read(std::uint64_t offset,
                                       std::uint32_t length) {
-  return Call<Bytes>(filewire::kRead, ReadRequest{offset, length});
+  return Call(filewire::kRead, ReadRequest{offset, length});
 }
 
 sim::Co<Result<rpc::Void>> FileStub::Write(std::uint64_t offset, Bytes data) {
-  return Call<rpc::Void>(filewire::kWrite,
-                         WriteRequest{offset, std::move(data), ObjectId{}});
+  return Call(filewire::kWrite,
+              WriteRequest{offset, std::move(data), ObjectId{}});
 }
 
 sim::Co<Result<std::uint64_t>> FileStub::Size() {
-  return Call<std::uint64_t>(filewire::kSize, rpc::Void{});
+  return Call(filewire::kSize, rpc::Void{});
 }
 
 sim::Co<Result<rpc::Void>> FileStub::Truncate(std::uint64_t size) {
-  return Call<rpc::Void>(filewire::kTruncate,
-                         TruncateRequest{size, ObjectId{}});
+  return Call(filewire::kTruncate, TruncateRequest{size, ObjectId{}});
 }
 
 // --- protocol 2: caching proxy ---
@@ -178,11 +168,10 @@ FileCachingProxy::FileCachingProxy(core::Context& context,
       blocks_(params.capacity_blocks),
       sink_(*this, filewire::kSubscribe),
       metric_scope_(context.metrics()) {
-  sink_.Handle<InvalidateRangeMessage>(
-      filewire::SinkMethod::kInvalidateRange,
-      [this](const InvalidateRangeMessage& msg) {
-        OnInvalidateRange(msg.offset, msg.length);
-      });
+  sink_.Handle(filewire::kInvalidateRange,
+               [this](const InvalidateRangeMessage& msg) {
+                 OnInvalidateRange(msg.offset, msg.length);
+               });
   blocks_.BindMetrics(metric_scope_, "svc.file.cache");
   metric_scope_.Attach("svc.file.prefetches", &prefetches_);
 }
@@ -208,8 +197,8 @@ void FileCachingProxy::OnInvalidateRange(std::uint64_t offset,
 
 sim::Co<Result<Bytes>> FileCachingProxy::FetchBlock(std::uint64_t block) {
   const std::uint64_t bs = params_.block_size;
-  return Call<Bytes>(filewire::kRead,
-                     ReadRequest{block * bs, static_cast<std::uint32_t>(bs)});
+  return Call(filewire::kRead,
+              ReadRequest{block * bs, static_cast<std::uint32_t>(bs)});
 }
 
 void FileCachingProxy::Prefetch(std::uint64_t block) {
@@ -288,7 +277,7 @@ sim::Co<Result<rpc::Void>> FileCachingProxy::Write(std::uint64_t offset,
   // skips our sink in its invalidation fan-out.
   PatchBlocks(offset, data);
   WriteRequest req{offset, std::move(data), sink_.id()};
-  co_return co_await Call<rpc::Void>(filewire::kWrite, std::move(req));
+  co_return co_await Call(filewire::kWrite, std::move(req));
 }
 
 void FileCachingProxy::PatchBlocks(std::uint64_t offset, const Bytes& data) {
@@ -314,7 +303,7 @@ void FileCachingProxy::PatchBlocks(std::uint64_t offset, const Bytes& data) {
 }
 
 sim::Co<Result<std::uint64_t>> FileCachingProxy::Size() {
-  return Call<std::uint64_t>(filewire::kSize, rpc::Void{});
+  return Call(filewire::kSize, rpc::Void{});
 }
 
 sim::Co<Result<rpc::Void>> FileCachingProxy::Truncate(std::uint64_t size) {
@@ -322,7 +311,7 @@ sim::Co<Result<rpc::Void>> FileCachingProxy::Truncate(std::uint64_t size) {
   // trimming blocks, and self-exclusion keeps the fan-out quiet.
   OnInvalidateRange(size, 0);
   TruncateRequest req{size, sink_.id()};
-  co_return co_await Call<rpc::Void>(filewire::kTruncate, std::move(req));
+  co_return co_await Call(filewire::kTruncate, std::move(req));
 }
 
 // --- protocol 3: batching proxy ---
@@ -342,7 +331,7 @@ FileBatchProxy::FileBatchProxy(core::Context& context,
 
 sim::Co<Status> FileBatchProxy::FlushBatch(std::vector<WriteRequest> batch) {
   WriteVecRequest req{std::move(batch)};
-  Result<rpc::Void> landed = co_await Call<rpc::Void>(filewire::kWriteVec, req);
+  Result<rpc::Void> landed = co_await Call(filewire::kWriteVec, req);
   // Write patched each buffered write into the cached blocks. The server
   // never stored this batch, so those blocks go and are fetched again.
   if (!landed.ok()) {

@@ -49,21 +49,6 @@ class IFile {
 
 namespace filewire {
 
-enum Method : std::uint32_t {
-  kRead = 1,
-  kWrite = 2,
-  kSize = 3,
-  kTruncate = 4,
-  kSubscribe = 5,  // core::SubscribeRequest
-  kWriteVec = 6,
-};
-
-enum SinkMethod : std::uint32_t {
-  kInvalidateRange = 1,
-};
-
-// A reply carries one value and is that value: Read answers Bytes, Size
-// std::uint64_t, Write and Truncate rpc::Void.
 struct ReadRequest {
   std::uint64_t offset = 0;
   std::uint32_t length = 0;
@@ -89,6 +74,17 @@ struct InvalidateRangeMessage {
   std::uint64_t length = 0;  // 0 = to end of file (truncate)
   PROXY_SERDE_FIELDS(offset, length)
 };
+
+inline constexpr rpc::Method<ReadRequest, Bytes> kRead{1};
+inline constexpr rpc::Method<WriteRequest, rpc::Void> kWrite{2};
+inline constexpr rpc::Method<rpc::Void, std::uint64_t> kSize{3};
+inline constexpr rpc::Method<TruncateRequest, rpc::Void> kTruncate{4};
+inline constexpr core::SubscribeMethod kSubscribe{5};
+inline constexpr rpc::Method<WriteVecRequest, rpc::Void> kWriteVec{6};
+
+/// The method on a subscriber's sink object.
+inline constexpr rpc::Method<InvalidateRangeMessage, rpc::Void>
+    kInvalidateRange{1};
 
 }  // namespace filewire
 

@@ -61,7 +61,7 @@ void KvService::NotifyInvalidate(std::vector<std::string> keys,
                                  ObjectId exclude) {
   if (keys.empty()) return;
   invalidations_sent_ += subscribers_.Notify(
-      context_->client(), kvwire::SinkMethod::kInvalidate,
+      context_->client(), kvwire::kInvalidate,
       InvalidateMessage{std::move(keys)}, exclude);
 }
 
@@ -82,43 +82,26 @@ Status KvService::RestoreState(BytesView state) {
 std::shared_ptr<rpc::Dispatch> MakeKvDispatch(
     std::shared_ptr<KvService> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<GetRequest, std::optional<std::string>>(
-      *dispatch, kvwire::kGet,
-      [impl](GetRequest req, const rpc::CallContext&)
-          -> Result<std::optional<std::string>> {
-        return impl->Lookup(req.key);
-      });
-  rpc::RegisterTyped<PutRequest, rpc::Void>(
-      *dispatch, kvwire::kPut,
-      [impl](PutRequest req, const rpc::CallContext&) -> Result<rpc::Void> {
-        impl->Store(std::move(req.key), std::move(req.value),
-                    req.exclude_sink);
-        return rpc::Void{};
-      });
-  rpc::RegisterTyped<DelRequest, bool>(
-      *dispatch, kvwire::kDel,
-      [impl](DelRequest req, const rpc::CallContext&) -> Result<bool> {
-        return impl->Erase(std::move(req.key), req.exclude_sink);
-      });
-  rpc::RegisterTyped<rpc::Void, std::uint64_t>(
-      *dispatch, kvwire::kSize,
-      [impl](rpc::Void, const rpc::CallContext&) -> Result<std::uint64_t> {
-        return impl->key_count();
-      });
+  rpc::RegisterTyped(*dispatch, kvwire::kGet, [impl](GetRequest req) {
+    return impl->Lookup(req.key);
+  });
+  rpc::RegisterTyped(*dispatch, kvwire::kPut, [impl](PutRequest req) {
+    impl->Store(std::move(req.key), std::move(req.value), req.exclude_sink);
+    return rpc::Void{};
+  });
+  rpc::RegisterTyped(*dispatch, kvwire::kDel, [impl](DelRequest req) {
+    return impl->Erase(std::move(req.key), req.exclude_sink);
+  });
+  rpc::RegisterTyped(*dispatch, kvwire::kSize,
+                     [impl](rpc::Void) { return impl->key_count(); });
   core::RegisterSubscribe(*dispatch, kvwire::kSubscribe, impl);
-  rpc::RegisterTyped<BatchPutRequest, rpc::Void>(
-      *dispatch, kvwire::kBatchPut,
-      [impl](BatchPutRequest req,
-             const rpc::CallContext&) -> Result<rpc::Void> {
-        impl->StoreAll(std::move(req.entries), req.exclude_sink);
-        return rpc::Void{};
-      });
-  rpc::RegisterTyped<ListRequest, std::vector<std::string>>(
-      *dispatch, kvwire::kList,
-      [impl](ListRequest req, const rpc::CallContext&)
-          -> Result<std::vector<std::string>> {
-        return impl->Keys(req.prefix);
-      });
+  rpc::RegisterTyped(*dispatch, kvwire::kBatchPut, [impl](BatchPutRequest req) {
+    impl->StoreAll(std::move(req.entries), req.exclude_sink);
+    return rpc::Void{};
+  });
+  rpc::RegisterTyped(*dispatch, kvwire::kList, [impl](ListRequest req) {
+    return impl->Keys(req.prefix);
+  });
   return dispatch;
 }
 
@@ -136,26 +119,24 @@ Result<KvExport> ExportKvService(core::Context& context,
 // --- protocol 1: stub ---
 
 sim::Co<Result<std::optional<std::string>>> KvStub::Get(std::string key) {
-  return Call<std::optional<std::string>>(kvwire::kGet,
-                                          GetRequest{std::move(key)});
+  return Call(kvwire::kGet, GetRequest{std::move(key)});
 }
 
 sim::Co<Result<rpc::Void>> KvStub::Put(std::string key, std::string value) {
-  return Call<rpc::Void>(
-      kvwire::kPut, PutRequest{std::move(key), std::move(value), ObjectId{}});
+  return Call(kvwire::kPut,
+              PutRequest{std::move(key), std::move(value), ObjectId{}});
 }
 
 sim::Co<Result<bool>> KvStub::Del(std::string key) {
-  return Call<bool>(kvwire::kDel, DelRequest{std::move(key), ObjectId{}});
+  return Call(kvwire::kDel, DelRequest{std::move(key), ObjectId{}});
 }
 
 sim::Co<Result<std::uint64_t>> KvStub::Size() {
-  return Call<std::uint64_t>(kvwire::kSize, rpc::Void{});
+  return Call(kvwire::kSize, rpc::Void{});
 }
 
 sim::Co<Result<std::vector<std::string>>> KvStub::List(std::string prefix) {
-  return Call<std::vector<std::string>>(kvwire::kList,
-                                        ListRequest{std::move(prefix)});
+  return Call(kvwire::kList, ListRequest{std::move(prefix)});
 }
 
 // --- protocol 2: caching proxy ---
@@ -168,10 +149,9 @@ KvCachingProxy::KvCachingProxy(core::Context& context,
       stale_(kStaleCapacity),
       sink_(*this, kvwire::kSubscribe),
       metric_scope_(context.metrics()) {
-  sink_.Handle<InvalidateMessage>(
-      kvwire::SinkMethod::kInvalidate, [this](const InvalidateMessage& msg) {
-        for (const auto& key : msg.keys) cache_.Invalidate(key);
-      });
+  sink_.Handle(kvwire::kInvalidate, [this](const InvalidateMessage& msg) {
+    for (const auto& key : msg.keys) cache_.Invalidate(key);
+  });
   cache_.BindMetrics(metric_scope_, "svc.kv.cache");
   metric_scope_.Attach("svc.kv.cache.stale_served", &stale_served_);
 }
@@ -186,7 +166,7 @@ sim::Co<Result<std::optional<std::string>>> KvCachingProxy::Get(
 
   GetRequest req{key};
   Result<std::optional<std::string>> resp =
-      co_await Call<std::optional<std::string>>(kvwire::kGet, std::move(req));
+      co_await Call(kvwire::kGet, std::move(req));
   if (!resp.ok()) {
     // Graceful degradation: the server shed this read (and the proxy's
     // bounded pushback retries did not get through). Serve the last value
@@ -212,8 +192,7 @@ sim::Co<Result<rpc::Void>> KvCachingProxy::Put(std::string key,
     if (!sub.ok()) co_return sub;
   }
   PutRequest req{key, value, sink_.id()};
-  Result<rpc::Void> resp =
-      co_await Call<rpc::Void>(kvwire::kPut, std::move(req));
+  Result<rpc::Void> resp = co_await Call(kvwire::kPut, std::move(req));
   if (!resp.ok()) co_return resp.status();
   // Write-through: the cache reflects the acknowledged write immediately.
   stale_.Put(key, std::optional<std::string>(value));
@@ -223,7 +202,7 @@ sim::Co<Result<rpc::Void>> KvCachingProxy::Put(std::string key,
 
 sim::Co<Result<bool>> KvCachingProxy::Del(std::string key) {
   DelRequest req{key, sink_.id()};
-  Result<bool> existed = co_await Call<bool>(kvwire::kDel, std::move(req));
+  Result<bool> existed = co_await Call(kvwire::kDel, std::move(req));
   if (!existed.ok()) co_return existed;
   stale_.Put(key, std::optional<std::string>{});
   cache_.Put(std::move(key), std::optional<std::string>{});
@@ -231,15 +210,14 @@ sim::Co<Result<bool>> KvCachingProxy::Del(std::string key) {
 }
 
 sim::Co<Result<std::uint64_t>> KvCachingProxy::Size() {
-  return Call<std::uint64_t>(kvwire::kSize, rpc::Void{});
+  return Call(kvwire::kSize, rpc::Void{});
 }
 
 sim::Co<Result<std::vector<std::string>>> KvCachingProxy::List(
     std::string prefix) {
   // Listings are not cached: the invalidation protocol is per-key, so a
   // cached listing could silently miss keys written by other clients.
-  return Call<std::vector<std::string>>(kvwire::kList,
-                                        ListRequest{std::move(prefix)});
+  return Call(kvwire::kList, ListRequest{std::move(prefix)});
 }
 
 // --- protocol 3: write-back proxy ---
@@ -266,8 +244,7 @@ sim::Co<Status> KvWriteBackProxy::FlushBatch(
     if (it != dirty_.end()) value = it->second;
   }
   BatchPutRequest req{batch, sink_.id()};
-  Result<rpc::Void> landed =
-      co_await Call<rpc::Void>(kvwire::kBatchPut, std::move(req));
+  Result<rpc::Void> landed = co_await Call(kvwire::kBatchPut, std::move(req));
   // A key is settled unless a Put re-dirtied it while the flush was in
   // flight: compare the buffered value against what we shipped. A
   // settled key whose batch failed is forgotten: the server never stored

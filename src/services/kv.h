@@ -58,24 +58,6 @@ class IKeyValue {
 
 namespace kvwire {
 
-enum Method : std::uint32_t {
-  kGet = 1,
-  kPut = 2,
-  kDel = 3,
-  kSize = 4,
-  kSubscribe = 5,  // core::SubscribeRequest
-  kBatchPut = 7,
-  kList = 8,
-};
-
-/// Method id on a subscriber's sink object.
-enum SinkMethod : std::uint32_t {
-  kInvalidate = 1,
-};
-
-// A reply carries one value and is that value: Get answers
-// std::optional<std::string>, Del bool (the key existed), Size
-// std::uint64_t and List std::vector<std::string> (sorted ascending).
 struct GetRequest {
   std::string key;
   PROXY_SERDE_FIELDS(key)
@@ -104,6 +86,19 @@ struct InvalidateMessage {
   std::vector<std::string> keys;
   PROXY_SERDE_FIELDS(keys)
 };
+
+inline constexpr rpc::Method<GetRequest, std::optional<std::string>> kGet{1};
+inline constexpr rpc::Method<PutRequest, rpc::Void> kPut{2};
+/// Answers whether the key existed.
+inline constexpr rpc::Method<DelRequest, bool> kDel{3};
+inline constexpr rpc::Method<rpc::Void, std::uint64_t> kSize{4};
+inline constexpr core::SubscribeMethod kSubscribe{5};
+inline constexpr rpc::Method<BatchPutRequest, rpc::Void> kBatchPut{7};
+/// Answers the keys under the prefix, sorted ascending.
+inline constexpr rpc::Method<ListRequest, std::vector<std::string>> kList{8};
+
+/// The method on a subscriber's sink object.
+inline constexpr rpc::Method<InvalidateMessage, rpc::Void> kInvalidate{1};
 
 }  // namespace kvwire
 

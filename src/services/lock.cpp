@@ -55,27 +55,18 @@ std::optional<std::uint64_t> LockServiceImpl::HolderOf(
 std::shared_ptr<rpc::Dispatch> MakeLockDispatch(
     std::shared_ptr<LockServiceImpl> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<LockRequest, bool>(
-      *dispatch, lockwire::kTryAcquire,
-      [impl](LockRequest req, const rpc::CallContext&) -> Result<bool> {
-        return impl->TryLock(req.name, req.owner);
-      });
-  rpc::RegisterTyped<LockRequest, rpc::Void>(
-      *dispatch, lockwire::kAcquire,
-      [impl](LockRequest req, const rpc::CallContext&) {
-        return impl->Acquire(std::move(req.name), req.owner);
-      });
-  rpc::RegisterTyped<LockRequest, rpc::Void>(
-      *dispatch, lockwire::kRelease,
-      [impl](LockRequest req, const rpc::CallContext&) {
-        return impl->Unlock(req.name, req.owner);
-      });
-  rpc::RegisterTyped<HolderRequest, std::optional<std::uint64_t>>(
-      *dispatch, lockwire::kHolder,
-      [impl](HolderRequest req, const rpc::CallContext&)
-          -> Result<std::optional<std::uint64_t>> {
-        return impl->HolderOf(req.name);
-      });
+  rpc::RegisterTyped(*dispatch, lockwire::kTryAcquire, [impl](LockRequest req) {
+    return impl->TryLock(req.name, req.owner);
+  });
+  rpc::RegisterTyped(*dispatch, lockwire::kAcquire, [impl](LockRequest req) {
+    return impl->Acquire(std::move(req.name), req.owner);
+  });
+  rpc::RegisterTyped(*dispatch, lockwire::kRelease, [impl](LockRequest req) {
+    return impl->Unlock(req.name, req.owner);
+  });
+  rpc::RegisterTyped(*dispatch, lockwire::kHolder, [impl](HolderRequest req) {
+    return impl->HolderOf(req.name);
+  });
   return dispatch;
 }
 
@@ -91,25 +82,22 @@ Result<LockExport> ExportLockService(core::Context& context) {
 
 sim::Co<Result<bool>> LockStub::TryAcquire(std::string name,
                                            std::uint64_t owner) {
-  return Call<bool>(lockwire::kTryAcquire, LockRequest{std::move(name), owner});
+  return Call(lockwire::kTryAcquire, LockRequest{std::move(name), owner});
 }
 
 sim::Co<Result<rpc::Void>> LockStub::Acquire(std::string name,
                                              std::uint64_t owner) {
-  return Call<rpc::Void>(lockwire::kAcquire,
-                         LockRequest{std::move(name), owner});
+  return Call(lockwire::kAcquire, LockRequest{std::move(name), owner});
 }
 
 sim::Co<Result<rpc::Void>> LockStub::Release(std::string name,
                                              std::uint64_t owner) {
-  return Call<rpc::Void>(lockwire::kRelease,
-                         LockRequest{std::move(name), owner});
+  return Call(lockwire::kRelease, LockRequest{std::move(name), owner});
 }
 
 sim::Co<Result<std::optional<std::uint64_t>>> LockStub::Holder(
     std::string name) {
-  return Call<std::optional<std::uint64_t>>(lockwire::kHolder,
-                                            HolderRequest{std::move(name)});
+  return Call(lockwire::kHolder, HolderRequest{std::move(name)});
 }
 
 }  // namespace proxy::services

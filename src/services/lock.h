@@ -42,15 +42,6 @@ class ILockService {
 
 namespace lockwire {
 
-enum Method : std::uint32_t {
-  kTryAcquire = 1,
-  kAcquire = 2,
-  kRelease = 3,
-  kHolder = 4,
-};
-
-// A reply carries one value and is that value: TryAcquire answers bool,
-// Holder std::optional<std::uint64_t>, Acquire and Release rpc::Void.
 struct LockRequest {
   std::string name;
   std::uint64_t owner = 0;
@@ -60,6 +51,13 @@ struct HolderRequest {
   std::string name;
   PROXY_SERDE_FIELDS(name)
 };
+
+/// Answers whether `owner` holds the lock afterwards.
+inline constexpr rpc::Method<LockRequest, bool> kTryAcquire{1};
+inline constexpr rpc::Method<LockRequest, rpc::Void> kAcquire{2};
+inline constexpr rpc::Method<LockRequest, rpc::Void> kRelease{3};
+inline constexpr rpc::Method<HolderRequest, std::optional<std::uint64_t>>
+    kHolder{4};
 
 }  // namespace lockwire
 

@@ -21,7 +21,6 @@ using kvwire::ReplicateBatchRequest;
 using kvwire::ShardFreezeRequest;
 using kvwire::ShardFreezeResponse;
 using kvwire::ShardInstallRequest;
-using kvwire::ShardInstallResponse;
 using kvwire::ShardReleaseRequest;
 using kvwire::ShardUnfreezeRequest;
 using kvwire::StatusResponse;
@@ -176,7 +175,7 @@ sim::Co<KvReplica::Fanout> KvReplica::Replicate(
     if (SameObject(peer, self_)) continue;
     if (args.empty()) args = serde::EncodeToBytes(req);
     rpc::RpcResult r = co_await context_->client().Call(
-        peer.server, peer.object, kvwire::kReplicateBatch, args, mirror);
+        peer.server, peer.object, kvwire::kReplicateBatch.id, args, mirror);
     if (r.ok()) {
       out.acked.push_back(peer);
     } else if (r.status.code() == StatusCode::kFenced) {
@@ -506,7 +505,7 @@ sim::Co<Result<ShardFreezeResponse>> KvReplica::HandleShardFreeze(
   co_return resp;
 }
 
-sim::Co<Result<ShardInstallResponse>> KvReplica::HandleShardInstall(
+sim::Co<Result<std::uint64_t>> KvReplica::HandleShardInstall(
     ShardInstallRequest req) {
   Status admitted = WriteGate();
   if (admitted.ok()) admitted = CheckShardRange(req.shard);
@@ -543,7 +542,7 @@ sim::Co<Result<ShardInstallResponse>> KvReplica::HandleShardInstall(
   SpanEvent("installed shard " + std::to_string(req.shard) + " @ epoch " +
             std::to_string(req.shard_epoch) + " (" +
             std::to_string(req.entries.size()) + " keys)");
-  co_return ShardInstallResponse{shard_.EpochOf(req.shard)};
+  co_return shard_.EpochOf(req.shard);
 }
 
 sim::Co<Result<rpc::Void>> KvReplica::HandleShardRelease(
@@ -654,10 +653,9 @@ sim::Co<KvReplica::PeerPoll> KvReplica::PollPeers(bool rescue) {
   const std::vector<core::ServiceBinding> peers = all_replicas_;
   for (const auto& peer : peers) {
     if (SameObject(peer, self_)) continue;
-    const Result<StatusResponse> st =
-        co_await rpc::AwaitReply<StatusResponse>(context_->client().Call(
-            peer.server, peer.object, kvwire::kGetStatus,
-            serde::EncodeToBytes(rpc::Void{}), params_.mirror));
+    const Result<StatusResponse> st = co_await rpc::TypedCall(
+        context_->client(), peer.server, peer.object, kvwire::kGetStatus,
+        rpc::Void{}, params_.mirror);
     if (!st.ok()) {
       ++poll.unreachable;
     } else if (st->epoch > epoch_) {
@@ -777,10 +775,9 @@ sim::Co<void> KvReplica::TryRejoin() {
 
   JoinRequest req;
   req.joiner = self_;
-  Result<JoinResponse> resp =
-      co_await rpc::AwaitReply<JoinResponse>(context_->client().Call(
-          rec->binding.server, rec->binding.object, kvwire::kJoin,
-          serde::EncodeToBytes(req), params_.mirror));
+  Result<JoinResponse> resp = co_await rpc::TypedCall(
+      context_->client(), rec->binding.server, rec->binding.object,
+      kvwire::kJoin, req, params_.mirror);
   if (!resp.ok()) co_return;
   if (context_->crashed()) co_return;  // crashed mid-join
 
@@ -832,87 +829,69 @@ sim::Co<void> KvReplica::TryRescue() {
 std::shared_ptr<rpc::Dispatch> MakeReplicatedKvDispatch(
     std::shared_ptr<KvReplica> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<rpc::Void, std::uint64_t>(
-      *dispatch, kvwire::kSize, [impl](rpc::Void, const rpc::CallContext&) {
-        return impl->KeyCount();
-      });
-  rpc::RegisterTyped<ListRequest, std::vector<std::string>>(
-      *dispatch, kvwire::kList,
-      [impl](ListRequest req, const rpc::CallContext&) {
-        return impl->Keys(req.prefix);
-      });
-  rpc::RegisterTyped<rpc::Void, ReplicaListResponse>(
-      *dispatch, kvwire::kGetReplicas,
-      [impl](rpc::Void, const rpc::CallContext&) {
-        return impl->HandleGetReplicas();
-      });
-  rpc::RegisterTyped<ReplicateBatchRequest, rpc::Void>(
-      *dispatch, kvwire::kReplicateBatch,
-      [impl](ReplicateBatchRequest req, const rpc::CallContext&) {
-        return impl->HandleReplicateBatch(std::move(req));
-      });
-  rpc::RegisterTyped<JoinRequest, JoinResponse>(
-      *dispatch, kvwire::kJoin,
-      [impl](JoinRequest req, const rpc::CallContext&) {
-        return impl->HandleJoin(std::move(req));
-      });
-  rpc::RegisterTyped<rpc::Void, StatusResponse>(
-      *dispatch, kvwire::kGetStatus,
-      [impl](rpc::Void, const rpc::CallContext&) {
-        return impl->HandleGetStatus();
-      });
-  rpc::RegisterTyped<PutRequest, EpochPutResponse>(
+  rpc::RegisterTyped(*dispatch, kvwire::kSize,
+                     [impl](rpc::Void) { return impl->KeyCount(); });
+  rpc::RegisterTyped(*dispatch, kvwire::kList, [impl](ListRequest req) {
+    return impl->Keys(req.prefix);
+  });
+  rpc::RegisterTyped(*dispatch, kvwire::kGetReplicas,
+                     [impl](rpc::Void) { return impl->HandleGetReplicas(); });
+  rpc::RegisterTyped(*dispatch, kvwire::kReplicateBatch,
+                     [impl](ReplicateBatchRequest req) {
+                       return impl->HandleReplicateBatch(std::move(req));
+                     });
+  rpc::RegisterTyped(*dispatch, kvwire::kJoin, [impl](JoinRequest req) {
+    return impl->HandleJoin(std::move(req));
+  });
+  rpc::RegisterTyped(*dispatch, kvwire::kGetStatus,
+                     [impl](rpc::Void) { return impl->HandleGetStatus(); });
+  rpc::RegisterTyped(
       *dispatch, kvwire::kEpochPut,
-      [impl](PutRequest req,
-             const rpc::CallContext& ctx) -> sim::Co<Result<EpochPutResponse>> {
+      [impl](PutRequest req, const obs::TraceContext& trace)
+          -> sim::Co<Result<EpochPutResponse>> {
         const std::string key = req.key;  // stamps the reply after the move
         std::uint64_t ack_epoch = 0;
         Result<rpc::Void> applied = co_await impl->Put(
-            std::move(req.key), std::move(req.value), ctx.trace, &ack_epoch);
+            std::move(req.key), std::move(req.value), trace, &ack_epoch);
         if (!applied.ok()) co_return applied.status();
         co_return EpochPutResponse{ack_epoch, impl->ShardEpochOf(key)};
       });
-  rpc::RegisterTyped<DelRequest, EpochDelResponse>(
+  rpc::RegisterTyped(
       *dispatch, kvwire::kEpochDel,
-      [impl](DelRequest req,
-             const rpc::CallContext& ctx) -> sim::Co<Result<EpochDelResponse>> {
+      [impl](DelRequest req, const obs::TraceContext& trace)
+          -> sim::Co<Result<EpochDelResponse>> {
         const std::string key = req.key;
         std::uint64_t ack_epoch = 0;
-        Result<bool> existed = co_await impl->Del(std::move(req.key),
-                                                  ctx.trace, &ack_epoch);
+        Result<bool> existed =
+            co_await impl->Del(std::move(req.key), trace, &ack_epoch);
         if (!existed.ok()) co_return existed.status();
         co_return EpochDelResponse{*existed, ack_epoch,
                                    impl->ShardEpochOf(key)};
       });
-  rpc::RegisterTyped<GetRequest, EpochGetResponse>(
+  rpc::RegisterTyped(
       *dispatch, kvwire::kEpochGet,
-      [impl](GetRequest req,
-             const rpc::CallContext&) -> Result<EpochGetResponse> {
+      [impl](GetRequest req) -> Result<EpochGetResponse> {
         Result<std::optional<std::string>> value = impl->Lookup(req.key);
         if (!value.ok()) return value.status();
         return EpochGetResponse{std::move(*value), impl->epoch(),
                                 impl->ShardEpochOf(req.key)};
       });
-  rpc::RegisterTyped<ShardFreezeRequest, ShardFreezeResponse>(
-      *dispatch, kvwire::kShardFreeze,
-      [impl](ShardFreezeRequest req, const rpc::CallContext&) {
-        return impl->HandleShardFreeze(req);
-      });
-  rpc::RegisterTyped<ShardInstallRequest, ShardInstallResponse>(
-      *dispatch, kvwire::kShardInstall,
-      [impl](ShardInstallRequest req, const rpc::CallContext&) {
-        return impl->HandleShardInstall(std::move(req));
-      });
-  rpc::RegisterTyped<ShardReleaseRequest, rpc::Void>(
-      *dispatch, kvwire::kShardRelease,
-      [impl](ShardReleaseRequest req, const rpc::CallContext&) {
-        return impl->HandleShardRelease(req);
-      });
-  rpc::RegisterTyped<ShardUnfreezeRequest, rpc::Void>(
-      *dispatch, kvwire::kShardUnfreeze,
-      [impl](ShardUnfreezeRequest req, const rpc::CallContext&) {
-        return impl->HandleShardUnfreeze(req);
-      });
+  rpc::RegisterTyped(*dispatch, kvwire::kShardFreeze,
+                     [impl](ShardFreezeRequest req) {
+                       return impl->HandleShardFreeze(req);
+                     });
+  rpc::RegisterTyped(*dispatch, kvwire::kShardInstall,
+                     [impl](ShardInstallRequest req) {
+                       return impl->HandleShardInstall(std::move(req));
+                     });
+  rpc::RegisterTyped(*dispatch, kvwire::kShardRelease,
+                     [impl](ShardReleaseRequest req) {
+                       return impl->HandleShardRelease(req);
+                     });
+  rpc::RegisterTyped(*dispatch, kvwire::kShardUnfreeze,
+                     [impl](ShardUnfreezeRequest req) {
+                       return impl->HandleShardUnfreeze(req);
+                     });
   return dispatch;
 }
 
@@ -968,14 +947,14 @@ sim::Co<Status> KvFailoverProxy::LoadReplicaList(
   // the name when it promotes).
   const rpc::Void none;  // named: see stub.h "GCC note"
   Result<ReplicaListResponse> resp =
-      co_await Call<ReplicaListResponse>(kvwire::kGetReplicas, none, traced);
+      co_await Call(kvwire::kGetReplicas, none, traced);
   // The primary is dark and the name not (yet) re-registered: any
   // replica we already knew about can serve its view of the list.
   for (std::size_t i = 0; !resp.ok() && i < known.size(); ++i) {
     Result<ReplicaListResponse> alt =
-        co_await rpc::AwaitReply<ReplicaListResponse>(context().client().Call(
-            known[i].server, known[i].object, kvwire::kGetReplicas,
-            serde::EncodeToBytes(none), traced));
+        co_await rpc::TypedCall(context().client(), known[i].server,
+                                known[i].object, kvwire::kGetReplicas, none,
+                                traced);
     if (alt.ok()) resp = std::move(alt);
   }
   if (!resp.ok()) co_return resp.status();
@@ -983,17 +962,16 @@ sim::Co<Status> KvFailoverProxy::LoadReplicaList(
     co_return FailedPreconditionError("empty replica list");
   }
   replicas_ = std::move(resp->replicas);
-  list_epoch_ = resp->epoch;
   preferred_ = 0;
   co_return Status::Ok();
 }
 
-template <typename Resp, typename Req>
-sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(std::uint32_t method,
-                                                Req req) {
+template <typename Req, typename Resp, rpc::RequestOf<Req> A>
+sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(
+    rpc::Method<Req, Resp> method, A req) {
   obs::SpanRecorder& spans = context().spans();
   const obs::TraceContext span =
-      spans.Begin(options_.trace, "rkv.read m" + std::to_string(method),
+      spans.Begin(options_.trace, "rkv.read m" + std::to_string(method.id),
                   context().scheduler().now());
   rpc::CallOptions opts = options_;
   if (span.active()) opts.trace = span;
@@ -1017,8 +995,8 @@ sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(std::uint32_t method,
     for (std::size_t i = 0; i < replicas_.size() && !done; ++i) {
       const std::size_t idx = (preferred_ + i) % replicas_.size();
       const core::ServiceBinding& replica = replicas_[idx];
-      Result<Resp> r = co_await rpc::AwaitReply<Resp>(context().client().Call(
-          replica.server, replica.object, method, args, opts));
+      Result<Resp> r = co_await rpc::TypedReply<Resp>(context().client().Call(
+          replica.server, replica.object, method.id, args, opts));
       if (r.ok()) {
         if (idx != preferred_) {
           failovers_++;
@@ -1058,12 +1036,12 @@ sim::Co<Result<Resp>> KvFailoverProxy::ReadCall(std::uint32_t method,
   co_return outcome;
 }
 
-template <typename Resp, typename Req>
-sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(std::uint32_t method,
-                                                 Req req) {
+template <typename Req, typename Resp, rpc::RequestOf<Req> A>
+sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(
+    rpc::Method<Req, Resp> method, A req) {
   obs::SpanRecorder& spans = context().spans();
   const obs::TraceContext span =
-      spans.Begin(options_.trace, "rkv.write m" + std::to_string(method),
+      spans.Begin(options_.trace, "rkv.write m" + std::to_string(method.id),
                   context().scheduler().now());
   rpc::CallOptions opts = options_;
   if (span.active()) opts.trace = span;
@@ -1090,8 +1068,8 @@ sim::Co<Result<Resp>> KvFailoverProxy::WriteCall(std::uint32_t method,
       }
     }
     const core::ServiceBinding primary = replicas_[0];
-    Result<Resp> r = co_await rpc::AwaitReply<Resp>(context().client().Call(
-        primary.server, primary.object, method, args, opts));
+    Result<Resp> r = co_await rpc::TypedReply<Resp>(context().client().Call(
+        primary.server, primary.object, method.id, args, opts));
     if (r.ok()) {
       last_write_acker_ = primary.object;
       outcome = std::move(r);
@@ -1127,7 +1105,7 @@ sim::Co<Result<std::optional<std::string>>> KvFailoverProxy::Get(
     std::string key) {
   GetRequest req{std::move(key)};  // named: see stub.h "GCC note"
   Result<EpochGetResponse> resp =
-      co_await ReadCall<EpochGetResponse>(kvwire::kEpochGet, std::move(req));
+      co_await ReadCall(kvwire::kEpochGet, std::move(req));
   if (!resp.ok()) co_return resp.status();
   last_op_epoch_ = resp->epoch;
   last_op_shard_epoch_ = resp->shard_epoch;
@@ -1136,19 +1114,18 @@ sim::Co<Result<std::optional<std::string>>> KvFailoverProxy::Get(
 
 sim::Co<Result<std::vector<std::string>>> KvFailoverProxy::List(
     std::string prefix) {
-  return ReadCall<std::vector<std::string>>(kvwire::kList,
-                                            ListRequest{std::move(prefix)});
+  return ReadCall(kvwire::kList, ListRequest{std::move(prefix)});
 }
 
 sim::Co<Result<std::uint64_t>> KvFailoverProxy::Size() {
-  return ReadCall<std::uint64_t>(kvwire::kSize, rpc::Void{});
+  return ReadCall(kvwire::kSize, rpc::Void{});
 }
 
 sim::Co<Result<rpc::Void>> KvFailoverProxy::Put(std::string key,
                                                 std::string value) {
   PutRequest req{std::move(key), std::move(value), ObjectId{}};
   Result<EpochPutResponse> resp =
-      co_await WriteCall<EpochPutResponse>(kvwire::kEpochPut, std::move(req));
+      co_await WriteCall(kvwire::kEpochPut, std::move(req));
   if (!resp.ok()) co_return resp.status();
   last_op_epoch_ = resp->epoch;
   last_op_shard_epoch_ = resp->shard_epoch;
@@ -1158,7 +1135,7 @@ sim::Co<Result<rpc::Void>> KvFailoverProxy::Put(std::string key,
 sim::Co<Result<bool>> KvFailoverProxy::Del(std::string key) {
   DelRequest req{std::move(key), ObjectId{}};
   Result<EpochDelResponse> resp =
-      co_await WriteCall<EpochDelResponse>(kvwire::kEpochDel, std::move(req));
+      co_await WriteCall(kvwire::kEpochDel, std::move(req));
   if (!resp.ok()) co_return resp.status();
   last_op_epoch_ = resp->epoch;
   last_op_shard_epoch_ = resp->shard_epoch;

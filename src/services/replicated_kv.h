@@ -43,29 +43,6 @@ namespace proxy::services {
 
 namespace kvwire {
 
-/// Extra methods every replica adds to the KV protocol.
-enum ReplicationMethod : std::uint32_t {
-  kGetReplicas = 20,
-  kReplicateBatch = 21,
-  kJoin = 22,
-  kGetStatus = 23,
-  // Epoch-stamped data operations: same semantics as kGet/kPut/kDel but
-  // the response carries the serving replica's epoch, which the failover
-  // proxy records (and the chaos durability invariant consumes).
-  kEpochPut = 24,
-  kEpochDel = 25,
-  kEpochGet = 26,
-  // Online shard migration (rebalancer -> group primary). The sequence
-  // is freeze -> copy (the freeze response carries the shard snapshot)
-  // -> install on the destination at shard_epoch+1 -> commit at the
-  // ShardMapService -> release at the source. Every step is idempotent
-  // so a rebalancer that crashed or timed out mid-move can re-run it.
-  kShardFreeze = 27,
-  kShardInstall = 28,
-  kShardRelease = 29,
-  kShardUnfreeze = 30,
-};
-
 struct ReplicaListResponse {
   std::uint64_t epoch = 0;
   std::vector<core::ServiceBinding> replicas;  // [0] is the primary
@@ -148,11 +125,6 @@ struct ShardInstallRequest {
   PROXY_SERDE_FIELDS(shard, shard_epoch, entries)
 };
 
-struct ShardInstallResponse {
-  std::uint64_t shard_epoch = 0;  // epoch actually held after install
-  PROXY_SERDE_FIELDS(shard_epoch)
-};
-
 /// Drop the shard's data and ownership; legal only once the map holds a
 /// newer ownership epoch (proof the handoff committed).
 struct ShardReleaseRequest {
@@ -165,6 +137,32 @@ struct ShardUnfreezeRequest {
   std::uint32_t shard = 0;  // abort path: thaw, ownership unchanged
   PROXY_SERDE_FIELDS(shard)
 };
+
+// Extra methods every replica adds to the KV protocol.
+inline constexpr rpc::Method<rpc::Void, ReplicaListResponse> kGetReplicas{20};
+inline constexpr rpc::Method<ReplicateBatchRequest, rpc::Void>
+    kReplicateBatch{21};
+inline constexpr rpc::Method<JoinRequest, JoinResponse> kJoin{22};
+inline constexpr rpc::Method<rpc::Void, StatusResponse> kGetStatus{23};
+// Epoch-stamped data operations: same semantics as kGet/kPut/kDel but
+// the response carries the serving replica's epoch, which the failover
+// proxy records (and the chaos durability invariant consumes).
+inline constexpr rpc::Method<PutRequest, EpochPutResponse> kEpochPut{24};
+inline constexpr rpc::Method<DelRequest, EpochDelResponse> kEpochDel{25};
+inline constexpr rpc::Method<GetRequest, EpochGetResponse> kEpochGet{26};
+// Online shard migration (rebalancer -> group primary). The sequence
+// is freeze -> copy (the freeze response carries the shard snapshot)
+// -> install on the destination at shard_epoch+1 -> commit at the
+// ShardMapService -> release at the source. Every step is idempotent
+// so a rebalancer that crashed or timed out mid-move can re-run it.
+inline constexpr rpc::Method<ShardFreezeRequest, ShardFreezeResponse>
+    kShardFreeze{27};
+/// Answers the ownership epoch actually held after the install.
+inline constexpr rpc::Method<ShardInstallRequest, std::uint64_t>
+    kShardInstall{28};
+inline constexpr rpc::Method<ShardReleaseRequest, rpc::Void> kShardRelease{29};
+inline constexpr rpc::Method<ShardUnfreezeRequest, rpc::Void>
+    kShardUnfreeze{30};
 
 }  // namespace kvwire
 
@@ -268,7 +266,8 @@ class KvReplica : public IKeyValue,
   // survives promotion).
   sim::Co<Result<kvwire::ShardFreezeResponse>> HandleShardFreeze(
       kvwire::ShardFreezeRequest req);
-  sim::Co<Result<kvwire::ShardInstallResponse>> HandleShardInstall(
+  /// Answers the ownership epoch held after the install.
+  sim::Co<Result<std::uint64_t>> HandleShardInstall(
       kvwire::ShardInstallRequest req);
   sim::Co<Result<rpc::Void>> HandleShardRelease(
       kvwire::ShardReleaseRequest req);
@@ -545,13 +544,13 @@ class KvFailoverProxy : public IKeyValue, public core::ProxyBase {
 
   /// Read path: try replicas starting with the preferred one; after a
   /// full failed pass, refresh the list once and run one more pass.
-  template <typename Resp, typename Req>
-  sim::Co<Result<Resp>> ReadCall(std::uint32_t method, Req req);
+  template <typename Req, typename Resp, rpc::RequestOf<Req> A>
+  sim::Co<Result<Resp>> ReadCall(rpc::Method<Req, Resp> method, A req);
 
   /// Write path: the primary only, but re-discover the primary (bounded
   /// number of times) on FENCED/UNAVAILABLE/TIMEOUT.
-  template <typename Resp, typename Req>
-  sim::Co<Result<Resp>> WriteCall(std::uint32_t method, Req req);
+  template <typename Req, typename Resp, rpc::RequestOf<Req> A>
+  sim::Co<Result<Resp>> WriteCall(rpc::Method<Req, Resp> method, A req);
 
   static constexpr int kWritePasses = 3;
 
@@ -559,7 +558,6 @@ class KvFailoverProxy : public IKeyValue, public core::ProxyBase {
   std::size_t preferred_ = 0;                   // sticky last-good replica
   obs::Counter failovers_;
   obs::Counter list_refreshes_;
-  std::uint64_t list_epoch_ = 0;
   std::uint64_t last_op_epoch_ = 0;
   std::uint64_t last_op_shard_epoch_ = 0;
   ObjectId last_write_acker_{};

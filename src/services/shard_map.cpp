@@ -7,8 +7,6 @@
 namespace proxy::services {
 
 using shardwire::CommitMoveRequest;
-using shardwire::CommitMoveResponse;
-using shardwire::GetShardMapResponse;
 using shardwire::ShardMap;
 
 std::uint32_t ShardOf(std::string_view key,
@@ -58,12 +56,12 @@ ShardMapService::ShardMapService(core::Context& context, ShardMap initial)
   metric_scope_.Attach("svc.shard.map.commits", &commits_);
 }
 
-Result<GetShardMapResponse> ShardMapService::HandleGet() {
+Result<ShardMap> ShardMapService::HandleGet() {
   gets_++;
-  return GetShardMapResponse{map_};
+  return map_;
 }
 
-Result<CommitMoveResponse> ShardMapService::HandleCommitMove(
+Result<ShardMap> ShardMapService::HandleCommitMove(
     const CommitMoveRequest& req) {
   if (req.shard >= map_.num_shards || req.to_group >= map_.groups.size()) {
     return InvalidArgumentError("shard or group out of range");
@@ -91,20 +89,18 @@ Result<CommitMoveResponse> ShardMapService::HandleCommitMove(
                               " -> " + map_.groups[req.to_group] +
                               " @ epoch " +
                               std::to_string(req.new_shard_epoch));
-  return CommitMoveResponse{map_};
+  return map_;
 }
 
 std::shared_ptr<rpc::Dispatch> MakeShardMapDispatch(
     std::shared_ptr<ShardMapService> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<rpc::Void, GetShardMapResponse>(
-      *dispatch, shardwire::kGetShardMap,
-      [impl](rpc::Void, const rpc::CallContext&) { return impl->HandleGet(); });
-  rpc::RegisterTyped<CommitMoveRequest, CommitMoveResponse>(
-      *dispatch, shardwire::kCommitMove,
-      [impl](CommitMoveRequest req, const rpc::CallContext&) {
-        return impl->HandleCommitMove(req);
-      });
+  rpc::RegisterTyped(*dispatch, shardwire::kGetShardMap,
+                     [impl](rpc::Void) { return impl->HandleGet(); });
+  rpc::RegisterTyped(*dispatch, shardwire::kCommitMove,
+                     [impl](CommitMoveRequest req) {
+                       return impl->HandleCommitMove(req);
+                     });
   return dispatch;
 }
 

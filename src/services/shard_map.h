@@ -38,12 +38,6 @@ namespace proxy::services {
 
 namespace shardwire {
 
-/// Methods on the shard map object (disjoint from kvwire's ranges).
-enum ShardMethod : std::uint32_t {
-  kGetShardMap = 40,
-  kCommitMove = 41,
-};
-
 /// The versioned shard → group assignment. Groups are name-service
 /// paths ("app/kv/g0"): a router resolves the *name*, so group failover
 /// (the leased record moving to a new primary) is invisible here.
@@ -69,11 +63,6 @@ struct ShardMap {
   }
 };
 
-struct GetShardMapResponse {
-  ShardMap map;
-  PROXY_SERDE_FIELDS(map)
-};
-
 /// Version-checked move commit: the rebalancer proves it acted on the
 /// map it read. A mismatch means a concurrent move won; re-read.
 struct CommitMoveRequest {
@@ -84,10 +73,10 @@ struct CommitMoveRequest {
   PROXY_SERDE_FIELDS(shard, to_group, expect_version, new_shard_epoch)
 };
 
-struct CommitMoveResponse {
-  ShardMap map;  // the committed map (version already bumped)
-  PROXY_SERDE_FIELDS(map)
-};
+// Methods on the shard map object (ids disjoint from kvwire's).
+inline constexpr rpc::Method<rpc::Void, ShardMap> kGetShardMap{40};
+/// Answers the committed map (version already bumped).
+inline constexpr rpc::Method<CommitMoveRequest, ShardMap> kCommitMove{41};
 
 }  // namespace shardwire
 
@@ -180,8 +169,8 @@ class ShardMapService {
  public:
   ShardMapService(core::Context& context, shardwire::ShardMap initial);
 
-  Result<shardwire::GetShardMapResponse> HandleGet();
-  Result<shardwire::CommitMoveResponse> HandleCommitMove(
+  Result<shardwire::ShardMap> HandleGet();
+  Result<shardwire::ShardMap> HandleCommitMove(
       const shardwire::CommitMoveRequest& req);
 
   [[nodiscard]] const shardwire::ShardMap& map() const noexcept {

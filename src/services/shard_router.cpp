@@ -10,12 +10,9 @@ namespace proxy::services {
 using kvwire::ShardFreezeRequest;
 using kvwire::ShardFreezeResponse;
 using kvwire::ShardInstallRequest;
-using kvwire::ShardInstallResponse;
 using kvwire::ShardReleaseRequest;
 using kvwire::ShardUnfreezeRequest;
 using shardwire::CommitMoveRequest;
-using shardwire::CommitMoveResponse;
-using shardwire::GetShardMapResponse;
 using shardwire::ShardMap;
 
 // --- routing proxy -----------------------------------------------------
@@ -41,12 +38,12 @@ sim::Co<Status> KvShardRouterProxy::LoadMap(bool refresh,
   rpc::CallOptions traced = options_;
   traced.trace = trace;
   rpc::Void none;  // named: see stub.h "GCC note"
-  Result<GetShardMapResponse> resp =
-      co_await Call<GetShardMapResponse>(shardwire::kGetShardMap, none, traced);
-  if (!resp.ok()) co_return resp.status();
-  if (!resp->map.Valid()) co_return InternalError("invalid shard map");
+  Result<ShardMap> fetched =
+      co_await Call(shardwire::kGetShardMap, none, traced);
+  if (!fetched.ok()) co_return fetched.status();
+  if (!fetched->Valid()) co_return InternalError("invalid shard map");
   // Refreshes never regress: a reply raced by a newer fetch is dropped.
-  if (resp->map.version >= map_.version) map_ = std::move(resp->map);
+  if (fetched->version >= map_.version) map_ = std::move(*fetched);
   co_return Status::Ok();
 }
 
@@ -254,19 +251,17 @@ ShardRebalancer::ShardRebalancer(core::Context& context,
 
 sim::Co<Result<ShardMap>> ShardRebalancer::FetchMap() {
   rpc::Void none;  // named: see stub.h "GCC note"
-  Result<GetShardMapResponse> resp =
-      co_await rpc::AwaitReply<GetShardMapResponse>(context_->client().Call(
-          map_binding_.server, map_binding_.object, shardwire::kGetShardMap,
-          serde::EncodeToBytes(none), params_.call));
-  if (!resp.ok()) co_return resp.status();
-  if (!resp->map.Valid()) co_return InternalError("invalid shard map");
-  co_return std::move(resp->map);
+  Result<ShardMap> map = co_await rpc::TypedCall(
+      context_->client(), map_binding_.server, map_binding_.object,
+      shardwire::kGetShardMap, none, params_.call);
+  if (!map.ok()) co_return map.status();
+  if (!map->Valid()) co_return InternalError("invalid shard map");
+  co_return std::move(map);
 }
 
-template <typename Resp, typename Req>
-sim::Co<Result<Resp>> ShardRebalancer::CallPrimary(const std::string& group,
-                                                   std::uint32_t method,
-                                                   Req req) {
+template <typename Req, typename Resp, rpc::RequestOf<Req> A>
+sim::Co<Result<Resp>> ShardRebalancer::CallPrimary(
+    const std::string& group, rpc::Method<Req, Resp> method, A req) {
   const Bytes args = serde::EncodeToBytes(req);
   Status last = UnavailableError("no attempt against " + group);
   for (int attempt = 0; attempt < params_.step_attempts; ++attempt) {
@@ -279,8 +274,9 @@ sim::Co<Result<Resp>> ShardRebalancer::CallPrimary(const std::string& group,
       last = rec.status();
       continue;
     }
-    Result<Resp> r = co_await rpc::AwaitReply<Resp>(context_->client().Call(
-        rec->binding.server, rec->binding.object, method, args, params_.call));
+    Result<Resp> r = co_await rpc::TypedReply<Resp>(context_->client().Call(
+        rec->binding.server, rec->binding.object, method.id, args,
+        params_.call));
     if (r.ok()) co_return r;
     last = r.status();
     const StatusCode code = last.code();
@@ -309,14 +305,13 @@ sim::Co<Status> ShardRebalancer::MigrateShard(std::uint32_t shard,
     // 1. Freeze + copy at the source. Also the resume path: a re-run
     //    finds the shard already frozen and gets the same snapshot.
     ShardFreezeRequest freeze_req{shard};
-    Result<ShardFreezeResponse> frozen = co_await CallPrimary<ShardFreezeResponse>(
-        source, kvwire::kShardFreeze, freeze_req);
+    Result<ShardFreezeResponse> frozen =
+        co_await CallPrimary(source, kvwire::kShardFreeze, freeze_req);
     if (!frozen.ok()) {
       move_failures_++;
       // Best-effort thaw: the freeze may have landed with its ack lost.
       ShardUnfreezeRequest thaw{shard};
-      (void)co_await CallPrimary<rpc::Void>(source, kvwire::kShardUnfreeze,
-                                            thaw);
+      (void)co_await CallPrimary(source, kvwire::kShardUnfreeze, thaw);
       co_return frozen.status();
     }
     const std::uint64_t next_epoch = frozen->shard_epoch + 1;
@@ -325,14 +320,12 @@ sim::Co<Status> ShardRebalancer::MigrateShard(std::uint32_t shard,
     install_req.shard = shard;
     install_req.shard_epoch = next_epoch;
     install_req.entries = std::move(frozen->entries);
-    Result<ShardInstallResponse> installed =
-        co_await CallPrimary<ShardInstallResponse>(dest, kvwire::kShardInstall,
-                                                   install_req);
+    Result<std::uint64_t> installed =
+        co_await CallPrimary(dest, kvwire::kShardInstall, install_req);
     if (!installed.ok()) {
       move_failures_++;
       ShardUnfreezeRequest thaw{shard};
-      (void)co_await CallPrimary<rpc::Void>(source, kvwire::kShardUnfreeze,
-                                            thaw);
+      (void)co_await CallPrimary(source, kvwire::kShardUnfreeze, thaw);
       co_return installed.status();
     }
     // 3. Commit at the map service (version-checked CAS).
@@ -341,12 +334,11 @@ sim::Co<Status> ShardRebalancer::MigrateShard(std::uint32_t shard,
     commit.to_group = to_group;
     commit.expect_version = map->version;
     commit.new_shard_epoch = next_epoch;
-    Result<CommitMoveResponse> committed =
-        co_await rpc::AwaitReply<CommitMoveResponse>(context_->client().Call(
-            map_binding_.server, map_binding_.object, shardwire::kCommitMove,
-            serde::EncodeToBytes(commit), params_.call));
+    Result<ShardMap> committed = co_await rpc::TypedCall(
+        context_->client(), map_binding_.server, map_binding_.object,
+        shardwire::kCommitMove, commit, params_.call);
     if (committed.ok()) {
-      *map = std::move(committed->map);
+      *map = std::move(*committed);
     } else {
       // A failed commit may be OUR earlier commit whose ack was lost (a
       // re-run after a crash): re-read before declaring defeat.
@@ -360,8 +352,7 @@ sim::Co<Status> ShardRebalancer::MigrateShard(std::uint32_t shard,
         // A concurrent move really did win; abort cleanly.
         move_failures_++;
         ShardUnfreezeRequest thaw{shard};
-        (void)co_await CallPrimary<rpc::Void>(source, kvwire::kShardUnfreeze,
-                                              thaw);
+        (void)co_await CallPrimary(source, kvwire::kShardUnfreeze, thaw);
         co_return committed.status();
       }
       *map = std::move(*fresh);
@@ -378,8 +369,8 @@ sim::Co<Status> ShardRebalancer::MigrateShard(std::uint32_t shard,
     ShardReleaseRequest rel;
     rel.shard = shard;
     rel.committed_epoch = map->shard_epoch[shard];
-    Result<rpc::Void> released = co_await CallPrimary<rpc::Void>(
-        group_names[g], kvwire::kShardRelease, rel);
+    Result<rpc::Void> released =
+        co_await CallPrimary(group_names[g], kvwire::kShardRelease, rel);
     if (!released.ok()) {
       if (released.status().code() == StatusCode::kFailedPrecondition) {
         // The group holds the shard under a *newer* epoch than our

@@ -199,9 +199,9 @@ class ShardRebalancer {
   /// group name, call, retry on liveness failures (re-resolving each
   /// time, so a promotion mid-step is followed). Semantic errors are
   /// final.
-  template <typename Resp, typename Req>
+  template <typename Req, typename Resp, rpc::RequestOf<Req> A>
   sim::Co<Result<Resp>> CallPrimary(const std::string& group,
-                                    std::uint32_t method, Req req);
+                                    rpc::Method<Req, Resp> method, A req);
 
   core::Context* context_;
   core::ServiceBinding map_binding_;

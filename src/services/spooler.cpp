@@ -24,21 +24,14 @@ Result<std::uint64_t> SpoolerService::Enqueue(std::uint64_t count) {
 std::shared_ptr<rpc::Dispatch> MakeSpoolerDispatch(
     std::shared_ptr<SpoolerService> impl) {
   auto dispatch = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<SubmitRequest, std::uint64_t>(
-      *dispatch, spoolwire::kSubmit,
-      [impl](SubmitRequest, const rpc::CallContext&) {
-        return impl->Enqueue(1);
-      });
-  rpc::RegisterTyped<SubmitManyRequest, std::uint64_t>(
-      *dispatch, spoolwire::kSubmitMany,
-      [impl](SubmitManyRequest req, const rpc::CallContext&) {
-        return impl->Enqueue(req.jobs.size());
-      });
-  rpc::RegisterTyped<rpc::Void, std::uint64_t>(
-      *dispatch, spoolwire::kCompleted,
-      [impl](rpc::Void, const rpc::CallContext&) -> Result<std::uint64_t> {
-        return impl->completed();
-      });
+  rpc::RegisterTyped(*dispatch, spoolwire::kSubmit,
+                     [impl](SubmitRequest) { return impl->Enqueue(1); });
+  rpc::RegisterTyped(*dispatch, spoolwire::kSubmitMany,
+                     [impl](SubmitManyRequest req) {
+                       return impl->Enqueue(req.jobs.size());
+                     });
+  rpc::RegisterTyped(*dispatch, spoolwire::kCompleted,
+                     [impl](rpc::Void) { return impl->completed(); });
   return dispatch;
 }
 
@@ -54,17 +47,16 @@ Result<SpoolerExport> ExportSpoolerService(core::Context& context,
 }
 
 sim::Co<Result<std::uint64_t>> SpoolerStub::Submit(SpoolJob job) {
-  return Call<std::uint64_t>(spoolwire::kSubmit, SubmitRequest{std::move(job)});
+  return Call(spoolwire::kSubmit, SubmitRequest{std::move(job)});
 }
 
 sim::Co<Result<std::uint64_t>> SpoolerStub::SubmitMany(
     std::vector<SpoolJob> jobs) {
-  return Call<std::uint64_t>(spoolwire::kSubmitMany,
-                             SubmitManyRequest{std::move(jobs)});
+  return Call(spoolwire::kSubmitMany, SubmitManyRequest{std::move(jobs)});
 }
 
 sim::Co<Result<std::uint64_t>> SpoolerStub::CompletedCount() {
-  return Call<std::uint64_t>(spoolwire::kCompleted, rpc::Void{});
+  return Call(spoolwire::kCompleted, rpc::Void{});
 }
 
 SpoolerBatchProxy::SpoolerBatchProxy(core::Context& context,
@@ -85,7 +77,7 @@ SpoolerBatchProxy::SpoolerBatchProxy(core::Context& context,
 sim::Co<Status> SpoolerBatchProxy::FlushBatch(std::vector<SpoolJob> batch) {
   SubmitManyRequest req{std::move(batch)};
   Result<std::uint64_t> first =
-      co_await Call<std::uint64_t>(spoolwire::kSubmitMany, std::move(req));
+      co_await Call(spoolwire::kSubmitMany, std::move(req));
   co_return first.status();
 }
 
@@ -106,8 +98,7 @@ sim::Co<Result<std::uint64_t>> SpoolerBatchProxy::SubmitMany(
 // CompletedCount must count this proxy's own buffered jobs, so it runs
 // behind the write barrier.
 sim::Co<Result<std::uint64_t>> SpoolerBatchProxy::CompletedCount() {
-  return batcher_.After(
-      Call<std::uint64_t>(spoolwire::kCompleted, rpc::Void{}));
+  return batcher_.After(Call(spoolwire::kCompleted, rpc::Void{}));
 }
 
 }  // namespace proxy::services

@@ -45,14 +45,6 @@ class ISpooler {
 
 namespace spoolwire {
 
-enum Method : std::uint32_t {
-  kSubmit = 1,
-  kSubmitMany = 2,
-  kCompleted = 3,
-};
-
-// Every reply is a bare std::uint64_t: the first job id for Submit and
-// SubmitMany, the completed count for kCompleted.
 struct SubmitRequest {
   SpoolJob job;
   PROXY_SERDE_FIELDS(job)
@@ -61,6 +53,12 @@ struct SubmitManyRequest {
   std::vector<SpoolJob> jobs;
   PROXY_SERDE_FIELDS(jobs)
 };
+
+/// Submit and SubmitMany answer the first job id.
+inline constexpr rpc::Method<SubmitRequest, std::uint64_t> kSubmit{1};
+inline constexpr rpc::Method<SubmitManyRequest, std::uint64_t> kSubmitMany{2};
+/// Answers the completed count.
+inline constexpr rpc::Method<rpc::Void, std::uint64_t> kCompleted{3};
 
 }  // namespace spoolwire
 

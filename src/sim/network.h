@@ -110,12 +110,14 @@ class Network {
   /// per message — the burst of delayed delivery a real stall produces.
   void SetNodePaused(NodeId node, bool paused);
 
-  /// Crash-stops a node: every in-flight message to or from it is lost
+  /// Crash-stops a node: every in-flight message addressed to it is lost
   /// (even ones that would arrive after a restart — the old incarnation
   /// is gone), its held backlog is discarded, and new sends to/from it
-  /// vanish silently. Restarting clears the flag; the node rejoins with
-  /// no memory of its past (crash-stop, then rejoin). Both transitions
-  /// are traced so replay fingerprints cover them.
+  /// vanish silently. A message the node put on the wire before it
+  /// crashed still arrives, as on a real link. Restarting clears the
+  /// flag; the node rejoins with no memory of its past (crash-stop, then
+  /// rejoin). Both transitions are traced so replay fingerprints cover
+  /// them.
   void SetNodeCrashed(NodeId node, bool crashed);
   [[nodiscard]] bool IsNodeCrashed(NodeId node) const;
 

@@ -68,15 +68,16 @@ TEST(Context, LocalRegistryBasics) {
   const ObjectId id = ctx.MintObjectId();
   const InterfaceId iface = InterfaceIdOf(ICounter::kInterfaceName);
 
-  ASSERT_TRUE(ctx.RegisterLocal(id, iface, impl).ok());
-  EXPECT_EQ(ctx.RegisterLocal(id, iface, impl).code(),
+  ASSERT_TRUE(ctx.RegisterLocal(id, iface, 2, impl).ok());
+  EXPECT_EQ(ctx.RegisterLocal(id, iface, 2, impl).code(),
             StatusCode::kAlreadyExists);
-  EXPECT_FALSE(ctx.RegisterLocal(ObjectId{}, iface, impl).ok());
-  EXPECT_FALSE(ctx.RegisterLocal(ctx.MintObjectId(), iface, nullptr).ok());
+  EXPECT_FALSE(ctx.RegisterLocal(ObjectId{}, iface, 2, impl).ok());
+  EXPECT_FALSE(ctx.RegisterLocal(ctx.MintObjectId(), iface, 2, nullptr).ok());
 
   const auto* entry = ctx.FindLocal(id);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->iface, iface);
+  EXPECT_EQ(entry->protocol, 2u);
   EXPECT_EQ(ctx.local_object_count(), 1u);
 
   ctx.UnregisterLocal(id);
@@ -92,7 +93,7 @@ TEST(Runtime, FindObjectOnNodeSearchesAllContexts) {
   (void)c1;
   auto impl = std::make_shared<CounterService>();
   const ObjectId id = c2.MintObjectId();
-  ASSERT_TRUE(c2.RegisterLocal(id, InterfaceIdOf(ICounter::kInterfaceName),
+  ASSERT_TRUE(c2.RegisterLocal(id, InterfaceIdOf(ICounter::kInterfaceName), 1,
                                impl).ok());
   auto hit = rt.FindObjectOnNode(n, id);
   ASSERT_TRUE(hit.has_value());
@@ -377,7 +378,8 @@ std::shared_ptr<rpc::Dispatch> Recorder(std::uint32_t method,
   auto dispatch = std::make_shared<rpc::Dispatch>();
   dispatch->Register(
       method,
-      [log](BytesView args, const rpc::CallContext&) -> sim::Co<Result<Bytes>> {
+      [log](BytesView args,
+            const obs::TraceContext&) -> sim::Co<Result<Bytes>> {
         log->emplace_back(args.begin(), args.end());
         co_return serde::EncodeToBytes(rpc::Void{});
       });
@@ -488,12 +490,20 @@ TEST(ReplyWire, OneValueReplyBytesArePinned) {
   ServiceBinding names;
   names.server = w.server_ctx->names().server();
   names.object = naming::kNameServiceObject;
+  ServiceBinding map;
+  map.server = w.server_ctx->server_address();
+  map.object = ObjectId{0x5a, 0x5b};
+  ASSERT_OK(w.server_ctx->server().ExportObject(
+      map.object, services::MakeShardMapDispatch(
+                      std::make_shared<services::ShardMapService>(
+                          *w.server_ctx,
+                          services::MakeInitialShardMap(2, {"g0", "g1"})))));
   // The reply payload of one raw call, in hex.
-  auto reply = [&](const ServiceBinding& target, std::uint32_t method,
+  auto reply = [&](const ServiceBinding& target, auto method,
                    const auto& req) {
     const Bytes args = serde::EncodeToBytes(req);
     rpc::RpcResult r = w.rt->Await(w.client_ctx->client().Call(
-        target.server, target.object, method, View(args)));
+        target.server, target.object, method.id, View(args)));
     EXPECT_TRUE(r.ok()) << r.status.ToString();
     return Hex(r.payload.view());
   };
@@ -554,6 +564,12 @@ TEST(ReplyWire, OneValueReplyBytesArePinned) {
             record_hex);
   EXPECT_EQ(reply(names, naming::kList, naming::ListRequest{""}),
             "010173" + record_hex);
+
+  // The shard map itself, as the one-field GetShardMapResponse carried
+  // it: version 1, 2 shards, groups ["g0", "g1"], owners [0, 1], shard
+  // epochs [1, 1].
+  EXPECT_EQ(reply(map, services::shardwire::kGetShardMap, none),
+            "010202026730026731020001020101");
 }
 
 // --- per-call event budget: no coroutine layer where nothing suspends ---
@@ -685,14 +701,17 @@ TEST(ProxyCall, UndecodableReplySurfacesCorrupt) {
       services::ExportCounterService(*w.server_ctx, 1, 5);
   ASSERT_OK(exported);
   BareProxy proxy(*w.client_ctx, exported->binding);
+  // The counter's Read, deliberately declared with the wrong reply type,
+  // as a stub that disagrees with its skeleton would.
+  constexpr rpc::Method<rpc::Void, TwoStrings> kMisdeclaredRead{
+      services::counterwire::kRead.id};
   auto body = [&]() -> sim::Co<void> {
     const rpc::Void none;
     Result<std::int64_t> read =
-        co_await proxy.Call<std::int64_t>(services::counterwire::kRead, none);
+        co_await proxy.Call(services::counterwire::kRead, none);
     CO_ASSERT_OK(read);
     EXPECT_EQ(*read, 5);
-    Result<TwoStrings> wrong =
-        co_await proxy.Call<TwoStrings>(services::counterwire::kRead, none);
+    Result<TwoStrings> wrong = co_await proxy.Call(kMisdeclaredRead, none);
     EXPECT_EQ(wrong.status().code(), StatusCode::kCorrupt);
   };
   w.Run(body);

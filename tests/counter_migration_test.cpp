@@ -5,6 +5,7 @@
 #include "core/factory.h"
 #include "core/migration.h"
 #include "services/counter.h"
+#include "services/kv.h"
 #include "test_util.h"
 
 namespace proxy::services {
@@ -288,13 +289,39 @@ TEST(MigrationTest, NameServiceRebindAfterMove) {
 
     AcquireOptions opts;
     opts.allow_direct = false;
-    opts.use_name_cache = false;  // see the fresh record
     Result<std::shared_ptr<ICounter>> fresh =
         co_await Acquire<ICounter>(*w.client_ctx, "ctr", opts);
     CO_ASSERT_OK(fresh);
     CO_ASSERT_OK(co_await (*fresh)->Increment(1));
     auto* stub = dynamic_cast<CounterStub*>(fresh->get());
     EXPECT_EQ(stub->proxy_stats().rebinds, 0u);  // bound straight to target
+  };
+  w.Run(body);
+}
+
+TEST(MigrationTest, PushKeepsTheAdvertisedProtocol) {
+  // A protocol-2 object stays protocol 2 in its new home: the binding
+  // the push returns, once published, gives new clients the caching
+  // proxy the service advertised, not the protocol-1 stub.
+  TestWorld w;
+  auto exported = ExportKvService(*w.server_ctx, 2);
+  ASSERT_OK(exported);
+  core::Context& target = w.rt->CreateContext(w.client_node, "target");
+  target.migration();
+  core::Context& fresh = w.rt->CreateContext(w.client_node, "fresh");
+
+  auto body = [&]() -> sim::Co<void> {
+    Result<core::ServiceBinding> moved =
+        co_await w.server_ctx->migration().PushTo(exported->binding.object,
+                                                  target.server_address());
+    CO_ASSERT_OK(moved);
+    EXPECT_EQ(moved->protocol, 2u);
+    CO_ASSERT_OK(co_await target.names().RegisterService("kv", *moved));
+
+    Result<std::shared_ptr<IKeyValue>> kv =
+        co_await Acquire<IKeyValue>(fresh, "kv");
+    CO_ASSERT_OK(kv);
+    EXPECT_NE(dynamic_cast<KvCachingProxy*>(kv->get()), nullptr);
   };
   w.Run(body);
 }

@@ -284,10 +284,8 @@ TEST(EdgeCases, WithdrawnNameYieldsCleanBindFailure) {
     CO_ASSERT_OK(co_await w.server_ctx->names().RegisterService(
         "ephemeral", exported->binding));
     CO_ASSERT_OK(co_await w.server_ctx->names().Unregister("ephemeral"));
-    AcquireOptions opts;
-    opts.use_name_cache = false;
     Result<std::shared_ptr<IKeyValue>> kv =
-        co_await Acquire<IKeyValue>(*w.client_ctx, "ephemeral", opts);
+        co_await Acquire<IKeyValue>(*w.client_ctx, "ephemeral");
     EXPECT_EQ(kv.status().code(), StatusCode::kNotFound);
   };
   w.Run(body);

@@ -16,9 +16,9 @@ sim::Co<void> Spooler::Drain() {
   co_return;
 }
 
-// Both typed-call shapes are tasks, also when the callee takes explicit
-// template arguments: ProxyBase::Call<T> returns the invocation loop's
-// coroutine, and StubBase::TypedCall<Resp> the typed-reply awaitable.
+// A typed call is a task, also when it names explicit template
+// arguments: a proxy's Call<T> returns its invocation loop's coroutine,
+// and a stub's TypedCall<Resp> its typed-reply awaitable.
 class CounterProxy {
  protected:
   template <typename T, typename Req>
@@ -44,6 +44,36 @@ sim::Co<void> NameStub::Touch(std::string name) {
   TypedCall<NameRecord>(kLookup, name);  // MARK:l2-typed-reply
   Result<NameRecord> found =
       co_await TypedCall<NameRecord>(kLookup, name);  // handled
+  (void)found;
+}
+
+// The descriptor forms name no type at the call: ProxyBase::Call and
+// StubBase::TypedCall deduce the request and reply types from the
+// method's rpc::Method<Req, Resp> declaration, and are tasks all the same.
+class KvProxy {
+ protected:
+  template <typename Req, typename Resp, rpc::RequestOf<Req> A>
+  sim::Co<Result<Resp>> Call(rpc::Method<Req, Resp> method, const A& req);
+  sim::Co<void> Store(PutRequest req);
+};
+
+sim::Co<void> KvProxy::Store(PutRequest req) {
+  Call(kPut, req);  // MARK:l2-descriptor-call
+  Result<rpc::Void> put = co_await Call(kPut, req);  // handled
+  (void)put;
+}
+
+class NameClient {
+ protected:
+  template <typename Req, typename Resp, rpc::RequestOf<Req> A>
+  rpc::TypedReply<Resp> TypedCall(rpc::Method<Req, Resp> method,
+                                  const A& req);
+  sim::Co<void> Find(LookupRequest name);
+};
+
+sim::Co<void> NameClient::Find(LookupRequest name) {
+  TypedCall(kLookup, name);  // MARK:l2-descriptor-typed-reply
+  Result<NameRecord> found = co_await TypedCall(kLookup, name);  // handled
   (void)found;
 }
 

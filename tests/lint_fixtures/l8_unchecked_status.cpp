@@ -33,9 +33,9 @@ sim::Co<void> Store::Run() {
 }
 
 // Both typed-call shapes always resume with a Result: awaiting either
-// as a statement drops the call's failure. ProxyBase::Call<T> returns
-// the invocation loop's coroutine, StubBase::TypedCall<Resp> the
-// typed-reply awaitable.
+// as a statement drops the call's failure, also when the call names
+// explicit template arguments. A proxy's Call<T> returns its invocation
+// loop's coroutine, a stub's TypedCall<Resp> its typed-reply awaitable.
 class KvProxy {
  protected:
   template <typename T, typename Req>
@@ -61,6 +61,37 @@ sim::Co<void> NameStub::Register(RegisterRequest req) {
   Result<rpc::Void> done =
       co_await TypedCall<rpc::Void>(kRegister, req);  // handled
   (void)done;
+}
+
+// The descriptor forms name no type at the call: ProxyBase::Call and
+// StubBase::TypedCall deduce the request and reply types from the
+// method's rpc::Method<Req, Resp> declaration, and resume with a Result
+// all the same.
+class CacheProxy {
+ protected:
+  template <typename Req, typename Resp, rpc::RequestOf<Req> A>
+  sim::Co<Result<Resp>> Call(rpc::Method<Req, Resp> method, const A& req);
+  sim::Co<void> Write(PutRequest req);
+};
+
+sim::Co<void> CacheProxy::Write(PutRequest req) {
+  co_await Call(kPut, req);  // MARK:l8-descriptor-call
+  Result<rpc::Void> put = co_await Call(kPut, req);  // handled
+  (void)put;
+}
+
+class NameClient {
+ protected:
+  template <typename Req, typename Resp, rpc::RequestOf<Req> A>
+  rpc::TypedReply<Resp> TypedCall(rpc::Method<Req, Resp> method,
+                                  const A& req);
+  sim::Co<void> Find(LookupRequest name);
+};
+
+sim::Co<void> NameClient::Find(LookupRequest name) {
+  co_await TypedCall(kLookup, name);  // MARK:l8-descriptor-typed-reply
+  Result<NameRecord> found = co_await TypedCall(kLookup, name);  // handled
+  (void)found;
 }
 
 }  // namespace services

@@ -213,10 +213,10 @@ TEST_F(NamingFixture, CachingClientHitsAfterFirstResolve) {
 TEST_F(NamingFixture, CachingClientTtlExpiry) {
   auto body = [this]() -> sim::Co<void> {
     CO_ASSERT_OK(co_await ctx->names().RegisterService("t/svc", MakeBinding()));
-    CachingNameClient cached(ctx->client(), rt.name_server_address(),
-                             /*ttl=*/Milliseconds(10));
+    CachingNameClient cached(ctx->client(), rt.name_server_address());
     CO_ASSERT_OK(co_await cached.ResolvePath("t/svc"));
-    co_await sim::SleepFor(rt.scheduler(), Milliseconds(20));
+    co_await sim::SleepFor(rt.scheduler(),
+                           CachingNameClient::kTtl + Milliseconds(10));
     CO_ASSERT_OK(co_await cached.ResolvePath("t/svc"));
     EXPECT_EQ(cached.misses(), 2u);  // TTL forced a re-resolve
   };

@@ -45,6 +45,7 @@
 namespace proxy {
 namespace {
 
+using proxy::testing::kPing;
 using proxy::testing::PingRequest;
 using proxy::testing::PingResponse;
 using proxy::testing::TestWorld;
@@ -65,10 +66,9 @@ struct SlowWorld {
     server = std::make_unique<rpc::RpcServer>(*server_ep);
     object = ObjectId{1, 1};
     auto dispatch = std::make_shared<rpc::Dispatch>();
-    rpc::RegisterTyped<PingRequest, PingResponse>(
-        *dispatch, 1,
-        [this](PingRequest req,
-               const rpc::CallContext&) -> sim::Co<Result<PingResponse>> {
+    rpc::RegisterTyped(
+        *dispatch, kPing,
+        [this](PingRequest req) -> sim::Co<Result<PingResponse>> {
           co_await sim::SleepFor(sched, service);
           co_return PingResponse{req.id};
         });
@@ -77,7 +77,7 @@ struct SlowWorld {
 
   sim::Future<rpc::RpcResult> Call(std::uint32_t id,
                                    const rpc::CallOptions& options) {
-    return client->Call(server_ep->address(), object, 1,
+    return client->Call(server_ep->address(), object, kPing.id,
                         serde::EncodeToBytes(PingRequest{id}), options);
   }
 
@@ -338,10 +338,10 @@ struct SlowPutKv {
     auto dispatch = services::MakeKvDispatch(impl);
     sim::Scheduler& sched = ctx.scheduler();
     dispatch->Register(
-        services::kvwire::kPut,
+        services::kvwire::kPut.id,
         [this, &sched, put_service](
             BytesView args,
-            const rpc::CallContext&) -> sim::Co<Result<Bytes>> {
+            const obs::TraceContext&) -> sim::Co<Result<Bytes>> {
           Result<services::kvwire::PutRequest> req =
               serde::DecodeFromBytes<services::kvwire::PutRequest>(args);
           if (!req.ok()) co_return req.status();
@@ -519,17 +519,15 @@ TEST(Overload, ShardRouterStopsOfferingWorkToASheddingGroup) {
   // property — every object behind that endpoint feels it).
   const ObjectId slow_id = replica_ctx.MintObjectId();
   auto slow = std::make_shared<rpc::Dispatch>();
-  rpc::RegisterTyped<PingRequest, PingResponse>(
-      *slow, 1,
-      [&rt](PingRequest req,
-            const rpc::CallContext&) -> sim::Co<Result<PingResponse>> {
+  rpc::RegisterTyped(
+      *slow, kPing, [&rt](PingRequest req) -> sim::Co<Result<PingResponse>> {
         co_await sim::SleepFor(rt.scheduler(), Milliseconds(20));
         co_return PingResponse{req.id};
       });
   ASSERT_TRUE(replica_ctx.server().ExportObject(slow_id, slow).ok());
   replica_ctx.server().set_admission(1, 0, Milliseconds(2));
   sim::Future<rpc::RpcResult> pin = client_ctx.client().Call(
-      replica_ctx.server_address(), slow_id, 1,
+      replica_ctx.server_address(), slow_id, kPing.id,
       serde::EncodeToBytes(PingRequest{1}), NoRetryOptions(Milliseconds(100)));
   rt.scheduler().RunFor(Milliseconds(1));
 

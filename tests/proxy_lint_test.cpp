@@ -95,9 +95,13 @@ TEST(ProxyLintL2, DiscardedTaskReportedOnceHandledFormsPass) {
   EXPECT_TRUE(HasFindingAt(f, "L2", LineOf(text, "MARK:l2-discarded")));
   EXPECT_TRUE(HasFindingAt(f, "L2", LineOf(text, "MARK:l2-proxy-call")));
   EXPECT_TRUE(HasFindingAt(f, "L2", LineOf(text, "MARK:l2-typed-reply")));
+  EXPECT_TRUE(
+      HasFindingAt(f, "L2", LineOf(text, "MARK:l2-descriptor-call")));
+  EXPECT_TRUE(
+      HasFindingAt(f, "L2", LineOf(text, "MARK:l2-descriptor-typed-reply")));
   // co_await / Spawn / (void) / named binding are all handled; the
   // ambiguous name (void in one class, Co in another) stays silent.
-  EXPECT_EQ(f.size(), 3u);
+  EXPECT_EQ(f.size(), 5u);
 }
 
 TEST(ProxyLintL5, DiscardedTimerReportedOnceHandledFormsPass) {
@@ -193,8 +197,12 @@ TEST(ProxyLintL8, DirectAndAwaitedDiscardsReportedHandledFormsPass) {
   EXPECT_TRUE(HasFindingAt(f, "L8", LineOf(text, "MARK:l8-awaited")));
   EXPECT_TRUE(HasFindingAt(f, "L8", LineOf(text, "MARK:l8-proxy-call")));
   EXPECT_TRUE(HasFindingAt(f, "L8", LineOf(text, "MARK:l8-typed-reply")));
+  EXPECT_TRUE(
+      HasFindingAt(f, "L8", LineOf(text, "MARK:l8-descriptor-call")));
+  EXPECT_TRUE(
+      HasFindingAt(f, "L8", LineOf(text, "MARK:l8-descriptor-typed-reply")));
   // (void) casts, bound names, and Co<void> awaits are all handled.
-  EXPECT_EQ(f.size(), 4u);
+  EXPECT_EQ(f.size(), 6u);
 
   // L8 is scoped to src/: a test deliberately dropping a status (e.g.
   // poking a crashed replica) is not a finding.

@@ -348,7 +348,7 @@ TEST(ReplicationFailover, EqualEpochBatchFromAnotherPrimaryIsFenced) {
   opts.deadline = Milliseconds(100);
   const core::ServiceBinding& to = fw.exp.backup_bindings[0];
   rpc::RpcResult r = fw.w.rt->Await(fw.w.client_ctx->client().Call(
-      to.server, to.object, kvwire::kReplicateBatch,
+      to.server, to.object, kvwire::kReplicateBatch.id,
       serde::EncodeToBytes(forged), opts));
   EXPECT_EQ(r.status.code(), StatusCode::kFenced) << r.status.ToString();
   EXPECT_EQ(backup.fenced_rejections(), 1u);
@@ -356,7 +356,7 @@ TEST(ReplicationFailover, EqualEpochBatchFromAnotherPrimaryIsFenced) {
   // Epoch, view and data are as they were.
   EXPECT_EQ(backup.epoch(), epoch);
   rpc::RpcResult listed = fw.w.rt->Await(fw.w.client_ctx->client().Call(
-      to.server, to.object, kvwire::kGetReplicas,
+      to.server, to.object, kvwire::kGetReplicas.id,
       serde::EncodeToBytes(rpc::Void{}), opts));
   ASSERT_TRUE(listed.ok()) << listed.status.ToString();
   Result<kvwire::ReplicaListResponse> list =

@@ -266,9 +266,9 @@ struct RecordedGroup {
                     .ok());
     auto recorder = std::make_shared<rpc::Dispatch>();
     recorder->Register(
-        kvwire::kReplicateBatch,
+        kvwire::kReplicateBatch.id,
         [this](BytesView args,
-               const rpc::CallContext&) -> sim::Co<Result<Bytes>> {
+               const obs::TraceContext&) -> sim::Co<Result<Bytes>> {
           batches.emplace_back(args.begin(), args.end());
           co_return serde::EncodeToBytes(rpc::Void{});
         });
@@ -350,7 +350,7 @@ TEST(ReplicationWire, JoinResponseBytesArePinned) {
   ASSERT_OK(g.w.rt->Run(g.primary->Put(RecordedGroup::KeyIn(1), "v1")));
   kvwire::JoinRequest join;
   join.joiner = g.peer;
-  const Bytes resp = g.Call(kvwire::kJoin, serde::EncodeToBytes(join));
+  const Bytes resp = g.Call(kvwire::kJoin.id, serde::EncodeToBytes(join));
   // epoch 1; the snapshot {k0: v1, k3: v0} with its empty subscriber
   // list; the view [primary, peer]; the shard config.
   EXPECT_EQ(Hex(View(resp)),
@@ -366,14 +366,17 @@ TEST(ReplicationWire, EpochResponseBytesArePinned) {
   // Every reply is stamped with replication epoch 1 and the key's shard
   // epoch 1.
   kvwire::PutRequest put{key, "value", ObjectId{}};
-  EXPECT_EQ(Hex(View(g.Call(kvwire::kEpochPut, serde::EncodeToBytes(put)))),
-            "0101");
+  EXPECT_EQ(
+      Hex(View(g.Call(kvwire::kEpochPut.id, serde::EncodeToBytes(put)))),
+      "0101");
   kvwire::GetRequest get{key};
-  EXPECT_EQ(Hex(View(g.Call(kvwire::kEpochGet, serde::EncodeToBytes(get)))),
-            "01" "0576616c7565" "0101");  // value "value"
+  EXPECT_EQ(
+      Hex(View(g.Call(kvwire::kEpochGet.id, serde::EncodeToBytes(get)))),
+      "01" "0576616c7565" "0101");  // value "value"
   kvwire::DelRequest del{key, ObjectId{}};
-  EXPECT_EQ(Hex(View(g.Call(kvwire::kEpochDel, serde::EncodeToBytes(del)))),
-            "01" "0101");  // existed
+  EXPECT_EQ(
+      Hex(View(g.Call(kvwire::kEpochDel.id, serde::EncodeToBytes(del)))),
+      "01" "0101");  // existed
 }
 
 }  // namespace

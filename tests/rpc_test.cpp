@@ -30,6 +30,8 @@ struct EchoResponse {
   std::string text;
   PROXY_SERDE_FIELDS(text)
 };
+/// Every fixture method echoes an EchoRequest; ids 1-5 differ in how.
+using EchoMethod = Method<EchoRequest, EchoResponse>;
 
 struct RpcFixture : public ::testing::Test {
   RpcFixture() : net(sched, 11) {
@@ -43,42 +45,37 @@ struct RpcFixture : public ::testing::Test {
 
     object = ObjectId{1, 2};
     auto dispatch = std::make_shared<Dispatch>();
-    RegisterTyped<EchoRequest, EchoResponse>(
-        *dispatch, 1,
-        [this](EchoRequest req,
-               const CallContext&) -> sim::Co<Result<EchoResponse>> {
+    RegisterTyped(
+        *dispatch, EchoMethod{1},
+        [this](EchoRequest req) -> sim::Co<Result<EchoResponse>> {
           ++executions;
           std::string out;
           for (std::uint32_t i = 0; i < req.repeat; ++i) out += req.text;
           co_return EchoResponse{out};
         });
     // A slow method exercising coroutine handlers.
-    RegisterTyped<EchoRequest, EchoResponse>(
-        *dispatch, 2,
-        [this](EchoRequest req,
-               const CallContext&) -> sim::Co<Result<EchoResponse>> {
+    RegisterTyped(
+        *dispatch, EchoMethod{2},
+        [this](EchoRequest req) -> sim::Co<Result<EchoResponse>> {
           co_await sim::SleepFor(sched, Milliseconds(30));
           co_return EchoResponse{req.text};
         });
     // A method that fails.
-    RegisterTyped<EchoRequest, EchoResponse>(
-        *dispatch, 3,
-        [](EchoRequest, const CallContext&) -> sim::Co<Result<EchoResponse>> {
-          co_return FailedPreconditionError("nope");
-        });
+    RegisterTyped(*dispatch, EchoMethod{3},
+                  [](EchoRequest) -> sim::Co<Result<EchoResponse>> {
+                    co_return FailedPreconditionError("nope");
+                  });
     // Synchronous handlers: an echo, and one that fails.
-    RegisterTyped<EchoRequest, EchoResponse>(
-        *dispatch, 4,
-        [this](EchoRequest req, const CallContext&) -> Result<EchoResponse> {
-          ++sync_executions;
-          return EchoResponse{req.text};
-        });
-    RegisterTyped<EchoRequest, EchoResponse>(
-        *dispatch, 5,
-        [this](EchoRequest, const CallContext&) -> Result<EchoResponse> {
-          ++sync_executions;
-          return PermissionDeniedError("sync nope");
-        });
+    RegisterTyped(*dispatch, EchoMethod{4},
+                  [this](EchoRequest req) -> Result<EchoResponse> {
+                    ++sync_executions;
+                    return EchoResponse{req.text};
+                  });
+    RegisterTyped(*dispatch, EchoMethod{5},
+                  [this](EchoRequest) -> Result<EchoResponse> {
+                    ++sync_executions;
+                    return PermissionDeniedError("sync nope");
+                  });
     EXPECT_TRUE(server->ExportObject(object, dispatch).ok());
   }
 
@@ -166,15 +163,19 @@ TEST_F(RpcFixture, MalformedArgsNeverReachSyncHandler) {
 
 TEST_F(RpcFixture, TypedReplyDecodesOrSurfacesCorrupt) {
   // EchoResponse{"hi"} is three bytes; rpc::Void reads one and leaves
-  // two, so the same reply decodes as the one and not as the other.
+  // two, so the same reply decodes as the one and not as the other. The
+  // second descriptor deliberately declares method 1 with the wrong
+  // reply type, as a stub that disagrees with its skeleton would.
+  constexpr Method<EchoRequest, Void> kMismatched{1};
   std::optional<Result<EchoResponse>> echoed;
   std::optional<Result<Void>> wrong;
   auto body = [&]() -> sim::Co<void> {
-    const Bytes args = serde::EncodeToBytes(EchoRequest{"hi", 1});
-    echoed = co_await AwaitReply<EchoResponse>(
-        client->Call(server_ep->address(), object, 1, args));
-    wrong = co_await AwaitReply<Void>(
-        client->Call(server_ep->address(), object, 1, args));
+    const EchoRequest req{"hi", 1};
+    const CallOptions options;
+    echoed = co_await TypedCall(*client, server_ep->address(), object,
+                                EchoMethod{1}, req, options);
+    wrong = co_await TypedCall(*client, server_ep->address(), object,
+                               kMismatched, req, options);
   };
   auto done = sim::Spawn(sched, body());
   sched.RunUntil([&] { return done.ready(); });
@@ -194,7 +195,7 @@ TEST_F(RpcFixture, BorrowedArgsViewSurvivesHandlerSuspension) {
   const Bytes sent = ToBytes("arena-resident-args-0123456789");
   dispatch->Register(
       5, [this, &sent](BytesView args,
-                       const CallContext&) -> sim::Co<Result<Bytes>> {
+                       const obs::TraceContext&) -> sim::Co<Result<Bytes>> {
         const Bytes before(args.begin(), args.end());
         EXPECT_EQ(before, sent);
         // Suspend long enough for other deliveries and timers to run —
@@ -265,7 +266,7 @@ TEST_F(RpcFixture, BulkRoundTripCopyBudget) {
   auto dispatch = std::make_shared<Dispatch>();
   dispatch->Register(
       6, [&at_handler](BytesView in,
-                       const CallContext&) -> sim::Co<Result<Bytes>> {
+                       const obs::TraceContext&) -> sim::Co<Result<Bytes>> {
         at_handler = serde::WireCopyCounter().value();
         co_return Bytes(in.rbegin(), in.rend());
       });
@@ -425,10 +426,9 @@ TEST_F(RpcFixture, ReplyCacheBoundedEviction) {
   ObjectId obj{5, 5};
   auto dispatch = std::make_shared<Dispatch>();
   int execs = 0;
-  RegisterTyped<EchoRequest, EchoResponse>(
-      *dispatch, 1,
-      [&execs](EchoRequest req,
-               const CallContext&) -> sim::Co<Result<EchoResponse>> {
+  RegisterTyped(
+      *dispatch, EchoMethod{1},
+      [&execs](EchoRequest req) -> sim::Co<Result<EchoResponse>> {
         ++execs;
         co_return EchoResponse{req.text};
       });
@@ -538,7 +538,8 @@ TEST(RpcWire, DatagramBytesArePinned) {
   RpcServer server(*server_stack.OpenEndpoint(PortId(9)));
   auto dispatch = std::make_shared<Dispatch>();
   dispatch->Register(
-      4, [](BytesView args, const CallContext&) -> sim::Co<Result<Bytes>> {
+      4, [](BytesView args,
+            const obs::TraceContext&) -> sim::Co<Result<Bytes>> {
         co_return Bytes(args.rbegin(), args.rend());
       });
   ASSERT_TRUE(server.ExportObject(ObjectId{1, 2}, dispatch).ok());

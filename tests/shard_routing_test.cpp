@@ -181,12 +181,12 @@ TEST(ShardMap, CommitMoveBumpsVersionAndCasRejectsStaleCommits) {
     move.to_group = 1;
     move.expect_version = 1;
     move.new_shard_epoch = 2;
-    Result<shardwire::CommitMoveResponse> committed =
+    Result<shardwire::ShardMap> committed =
         svc->HandleCommitMove(move);
     CO_ASSERT_OK(committed);
-    EXPECT_EQ(committed->map.version, 2u);
-    EXPECT_EQ(committed->map.owner[0], 1u);
-    EXPECT_EQ(committed->map.shard_epoch[0], 2u);
+    EXPECT_EQ(committed->version, 2u);
+    EXPECT_EQ(committed->owner[0], 1u);
+    EXPECT_EQ(committed->shard_epoch[0], 2u);
 
     // The CAS: a commit built against the superseded map is refused.
     shardwire::CommitMoveRequest stale;
@@ -194,7 +194,7 @@ TEST(ShardMap, CommitMoveBumpsVersionAndCasRejectsStaleCommits) {
     stale.to_group = 1;
     stale.expect_version = 1;  // map is at 2 now
     stale.new_shard_epoch = 2;
-    Result<shardwire::CommitMoveResponse> lost =
+    Result<shardwire::ShardMap> lost =
         svc->HandleCommitMove(stale);
     CO_ASSERT_TRUE(!lost.ok());
     EXPECT_EQ(lost.status().code(), StatusCode::kFailedPrecondition);
@@ -206,7 +206,7 @@ TEST(ShardMap, CommitMoveBumpsVersionAndCasRejectsStaleCommits) {
     replay.to_group = 0;
     replay.expect_version = 2;
     replay.new_shard_epoch = 2;
-    Result<shardwire::CommitMoveResponse> refused =
+    Result<shardwire::ShardMap> refused =
         svc->HandleCommitMove(replay);
     CO_ASSERT_TRUE(!refused.ok());
     EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
@@ -217,7 +217,7 @@ TEST(ShardMap, CommitMoveBumpsVersionAndCasRejectsStaleCommits) {
     bogus.to_group = 0;
     bogus.expect_version = 2;
     bogus.new_shard_epoch = 9;
-    Result<shardwire::CommitMoveResponse> malformed =
+    Result<shardwire::ShardMap> malformed =
         svc->HandleCommitMove(bogus);
     CO_ASSERT_TRUE(!malformed.ok());
     EXPECT_EQ(malformed.status().code(), StatusCode::kInvalidArgument);
@@ -471,10 +471,10 @@ TEST(ShardRouting, ListMergesSortedAndDedupsAcrossAHalfFinishedMove) {
     install.shard = shard;
     install.shard_epoch = frozen->shard_epoch + 1;
     install.entries = frozen->entries;
-    Result<kvwire::ShardInstallResponse> installed =
+    Result<std::uint64_t> installed =
         co_await w.skv.groups[1].primary->HandleShardInstall(install);
     CO_ASSERT_OK(installed);
-    EXPECT_EQ(installed->shard_epoch, 2u);
+    EXPECT_EQ(*installed, 2u);
   };
   w.Run(half_move);
 
@@ -643,7 +643,7 @@ TEST(ShardRouting, RerunReleasesTheSourceAfterACommittedHandoff) {
     install.shard = shard;
     install.shard_epoch = frozen->shard_epoch + 1;
     install.entries = frozen->entries;
-    Result<kvwire::ShardInstallResponse> installed =
+    Result<std::uint64_t> installed =
         co_await w.skv.groups[1].primary->HandleShardInstall(install);
     CO_ASSERT_OK(installed);
     shardwire::CommitMoveRequest commit;
@@ -651,7 +651,7 @@ TEST(ShardRouting, RerunReleasesTheSourceAfterACommittedHandoff) {
     commit.to_group = 1;
     commit.expect_version = 1;
     commit.new_shard_epoch = frozen->shard_epoch + 1;
-    Result<shardwire::CommitMoveResponse> committed =
+    Result<shardwire::ShardMap> committed =
         w.skv.map_service->HandleCommitMove(commit);
     CO_ASSERT_OK(committed);
   };
@@ -826,8 +826,8 @@ TEST(ShardRouting, RescueRevivesAFullyDeposedGroupWithoutLosingData) {
     opts.deadline = Milliseconds(100);
     const Bytes args = serde::EncodeToBytes(evict);
     rpc::RpcResult r = co_await w.client_ctx->client().Call(
-        w.exp.binding.server, w.exp.binding.object, kvwire::kReplicateBatch,
-        args, opts);
+        w.exp.binding.server, w.exp.binding.object,
+        kvwire::kReplicateBatch.id, args, opts);
     CO_ASSERT_TRUE(!r.ok());
     EXPECT_EQ(r.status.code(), StatusCode::kUnavailable);
   };

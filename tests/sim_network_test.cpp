@@ -181,6 +181,51 @@ TEST_F(NetFixture, AHeldMessageNeverReachesTheNextIncarnation) {
   EXPECT_EQ(net.stats().messages_dropped, 1u);
 }
 
+// Crash-stop loses the mail addressed to the dead incarnation, not the
+// mail that incarnation already put on the wire: an a->b datagram on a
+// 10 ms link outlives a crash of its sender, as on a real link.
+TEST_F(NetFixture, ADatagramOutlivesACrashOfItsSender) {
+  LinkParams link;
+  link.latency = Milliseconds(10);
+  net.SetLink(a, b, link);
+  ASSERT_TRUE(net.Send(a, b, PortId(1), Bytes{1}).ok());
+  sched.RunFor(Milliseconds(1));
+  net.SetNodeCrashed(a, true);
+  sched.Run();
+  ASSERT_EQ(deliveries.size(), 1u);
+  EXPECT_EQ(deliveries[0].from, a);
+  EXPECT_EQ(net.stats().messages_delivered, 1u);
+  EXPECT_EQ(net.stats().messages_dropped, 0u);
+}
+
+TEST_F(NetFixture, ADatagramDiesWithACrashOfItsReceiver) {
+  LinkParams link;
+  link.latency = Milliseconds(10);
+  net.SetLink(a, b, link);
+  ASSERT_TRUE(net.Send(a, b, PortId(1), Bytes{1}).ok());
+  sched.RunFor(Milliseconds(1));
+  net.SetNodeCrashed(b, true);
+  sched.Run();
+  EXPECT_TRUE(deliveries.empty());
+  EXPECT_EQ(net.stats().messages_delivered, 0u);
+  EXPECT_EQ(net.stats().messages_dropped, 1u);
+}
+
+TEST_F(NetFixture, ADatagramNeverReachesItsReceiversNextIncarnation) {
+  LinkParams link;
+  link.latency = Milliseconds(10);
+  net.SetLink(a, b, link);
+  ASSERT_TRUE(net.Send(a, b, PortId(1), Bytes{1}).ok());
+  sched.RunFor(Milliseconds(1));
+  net.SetNodeCrashed(b, true);
+  sched.RunFor(Milliseconds(1));
+  net.SetNodeCrashed(b, false);  // restarted before the arrival
+  sched.Run();
+  EXPECT_TRUE(deliveries.empty());
+  EXPECT_EQ(net.stats().messages_delivered, 0u);
+  EXPECT_EQ(net.stats().messages_dropped, 1u);
+}
+
 TEST_F(NetFixture, LoopbackIsCheapAndCounted) {
   ASSERT_TRUE(net.Send(a, a, PortId(3), Bytes(2048, 7)).ok());
   sched.Run();

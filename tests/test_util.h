@@ -87,6 +87,7 @@ struct PingResponse {
   std::uint32_t id = 0;
   PROXY_SERDE_FIELDS(id)
 };
+inline constexpr rpc::Method<PingRequest, PingResponse> kPing{1};
 
 /// A minimal client/server pair on two raw nodes (no Runtime, no naming),
 /// with controllable breaker tuning. Not a TEST_F fixture so one test can
@@ -106,17 +107,15 @@ struct RpcWorld {
     server = std::make_unique<rpc::RpcServer>(*server_ep);
     object = ObjectId{1, 1};
     auto dispatch = std::make_shared<rpc::Dispatch>();
-    rpc::RegisterTyped<PingRequest, PingResponse>(
-        *dispatch, 1,
-        [](PingRequest req,
-           const rpc::CallContext&) -> sim::Co<Result<PingResponse>> {
-          co_return PingResponse{req.id};
-        });
+    rpc::RegisterTyped(*dispatch, kPing,
+                       [](PingRequest req) -> sim::Co<Result<PingResponse>> {
+                         co_return PingResponse{req.id};
+                       });
     EXPECT_TRUE(server->ExportObject(object, dispatch).ok());
   }
 
   rpc::RpcResult CallSync(std::uint32_t id, const rpc::CallOptions& options) {
-    auto future = client->Call(server_ep->address(), object, 1,
+    auto future = client->Call(server_ep->address(), object, kPing.id,
                                serde::EncodeToBytes(PingRequest{id}), options);
     sched.RunUntil([&] { return future.ready(); });
     return future.take();
